@@ -75,12 +75,7 @@ def bayes_likelihood_update(belief: Belief, likelihood_column) -> Belief:
 
     This is the exact posterior update for any number of outcomes.
     """
-    column = np.asarray(likelihood_column, dtype=float)
-    if column.shape != belief.probs.shape:
-        raise ValueError(f"likelihood column shape {column.shape} does not match "
-                         f"belief over {belief.num_outcomes} outcomes")
-    if np.any(column < 0):
-        raise ValueError("likelihood column entries must be nonnegative")
+    column = report_column(likelihood_column, belief.num_outcomes)
     weights = belief.probs * column
     total = weights.sum()
     if total <= 0:
@@ -129,6 +124,29 @@ def report_to_column(report: ReportVector) -> np.ndarray:
     return np.array([1.0 - b, b])
 
 
+def report_column(report, num_outcomes: int) -> np.ndarray:
+    """The likelihood column a report multiplies a d-outcome belief by.
+
+    ``report`` is either a :class:`ReportVector` (binary markets only:
+    the column ``(1-b, b)``) or a nonnegative likelihood column of length d.
+    """
+    if isinstance(report, ReportVector):
+        if report.num_outcomes != num_outcomes:
+            raise ValueError(f"report covers {report.num_outcomes} outcomes, "
+                             f"market has {num_outcomes}")
+        if num_outcomes != 2:
+            raise ValueError("per-coordinate reports are exact only for binary "
+                             "markets; submit a likelihood column for d > 2")
+        return report_to_column(report)
+    column = np.asarray(report, dtype=float)
+    if column.shape != (num_outcomes,):
+        raise ValueError(f"likelihood column shape {column.shape} does not match "
+                         f"a market over {num_outcomes} outcomes")
+    if np.any(column < 0):
+        raise ValueError("likelihood column entries must be nonnegative")
+    return column
+
+
 def apply_report(belief: Belief, report) -> Belief:
     """Fold one report into a market belief.
 
@@ -136,14 +154,36 @@ def apply_report(belief: Belief, report) -> Belief:
     per-coordinate odds update) or a likelihood column of length d (the
     general exact update).
     """
+    column = report_column(report, belief.num_outcomes)
     if isinstance(report, ReportVector):
-        d = belief.num_outcomes
-        if report.num_outcomes != d:
-            raise ValueError(f"report covers {report.num_outcomes} outcomes, "
-                             f"market has {d}")
-        if d != 2:
-            raise ValueError("per-coordinate reports are exact only for binary "
-                             "markets; submit a likelihood column for d > 2")
         p1 = update(belief[1], report.entries[0])
         return Belief(np.array([1.0 - p1, p1]))
-    return bayes_likelihood_update(belief, report)
+    return bayes_likelihood_update(belief, column)
+
+
+def fold_path(start, columns) -> np.ndarray:
+    """Beliefs after folding 0, 1, .., K likelihood columns into ``start``.
+
+    ``columns`` has shape (K, ..., d) and ``start`` broadcasts against one
+    column.  Row k of the result is the belief after the first k columns
+    (row 0 is ``start`` itself).  Each step multiplies by one column and
+    renormalizes, so arbitrarily long products never underflow.  Raises
+    ``ValueError`` when the columns leave no outcome with positive mass.
+    """
+    columns = np.asarray(columns, dtype=float)
+    path = np.empty((columns.shape[0] + 1,
+                     *np.broadcast_shapes(np.shape(start), columns.shape[1:])))
+    path[0] = start
+    with np.errstate(invalid="ignore"):
+        for k, column in enumerate(columns):
+            weights = np.multiply(path[k], column, out=path[k + 1])
+            # a left-to-right sum over outcomes: several times faster than
+            # numpy's reduction over a short last axis
+            total = weights[..., 0].copy()
+            for i in range(1, weights.shape[-1]):
+                total += weights[..., i]
+            weights /= total[..., None]
+    if not np.all(np.isfinite(path[-1])):
+        raise ValueError("the folded reports have disjoint support; the reported "
+                         "evidence is inconsistent with the market state")
+    return path

@@ -83,10 +83,6 @@ def cmd_figure(args) -> int:
         config = ExperimentConfig(args.name)
     if args.out:
         config.output_path = args.out
-    if args.seed is not None:
-        config.parameters["seed"] = args.seed
-    if args.trials is not None:
-        config.parameters["trials"] = args.trials
     paths = run_experiment(config)
     print("\n".join(paths))
     return 0
@@ -194,8 +190,6 @@ def build_parser() -> argparse.ArgumentParser:
     fig.add_argument("name", nargs="?", choices=list(EXPERIMENTS))
     fig.add_argument("--config", help="JSON experiment config file")
     fig.add_argument("--out", help="output directory")
-    fig.add_argument("--seed", type=int)
-    fig.add_argument("--trials", type=int)
     fig.set_defaults(func=cmd_figure)
 
     solve = subs.add_parser("solve", help="solve one symmetric equilibrium")

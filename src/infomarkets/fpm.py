@@ -19,7 +19,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .belief import ReportVector, apply_report, truthful_report
+from .belief import (ReportVector, apply_report, fold_path, report_column,
+                     truthful_report)
 from .errors import CapacityError
 from .info_model import ENUMERATION_BUDGET, Belief, InformationModel
 from .scoring import ScoringRule, score
@@ -60,27 +61,33 @@ class FpmResult:
                              "that stays finite on reachable beliefs")
 
 
-def _fold(prior: Belief, reports, skip: int | None = None) -> Belief:
-    belief = prior
-    for i, report in enumerate(reports):
-        if i == skip:
-            continue
-        belief = apply_report(belief, report)
-    return belief
+def settle_batch(prior, columns, y, rule: ScoringRule):
+    """Aggregated beliefs and leave-one-out rewards of T batches at once.
+
+    ``columns[k, t]`` is agent k's likelihood column in batch t, whose
+    outcome is ``y[t]``.  Agent k's leave-one-out belief joins the forward
+    fold of the reports before k with the backward fold of the reports
+    after k, so no report is ever divided out.  Returns
+    ``(aggregated[T, d], rewards[T, n])``.
+    """
+    columns = np.asarray(columns, dtype=float)
+    forward = fold_path(prior, columns)
+    backward = fold_path(np.ones(columns.shape[-1]), columns[:0:-1])
+    without = fold_path(forward[:-1], backward[::-1][None])[1]
+    rewards = score(rule, forward[-1], y) - score(rule, without, y)
+    return forward[-1], rewards.T
 
 
 def fpm_run(model_prior: Belief, batch: BatchOutcomeReport,
             rule: ScoringRule) -> FpmResult:
     """Settle a batch: aggregated belief plus each agent's leave-one-out reward."""
-    if not 0 <= batch.outcome < model_prior.num_outcomes:
+    d = model_prior.num_outcomes
+    if not 0 <= batch.outcome < d:
         raise ValueError(f"outcome {batch.outcome} outside the belief support")
-    aggregated = _fold(model_prior, batch.reports)
-    s_all = score(rule, aggregated, batch.outcome)
-    rewards = np.empty(batch.num_agents)
-    for k in range(batch.num_agents):
-        without_k = _fold(model_prior, batch.reports, skip=k)
-        rewards[k] = s_all - score(rule, without_k, batch.outcome)
-    return FpmResult(aggregated, rewards)
+    columns = np.array([report_column(r, d) for r in batch.reports])
+    aggregated, rewards = settle_batch(model_prior.probs, columns[:, None],
+                                       np.array([batch.outcome]), rule)
+    return FpmResult(Belief(aggregated[0]), rewards[0])
 
 
 def fpm_run_sampled_permutation(model_prior: Belief, batch: BatchOutcomeReport,
@@ -121,8 +128,9 @@ def fpm_expected_reward(model: InformationModel, rule: ScoringRule,
                         effort_profile, report_override=None) -> np.ndarray:
     """Exact expected reward per agent when agent i has a signal w.p. q_i.
 
-    Enumerates (signal obtained?, signal value, outcome) jointly, settling
-    each realization with truthful reports.  ``report_override`` maps one
+    Enumerates (signal obtained?, signal value, outcome) jointly and
+    settles every realization with truthful reports, each as one row of a
+    single :func:`settle_batch` call.  ``report_override`` maps one
     agent to a replacement report function ``f(signal or None) -> report``,
     which is how deviation losses are measured exactly.
     """
@@ -144,22 +152,17 @@ def fpm_expected_reward(model: InformationModel, rule: ScoringRule,
                       for s, (w, _) in enumerate(states)]
         per_agent_states.append(states)
 
-    prior_belief = model.prior_belief()
-    expected = np.zeros(n)
-    for combo in itertools.product(*per_agent_states):
-        weight_given_y = np.ones(model.num_outcomes)
-        for w, _ in combo:
-            weight_given_y = weight_given_y * w
-        joint = model.prior * weight_given_y
-        if not np.any(joint > 0):
-            continue
-        reports = tuple(r for _, r in combo)
-        for y in range(model.num_outcomes):
-            if joint[y] == 0.0:
-                continue
-            result = fpm_run(prior_belief, BatchOutcomeReport(reports, y), rule)
-            expected += joint[y] * result.rewards
-    return expected
+    d = model.num_outcomes
+    weights = np.array([[w for w, _ in states] for states in per_agent_states])
+    columns = np.array([[report_column(r, d) for _, r in states]
+                        for states in per_agent_states])
+    combos = np.array(list(itertools.product(range(m + 1), repeat=n)))
+    agents = np.arange(n)
+    joint = model.prior * np.prod(weights[agents, combos], axis=1)
+    rows, y = np.nonzero(joint > 0)
+    _, rewards = settle_batch(model.prior, columns[agents, combos[rows]].swapaxes(0, 1),
+                              y, rule)
+    return joint[rows, y] @ rewards
 
 
 def batch_from_json(record: dict, num_outcomes: int) -> BatchOutcomeReport:

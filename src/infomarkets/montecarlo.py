@@ -19,10 +19,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .belief import RATIO_CLAMP, truthful_report
+from .belief import RATIO_CLAMP, fold_path, truthful_report
 from .equilibrium import LatencyFamily
+from .fpm import settle_batch
 from .info_model import InformationModel
-from .mvp import TimeValue
+from .mvp import TimeValue, settle_sequential, time_value_mass
 from .pm_baseline import AccessFunction
 from .scoring import ScoringRule, score
 
@@ -170,87 +171,42 @@ def _draw_signals(model: InformationModel, y: np.ndarray, u: np.ndarray) -> np.n
                       model.num_signal_values - 1)
 
 
-def _normalize_rows(w: np.ndarray) -> np.ndarray:
-    return w / w.sum(axis=1, keepdims=True)
-
-
-def _fold_path(prior: np.ndarray, cols_by_slot: list[np.ndarray]) -> list[np.ndarray]:
-    """Belief after 0, 1, .., n folded report columns; each (T, d)."""
-    path = [np.broadcast_to(prior, cols_by_slot[0].shape).copy()
-            if cols_by_slot else prior[None, :].copy()]
-    for col in cols_by_slot:
-        path.append(_normalize_rows(path[-1] * col))
-    return path
-
-
-class _Chunk:
-    """Per-trial results of one chunk: rewards, value, and agent costs."""
-
-    __slots__ = ("rewards", "value")
-
-    def __init__(self, rewards: np.ndarray, value: np.ndarray):
-        self.rewards = rewards
-        self.value = value
+def _agent_columns(model: InformationModel, profile: StrategyProfile,
+                   y: np.ndarray, u_sig: np.ndarray, active: np.ndarray) -> np.ndarray:
+    """(n, T, d) report columns: each agent's policy applied to his signal state."""
+    cols = np.empty((profile.num_agents, y.size, model.num_outcomes))
+    for i, policy in enumerate(profile.policies):
+        state = np.where(active[:, i], 1 + _draw_signals(model, y, u_sig[:, i]), 0)
+        cols[i] = _report_columns(model, policy)[state]
+    return cols
 
 
 def _settle_batch(model, mechanism, profile, rule, access, y, u_lat, u_sig, u_win):
-    T = y.size
-    n = profile.num_agents
-    silent = np.array([p.kind == "silent" for p in profile.policies])
-    has = np.empty((T, n), dtype=bool)
-    for i, c in enumerate(profile.efforts):
-        has[:, i] = u_lat[:, i] < access.value(c)
-    active = has & ~silent
+    """Per-trial rewards (T, n) and principal's value (T,) of one chunk."""
+    has = u_lat < np.array([access.value(c) for c in profile.efforts])
 
     if mechanism == "pm_batch":
+        silent = np.array([p.kind == "silent" for p in profile.policies])
+        active = has & ~silent
         count = active.sum(axis=1)
         value = (count > 0).astype(float)
-        rewards = np.zeros((T, n))
+        rewards = np.zeros(active.shape)
         pick = np.floor(u_win * count).astype(int)  # uniform among signal holders
         cum = np.cumsum(active, axis=1)
         sel = active & (cum == (pick + 1)[:, None])
         rewards[sel] = 1.0
-        return _Chunk(rewards, value)
+        return rewards, value
 
-    x = _draw_signals(model, y, u_sig[:, 0])
-    xs = np.empty((T, n), dtype=int)
-    for i in range(n):
-        xs[:, i] = x if i == 0 else _draw_signals(model, y, u_sig[:, i])
-
-    d = model.num_outcomes
-    cols = np.ones((n, T, d))
-    for i in range(n):
-        table = _report_columns(model, profile.policies[i])
-        state = np.where(has[:, i], 1 + xs[:, i], 0)
-        cols[i] = table[state]
-
-    prior = model.prior
-    prefix = [np.ones((T, d))]
-    for i in range(n):
-        prefix.append(prefix[-1] * cols[i])
-    suffix = [np.ones((T, d))]
-    for i in range(n - 1, -1, -1):
-        suffix.append(suffix[-1] * cols[i])
-    suffix.reverse()
-
-    p_all = _normalize_rows(prior * prefix[n])
-    s_all = score(rule, p_all, y)
-    s_prior = score(rule, np.broadcast_to(prior, (T, d)), y)
-    rewards = np.empty((T, n))
-    for i in range(n):
-        p_wo = _normalize_rows(prior * prefix[i] * suffix[i + 1])
-        rewards[:, i] = s_all - score(rule, p_wo, y)
-    return _Chunk(rewards, s_all - s_prior)
+    cols = _agent_columns(model, profile, y, u_sig, has)
+    p_all, rewards = settle_batch(model.prior, cols, y, rule)
+    return rewards, score(rule, p_all, y) - score(rule, model.prior, y)
 
 
 def _settle_sequential(model, mechanism, profile, rule, latency, h,
                        y, u_lat, u_sig):
+    """Per-trial rewards (T, n) and principal's value (T,) of one chunk."""
     T = y.size
-    n = profile.num_agents
-    d = model.num_outcomes
-    eta = h.eta
-
-    times = np.full((T, n), np.inf)
+    times = np.full((T, profile.num_agents), np.inf)
     for i, c in enumerate(profile.efforts):
         policy = profile.policies[i]
         if policy.kind == "silent" or c == 0.0:
@@ -259,52 +215,25 @@ def _settle_sequential(model, mechanism, profile, rule, latency, h,
         if policy.kind == "delayed":
             times[:, i] += policy.delay
 
-    xs = np.empty((T, n), dtype=int)
-    for i in range(n):
-        xs[:, i] = _draw_signals(model, y, u_sig[:, i])
-
-    cols = np.ones((n, T, d))
-    for i in range(n):
-        table = _report_columns(model, profile.policies[i])
-        active = np.isfinite(times[:, i])
-        state = np.where(active, 1 + xs[:, i], 0)
-        cols[i] = table[state]
-
+    cols = _agent_columns(model, profile, y, u_sig, np.isfinite(times))
     order = np.argsort(times, axis=1, kind="stable")
     sorted_times = np.take_along_axis(times, order, axis=1)
-    rows = np.arange(T)
-    slot_cols = []
-    for j in range(n):
-        agent_j = order[:, j]
-        col = cols[agent_j, rows]
-        col = np.where(np.isfinite(sorted_times[:, j, None]), col, 1.0)
-        slot_cols.append(col)
+    reported = np.isfinite(sorted_times)
+    slot_cols = np.where(reported.T[..., None], cols[order.T, np.arange(T)], 1.0)
+    masses = time_value_mass(h, np.column_stack([np.zeros(T), sorted_times]),
+                             np.column_stack([sorted_times, np.full(T, np.inf)]))
 
-    path = _fold_path(model.prior, slot_cols)
-    s_path = np.stack([score(rule, p, y) for p in path])      # (n+1, T)
-    decay = np.exp(-eta * np.minimum(sorted_times, 1e308))
-    decay = np.where(np.isfinite(sorted_times), decay, 0.0)
-    edges = np.concatenate([np.ones((T, 1)), decay, np.zeros((T, 1))], axis=1)
-    masses = edges[:, :-1] - edges[:, 1:]                     # (T, n+1) slot weights
-
+    if mechanism == "mvp":
+        path, slot_rewards = settle_sequential(model.prior, slot_cols, masses, y, rule)
+    else:
+        path = fold_path(model.prior, slot_cols)
+    s_path = score(rule, path, y)                              # (n+1, T)
     value = np.einsum("jt,tj->t", s_path - s_path[0], masses)
-
-    rewards = np.zeros((T, n))
     if mechanism == "pm_sequential":
-        gains = s_path[1:] - s_path[:-1]                      # (n, T) per slot
-        reported = np.isfinite(sorted_times)
-        for j in range(n):
-            np.add.at(rewards, (rows[reported[:, j]], order[reported[:, j], j]),
-                      gains[j, reported[:, j]])
-        return _Chunk(rewards, value)
-
-    for i in range(n):
-        cf_cols = [np.where((order[:, j] == i)[:, None], 1.0, slot_cols[j])
-                   for j in range(n)]
-        cf_path = _fold_path(model.prior, cf_cols)
-        s_cf = np.stack([score(rule, p, y) for p in cf_path])
-        rewards[:, i] = np.einsum("jt,tj->t", s_path - s_cf, masses)
-    return _Chunk(rewards, value)
+        slot_rewards = np.where(reported, (s_path[1:] - s_path[:-1]).T, 0.0)
+    rewards = np.empty_like(slot_rewards)
+    np.put_along_axis(rewards, order, slot_rewards, axis=1)
+    return rewards, value
 
 
 def _validate_setup(model, mechanism, profile, rule, access, latency, h):
@@ -351,8 +280,7 @@ def _run(model: InformationModel, mechanism: str, profile: StrategyProfile,
         else:
             chunk = _settle_sequential(model, mechanism, profile, rule,
                                        latency, h, y, u_lat, u_sig)
-        rewards[done:done + T] = chunk.rewards
-        value[done:done + T] = chunk.value
+        rewards[done:done + T], value[done:done + T] = chunk
         done += T
     return rewards, value
 

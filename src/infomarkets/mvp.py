@@ -19,10 +19,11 @@ which cannot affect rewards because tied segments have zero width.
 """
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .belief import ReportVector, apply_report
+from .belief import ReportVector, fold_path, report_column
 from .errors import ProtocolError
 from .info_model import Belief
 from .numerics import integrate_decaying
@@ -98,20 +99,23 @@ class TimeValue:
         return self.times[-1]
 
 
-def time_value_mass(h: TimeValue, a: float, b: float) -> float:
-    """Interval mass of the time-value density, integral of h over [a, b]."""
-    if a > b:
+def time_value_mass(h: TimeValue, a, b):
+    """Interval masses of the time-value density, integral of h over [a, b].
+
+    ``a`` and ``b`` broadcast elementwise; either may be infinite.
+    """
+    a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
+    if np.any(a > b):
         raise ValueError(f"empty interval [{a}, {b}]")
-    if a == b:
-        return 0.0
     if h.kind == "exponential":
-        upper = 0.0 if math.isinf(b) else math.exp(-h.eta * b)
-        return math.exp(-h.eta * a) - upper
-    hi = min(b, h.times[-1])
-    lo = min(a, hi)
-    if lo == hi:
-        return 0.0
-    return integrate_decaying(lambda t: h.density(lo + t), hi - lo)
+        out = np.exp(-h.eta * a) - np.exp(-h.eta * b)
+    else:
+        hi = np.minimum(b, h.times[-1])
+        lo = np.minimum(a, hi)
+        out = np.array([integrate_decaying(lambda t: h.density(l + t), u - l)
+                        if l < u else 0.0 for l, u in zip(lo.flat, hi.flat)])
+        out = out.reshape(a.shape)
+    return float(out) if out.ndim == 0 else out
 
 
 @dataclass(frozen=True)
@@ -131,18 +135,19 @@ class TimedReport:
 
 @dataclass(frozen=True)
 class MarketTrace:
-    """The belief path and every agent's counterfactual path.
+    """The belief path, the reports behind it, and lazy counterfactual paths.
 
     ``beliefs[j]`` is in force between ``breakpoints[j-1]`` and
     ``breakpoints[j]`` (prior before the first report, final belief
-    afterwards); ``counterfactuals[i, j]`` aligns to the same breakpoints
-    but skips agent i's report.  ``reporters[j]`` is who caused breakpoint j.
+    afterwards); ``reporters[j]`` caused breakpoint j with the likelihood
+    column ``columns[j]``.
     """
 
     breakpoints: np.ndarray
     beliefs: np.ndarray
-    counterfactuals: np.ndarray
     reporters: np.ndarray
+    columns: np.ndarray
+    num_agents: int
 
     def k(self, t) -> int | np.ndarray:
         """Number of reports strictly before time t (right-continuous count)."""
@@ -152,31 +157,42 @@ class MarketTrace:
     def belief_at(self, t) -> np.ndarray:
         return self.beliefs[self.k(t)]
 
-    @property
-    def num_agents(self) -> int:
-        return self.counterfactuals.shape[0]
+    @cached_property
+    def counterfactuals(self) -> np.ndarray:
+        """``counterfactuals[i, j]``: the path without agent i's report.
+
+        Aligned to the same breakpoints; it equals the actual path up to
+        agent i's own slot and is folded from there on.  Built on first
+        access, since it holds O(nK) beliefs.
+        """
+        paths = np.broadcast_to(self.beliefs, (self.num_agents, *self.beliefs.shape)).copy()
+        for s, agent in enumerate(self.reporters):
+            paths[agent, s + 1:] = fold_path(self.beliefs[s], self.columns[s + 1:])
+        return paths
 
 
-def _build_trace(prior: Belief, reports: list[TimedReport], n: int) -> MarketTrace:
-    ordered = sorted(reports, key=lambda r: (r.time, r.agent))
-    d = prior.num_outcomes
-    K = len(ordered)
-    breakpoints = np.array([r.time for r in ordered])
-    reporters = np.array([r.agent for r in ordered], dtype=int)
-    beliefs = np.empty((K + 1, d))
-    counterfactuals = np.empty((n, K + 1, d))
-    beliefs[0] = prior.probs
-    counterfactuals[:, 0] = prior.probs
-    actual = prior
-    cf = [prior] * n
-    for j, rep in enumerate(ordered, start=1):
-        actual = apply_report(actual, rep.report)
-        beliefs[j] = actual.probs
-        for i in range(n):
-            if i != rep.agent:
-                cf[i] = apply_report(cf[i], rep.report)
-            counterfactuals[i, j] = cf[i].probs
-    return MarketTrace(breakpoints, beliefs, counterfactuals, reporters)
+def settle_sequential(prior, columns, masses, y, rule: ScoringRule):
+    """Belief paths and each slot's marginal-value reward for T report streams.
+
+    ``columns[s, t]`` is the likelihood column of the s-th report (in time
+    order) of stream t, whose outcome is ``y[t]``, and ``masses[t, j]`` is
+    the time-value mass of the segment on which the belief after j reports
+    is in force.  The report in slot s earns the sum over j > s of
+    ``(S(p_j) - S(q_j)) * masses[t, j]``, where q is the path without it.
+    That path equals the actual one up to slot s, so it is folded only
+    after s, as one vectorized row update per report.  Returns
+    ``(path[K+1, T, d], rewards[T, K])``.
+    """
+    columns = np.asarray(columns, dtype=float)
+    path = fold_path(prior, columns)
+    s_path = score(rule, path, y)
+    without = np.empty_like(path[:-1])
+    rewards = np.zeros(without.shape[:-1])
+    for j in range(1, path.shape[0]):
+        without[:j - 1] = fold_path(without[:j - 1], columns[j - 1:j])[1]
+        without[j - 1] = path[j - 1]
+        rewards[:j] += (s_path[j] - score(rule, without[:j], y)) * masses[:, j]
+    return path, rewards.T
 
 
 def mvp_run(prior: Belief, reports: list[TimedReport], outcome: int,
@@ -184,10 +200,12 @@ def mvp_run(prior: Belief, reports: list[TimedReport], outcome: int,
             num_agents: int | None = None) -> tuple[MarketTrace, np.ndarray]:
     """Run the sequential market on a recorded report stream and settle it.
 
-    Returns the trace (actual and counterfactual paths) and the reward of
-    every agent ``0 .. num_agents-1``; agents who never reported earn 0.
+    Returns the trace (actual path, counterfactual paths on demand) and the
+    reward of every agent ``0 .. num_agents-1``; agents who never reported
+    earn 0.
     """
-    if not 0 <= outcome < prior.num_outcomes:
+    d = prior.num_outcomes
+    if not 0 <= outcome < d:
         raise ValueError(f"outcome {outcome} outside the belief support")
     seen = set()
     for rep in reports:
@@ -199,22 +217,20 @@ def mvp_run(prior: Belief, reports: list[TimedReport], outcome: int,
     if seen and max(seen) >= n:
         raise ValueError(f"agent index {max(seen)} outside 0..{n - 1}")
 
-    trace = _build_trace(prior, list(reports), n)
-    K = trace.breakpoints.size
-    edges = np.concatenate([[0.0], trace.breakpoints, [np.inf]])
-    masses = np.array([time_value_mass(h, edges[j], edges[j + 1])
-                       for j in range(K + 1)])
-    s_actual = np.array([score(rule, trace.beliefs[j], outcome)
-                         for j in range(K + 1)])
-    rewards = np.empty(n)
-    for i in range(n):
-        s_cf = np.array([score(rule, trace.counterfactuals[i, j], outcome)
-                         for j in range(K + 1)])
-        rewards[i] = float(np.dot(s_actual - s_cf, masses))
+    ordered = sorted(reports, key=lambda r: (r.time, r.agent))
+    breakpoints = np.array([r.time for r in ordered], dtype=float)
+    reporters = np.array([r.agent for r in ordered], dtype=int)
+    columns = np.array([report_column(r.report, d) for r in ordered]).reshape(-1, d)
+    edges = np.concatenate([[0.0], breakpoints, [np.inf]])
+    masses = time_value_mass(h, edges[:-1], edges[1:])
+    path, slot_rewards = settle_sequential(prior.probs, columns[:, None], masses[None],
+                                           np.array([outcome]), rule)
+    rewards = np.zeros(n)
+    rewards[reporters] = slot_rewards[0]
     if not np.all(np.isfinite(rewards)):
         raise ValueError("non-finite reward; the scoring rule hit a zero-probability "
                          "outcome on some segment")
-    return trace, rewards
+    return MarketTrace(breakpoints, path[:, 0], reporters, columns, n), rewards
 
 
 def reports_from_stream(lines, num_outcomes: int) -> list[TimedReport]:

@@ -135,19 +135,18 @@ def _rank_weights(n: int) -> np.ndarray:
     return weights
 
 
-def pm_race_equilibrium(v: ScoreSequence, n: int, lam: float = 1.0) -> EquilibriumResult:
+def pm_race_equilibrium(v: ScoreSequence, n: int) -> EquilibriumResult:
     """Symmetric equilibrium of the sequential rank race.
 
-    The j-th reporter earns ``v_j - v_{j-1}`` with no time discount.
-    ``lam`` (the arrival-rate scale) is accepted for interface symmetry but
-    provably never affects the result.  Clamps to zero effort when faster
-    arrival is not worth its cost at any level.
+    The j-th reporter earns ``v_j - v_{j-1}`` with no time discount.  The
+    arrival-rate scale takes no part: rank probabilities depend only on
+    effort ratios.  Clamps to zero effort when faster arrival is not worth
+    its cost at any level.
     """
     if n < 2:
         raise ValueError("the race needs n >= 2 agents")
     if len(v) < n + 1:
         raise ValueError(f"need v_0..v_{n}, got {len(v)} values")
-    del lam  # rank probabilities depend only on effort ratios
     gain = float(np.dot(_rank_weights(n), v.deltas[:n]))
 
     def foc(c: float) -> float:

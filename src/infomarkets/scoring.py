@@ -49,16 +49,17 @@ def score(rule: ScoringRule, p, y) -> float | np.ndarray:
     """Score of prediction ``p`` when outcome ``y`` realizes.
 
     ``p`` may be a single belief (shape ``(d,)``) or a batch (shape
-    ``(T, d)`` with ``y`` of shape ``(T,)``).  The logarithmic rule returns
-    ``-inf`` when ``p(y) = 0``; callers that integrate scores must reject
-    the sentinel.
+    ``(..., T, d)`` with ``y`` of shape ``(T,)``, shared by the leading
+    axes).  The logarithmic rule returns ``-inf`` when ``p(y) = 0``;
+    callers that integrate scores must reject the sentinel.
     """
     probs = _probs(p)
     y = np.asarray(y, dtype=int)
     if probs.ndim == 1:
         p_y = probs[y]
     else:
-        p_y = np.take_along_axis(probs, y.reshape(-1, 1), axis=-1)[..., 0]
+        index = np.broadcast_to(y[..., None], (*probs.shape[:-1], 1))
+        p_y = np.take_along_axis(probs, index, axis=-1)[..., 0]
     if rule.kind == "quadratic":
         raw = 2.0 * p_y - np.sum(probs * probs, axis=-1)
     else:

@@ -4,8 +4,8 @@ import pytest
 from infomarkets import (BatchOutcomeReport, Belief, CapacityError, FpmResult,
                          InformationModel, ReportVector, ScoringRule,
                          batch_from_json, fpm_expected_reward, fpm_run,
-                         fpm_run_sampled_permutation, result_to_json,
-                         truthful_report)
+                         fpm_run_sampled_permutation, posterior,
+                         result_to_json, truthful_report)
 
 QUAD = ScoringRule("quadratic")
 
@@ -61,6 +61,25 @@ class TestFpmRun:
         batch = BatchOutcomeReport((ReportVector((0.1,)),), 1)
         result = fpm_run(prior, batch, QUAD)
         assert result.rewards[0] < 0
+
+    def test_disjoint_support_raises(self):
+        # every pair of these columns shares an outcome; all three share none
+        prior = Belief(np.full(3, 1 / 3))
+        reports = (np.array([1.0, 1.0, 0.0]), np.array([0.0, 1.0, 1.0]),
+                   np.array([1.0, 0.0, 1.0]))
+        with pytest.raises(ValueError, match="disjoint support"):
+            fpm_run(prior, BatchOutcomeReport(reports, 0), QUAD)
+
+    def test_many_weak_wide_reports_match_posterior(self):
+        rng = np.random.default_rng(23)
+        m = InformationModel(np.array([0.5, 0.3, 0.2]),
+                             rng.dirichlet([30.0] * 3, size=3))
+        signals = rng.integers(3, size=300).tolist()
+        batch = BatchOutcomeReport(tuple(m.likelihood[:, x] for x in signals), 1)
+        result = fpm_run(m.prior_belief(), batch, QUAD)
+        np.testing.assert_allclose(result.aggregated.probs,
+                                   posterior(m, signals).probs, rtol=0, atol=1e-12)
+        assert np.all(np.isfinite(result.rewards))
 
     def test_matches_sampled_permutation_construction(self):
         rng = np.random.default_rng(20)

@@ -249,6 +249,21 @@ class TestValidation:
                          latency=LAT1, h=H1)
         assert np.all(np.isfinite(stats.reward_mean))
 
+    def test_wide_batch_market_with_many_weak_signals_stays_finite(self):
+        # 300 agents with 40-valued signals: each likelihood is about 1/40,
+        # far below the smallest double once multiplied together
+        rng = np.random.default_rng(8)
+        lik = 1.0 + 0.5 * rng.random((2, 40))
+        wide = InformationModel(np.array([0.6, 0.4]),
+                                lik / lik.sum(axis=1, keepdims=True))
+        profile = StrategyProfile.symmetric(1.0, 300)
+        stats = simulate(wide, "fpm", profile, 1000, 5, rule=QUAD20, access=ACC)
+        for field in (stats.reward_mean, stats.reward_se, stats.utility_mean,
+                      stats.principal_utility_mean, stats.welfare_mean):
+            assert np.all(np.isfinite(field))
+        books = stats.principal_utility_mean + stats.utility_mean.sum()
+        assert stats.welfare_mean == pytest.approx(books, rel=1e-9, abs=1e-9)
+
     def test_stats_serialize(self):
         stats = simulate(MODEL, "fpm", PROFILE, 100, 0, rule=QUAD20, access=ACC)
         payload = stats.to_json()

@@ -68,6 +68,15 @@ class TestTimeValueMass:
         h = TimeValue.table([0.0, 2.0], [1.0, 1.0])
         assert time_value_mass(h, 2.0, np.inf) == 0.0
 
+    def test_array_arguments_match_scalar_calls(self):
+        a = np.array([0.0, 0.4, 1.0, 2.5, 2.5])
+        b = np.array([0.4, 1.0, 2.5, 2.5, np.inf])
+        for h in (H1, TimeValue.table([0.0, 1.0, 3.0], [1.0, 0.4, 0.0])):
+            masses = time_value_mass(h, a, b)
+            assert masses.shape == a.shape
+            for j in range(a.size):
+                assert masses[j] == time_value_mass(h, a[j], b[j])
+
     def test_validation(self):
         with pytest.raises(ValueError):
             TimeValue.exponential(0.0)
@@ -185,6 +194,75 @@ class TestMvpRun:
         np.testing.assert_allclose(trace.beliefs[2], posterior(m, [1, 0]).probs,
                                    atol=1e-12)
         assert np.all(np.isfinite(rewards))
+
+
+    def test_disjoint_support_raises(self):
+        prior = Belief(np.full(3, 1 / 3))
+        reports = [TimedReport(0, 0.5, np.array([1.0, 1.0, 0.0])),
+                   TimedReport(1, 1.0, np.array([0.0, 1.0, 1.0])),
+                   TimedReport(2, 1.5, np.array([1.0, 0.0, 1.0]))]
+        with pytest.raises(ValueError, match="disjoint support"):
+            mvp_run(prior, reports, 0, QUAD, H1)
+
+    def test_many_weak_wide_reports_match_posterior(self):
+        rng = np.random.default_rng(33)
+        m = InformationModel(np.array([0.5, 0.3, 0.2]),
+                             rng.dirichlet([30.0] * 3, size=3))
+        signals = rng.integers(3, size=300).tolist()
+        reports = [TimedReport(i, float(t), m.likelihood[:, x])
+                   for i, (t, x) in enumerate(zip(rng.exponential(1.0, 300), signals))]
+        trace, rewards = mvp_run(m.prior_belief(), reports, 2, QUAD, H1)
+        from infomarkets import posterior
+        np.testing.assert_allclose(trace.beliefs[-1], posterior(m, signals).probs,
+                                   rtol=0, atol=1e-12)
+        assert np.all(np.isfinite(rewards))
+
+
+def literal_mvp_rewards(prior, reports, y, rule, eta, n):
+    """Each agent's reward from its definition, one separate market per agent.
+
+    Sums, over the segments between consecutive report times, the score gap
+    between the actual path and the path of a market that never saw the
+    agent, weighted by the segment's exponential time-value mass.
+    """
+    actual, _ = mvp_run(prior, reports, y, rule, TimeValue.exponential(eta),
+                        num_agents=n)
+    edges = [0.0, *sorted(r.time for r in reports), math.inf]
+    rewards = np.zeros(n)
+    for i in range(n):
+        without, _ = mvp_run(prior, [r for r in reports if r.agent != i], y, rule,
+                             TimeValue.exponential(eta), num_agents=n)
+        for a, b in zip(edges, edges[1:]):
+            if a == b:
+                continue
+            t = a + 1.0 if math.isinf(b) else 0.5 * (a + b)
+            mass = math.exp(-eta * a) - (0.0 if math.isinf(b) else math.exp(-eta * b))
+            rewards[i] += (score(rule, actual.belief_at(t), y)
+                           - score(rule, without.belief_at(t), y)) * mass
+    return rewards
+
+
+class TestLiteralDefinition:
+    def test_rewards_match_separate_markets_without_each_agent(self):
+        rng = np.random.default_rng(34)
+        for _ in range(40):
+            d = int(rng.integers(2, 4))
+            n = int(rng.integers(2, 7))
+            reporters = rng.permutation(n)[:int(rng.integers(1, n + 1))]
+            reports = []
+            for agent in reporters:
+                column = rng.uniform(0.05, 1.0, size=d)
+                if d == 3:
+                    column[1:] *= rng.random(2) < 0.7  # zeros, outcome 0 kept
+                time = float(rng.choice([0.2, 0.7, 0.7, 1.3, 2.0]))  # ties
+                reports.append(TimedReport(int(agent), time, column))
+            y = int(rng.integers(d))
+            eta = float(rng.uniform(0.4, 2.5))
+            prior = Belief.normalized(rng.uniform(0.1, 1.0, size=d))
+            _, rewards = mvp_run(prior, reports, y, QUAD, TimeValue.exponential(eta),
+                                 num_agents=n)
+            expected = literal_mvp_rewards(prior, reports, y, QUAD, eta, n)
+            np.testing.assert_allclose(rewards, expected, rtol=0, atol=1e-12)
 
 
 class TestIncentives:

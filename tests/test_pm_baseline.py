@@ -148,14 +148,6 @@ class TestRaceEquilibrium:
             eq = pm_race_equilibrium(seq(0.0, v1, 2.0), 2)
             assert eq.effort == pytest.approx((v1 - 1) / 2, abs=1e-10)
 
-    def test_rate_scale_never_matters(self):
-        v = seq(0, 1.3, 2.0, 2.4)
-        base = pm_race_equilibrium(v, 3, lam=1.0)
-        for lam in (0.5, 5.0):
-            other = pm_race_equilibrium(v, 3, lam=lam)
-            assert other.effort == base.effort
-            assert other.residual == base.residual
-
     def test_clamps_when_late_ranks_eat_the_prize(self):
         eq = pm_race_equilibrium(seq(0.0, 0.2, 3.0), 2)
         assert eq.corner
