@@ -8,16 +8,18 @@ best-response condition of one agent coincides with the welfare condition
 of the group, so the solved equilibria are also the welfare optima.
 
 For the built-in exponential latency family combined with an exponential
-time-value density every integral collapses to a finite sum of terms
-``1/a`` or ``1/a^2`` (expand the binomial, integrate ``t^m e^{-at}``).
-Each evaluator also carries an adaptive-quadrature route over the raw
-integrand; ``method="auto"`` picks the closed form when it exists and the
-tests cross-validate the two to tight tolerance.
+time-value density, ``u = exp(-lam c t)`` turns every sequential-market
+integral into Beta integrals with an integer second argument (DLMF 5.12.1):
+running products of positive ratios, exact for any n and down to c = 0.
+Each evaluator also carries an adaptive-quadrature route over one
+binomial-mixture integrand; ``method="auto"`` picks the closed form when it
+exists and the tests cross-validate the two to tight tolerance.
 """
 import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import gammaln
 
 from .info_model import ScoreSequence
 from .mvp import TAIL_MASS, TimeValue
@@ -59,23 +61,38 @@ class LatencyFamily:
         return float(out) if out.ndim == 0 else out
 
 
-def _check_v(v: ScoreSequence, n: int) -> None:
+def _check_inputs(v: ScoreSequence, n: int, *efforts: float) -> None:
     if len(v) < n + 1:
         raise ValueError(f"need v_0..v_{n}, got {len(v)} values")
+    if min(efforts, default=0.0) < 0:
+        raise ValueError("efforts must be nonnegative")
 
 
-def _closed_form_ok(latency: LatencyFamily, h: TimeValue) -> bool:
-    return latency.kind == "exponential" and h.kind == "exponential"
-
-
-def _resolve_method(method: str, latency: LatencyFamily, h: TimeValue) -> str:
+def _resolve_method(method: str, h: TimeValue) -> str:
     if method not in ("auto", "closed", "quadrature"):
         raise ValueError(f"unknown method {method!r}")
-    if method == "closed" and not _closed_form_ok(latency, h):
-        raise ValueError("no closed form for this latency/time-value pair")
     if method == "auto":
-        return "closed" if _closed_form_ok(latency, h) else "quadrature"
+        return "closed" if h.kind == "exponential" else "quadrature"
+    if method == "closed" and h.kind != "exponential":
+        raise ValueError(f"no closed form for the {h.kind!r} time-value density")
     return method
+
+
+def _log_binomials(n: int) -> np.ndarray:
+    """``log C(n, k)`` for k = 0..n."""
+    ks = np.arange(n + 1.0)
+    return gammaln(n + 1.0) - gammaln(ks + 1.0) - gammaln(n - ks + 1.0)
+
+
+def _binomial_pmf(log_binom: np.ndarray, p: float) -> np.ndarray:
+    """Binomial(N, p) probabilities of k = 0..N, given ``log C(N, k)``."""
+    top = log_binom.size - 1
+    if p <= 0.0 or p >= 1.0:
+        pmf = np.zeros(top + 1)
+        pmf[0 if p <= 0.0 else top] = 1.0
+        return pmf
+    ks = np.arange(top + 1)
+    return np.exp(log_binom + ks * math.log(p) + (top - ks) * math.log1p(-p))
 
 
 # ----------------------------------------------------------- batch setting
@@ -87,15 +104,12 @@ def batch_equilibrium(F: AccessFunction, v: ScoreSequence, n: int) -> Equilibriu
     returns the corner c = 0 when even the first unit of effort is not
     worth its marginal value.
     """
-    _check_v(v, n)
+    _check_inputs(v, n)
     deltas = v.deltas[:n]
-    ks = np.arange(n)
-    binom = np.array([math.comb(n - 1, k) for k in ks])
+    log_binom = _log_binomials(n - 1)
 
     def foc(c: float) -> float:
-        Fc = F.value(c)
-        mix = binom * Fc ** ks * (1.0 - Fc) ** (n - 1 - ks)
-        return F.derivative(c) * float(np.dot(mix, deltas)) - 1.0
+        return F.derivative(c) * float(_binomial_pmf(log_binom, F.value(c)) @ deltas) - 1.0
 
     return solve_decreasing_foc(foc, hi=min(1.0, F.domain_max),
                                 domain_max=F.domain_max)
@@ -107,14 +121,45 @@ def batch_welfare(F: AccessFunction, v: ScoreSequence, n: int, c: float) -> floa
     Binomially mixes v_k over the number of agents who obtain signals,
     minus the total effort spent.
     """
-    _check_v(v, n)
-    Fc = F.value(c)
-    ks = np.arange(n + 1)
-    mix = np.array([math.comb(n, k) for k in ks]) * Fc ** ks * (1.0 - Fc) ** (n - ks)
-    return float(np.dot(mix, v.values[:n + 1])) - n * c
+    _check_inputs(v, n)
+    return float(_binomial_pmf(_log_binomials(n), F.value(c)) @ v.values[:n + 1]) - n * c
 
 
 # ------------------------------------------------------ sequential setting
+
+def _beta_mixture(weights: list, base: float, a: float) -> tuple[float, float]:
+    """``sum_k w_k Q_k`` and ``sum_k w_k Q_k G_k``, k = 0..N = len(weights) - 1.
+
+    With R(m) = base + a m and s = base / a, ``Q_k = C(N,k) B(s+N-k, k+1) / a
+    = prod_{j=1..k} [(N-j+1) a / R(N-j)] / R(N)`` and the log moment
+    ``G_k = (psi(s+N+1) - psi(s+N-k)) / a = sum_{m=N-k}^{N} 1 / R(m)``.
+    Every factor is positive; a = 0 is the exact limit.  A plain loop beats
+    numpy's per-call overhead at the n of interest.
+    """
+    top = len(weights) - 1
+    q = g = 1.0 / (base + a * top)
+    plain = weights[0] * q
+    moment = plain * g
+    for k in range(1, top + 1):
+        r = 1.0 / (base + a * (top - k))
+        q *= (top - k + 1) * a * r
+        g += r
+        plain += weights[k] * q
+        moment += weights[k] * q * g
+    return plain, moment
+
+
+def _quadrature_mixture(latency: LatencyFamily, h: TimeValue, c: float,
+                        weights: np.ndarray, factor) -> float:
+    """Quadrature of ``factor(t) E[w_K] h(t)``, K ~ Binomial(len(weights)-1, F_c(t))."""
+    log_binom = _log_binomials(weights.size - 1)
+
+    def integrand(t: float) -> float:
+        mix = float(_binomial_pmf(log_binom, latency.cdf(c, t)) @ weights)
+        return factor(t) * mix * h.density(t)
+
+    return integrate_decaying(integrand, h.horizon(TAIL_MASS))
+
 
 def mvp_br_derivative(latency: LatencyFamily, h: TimeValue, v: ScoreSequence,
                       n: int, c_i: float, c: float, method: str = "auto") -> float:
@@ -123,31 +168,14 @@ def mvp_br_derivative(latency: LatencyFamily, h: TimeValue, v: ScoreSequence,
     Zero at the best response; the sequential analogue of the batch FOC
     with arrival times doing the rank mixing.
     """
-    _check_v(v, n)
-    if c_i < 0 or c < 0:
-        raise ValueError("efforts must be nonnegative")
+    _check_inputs(v, n, c_i, c)
     deltas = v.deltas[:n]
-    if _resolve_method(method, latency, h) == "closed":
-        lam, eta = latency.lam, h.eta
-        total = 0.0
-        for k in range(n):
-            if deltas[k] == 0.0:
-                continue
-            inner = 0.0
-            for j in range(k + 1):
-                a = eta + lam * c_i + lam * c * (n - 1 - k + j)
-                inner += math.comb(k, j) * (-1.0) ** j / (a * a)
-            total += math.comb(n - 1, k) * deltas[k] * inner
-        return lam * eta * total - 1.0
-
-    binom = np.array([math.comb(n - 1, k) for k in range(n)])
-
-    def integrand(t: float) -> float:
-        Fc = latency.cdf(c, t)
-        mix = binom * Fc ** np.arange(n) * (1.0 - Fc) ** (n - 1 - np.arange(n))
-        return latency.dcdf_dc(c_i, t) * float(np.dot(mix, deltas)) * h.density(t)
-
-    return integrate_decaying(integrand, h.horizon(TAIL_MASS)) - 1.0
+    if _resolve_method(method, h) == "closed":
+        lam = latency.lam
+        _, moment = _beta_mixture(deltas.tolist(), h.eta + lam * c_i, lam * c)
+        return lam * h.eta * moment - 1.0
+    return _quadrature_mixture(latency, h, c, deltas,
+                               lambda t: latency.dcdf_dc(c_i, t)) - 1.0
 
 
 def mvp_equilibrium(latency: LatencyFamily, h: TimeValue, v: ScoreSequence,
@@ -158,7 +186,7 @@ def mvp_equilibrium(latency: LatencyFamily, h: TimeValue, v: ScoreSequence,
     corner c = 0 applies when information value decays too fast (or is too
     small) for any effort to pay.
     """
-    _check_v(v, n)
+    _check_inputs(v, n)
 
     def foc(c: float) -> float:
         return mvp_br_derivative(latency, h, v, n, c, c, method=method)
@@ -173,63 +201,25 @@ def mvp_welfare(latency: LatencyFamily, h: TimeValue, v: ScoreSequence,
     Time-integrates the binomial mixture of v_k over how many signals have
     arrived by t, weighted by the time value, minus total effort.
     """
-    _check_v(v, n)
-    if c < 0:
-        raise ValueError("effort must be nonnegative")
+    _check_inputs(v, n, c)
     values = v.values[:n + 1]
-    if _resolve_method(method, latency, h) == "closed":
-        lam, eta = latency.lam, h.eta
-        total = 0.0
-        for k in range(n + 1):
-            if values[k] == 0.0:
-                continue
-            inner = 0.0
-            for j in range(k + 1):
-                a = eta + lam * c * (n - k + j)
-                inner += math.comb(k, j) * (-1.0) ** j * eta / a
-            total += math.comb(n, k) * values[k] * inner
-        return total - n * c
-
-    binom = np.array([math.comb(n, k) for k in range(n + 1)])
-    ks = np.arange(n + 1)
-
-    def integrand(t: float) -> float:
-        Fc = latency.cdf(c, t)
-        mix = binom * Fc ** ks * (1.0 - Fc) ** (n - ks)
-        return float(np.dot(mix, values)) * h.density(t)
-
-    return integrate_decaying(integrand, h.horizon(TAIL_MASS)) - n * c
+    if _resolve_method(method, h) == "closed":
+        plain, _ = _beta_mixture(values.tolist(), h.eta, latency.lam * c)
+        return h.eta * plain - n * c
+    return _quadrature_mixture(latency, h, c, values, lambda t: 1.0) - n * c
 
 
 def mvp_agent_reward(latency: LatencyFamily, h: TimeValue, v: ScoreSequence,
                      n: int, c: float, method: str = "auto") -> float:
     """Exact expected reward of one agent under symmetric truthful timely play."""
-    _check_v(v, n)
-    if c < 0:
-        raise ValueError("effort must be nonnegative")
+    _check_inputs(v, n, c)
     deltas = v.deltas[:n]
-    if _resolve_method(method, latency, h) == "closed":
-        lam, eta = latency.lam, h.eta
-        total = 0.0
-        for k in range(n):
-            if deltas[k] == 0.0:
-                continue
-            inner = 0.0
-            for j in range(k + 2):
-                a = eta + lam * c * (n - 1 - k + j)
-                inner += math.comb(k + 1, j) * (-1.0) ** j * eta / a
-            total += math.comb(n - 1, k) * deltas[k] * inner
-        return total
-
-    binom = np.array([math.comb(n - 1, k) for k in range(n)])
-    ks = np.arange(n)
-
-    def integrand(t: float) -> float:
-        Fc = latency.cdf(c, t)
-        mix = binom * Fc ** ks * (1.0 - Fc) ** (n - 1 - ks)
-        return Fc * float(np.dot(mix, deltas)) * h.density(t)
-
-    return integrate_decaying(integrand, h.horizon(TAIL_MASS))
+    if _resolve_method(method, h) == "closed":
+        a = latency.lam * c
+        # B(x, k+2) = B(x, k+1) (k+1) / (x+k+1) moves the factor k+1 into the weights
+        plain, _ = _beta_mixture((deltas * np.arange(1, n + 1)).tolist(), h.eta, a)
+        return h.eta * a / (h.eta + a * n) * plain
+    return _quadrature_mixture(latency, h, c, deltas, lambda t: latency.cdf(c, t))
 
 
 def mvp_principal_utility(latency: LatencyFamily, h: TimeValue, v: ScoreSequence,

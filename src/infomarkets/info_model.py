@@ -6,23 +6,25 @@ independently conditioned on the outcome.  The canonical special case is
 the binary noisy model: outcome 1 has prior probability ``alpha`` and each
 signal equals the outcome with probability ``1 - beta``.
 
-On top of the model this module computes, by exact enumeration, the
-expected-score sequence ``v_0 .. v_n``: how much the self-expected proper
-score of the market belief rises after k truthful reports.  That sequence
-is the single input through which the information structure enters every
-equilibrium computation downstream.
+On top of the model this module computes, by exact enumeration over the
+count vectors of signal values, the expected-score sequence ``v_0 .. v_n``:
+how much the self-expected proper score of the market belief rises after k
+truthful reports.  That sequence is the single input through which the
+information structure enters every equilibrium computation downstream.
 """
-import itertools
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
+from scipy.special import gammaln
 
 from .errors import CapacityError
 from .scoring import ScoringRule, expected_score
 
-#: largest number of signal tuples exact enumeration is willing to visit
-ENUMERATION_BUDGET = 10 ** 7
+#: most terms an exact enumeration may visit: signal count vectors in
+#: :func:`v_sequence`, signal-state tuples in ``fpm_expected_reward``
+ENUMERATION_BUDGET = 10 ** 6
 
 _PROB_TOL = 1e-12
 
@@ -153,10 +155,12 @@ class ScoreSequence:
     def __getitem__(self, k: int) -> float:
         return float(self.values[k])
 
-    @property
+    @cached_property
     def deltas(self) -> np.ndarray:
-        """Marginal gains ``v_{k+1} - v_k``."""
-        return np.diff(self.values)
+        """Marginal gains ``v_{k+1} - v_k``, computed once and read-only."""
+        deltas = np.diff(self.values)
+        deltas.flags.writeable = False
+        return deltas
 
 
 def posterior(model: InformationModel, signals) -> Belief:
@@ -184,59 +188,53 @@ def expected_base_score(model: InformationModel, rule: ScoringRule) -> float:
     return expected_score(rule, model.prior)
 
 
-def _mean_self_score_binary(model: InformationModel, rule: ScoringRule, k: int) -> float:
-    """E[self-expected score after k signals] via the count-of-ones statistic.
+def _count_vectors(m: int, n: int) -> np.ndarray:
+    """Every vector of m nonnegative signal counts with total at most n, one per row."""
+    counts = np.zeros((1, 0), dtype=np.int64)
+    for _ in range(m):
+        room = n + 1 - counts.sum(axis=1)
+        rows = np.repeat(np.arange(len(counts)), room)
+        nxt = np.arange(rows.size) - np.repeat(np.cumsum(room) - room, room)
+        counts = np.column_stack([counts[rows], nxt])
+    return counts
 
-    Valid for any two-valued signal table: the posterior after k signals
-    depends only on how many of them were 1, so k+1 terms with binomial
-    weights replace the 2^k tuples.
+
+def _mean_self_scores(model: InformationModel, rule: ScoringRule, n: int) -> np.ndarray:
+    """E[self-expected score after k signals] for k = 0..n, by count vector.
+
+    The posterior after k conditionally i.i.d. signals depends only on how
+    often each value was seen.  Weights are log-space multinomials; each
+    k's sum is divided by its total weight (1 up to rounding), which keeps
+    saturated sequences nondecreasing.
     """
     lik = model.likelihood
-    total = 0.0
-    for ones in range(k + 1):
-        comb = math.comb(k, ones)
-        weights = model.prior * lik[:, 1] ** ones * lik[:, 0] ** (k - ones)
-        mass = weights.sum()
-        if mass == 0.0:
-            continue
-        total += comb * mass * expected_score(rule, weights / mass)
-    return total
-
-
-def _mean_self_score_enumerated(model: InformationModel, rule: ScoringRule, k: int) -> float:
-    m = model.num_signal_values
-    total = 0.0
-    for tup in itertools.product(range(m), repeat=k):
-        weights = model.prior.copy()
-        for x in tup:
-            weights = weights * model.likelihood[:, x]
-        mass = weights.sum()
-        if mass == 0.0:
-            continue
-        total += mass * expected_score(rule, weights / mass)
-    return total
+    counts = _count_vectors(model.num_signal_values, n)
+    k = counts.sum(axis=1)
+    log_multinomial = gammaln(k + 1.0) - gammaln(counts + 1.0).sum(axis=1)
+    # 0 * log 0 is 0: an unseen value costs nothing, a seen impossible one zeroes the row
+    log_lik = counts @ np.log(np.where(lik > 0, lik, 1.0)).T
+    joint = np.exp(log_multinomial[:, None] + log_lik) * model.prior
+    joint[counts @ (lik == 0).T > 0] = 0.0
+    mass = joint.sum(axis=1)
+    scores = expected_score(rule, joint / np.where(mass > 0, mass, 1.0)[:, None])
+    return (np.bincount(k, weights=mass * scores, minlength=n + 1)
+            / np.bincount(k, weights=mass, minlength=n + 1))
 
 
 def v_sequence(model: InformationModel, rule: ScoringRule, n: int) -> ScoreSequence:
     """Expected score gains after k = 0..n truthful reports, exactly.
 
-    Two-valued signal models collapse to the count-of-ones sufficient
-    statistic (O(k) terms per k); other models enumerate all ``m^k`` signal
-    tuples, guarded by :data:`ENUMERATION_BUDGET`.
+    Enumerates the C(n+m, m) signal count vectors with total at most n (286
+    for m = 3, n = 10) instead of m^k tuples, within :data:`ENUMERATION_BUDGET`.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
     m = model.num_signal_values
-    binary = m == 2
-    if not binary and m ** n > ENUMERATION_BUDGET:
+    terms = math.comb(n + m, m)
+    if terms > ENUMERATION_BUDGET:
         raise CapacityError(
-            f"{m}^{n} signal tuples exceed the exact-enumeration budget of "
-            f"{ENUMERATION_BUDGET}; estimate the score sequence by simulation "
-            f"(infomarkets.montecarlo) instead")
-    mean_self = _mean_self_score_binary if binary else _mean_self_score_enumerated
-    base = mean_self(model, rule, 0)
-    values = np.empty(n + 1)
-    values[0] = 0.0
-    for k in range(1, n + 1):
-        values[k] = mean_self(model, rule, k) - base
-    return ScoreSequence(values)
+            f"{terms} signal count vectors (m = {m}, n = {n}) exceed the "
+            f"exact-enumeration budget of {ENUMERATION_BUDGET}; estimate the "
+            f"score sequence by simulation (infomarkets.montecarlo) instead")
+    means = _mean_self_scores(model, rule, n)
+    return ScoreSequence(means - means[0])

@@ -5,6 +5,7 @@ that start positive (marginal value exceeds marginal cost) and eventually
 go negative, so bracketed bisection is unconditionally safe and we never
 reach for derivative-based methods.
 """
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -14,6 +15,9 @@ from .errors import NumericalError
 
 #: tolerance on the FOC residual at an interior root
 FOC_TOL = 1e-10
+
+#: lowest FOC value accepted: -1, less rounding for increments down to -1e-12
+_FOC_FLOOR = -1.0 - 1e-9
 
 _BISECT_ITERS = 200
 _MAX_DOUBLINGS = 60
@@ -41,19 +45,26 @@ def solve_decreasing_foc(f, lo: float = 1e-12, hi: float = 1.0,
 
     Returns a corner at 0 when ``f(lo) <= 0`` (no effort is ever worth it)
     and a corner at ``domain_max`` when the FOC is still positive there.
+    Every FOC here is a nonnegative marginal value minus 1: a value that is
+    not finite or below -1 raises :class:`NumericalError`.
     """
-    f_lo = f(lo)
-    if not np.isfinite(f_lo):
-        raise NumericalError(f"FOC not finite at the lower bracket: f({lo}) = {f_lo}")
+    def foc(c: float) -> float:
+        value = float(f(c))
+        if not math.isfinite(value) or value < _FOC_FLOOR:
+            raise NumericalError(f"FOC value {value!r} at effort {c!r} is not a "
+                                 f"nonnegative marginal value minus 1")
+        return value
+
+    f_lo = foc(lo)
     if f_lo <= 0.0:
-        return EquilibriumResult(0.0, float(f_lo), True, (0.0, lo))
+        return EquilibriumResult(0.0, f_lo, True, (0.0, lo))
 
     hi = min(hi, domain_max)
     doublings = 0
-    while f(hi) > 0.0:
+    while foc(hi) > 0.0:
         if hi >= domain_max:
             # marginal value exceeds marginal cost on the whole domain
-            return EquilibriumResult(float(domain_max), float(f(domain_max)),
+            return EquilibriumResult(float(domain_max), foc(domain_max),
                                      True, (lo, float(domain_max)))
         doublings += 1
         if doublings > _MAX_DOUBLINGS:
@@ -66,12 +77,12 @@ def solve_decreasing_foc(f, lo: float = 1e-12, hi: float = 1.0,
         mid = 0.5 * (a + b)
         if mid == a or mid == b:
             break
-        if f(mid) > 0.0:
+        if foc(mid) > 0.0:
             a = mid
         else:
             b = mid
     root = 0.5 * (a + b)
-    residual = float(f(root))
+    residual = foc(root)
     if abs(residual) > FOC_TOL:
         raise NumericalError(f"bisection stalled: residual {residual:.3e} at {root}")
     return EquilibriumResult(float(root), residual, False, bracket)

@@ -257,3 +257,24 @@ def test_criterion_9_closed_forms_vs_quadrature():
         worst = max(worst, max(abs(a - b) for a, b in pairs))
     certify(9, "closed-form integral evaluators match adaptive quadrature",
             worst < 1e-8, f"worst gap {worst:.2e}")
+
+
+def test_criterion_9_holds_up_to_256_agents():
+    """Criterion 9 at market sizes where expanded binomial sums cancel."""
+    rng = np.random.default_rng(990)
+    worst = 0.0
+    for n in np.geomspace(2, 256, 15).astype(int):
+        lam, eta = rng.uniform(0.5, 8.0), rng.uniform(0.4, 2.5)
+        v = ScoreSequence(np.concatenate(
+            [[0.0], np.cumsum(rng.uniform(0.0, 1.5, size=n))]))
+        c_i, c = rng.uniform(0.02, 1.2, size=2)
+        latency = LatencyFamily.exponential(lam)
+        h = TimeValue.exponential(eta)
+        # marginal value, gross welfare and reward are positive: compare relatively
+        pairs = [tuple(fn(method) for method in ("closed", "quadrature")) for fn in (
+            lambda m: mvp_br_derivative(latency, h, v, n, c_i, c, method=m) + 1.0,
+            lambda m: mvp_welfare(latency, h, v, n, c, method=m) + n * c,
+            lambda m: mvp_agent_reward(latency, h, v, n, c, method=m))]
+        worst = max(worst, max(abs(a - b) / abs(b) for a, b in pairs))
+    certify(9, "closed forms match quadrature for n up to 256, c_i != c",
+            worst < 1e-8, f"worst relative gap {worst:.2e}")

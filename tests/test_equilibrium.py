@@ -8,6 +8,7 @@ from infomarkets import (AccessFunction, LatencyFamily, ScoreSequence,
                          mvp_agent_reward, mvp_br_derivative, mvp_equilibrium,
                          mvp_principal_utility, mvp_welfare,
                          pm_race_equilibrium)
+from infomarkets.numerics import FOC_TOL
 from helpers import welfare_foc_root
 
 H1 = TimeValue.exponential(1.0)
@@ -66,6 +67,15 @@ class TestBatchEquilibrium:
     def test_requires_long_enough_sequence(self):
         with pytest.raises(ValueError):
             batch_equilibrium(AccessFunction.exponential(2.0), seq(0, 1), 2)
+
+    def test_two_thousand_agents_stay_finite_and_certified(self):
+        n = 2000
+        v = ScoreSequence(10 * (1 - 0.9 ** np.arange(n + 1)))
+        for F in (AccessFunction.exponential(3.0), AccessFunction.linear(3.0)):
+            eq = batch_equilibrium(F, v, n)
+            assert not eq.corner and abs(eq.residual) <= FOC_TOL
+            assert 0 < eq.effort < 0.01
+            assert np.isfinite(batch_welfare(F, v, n, eq.effort))
 
 
 class TestBatchWelfare:
@@ -147,6 +157,16 @@ class TestMvpEquilibrium:
         eq = mvp_equilibrium(LatencyFamily.exponential(0.5), H1,
                              seq(0, 3.6, 3.6), 2)
         assert eq.effort == pytest.approx(math.sqrt(1.8) - 1, abs=1e-10)
+
+    def test_wide_markets_match_quadrature(self):
+        lat2 = LatencyFamily.exponential(2.0)
+        for n in (48, 64):
+            v = ScoreSequence(np.arange(n + 1) / n)
+            eq = mvp_equilibrium(lat2, H1, v, n)
+            assert eq.corner and eq.effort == 0.0 and -1.0 <= eq.residual <= 0.0
+            quadr = mvp_br_derivative(lat2, H1, v, n, 1e-12, 1e-12,
+                                      method="quadrature")
+            assert eq.residual == pytest.approx(quadr, abs=1e-8)
 
     def test_corner_when_decay_beats_value(self):
         eq = mvp_equilibrium(LatencyFamily.exponential(0.4), H1, seq(0, 2, 3), 2)

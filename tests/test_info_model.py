@@ -1,11 +1,14 @@
+import itertools
+import time
+
 import numpy as np
 import pytest
 
 from infomarkets import (Belief, CapacityError, InformationModel,
                          ScoreSequence, ScoringRule, bayes_likelihood_update,
                          expected_base_score, posterior, v_sequence)
-from infomarkets.info_model import (_mean_self_score_binary,
-                                    _mean_self_score_enumerated)
+from infomarkets.info_model import _mean_self_scores
+from infomarkets.scoring import expected_score
 
 QUAD = ScoringRule("quadratic")
 
@@ -16,6 +19,21 @@ V1_FIG3 = 0.0016557034766784273  # alpha=0.02, beta=0.2
 
 FIG3_SCORES = [0.9608, 0.962456, 0.96656, 0.972778, 0.977909, 0.982417,
                0.98605, 0.988961, 0.991309, 0.993133, 0.994609]
+
+
+def _mean_self_score_enumerated(model, rule, k):
+    """Oracle: E[self-expected score after k signals] over all m^k signal tuples."""
+    m = model.num_signal_values
+    total = 0.0
+    for tup in itertools.product(range(m), repeat=k):
+        weights = model.prior.copy()
+        for x in tup:
+            weights = weights * model.likelihood[:, x]
+        mass = weights.sum()
+        if mass == 0.0:
+            continue
+        total += mass * expected_score(rule, weights / mass)
+    return total
 
 
 def random_model(rng, d=None, m=None):
@@ -110,7 +128,7 @@ class TestVSequence:
         for _ in range(10):
             model = random_model(rng, d=2, m=2)
             for k in range(4):
-                fast = _mean_self_score_binary(model, QUAD, k)
+                fast = _mean_self_scores(model, QUAD, k)[k]
                 slow = _mean_self_score_enumerated(model, QUAD, k)
                 assert fast == pytest.approx(slow, abs=1e-13)
 
@@ -123,9 +141,39 @@ class TestVSequence:
 
     def test_capacity_guard(self):
         rng = np.random.default_rng(14)
-        model = random_model(rng, d=2, m=3)
+        model = random_model(rng, d=2, m=8)
         with pytest.raises(CapacityError, match="montecarlo"):
-            v_sequence(model, QUAD, 20)
+            v_sequence(model, QUAD, 40)
+
+    def test_count_vectors_match_tuple_enumeration(self):
+        rng = np.random.default_rng(15)
+        for d, m in itertools.product((2, 3), (2, 3, 4)):
+            model = random_model(rng, d=d, m=m)
+            lik = model.likelihood.copy()
+            lik[0] = 0.0            # outcome 0 never emits signal values >= 1
+            lik[0, 0] = 1.0
+            sparse = InformationModel(model.prior, lik)
+            for mod, rule in ((model, QUAD), (sparse, QUAD),
+                              (sparse, ScoringRule("logarithmic"))):
+                fast = _mean_self_scores(mod, rule, 5)
+                slow = [_mean_self_score_enumerated(mod, rule, k) for k in range(6)]
+                np.testing.assert_allclose(fast, slow, rtol=0, atol=1e-12)
+
+    def test_long_binary_sequence_is_finite_and_nondecreasing(self):
+        v = v_sequence(InformationModel.binary_noisy(0.3, 0.2), QUAD, 1100)
+        assert np.all(np.isfinite(v.values))
+        # saturated increments are zero up to rounding, ScoreSequence's 1e-12
+        assert np.all(np.diff(v.values) >= -1e-12)
+        assert v[1100] == pytest.approx(1 - (0.3 ** 2 + 0.7 ** 2), abs=1e-12)
+
+    def test_three_valued_enumeration_is_fast(self):
+        model = random_model(np.random.default_rng(16), d=2, m=3)
+        best = np.inf
+        for _ in range(5):
+            start = time.perf_counter()
+            v_sequence(model, QUAD, 10)
+            best = min(best, time.perf_counter() - start)
+        assert best < 0.010
 
     def test_negative_n_rejected(self):
         with pytest.raises(ValueError):
