@@ -23,8 +23,8 @@ from .experiments import (EXPERIMENTS, ExperimentConfig, format_number,
                           run_experiment, write_csv)
 from .fpm import batch_from_json, fpm_run, result_to_json
 from .info_model import InformationModel, ScoreSequence
-from .montecarlo import (ReportPolicy, StrategyProfile, per_trial_records,
-                         simulate)
+from .montecarlo import (ReportPolicy, SimStats, StrategyProfile,
+                         per_trial_records)
 from .mvp import TimeValue, mvp_run, reports_from_stream, trace_dump_rows
 from .pm_baseline import (AccessFunction, pm_batch_equilibrium,
                           pm_batch_welfare, pm_race_equilibrium)
@@ -127,13 +127,12 @@ def cmd_simulate(args) -> int:
     latency = (LatencyFamily.exponential(float(cfg["latency"]["lambda"]))
                if "latency" in cfg else None)
     h = TimeValue.from_config(cfg["h"]) if "h" in cfg else None
-    kw = dict(rule=rule, access=access, latency=latency, h=h)
-    stats = simulate(model, mechanism, profile, trials, seed, **kw)
-    payload = stats.to_json()
+    rec = per_trial_records(model, mechanism, profile, trials, seed,
+                            rule=rule, access=access, latency=latency, h=h)
+    payload = SimStats.from_records(mechanism, profile, rec).to_json()
     payload["seed"] = seed
     _emit(payload, args.out)
     if args.per_trial_csv:
-        rec = per_trial_records(model, mechanism, profile, trials, seed, **kw)
         n = profile.num_agents
         header = (["trial"] + [f"reward_{i}" for i in range(n)]
                   + [f"utility_{i}" for i in range(n)]

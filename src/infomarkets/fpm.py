@@ -19,8 +19,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .belief import (ReportVector, apply_report, fold_path, report_column,
-                     truthful_report)
+from .belief import (ReportVector, apply_report, fold_path, parse_report,
+                     report_column, truthful_report)
 from .errors import CapacityError
 from .info_model import ENUMERATION_BUDGET, Belief, InformationModel
 from .scoring import ScoringRule, score
@@ -166,22 +166,9 @@ def fpm_expected_reward(model: InformationModel, rule: ScoringRule,
 
 
 def batch_from_json(record: dict, num_outcomes: int) -> BatchOutcomeReport:
-    """Parse ``{"reports": [[...], ...], "outcome": y}``.
-
-    A report with d-1 entries is a ratio-encoded :class:`ReportVector`;
-    one with d entries is a raw likelihood column.
-    """
-    reports = []
-    for entry in record["reports"]:
-        entry = list(entry)
-        if len(entry) == num_outcomes - 1:
-            reports.append(ReportVector(tuple(entry)))
-        elif len(entry) == num_outcomes:
-            reports.append(np.asarray(entry, dtype=float))
-        else:
-            raise ValueError(f"report of length {len(entry)} fits neither the "
-                             f"ratio encoding ({num_outcomes - 1} entries) nor a "
-                             f"likelihood column ({num_outcomes} entries)")
+    """Parse ``{"reports": [[...], ...], "outcome": y}``; see :func:`parse_report`."""
+    reports = [parse_report(entry, num_outcomes, f"report {slot}")
+               for slot, entry in enumerate(record["reports"])]
     return BatchOutcomeReport(tuple(reports), int(record["outcome"]))
 
 

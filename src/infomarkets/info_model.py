@@ -167,20 +167,20 @@ def posterior(model: InformationModel, signals) -> Belief:
     """Exact Bayes posterior over outcomes given observed signal values.
 
     The result is invariant to the order of ``signals`` because they are
-    conditionally independent.
+    conditionally independent.  Each step renormalizes, as
+    ``belief.fold_path`` does, so arbitrarily many signals never underflow.
     """
-    signals = list(signals)
     m = model.num_signal_values
+    weights = model.prior
     for x in signals:
         if not 0 <= x < m:
             raise ValueError(f"signal value {x} outside the table with {m} columns")
-    weights = model.prior.copy()
-    for x in signals:
         weights = weights * model.likelihood[:, x]
-    total = weights.sum()
-    if total <= 0:
-        raise ValueError("signals are jointly impossible under this model")
-    return Belief(weights / total)
+        total = weights.sum()
+        if total <= 0:
+            raise ValueError("signals are jointly impossible under this model")
+        weights = weights / total
+    return Belief(weights)
 
 
 def expected_base_score(model: InformationModel, rule: ScoringRule) -> float:

@@ -12,7 +12,9 @@ purpose, agent) with the trial index as the counter position.  Two
 consequences the tests rely on: results are bitwise independent of how the
 trial range is chunked, and two runs with the same seed see identical
 draws, so a deviation test compares strategies on common random numbers
-and certifies harm with tiny variance.
+and certifies harm with tiny variance.  The chunk length is derived, not
+set: each chunk settles about :data:`_CHUNK_ELEMENTS` trials x agents x
+outcomes report-column entries, so scratch memory is bounded at any width.
 """
 import math
 from dataclasses import dataclass
@@ -29,7 +31,9 @@ from .scoring import ScoringRule, score
 
 MECHANISMS = ("fpm", "mvp", "pm_batch", "pm_sequential")
 
-_DEFAULT_CHUNK = 1 << 17
+#: report-column entries settled per chunk; settlement holds about ten
+#: floats of scratch per entry, so one chunk peaks near 20-30 MB at any n
+_CHUNK_ELEMENTS = 1 << 18
 
 # purpose tags for the random streams
 _OUTCOME, _LATENCY, _SIGNAL, _WINNER = 0, 1, 2, 3
@@ -110,6 +114,27 @@ class SimStats:
     utility_se: np.ndarray
     principal_utility_mean: float
     welfare_mean: float
+
+    @classmethod
+    def from_records(cls, mechanism: str, profile: "StrategyProfile",
+                     records: dict[str, np.ndarray]) -> "SimStats":
+        """Reduce the books of :func:`per_trial_records` to means and standard errors."""
+        rewards, utilities = records["rewards"], records["utilities"]
+        trials = rewards.shape[0]
+        costs = np.asarray(profile.efforts)
+        sqrt_t = math.sqrt(trials)
+
+        def se(a: np.ndarray) -> np.ndarray:
+            return a.std(axis=0, ddof=1) / sqrt_t if trials > 1 else np.zeros(a.shape[1])
+
+        return cls(
+            mechanism=mechanism, trials=trials,
+            reward_mean=rewards.mean(axis=0), reward_se=se(rewards),
+            cost_mean=costs, cost_se=np.zeros_like(costs),
+            utility_mean=utilities.mean(axis=0), utility_se=se(utilities),
+            principal_utility_mean=float(records["principal_utility"].mean()),
+            welfare_mean=float(records["welfare"].mean()),
+        )
 
     def to_json(self) -> dict:
         return {
@@ -236,9 +261,11 @@ def _settle_sequential(model, mechanism, profile, rule, latency, h,
     return rewards, value
 
 
-def _validate_setup(model, mechanism, profile, rule, access, latency, h):
+def _validate_setup(model, mechanism, profile, trials, rule, access, latency, h):
     if mechanism not in MECHANISMS:
         raise ValueError(f"unknown mechanism {mechanism!r}, try one of {MECHANISMS}")
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
     if mechanism in ("fpm", "pm_batch") and access is None:
         raise ValueError(f"{mechanism} needs an AccessFunction")
     if mechanism in ("mvp", "pm_sequential"):
@@ -256,10 +283,10 @@ def _validate_setup(model, mechanism, profile, rule, access, latency, h):
 
 
 def _run(model: InformationModel, mechanism: str, profile: StrategyProfile,
-         trials: int, seed: int, rule, access, latency, h, chunk_size):
+         trials: int, seed: int, rule, access, latency, h):
     """Full per-trial reward and value arrays, chunked but chunk-invariant."""
     n = profile.num_agents
-    chunk_size = chunk_size or _DEFAULT_CHUNK
+    chunk = max(1, _CHUNK_ELEMENTS // (n * model.num_outcomes))
     g_outcome = _stream(seed, _OUTCOME)
     g_winner = _stream(seed, _WINNER)
     g_lat = [_stream(seed, _LATENCY, i) for i in range(n)]
@@ -267,72 +294,48 @@ def _run(model: InformationModel, mechanism: str, profile: StrategyProfile,
 
     rewards = np.empty((trials, n))
     value = np.empty(trials)
-    done = 0
-    while done < trials:
-        T = min(chunk_size, trials - done)
+    for done in range(0, trials, chunk):
+        T = min(chunk, trials - done)
         y = _draw_outcomes(model, g_outcome.random(T))
         u_win = g_winner.random(T)
         u_lat = np.column_stack([g.random(T) for g in g_lat])
         u_sig = np.column_stack([g.random(T) for g in g_sig])
         if mechanism in ("fpm", "pm_batch"):
-            chunk = _settle_batch(model, mechanism, profile, rule, access,
-                                  y, u_lat, u_sig, u_win)
+            settled = _settle_batch(model, mechanism, profile, rule, access,
+                                    y, u_lat, u_sig, u_win)
         else:
-            chunk = _settle_sequential(model, mechanism, profile, rule,
-                                       latency, h, y, u_lat, u_sig)
-        rewards[done:done + T], value[done:done + T] = chunk
-        done += T
+            settled = _settle_sequential(model, mechanism, profile, rule,
+                                         latency, h, y, u_lat, u_sig)
+        rewards[done:done + T], value[done:done + T] = settled
     return rewards, value
+
+
+def per_trial_records(model, mechanism, profile, trials, seed, *,
+                      rule=None, access=None, latency=None,
+                      h=None) -> dict[str, np.ndarray]:
+    """Per-trial books: rewards, value, utilities, principal utility, welfare."""
+    h = _validate_setup(model, mechanism, profile, trials, rule, access, latency, h)
+    rewards, value = _run(model, mechanism, profile, trials, seed,
+                          rule, access, latency, h)
+    utilities = rewards - np.asarray(profile.efforts)
+    principal = value - rewards.sum(axis=1)
+    welfare = principal + utilities.sum(axis=1)
+    return {"rewards": rewards, "value": value, "utilities": utilities,
+            "principal_utility": principal, "welfare": welfare}
 
 
 def simulate(model: InformationModel, mechanism: str, profile: StrategyProfile,
              trials: int, seed: int, *, rule: ScoringRule | None = None,
              access: AccessFunction | None = None,
              latency: LatencyFamily | None = None,
-             h: TimeValue | None = None,
-             chunk_size: int | None = None) -> SimStats:
+             h: TimeValue | None = None) -> SimStats:
     """Sample ``trials`` independent plays and aggregate the books.
 
-    Deterministic given ``seed`` and the configuration, regardless of
-    ``chunk_size``.
+    Deterministic given ``seed`` and the configuration.
     """
-    if trials < 1:
-        raise ValueError("need at least one trial")
-    h = _validate_setup(model, mechanism, profile, rule, access, latency, h)
-    rewards, value = _run(model, mechanism, profile, trials, seed,
-                          rule, access, latency, h, chunk_size)
-    costs = np.asarray(profile.efforts)
-    utilities = rewards - costs
-    principal = value - rewards.sum(axis=1)
-    welfare = principal + utilities.sum(axis=1)
-    sqrt_t = math.sqrt(trials)
-
-    def se(a: np.ndarray) -> np.ndarray:
-        return a.std(axis=0, ddof=1) / sqrt_t if trials > 1 else np.zeros(a.shape[1])
-
-    return SimStats(
-        mechanism=mechanism, trials=trials,
-        reward_mean=rewards.mean(axis=0), reward_se=se(rewards),
-        cost_mean=costs.copy(), cost_se=np.zeros_like(costs),
-        utility_mean=utilities.mean(axis=0), utility_se=se(utilities),
-        principal_utility_mean=float(principal.mean()),
-        welfare_mean=float(welfare.mean()),
-    )
-
-
-def per_trial_records(model, mechanism, profile, trials, seed, *,
-                      rule=None, access=None, latency=None, h=None,
-                      chunk_size=None) -> dict[str, np.ndarray]:
-    """Raw per-trial arrays (rewards, value, utilities, books) for debugging."""
-    h = _validate_setup(model, mechanism, profile, rule, access, latency, h)
-    rewards, value = _run(model, mechanism, profile, trials, seed,
-                          rule, access, latency, h, chunk_size)
-    costs = np.asarray(profile.efforts)
-    utilities = rewards - costs
-    principal = value - rewards.sum(axis=1)
-    welfare = principal + utilities.sum(axis=1)
-    return {"rewards": rewards, "value": value, "utilities": utilities,
-            "principal_utility": principal, "welfare": welfare}
+    records = per_trial_records(model, mechanism, profile, trials, seed,
+                                rule=rule, access=access, latency=latency, h=h)
+    return SimStats.from_records(mechanism, profile, records)
 
 
 def deviation_test(model: InformationModel, mechanism: str,
@@ -340,8 +343,7 @@ def deviation_test(model: InformationModel, mechanism: str,
                    trials: int, seed: int, *, rule: ScoringRule | None = None,
                    access: AccessFunction | None = None,
                    latency: LatencyFamily | None = None,
-                   h: TimeValue | None = None,
-                   chunk_size: int | None = None) -> tuple[float, float]:
+                   h: TimeValue | None = None) -> tuple[float, float]:
     """Paired estimate of how a unilateral deviation changes the deviant's utility.
 
     ``deviation`` is a :class:`ReportPolicy`, a bare effort level, or an
@@ -361,10 +363,12 @@ def deviation_test(model: InformationModel, mechanism: str,
         devprofile = baseline.replace_agent(deviant_agent, effort=float(effort),
                                             policy=policy)
 
-    kw = dict(rule=rule, access=access, latency=latency, h=h, chunk_size=chunk_size)
-    base = per_trial_records(model, mechanism, baseline, trials, seed, **kw)
-    dev = per_trial_records(model, mechanism, devprofile, trials, seed, **kw)
-    delta = (dev["utilities"][:, deviant_agent]
-             - base["utilities"][:, deviant_agent])
+    h = _validate_setup(model, mechanism, baseline, trials, rule, access, latency, h)
+    utility = []  # one column per arm, not two full (trials, n) books
+    for profile in (baseline, devprofile):
+        rewards, _ = _run(model, mechanism, profile, trials, seed,
+                          rule, access, latency, h)
+        utility.append(rewards[:, deviant_agent] - profile.efforts[deviant_agent])
+    delta = utility[1] - utility[0]
     se = float(delta.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
     return float(delta.mean()), se

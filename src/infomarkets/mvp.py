@@ -23,7 +23,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .belief import ReportVector, fold_path, report_column
+from .belief import fold_path, parse_report, report_column
 from .errors import ProtocolError
 from .info_model import Belief
 from .numerics import integrate_decaying
@@ -246,17 +246,8 @@ def reports_from_stream(lines, num_outcomes: int) -> list[TimedReport]:
         parts = [p.strip() for p in line.split(",")]
         if len(parts) < 3:
             raise ValueError(f"line {lineno}: expected agent_id, time, entries")
-        agent = int(parts[0])
-        t = float(parts[1])
-        entries = [float(p) for p in parts[2:]]
-        if len(entries) == num_outcomes - 1:
-            report = ReportVector(tuple(entries))
-        elif len(entries) == num_outcomes:
-            report = np.asarray(entries, dtype=float)
-        else:
-            raise ValueError(f"line {lineno}: {len(entries)} entries fit neither "
-                             f"the ratio encoding nor a likelihood column")
-        out.append(TimedReport(agent, t, report))
+        report = parse_report(parts[2:], num_outcomes, f"line {lineno}")
+        out.append(TimedReport(int(parts[0]), float(parts[1]), report))
     return out
 
 

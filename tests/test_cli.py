@@ -5,9 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from infomarkets import (Belief, InformationModel, ReportVector, ScoringRule,
-                         TimeValue, TimedReport, fpm_run, mvp_run,
-                         truthful_report)
+from infomarkets import (Belief, InformationModel, LatencyFamily, ReportVector,
+                         ScoringRule, StrategyProfile, TimeValue, TimedReport,
+                         fpm_run, mvp_run, simulate, truthful_report)
 from infomarkets.cli import main
 from infomarkets.errors import NumericalError
 from infomarkets.fpm import BatchOutcomeReport
@@ -168,6 +168,26 @@ class TestSimulate:
             total = (float(row["principal_utility"])
                      + float(row["utility_0"]) + float(row["utility_1"]))
             assert float(row["welfare"]) == pytest.approx(total, abs=1e-8)
+
+    def test_per_trial_dump_leaves_the_stats_unchanged(self, tmp_path):
+        cfg = {"model": {"kind": "binary_noisy", "alpha": 0.1, "beta": 0.05},
+               "mechanism": "mvp",
+               "rule": {"rule": "quadratic", "scale": 20},
+               "latency": {"lambda": 1.0},
+               "profile": {"efforts": [0.3, 0.5]},
+               "trials": 3000, "seed": 6}
+        path = tmp_path / "sim.json"
+        path.write_text(json.dumps(cfg))
+        plain, dumped = tmp_path / "plain.json", tmp_path / "dumped.json"
+        assert main(["simulate", "--config", str(path), "--out", str(plain)]) == 0
+        assert main(["simulate", "--config", str(path), "--out", str(dumped),
+                     "--per-trial-csv", str(tmp_path / "trials.csv")]) == 0
+        assert plain.read_bytes() == dumped.read_bytes()
+        stats = simulate(InformationModel.binary_noisy(0.1, 0.05), "mvp",
+                         StrategyProfile((0.3, 0.5)), 3000, 6,
+                         rule=ScoringRule("quadratic", 20.0),
+                         latency=LatencyFamily.exponential(1.0))
+        assert json.loads(plain.read_text()) == {**stats.to_json(), "seed": 6}
 
 
 class TestSettlement:

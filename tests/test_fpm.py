@@ -166,8 +166,8 @@ class TestSerialization:
         assert isinstance(batch.reports[0], np.ndarray)
 
     def test_bad_report_length(self):
-        with pytest.raises(ValueError):
-            batch_from_json({"reports": [[0.1, 0.2, 0.3]], "outcome": 0}, 2)
+        with pytest.raises(ValueError, match="report 1: 3 entries fit neither"):
+            batch_from_json({"reports": [[0.5], [0.1, 0.2, 0.3]], "outcome": 0}, 2)
 
     def test_result_requires_finite_rewards(self):
         with pytest.raises(ValueError):

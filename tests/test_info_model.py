@@ -7,6 +7,7 @@ import pytest
 from infomarkets import (Belief, CapacityError, InformationModel,
                          ScoreSequence, ScoringRule, bayes_likelihood_update,
                          expected_base_score, posterior, v_sequence)
+from infomarkets.belief import fold_path
 from infomarkets.info_model import _mean_self_scores
 from infomarkets.scoring import expected_score
 
@@ -57,6 +58,22 @@ class TestPosterior:
     def test_noiseless_signal_reveals_outcome(self):
         m = InformationModel.binary_noisy(0.5, 0.0)
         np.testing.assert_allclose(posterior(m, [1]).probs, [0.0, 1.0], atol=0)
+
+    def test_many_weak_signals_match_the_renormalized_fold(self):
+        # 300 likelihoods near 1/40 multiply to far below the smallest double
+        rng = np.random.default_rng(8)
+        lik = 1.0 + 0.5 * rng.random((2, 40))
+        model = InformationModel(np.array([0.6, 0.4]),
+                                 lik / lik.sum(axis=1, keepdims=True))
+        signals = rng.integers(40, size=300)
+        folded = fold_path(model.prior, model.likelihood[:, signals].T)[-1]
+        np.testing.assert_allclose(posterior(model, signals).probs, folded,
+                                   rtol=0, atol=1e-12)
+
+    def test_impossible_signals_still_raise(self):
+        m = InformationModel.binary_noisy(0.5, 0.0)
+        with pytest.raises(ValueError, match="jointly impossible"):
+            posterior(m, [0, 1])
 
     def test_signal_out_of_range(self):
         m = InformationModel.binary_noisy(0.5, 0.1)

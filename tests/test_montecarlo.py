@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from infomarkets import (AccessFunction, BatchOutcomeReport, InformationModel,
                          deviation_test, fpm_expected_reward, fpm_run,
                          mvp_agent_reward, mvp_run, per_trial_records,
                          simulate, truthful_report, v_sequence)
+from infomarkets import montecarlo
 from infomarkets.montecarlo import (_LATENCY, _OUTCOME, _SIGNAL, _draw_outcomes,
                                     _draw_signals, _stream)
 
@@ -16,6 +19,13 @@ LAT1 = LatencyFamily.exponential(1.0)
 H1 = TimeValue.exponential(1.0)
 ACC = AccessFunction.exponential(3.0)
 PROFILE = StrategyProfile.symmetric(0.3, 2)
+
+
+def weak_wide_model():
+    """Binary outcome, 40 signal values, every likelihood near 1/40."""
+    rng = np.random.default_rng(8)
+    lik = 1.0 + 0.5 * rng.random((2, 40))
+    return InformationModel(np.array([0.6, 0.4]), lik / lik.sum(axis=1, keepdims=True))
 
 
 def stats_equal(a, b):
@@ -35,12 +45,22 @@ class TestDeterminism:
         assert stats_equal(a, b)
 
     @pytest.mark.parametrize("mechanism", ["fpm", "mvp", "pm_batch", "pm_sequential"])
-    def test_chunking_never_changes_results(self, mechanism):
+    def test_chunking_never_changes_results(self, mechanism, monkeypatch):
         kw = dict(rule=QUAD20, access=ACC, latency=LAT1, h=H1)
-        whole = simulate(MODEL, mechanism, PROFILE, 5000, 23, **kw)
-        chunked = simulate(MODEL, mechanism, PROFILE, 5000, 23,
-                           chunk_size=613, **kw)
-        assert stats_equal(whole, chunked)
+
+        def run():
+            return (simulate(MODEL, mechanism, PROFILE, 5000, 23, **kw),
+                    per_trial_records(MODEL, mechanism, PROFILE, 5000, 23, **kw),
+                    deviation_test(MODEL, mechanism, PROFILE, 0, 0.5, 5000, 23, **kw))
+
+        whole = run()
+        # 2 agents x 2 outcomes: 613-trial chunks instead of one
+        monkeypatch.setattr(montecarlo, "_CHUNK_ELEMENTS", 4 * 613)
+        chunked = run()
+        assert stats_equal(whole[0], chunked[0])
+        for key, array in whole[1].items():
+            assert np.array_equal(array, chunked[1][key]), key
+        assert whole[2] == chunked[2]
 
     def test_different_seeds_differ(self):
         a = simulate(MODEL, "fpm", PROFILE, 1000, 1, rule=QUAD20, access=ACC)
@@ -217,8 +237,14 @@ class TestValidation:
                      latency=LAT1, h=h)
 
     def test_trials_positive(self):
-        with pytest.raises(ValueError):
-            simulate(MODEL, "fpm", PROFILE, 0, 0, rule=QUAD20, access=ACC)
+        kw = dict(rule=QUAD20, access=ACC)
+        for trials in (0, -5):
+            with pytest.raises(ValueError, match="trials"):
+                simulate(MODEL, "fpm", PROFILE, trials, 0, **kw)
+            with pytest.raises(ValueError, match="trials"):
+                per_trial_records(MODEL, "fpm", PROFILE, trials, 0, **kw)
+            with pytest.raises(ValueError, match="trials"):
+                deviation_test(MODEL, "fpm", PROFILE, 0, 0.5, trials, 0, **kw)
 
     def test_profile_validation(self):
         with pytest.raises(ValueError):
@@ -252,17 +278,27 @@ class TestValidation:
     def test_wide_batch_market_with_many_weak_signals_stays_finite(self):
         # 300 agents with 40-valued signals: each likelihood is about 1/40,
         # far below the smallest double once multiplied together
-        rng = np.random.default_rng(8)
-        lik = 1.0 + 0.5 * rng.random((2, 40))
-        wide = InformationModel(np.array([0.6, 0.4]),
-                                lik / lik.sum(axis=1, keepdims=True))
         profile = StrategyProfile.symmetric(1.0, 300)
-        stats = simulate(wide, "fpm", profile, 1000, 5, rule=QUAD20, access=ACC)
+        stats = simulate(weak_wide_model(), "fpm", profile, 1000, 5,
+                         rule=QUAD20, access=ACC)
         for field in (stats.reward_mean, stats.reward_se, stats.utility_mean,
                       stats.principal_utility_mean, stats.welfare_mean):
             assert np.all(np.isfinite(field))
         books = stats.principal_utility_mean + stats.utility_mean.sum()
         assert stats.welfare_mean == pytest.approx(books, rel=1e-9, abs=1e-9)
+
+    def test_wide_market_memory_is_bounded_by_the_chunk(self):
+        # about 40 KB of settlement scratch per trial at n = 300: the chunk
+        # shrinks with n so that 8192 trials never settle at once
+        model = weak_wide_model()
+        profile = StrategyProfile.symmetric(1.0, 300)
+        tracemalloc.start()
+        try:
+            simulate(model, "fpm", profile, 8192, 5, rule=QUAD20, access=ACC)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 150e6
 
     def test_stats_serialize(self):
         stats = simulate(MODEL, "fpm", PROFILE, 100, 0, rule=QUAD20, access=ACC)

@@ -301,8 +301,8 @@ class TestStreamFormat:
         assert isinstance(reports[0].report, np.ndarray)
 
     def test_parse_rejects_wrong_arity(self):
-        with pytest.raises(ValueError):
-            reports_from_stream(["0, 1.0, 0.2, 0.3, 0.4"], 2)
+        with pytest.raises(ValueError, match="line 2: 3 entries fit neither"):
+            reports_from_stream(["1, 0.5, 0.8", "0, 1.0, 0.2, 0.3, 0.4"], 2)
         with pytest.raises(ValueError):
             reports_from_stream(["0"], 2)
 
