@@ -54,6 +54,13 @@ def _parse_v(text: str) -> ScoreSequence:
     return ScoreSequence(np.array([float(x) for x in text.split(",")]))
 
 
+def _policy_from_config(cfg) -> ReportPolicy:
+    try:
+        return ReportPolicy(**cfg)
+    except TypeError as exc:  # an unknown key, or a policy that is not an object
+        raise ValueError(f"policy {cfg!r}: {exc}") from None
+
+
 def _eq_to_json(eq, extra=None) -> dict:
     out = {"effort": eq.effort, "residual": eq.residual, "corner": eq.corner,
            "bracket": list(eq.bracket)}
@@ -119,7 +126,7 @@ def cmd_simulate(args) -> int:
     mechanism = cfg["mechanism"]
     profile = StrategyProfile(
         tuple(cfg["profile"]["efforts"]),
-        tuple(ReportPolicy(**p) for p in cfg["profile"].get("policies", [])))
+        tuple(_policy_from_config(p) for p in cfg["profile"].get("policies", [])))
     trials = args.trials if args.trials is not None else int(cfg.get("trials", 10000))
     seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
     rule = ScoringRule.from_config(cfg["rule"]) if "rule" in cfg else None

@@ -111,8 +111,7 @@ def batch_equilibrium(F: AccessFunction, v: ScoreSequence, n: int) -> Equilibriu
     def foc(c: float) -> float:
         return F.derivative(c) * float(_binomial_pmf(log_binom, F.value(c)) @ deltas) - 1.0
 
-    return solve_decreasing_foc(foc, hi=min(1.0, F.domain_max),
-                                domain_max=F.domain_max)
+    return solve_decreasing_foc(foc, domain_max=F.domain_max)
 
 
 def batch_welfare(F: AccessFunction, v: ScoreSequence, n: int, c: float) -> float:
@@ -191,7 +190,7 @@ def mvp_equilibrium(latency: LatencyFamily, h: TimeValue, v: ScoreSequence,
     def foc(c: float) -> float:
         return mvp_br_derivative(latency, h, v, n, c, c, method=method)
 
-    return solve_decreasing_foc(foc, hi=1.0)
+    return solve_decreasing_foc(foc)
 
 
 def mvp_welfare(latency: LatencyFamily, h: TimeValue, v: ScoreSequence,

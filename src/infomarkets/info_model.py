@@ -30,6 +30,8 @@ _PROB_TOL = 1e-12
 
 
 def _validate_distribution(vec: np.ndarray, what: str, tol: float) -> None:
+    if not np.all(np.isfinite(vec)):
+        raise ValueError(f"{what} has non-finite entries: {vec}")
     if np.any(vec < -tol) or np.any(vec > 1 + tol):
         raise ValueError(f"{what} has entries outside [0, 1]: {vec}")
     if abs(vec.sum() - 1.0) > tol:
@@ -79,7 +81,6 @@ class InformationModel:
 
     prior: np.ndarray
     likelihood: np.ndarray
-    num_agents: int = 2
 
     def __post_init__(self):
         prior = np.asarray(self.prior, dtype=float)
@@ -93,11 +94,9 @@ class InformationModel:
             raise ValueError("likelihood must be a d x m table matching the prior")
         for y in range(lik.shape[0]):
             _validate_distribution(lik[y], f"likelihood row {y}", _PROB_TOL)
-        if not self.num_agents >= 1:
-            raise ValueError("num_agents must be a positive integer")
 
     @classmethod
-    def binary_noisy(cls, alpha: float, beta: float, num_agents: int = 2) -> "InformationModel":
+    def binary_noisy(cls, alpha: float, beta: float) -> "InformationModel":
         """Binary outcome with prior ``alpha`` on outcome 1 and flip noise ``beta``."""
         if not 0.0 <= alpha <= 1.0:
             raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
@@ -105,18 +104,17 @@ class InformationModel:
             raise ValueError(f"beta must lie in [0, 1/2], got {beta}")
         prior = np.array([1.0 - alpha, alpha])
         likelihood = np.array([[1.0 - beta, beta], [beta, 1.0 - beta]])
-        return cls(prior, likelihood, num_agents)
+        return cls(prior, likelihood)
 
     @classmethod
-    def from_config(cls, cfg: dict, num_agents: int = 2) -> "InformationModel":
+    def from_config(cls, cfg: dict) -> "InformationModel":
         """Parse ``{kind: "binary_noisy", alpha, beta}`` or ``{kind: "table", ...}``."""
         kind = cfg.get("kind")
-        n = int(cfg.get("num_agents", num_agents))
         if kind == "binary_noisy":
-            return cls.binary_noisy(float(cfg["alpha"]), float(cfg["beta"]), n)
+            return cls.binary_noisy(float(cfg["alpha"]), float(cfg["beta"]))
         if kind == "table":
             return cls(np.asarray(cfg["prior"], float),
-                       np.asarray(cfg["likelihood"], float), n)
+                       np.asarray(cfg["likelihood"], float))
         raise ValueError(f"unknown model kind {kind!r}")
 
     @property
@@ -143,6 +141,8 @@ class ScoreSequence:
         object.__setattr__(self, "values", values)
         if values.ndim != 1 or values.size < 1:
             raise ValueError("a score sequence needs at least v_0")
+        if not np.all(np.isfinite(values)):
+            raise ValueError(f"score sequence values must be finite, got {values}")
         if values[0] != 0.0:
             raise ValueError(f"v_0 must be exactly 0, got {values[0]!r}")
         if np.any(np.diff(values) < -1e-12):

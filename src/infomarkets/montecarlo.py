@@ -43,21 +43,22 @@ _OUTCOME, _LATENCY, _SIGNAL, _WINNER = 0, 1, 2, 3
 class ReportPolicy:
     """What an agent does with the report he would otherwise submit truthfully.
 
-    ``perturbed`` shifts one ratio entry by ``epsilon``; ``delayed`` adds
+    ``perturbed`` shifts the binary ratio entry by ``epsilon``; ``delayed`` adds
     ``delay`` to the submission time (sequential settings only); ``silent``
     never reports.
     """
 
     kind: str = "truthful"
     epsilon: float = 0.0
-    entry: int = 0
     delay: float = 0.0
 
     def __post_init__(self):
         if self.kind not in ("truthful", "perturbed", "delayed", "silent"):
             raise ValueError(f"unknown report policy {self.kind!r}")
-        if self.kind == "delayed" and self.delay < 0:
-            raise ValueError("delay must be nonnegative")
+        if not math.isfinite(self.epsilon):
+            raise ValueError(f"epsilon must be finite, got {self.epsilon!r}")
+        if not (math.isfinite(self.delay) and self.delay >= 0):
+            raise ValueError(f"delay must be finite and nonnegative, got {self.delay!r}")
 
 
 TRUTHFUL = ReportPolicy()
@@ -73,8 +74,8 @@ class StrategyProfile:
     def __post_init__(self):
         efforts = tuple(float(c) for c in self.efforts)
         object.__setattr__(self, "efforts", efforts)
-        if any(c < 0 for c in efforts):
-            raise ValueError("efforts must be nonnegative")
+        if not all(math.isfinite(c) and c >= 0 for c in efforts):
+            raise ValueError(f"efforts must be finite and nonnegative, got {efforts}")
         policies = tuple(self.policies) or (TRUTHFUL,) * len(efforts)
         if len(policies) != len(efforts):
             raise ValueError("one policy per agent required")
@@ -172,8 +173,6 @@ def _report_columns(model: InformationModel, policy: ReportPolicy) -> np.ndarray
             raise ValueError("perturbed policies target the binary ratio encoding")
         for x in range(m):
             b = truthful_report(model, x).entries[0]
-            if policy.entry != 0:
-                raise ValueError("binary reports have a single entry, index 0")
             b = min(max(b + policy.epsilon, RATIO_CLAMP), 1.0 - RATIO_CLAMP)
             cols[1 + x] = (1.0 - b, b)
         # a signal-less perturbed agent distorts the 1/2 default too

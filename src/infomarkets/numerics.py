@@ -2,14 +2,17 @@
 
 All first-order conditions in this package are smooth functions of effort
 that start positive (marginal value exceeds marginal cost) and eventually
-go negative, so bracketed bisection is unconditionally safe and we never
-reach for derivative-based methods.
+go negative.  Once a sign change is bracketed, Brent's method (Brent 1973,
+*Algorithms for Minimization without Derivatives*, ch. 4) finds the root to
+full double precision: like bisection it never leaves the bracket, but it
+converges superlinearly and needs no derivatives.
 """
 import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.optimize import brentq
 
 from .errors import NumericalError
 
@@ -19,7 +22,8 @@ FOC_TOL = 1e-10
 #: lowest FOC value accepted: -1, less rounding for increments down to -1e-12
 _FOC_FLOOR = -1.0 - 1e-9
 
-_BISECT_ITERS = 200
+#: lower end of every bracket; a FOC already <= 0 here gives the corner at 0
+_LOWER_BRACKET = 1e-12
 _MAX_DOUBLINGS = 60
 
 
@@ -39,14 +43,16 @@ class EquilibriumResult:
     bracket: tuple[float, float]
 
 
-def solve_decreasing_foc(f, lo: float = 1e-12, hi: float = 1.0,
-                         domain_max: float = np.inf) -> EquilibriumResult:
+def solve_decreasing_foc(f, domain_max: float = np.inf) -> EquilibriumResult:
     """Root of a first-order condition ``f`` that crosses from + to -.
 
-    Returns a corner at 0 when ``f(lo) <= 0`` (no effort is ever worth it)
-    and a corner at ``domain_max`` when the FOC is still positive there.
-    Every FOC here is a nonnegative marginal value minus 1: a value that is
-    not finite or below -1 raises :class:`NumericalError`.
+    Returns a corner at 0 when ``f`` is already <= 0 at the lower bracket
+    (no effort is ever worth it) and a corner at ``domain_max`` when the FOC
+    is still positive there.  Otherwise the upper bracket starts at
+    ``min(1, domain_max)`` and doubles until the sign changes, and Brent's
+    method isolates the root.  Every FOC here is a nonnegative marginal
+    value minus 1: a value that is not finite or below -1 raises
+    :class:`NumericalError`.
     """
     def foc(c: float) -> float:
         value = float(f(c))
@@ -55,11 +61,12 @@ def solve_decreasing_foc(f, lo: float = 1e-12, hi: float = 1.0,
                                  f"nonnegative marginal value minus 1")
         return value
 
+    lo = _LOWER_BRACKET
     f_lo = foc(lo)
     if f_lo <= 0.0:
         return EquilibriumResult(0.0, f_lo, True, (0.0, lo))
 
-    hi = min(hi, domain_max)
+    hi = min(1.0, domain_max)
     doublings = 0
     while foc(hi) > 0.0:
         if hi >= domain_max:
@@ -71,21 +78,12 @@ def solve_decreasing_foc(f, lo: float = 1e-12, hi: float = 1.0,
             raise NumericalError(f"no sign change for the FOC up to effort {hi}")
         hi = min(hi * 2.0, domain_max)
 
-    bracket = (lo, hi)
-    a, b = lo, hi
-    for _ in range(_BISECT_ITERS):
-        mid = 0.5 * (a + b)
-        if mid == a or mid == b:
-            break
-        if foc(mid) > 0.0:
-            a = mid
-        else:
-            b = mid
-    root = 0.5 * (a + b)
+    # xtol far below the lower bracket, so rtol (its floor, 4 eps) decides
+    root = brentq(foc, lo, hi, xtol=1e-300, rtol=4.0 * np.finfo(float).eps)
     residual = foc(root)
     if abs(residual) > FOC_TOL:
-        raise NumericalError(f"bisection stalled: residual {residual:.3e} at {root}")
-    return EquilibriumResult(float(root), residual, False, bracket)
+        raise NumericalError(f"root finder stalled: residual {residual:.3e} at {root}")
+    return EquilibriumResult(float(root), residual, False, (lo, hi))
 
 
 def integrate_decaying(integrand, upper: float, *, tol: float = 1e-10) -> float:

@@ -115,8 +115,7 @@ def pm_batch_equilibrium(F: AccessFunction, n: int) -> EquilibriumResult:
     def foc(c: float) -> float:
         return F.derivative(c) * _tie_sharing_factor(F.value(c), n) - 1.0
 
-    hi = min(1.0, F.domain_max)
-    return solve_decreasing_foc(foc, hi=hi, domain_max=F.domain_max)
+    return solve_decreasing_foc(foc, domain_max=F.domain_max)
 
 
 def _rank_weights(n: int) -> np.ndarray:
@@ -127,31 +126,23 @@ def _rank_weights(n: int) -> np.ndarray:
     rate helps win early slots and steals probability from late ones.  The
     arrival-rate scale cancels because ranks depend only on rate ratios.
     """
-    weights = np.empty(n)
-    tail = 0.0
-    for j in range(1, n + 1):
-        tail += 1.0 / (n - j + 1)
-        weights[j - 1] = 1.0 - tail
-    return weights
+    return 1.0 - np.cumsum(1.0 / np.arange(n, 0, -1))
 
 
 def pm_race_equilibrium(v: ScoreSequence, n: int) -> EquilibriumResult:
-    """Symmetric equilibrium of the sequential rank race.
+    """Symmetric equilibrium of the sequential rank race, in closed form.
 
     The j-th reporter earns ``v_j - v_{j-1}`` with no time discount.  The
     arrival-rate scale takes no part: rank probabilities depend only on
-    effort ratios.  Clamps to zero effort when faster arrival is not worth
-    its cost at any level.
+    effort ratios.  The FOC ``gain / (n c) - 1`` has the root c = gain / n;
+    zero effort when faster arrival is not worth its cost at any level.
     """
     if n < 2:
         raise ValueError("the race needs n >= 2 agents")
     if len(v) < n + 1:
         raise ValueError(f"need v_0..v_{n}, got {len(v)} values")
     gain = float(np.dot(_rank_weights(n), v.deltas[:n]))
-
-    def foc(c: float) -> float:
-        return gain / (n * c) - 1.0
-
     if gain <= 0.0:
         return EquilibriumResult(0.0, -1.0, True, (0.0, 0.0))
-    return solve_decreasing_foc(foc, hi=max(1.0, gain))
+    c = gain / n
+    return EquilibriumResult(c, gain / (n * c) - 1.0, False, (c, c))

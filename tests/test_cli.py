@@ -169,6 +169,22 @@ class TestSimulate:
                      + float(row["utility_0"]) + float(row["utility_1"]))
             assert float(row["welfare"]) == pytest.approx(total, abs=1e-8)
 
+    def test_unknown_policy_key_is_usage_error(self, tmp_path, capsys):
+        cfg = {"model": {"kind": "binary_noisy", "alpha": 0.1, "beta": 0.05},
+               "mechanism": "mvp",
+               "rule": {"rule": "quadratic"},
+               "latency": {"lambda": 1.0},
+               "profile": {"efforts": [0.3, 0.3],
+                           "policies": [{"kind": "truthful"},
+                                        {"kind": "delayed", "delay_s": 0.5}]},
+               "trials": 50}
+        path = tmp_path / "sim.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["simulate", "--config", str(path)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error:") and "delay_s" in err[0]
+
     def test_per_trial_dump_leaves_the_stats_unchanged(self, tmp_path):
         cfg = {"model": {"kind": "binary_noisy", "alpha": 0.1, "beta": 0.05},
                "mechanism": "mvp",

@@ -1,11 +1,13 @@
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from infomarkets import (AccessFunction, BatchOutcomeReport, InformationModel,
-                         LatencyFamily, ReportPolicy, ReportVector,
-                         ScoringRule, StrategyProfile, TimeValue, TimedReport,
+from infomarkets import (AccessFunction, BatchOutcomeReport, Belief,
+                         InformationModel, LatencyFamily, ReportPolicy,
+                         ReportVector, ScoreSequence, ScoringRule,
+                         StrategyProfile, TimeValue, TimedReport,
                          deviation_test, fpm_expected_reward, fpm_run,
                          mvp_agent_reward, mvp_run, per_trial_records,
                          simulate, truthful_report, v_sequence)
@@ -107,7 +109,7 @@ class TestAgainstExactValues:
             assert abs(stats.reward_mean[i] - exact) < 3 * stats.reward_se[i]
 
     def test_mvp_single_agent_closed_form(self):
-        model = InformationModel.binary_noisy(0.02, 0.2, num_agents=1)
+        model = InformationModel.binary_noisy(0.02, 0.2)
         rule = ScoringRule("quadratic")
         v = v_sequence(model, rule, 1)
         # arrival Exp(1), reward v1 * E[e^-T] = v1 * lam c / (lam c + eta)
@@ -255,6 +257,23 @@ class TestValidation:
             ReportPolicy("noisy")
         with pytest.raises(ValueError):
             ReportPolicy("delayed", delay=-1.0)
+
+    @pytest.mark.parametrize("build, field", [
+        (lambda: InformationModel([math.nan, math.nan], np.eye(2)), "prior"),
+        (lambda: InformationModel([0.5, 0.5], [[1.0, 0.0], [math.nan, 1.0]]),
+         "likelihood row 1"),
+        (lambda: Belief([math.nan, math.nan]), "belief"),
+        (lambda: ScoreSequence([0.0, math.nan, 1.0]), "score sequence"),
+        (lambda: StrategyProfile((math.nan, 0.3)), "efforts"),
+        (lambda: ReportPolicy("delayed", delay=math.nan), "delay"),
+        (lambda: ReportPolicy("delayed", delay=math.inf), "delay"),
+        (lambda: ReportPolicy("perturbed", epsilon=math.nan), "epsilon"),
+    ], ids=["prior", "likelihood", "belief", "score_sequence", "efforts",
+            "delay_nan", "delay_inf", "epsilon"])
+    def test_non_finite_inputs_rejected(self, build, field):
+        """NaN compares false, so range checks alone let it reach simulate."""
+        with pytest.raises(ValueError, match=field):
+            build()
 
     def test_perturbation_needs_binary_market(self):
         wide = InformationModel(np.full(3, 1 / 3),
