@@ -8,8 +8,7 @@ symmetric effort equilibria of all of them, and a Monte Carlo engine for
 empirical deviation tests.
 """
 from .belief import (RATIO_CLAMP, ReportVector, apply_report,
-                     bayes_likelihood_update, report_to_column,
-                     truthful_report, update)
+                     bayes_likelihood_update, truthful_report, update)
 from .equilibrium import (LatencyFamily, batch_equilibrium, batch_welfare,
                           mvp_agent_reward, mvp_br_derivative,
                           mvp_equilibrium, mvp_principal_utility, mvp_welfare)
@@ -44,7 +43,7 @@ __all__ = [
     "mvp_equilibrium", "mvp_principal_utility", "mvp_run", "mvp_welfare",
     "per_trial_records", "pm_batch_equilibrium", "pm_batch_utility",
     "pm_batch_welfare", "pm_race_equilibrium", "posterior",
-    "report_to_column", "reports_from_stream", "result_to_json", "score",
+    "reports_from_stream", "result_to_json", "score",
     "simulate", "time_value_mass", "trace_dump_rows", "truthful_report",
     "update", "v_sequence",
 ]

@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .info_model import Belief, InformationModel
+from .scoring import _outcome_sum
 
 #: degenerate likelihood ratios (0 or infinite) are encoded this far inside (0, 1)
 RATIO_CLAMP = 1e-12
@@ -53,9 +54,6 @@ class ReportVector:
     @property
     def num_outcomes(self) -> int:
         return len(self.entries) + 1
-
-    def is_no_signal(self) -> bool:
-        return all(b == 0.5 for b in self.entries)
 
 
 def update(p: float, b: float) -> float:
@@ -116,14 +114,6 @@ def truthful_report(model: InformationModel, signal: int) -> ReportVector:
     return ReportVector((b,), clamped=clamped)
 
 
-def report_to_column(report: ReportVector) -> np.ndarray:
-    """The binary likelihood column ``(1-b, b)`` equivalent to a report."""
-    if report.num_outcomes != 2:
-        raise ValueError("only binary reports convert to a likelihood column")
-    b = report.entries[0]
-    return np.array([1.0 - b, b])
-
-
 def report_column(report, num_outcomes: int) -> np.ndarray:
     """The likelihood column a report multiplies a d-outcome belief by.
 
@@ -137,7 +127,8 @@ def report_column(report, num_outcomes: int) -> np.ndarray:
         if num_outcomes != 2:
             raise ValueError("per-coordinate reports are exact only for binary "
                              "markets; submit a likelihood column for d > 2")
-        return report_to_column(report)
+        b = report.entries[0]
+        return np.array([1.0 - b, b])
     column = np.asarray(report, dtype=float)
     if column.shape != (num_outcomes,):
         raise ValueError(f"likelihood column shape {column.shape} does not match "
@@ -193,12 +184,7 @@ def fold_path(start, columns) -> np.ndarray:
     with np.errstate(invalid="ignore"):
         for k, column in enumerate(columns):
             weights = np.multiply(path[k], column, out=path[k + 1])
-            # a left-to-right sum over outcomes: several times faster than
-            # numpy's reduction over a short last axis
-            total = weights[..., 0].copy()
-            for i in range(1, weights.shape[-1]):
-                total += weights[..., i]
-            weights /= total[..., None]
+            weights /= _outcome_sum(weights)[..., None]
     if not np.all(np.isfinite(path[-1])):
         raise ValueError("the folded reports have disjoint support; the reported "
                          "evidence is inconsistent with the market state")

@@ -31,23 +31,20 @@ from .pm_baseline import AccessFunction
 class LatencyFamily:
     """Distribution of signal-arrival time as a function of effort.
 
-    The built-in (and only) kind is exponential: investing effort c makes
-    the arrival time Exp(lam * c), so more effort means stochastically
-    earlier signals and zero effort means the signal never arrives.
+    The family is exponential: investing effort c makes the arrival time
+    Exp(lam * c), so more effort means stochastically earlier signals and
+    zero effort means the signal never arrives.
     """
 
-    kind: str = "exponential"
     lam: float = 1.0
 
     def __post_init__(self):
-        if self.kind != "exponential":
-            raise ValueError("only the exponential latency family is built in")
         if not self.lam > 0:
             raise ValueError(f"lam must be positive, got {self.lam}")
 
     @classmethod
     def exponential(cls, lam: float) -> "LatencyFamily":
-        return cls("exponential", lam)
+        return cls(lam)
 
     def cdf(self, c: float, t):
         t = np.asarray(t, dtype=float)

@@ -12,9 +12,11 @@ purpose, agent) with the trial index as the counter position.  Two
 consequences the tests rely on: results are bitwise independent of how the
 trial range is chunked, and two runs with the same seed see identical
 draws, so a deviation test compares strategies on common random numbers
-and certifies harm with tiny variance.  The chunk length is derived, not
-set: each chunk settles about :data:`_CHUNK_ELEMENTS` trials x agents x
-outcomes report-column entries, so scratch memory is bounded at any width.
+and certifies harm with tiny variance.  A deviation test draws each chunk
+once and settles both arms, baseline and deviant, on that one draw.  The
+chunk length is derived, not set: each chunk settles about
+:data:`_CHUNK_ELEMENTS` trials x agents x outcomes report-column entries,
+so scratch memory is bounded at any width.
 """
 import math
 from dataclasses import dataclass
@@ -190,9 +192,14 @@ def _draw_outcomes(model: InformationModel, u: np.ndarray) -> np.ndarray:
 
 
 def _draw_signals(model: InformationModel, y: np.ndarray, u: np.ndarray) -> np.ndarray:
-    cum_rows = np.cumsum(model.likelihood, axis=1)[y]
-    return np.minimum((cum_rows <= u[:, None]).sum(axis=1),
-                      model.num_signal_values - 1)
+    """Inverse-CDF signal draws: how many of the first m - 1 cumulative
+    likelihoods of row ``y`` lie at or below ``u`` (the m-th is 1 up to
+    rounding, so leaving it out caps the index at m - 1)."""
+    cum = np.cumsum(model.likelihood, axis=1)
+    signals = np.zeros(y.size, dtype=np.intp)
+    for j in range(model.num_signal_values - 1):
+        signals += np.take(cum[:, j], y) <= u
+    return signals
 
 
 def _agent_columns(model: InformationModel, profile: StrategyProfile,
@@ -281,32 +288,35 @@ def _validate_setup(model, mechanism, profile, trials, rule, access, latency, h)
     return h
 
 
-def _run(model: InformationModel, mechanism: str, profile: StrategyProfile,
-         trials: int, seed: int, rule, access, latency, h):
-    """Full per-trial reward and value arrays, chunked but chunk-invariant."""
-    n = profile.num_agents
+def _draws(model: InformationModel, n: int, trials: int, seed: int):
+    """The trial range in chunks, with their draws: ``(slice, y, u_lat, u_sig, u_win)``.
+
+    The draws depend on the seed, the number of agents and the outcome
+    count only, never on the strategies, so every profile of n agents
+    settles on the same ones.
+    """
     chunk = max(1, _CHUNK_ELEMENTS // (n * model.num_outcomes))
     g_outcome = _stream(seed, _OUTCOME)
     g_winner = _stream(seed, _WINNER)
     g_lat = [_stream(seed, _LATENCY, i) for i in range(n)]
     g_sig = [_stream(seed, _SIGNAL, i) for i in range(n)]
-
-    rewards = np.empty((trials, n))
-    value = np.empty(trials)
     for done in range(0, trials, chunk):
         T = min(chunk, trials - done)
         y = _draw_outcomes(model, g_outcome.random(T))
         u_win = g_winner.random(T)
         u_lat = np.column_stack([g.random(T) for g in g_lat])
         u_sig = np.column_stack([g.random(T) for g in g_sig])
-        if mechanism in ("fpm", "pm_batch"):
-            settled = _settle_batch(model, mechanism, profile, rule, access,
-                                    y, u_lat, u_sig, u_win)
-        else:
-            settled = _settle_sequential(model, mechanism, profile, rule,
-                                         latency, h, y, u_lat, u_sig)
-        rewards[done:done + T], value[done:done + T] = settled
-    return rewards, value
+        yield slice(done, done + T), y, u_lat, u_sig, u_win
+
+
+def _settle(model, mechanism, profile, rule, access, latency, h,
+            y, u_lat, u_sig, u_win):
+    """Per-trial rewards (T, n) and principal's value (T,) of one chunk."""
+    if mechanism in ("fpm", "pm_batch"):
+        return _settle_batch(model, mechanism, profile, rule, access,
+                             y, u_lat, u_sig, u_win)
+    return _settle_sequential(model, mechanism, profile, rule, latency, h,
+                              y, u_lat, u_sig)
 
 
 def per_trial_records(model, mechanism, profile, trials, seed, *,
@@ -314,8 +324,11 @@ def per_trial_records(model, mechanism, profile, trials, seed, *,
                       h=None) -> dict[str, np.ndarray]:
     """Per-trial books: rewards, value, utilities, principal utility, welfare."""
     h = _validate_setup(model, mechanism, profile, trials, rule, access, latency, h)
-    rewards, value = _run(model, mechanism, profile, trials, seed,
-                          rule, access, latency, h)
+    rewards = np.empty((trials, profile.num_agents))
+    value = np.empty(trials)
+    for sl, *draws in _draws(model, profile.num_agents, trials, seed):
+        rewards[sl], value[sl] = _settle(model, mechanism, profile, rule, access,
+                                         latency, h, *draws)
     utilities = rewards - np.asarray(profile.efforts)
     principal = value - rewards.sum(axis=1)
     welfare = principal + utilities.sum(axis=1)
@@ -346,9 +359,11 @@ def deviation_test(model: InformationModel, mechanism: str,
     """Paired estimate of how a unilateral deviation changes the deviant's utility.
 
     ``deviation`` is a :class:`ReportPolicy`, a bare effort level, or an
-    ``(effort, policy)`` pair.  Baseline and deviant runs share every
-    random draw, so the difference has tiny variance; a mean below
-    ``-3 * se`` certifies the deviation as harmful.  Returns
+    ``(effort, policy)`` pair.  Each chunk is drawn once and both arms,
+    baseline and deviant, settle on that draw, so the difference has tiny
+    variance; a mean below ``-3 * se`` certifies the deviation as harmful.
+    The result equals, bit for bit, the paired difference of two
+    :func:`per_trial_records` runs with the same seed.  Returns
     ``(delta_mean, delta_se)``.
     """
     if not 0 <= deviant_agent < baseline.num_agents:
@@ -363,11 +378,13 @@ def deviation_test(model: InformationModel, mechanism: str,
                                             policy=policy)
 
     h = _validate_setup(model, mechanism, baseline, trials, rule, access, latency, h)
-    utility = []  # one column per arm, not two full (trials, n) books
-    for profile in (baseline, devprofile):
-        rewards, _ = _run(model, mechanism, profile, trials, seed,
-                          rule, access, latency, h)
-        utility.append(rewards[:, deviant_agent] - profile.efforts[deviant_agent])
-    delta = utility[1] - utility[0]
+    i = deviant_agent
+    delta = np.empty(trials)  # only the deviant's utility change is kept
+    for sl, *draws in _draws(model, baseline.num_agents, trials, seed):
+        # both arms settle on the same draws: common random numbers
+        utility = [_settle(model, mechanism, profile, rule, access, latency, h,
+                           *draws)[0][:, i] - profile.efforts[i]
+                   for profile in (baseline, devprofile)]
+        delta[sl] = utility[1] - utility[0]
     se = float(delta.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
     return float(delta.mean()), se

@@ -50,16 +50,20 @@ def solve_decreasing_foc(f, domain_max: float = np.inf) -> EquilibriumResult:
     (no effort is ever worth it) and a corner at ``domain_max`` when the FOC
     is still positive there.  Otherwise the upper bracket starts at
     ``min(1, domain_max)`` and doubles until the sign changes, and Brent's
-    method isolates the root.  Every FOC here is a nonnegative marginal
-    value minus 1: a value that is not finite or below -1 raises
-    :class:`NumericalError`.
+    method isolates the root.  ``f`` is called once per distinct effort.
+    Every FOC here is a nonnegative marginal value minus 1: a value that is
+    not finite or below -1 raises :class:`NumericalError`.
     """
+    seen = {}  # brentq re-evaluates the bracket ends, the certificate the root
+
     def foc(c: float) -> float:
-        value = float(f(c))
-        if not math.isfinite(value) or value < _FOC_FLOOR:
-            raise NumericalError(f"FOC value {value!r} at effort {c!r} is not a "
-                                 f"nonnegative marginal value minus 1")
-        return value
+        if c not in seen:
+            value = float(f(c))
+            if not math.isfinite(value) or value < _FOC_FLOOR:
+                raise NumericalError(f"FOC value {value!r} at effort {c!r} is not a "
+                                     f"nonnegative marginal value minus 1")
+            seen[c] = value
+        return seen[c]
 
     lo = _LOWER_BRACKET
     f_lo = foc(lo)

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from infomarkets import (Belief, InformationModel, ReportVector, apply_report,
-                         bayes_likelihood_update, posterior, report_to_column,
-                         truthful_report, update)
+                         bayes_likelihood_update, posterior, truthful_report,
+                         update)
+from infomarkets.belief import report_column
 
 
 class TestUpdate:
@@ -125,7 +126,6 @@ class TestReportVector:
     def test_no_signal_is_all_halves(self):
         rep = ReportVector.no_signal(4)
         assert rep.entries == (0.5, 0.5, 0.5)
-        assert rep.is_no_signal()
 
     def test_boundary_entries_rejected_at_parse_time(self):
         for bad in ((0.0,), (1.0,), (0.4, 1.0)):
@@ -156,6 +156,6 @@ class TestReportVector:
         for _ in range(50):
             b = float(rng.uniform(0.01, 0.99))
             p = Belief.normalized(rng.uniform(0.05, 1.0, size=2))
-            via_col = bayes_likelihood_update(p, report_to_column(ReportVector((b,))))
+            via_col = bayes_likelihood_update(p, report_column(ReportVector((b,)), 2))
             via_upd = apply_report(p, ReportVector((b,)))
             np.testing.assert_allclose(via_col.probs, via_upd.probs, atol=1e-15)

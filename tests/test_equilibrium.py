@@ -31,8 +31,6 @@ class TestLatencyFamily:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            LatencyFamily("weibull")
-        with pytest.raises(ValueError):
             LatencyFamily.exponential(-1.0)
 
 

@@ -213,10 +213,58 @@ class TestDeviations:
             assert delta < 0
             assert delta < -2 * se
 
+    @pytest.mark.parametrize("n", [2, 8])
+    @pytest.mark.parametrize("mechanism, deviation", [
+        ("fpm", 0.6),
+        ("mvp", ReportPolicy("delayed", delay=0.5)),
+        ("mvp", ReportPolicy("perturbed", epsilon=0.1)),
+    ], ids=["fpm-effort", "mvp-delayed", "mvp-perturbed"])
+    def test_shared_draws_equal_two_separate_runs(self, mechanism, deviation, n):
+        """Settling both arms on one draw per chunk changes no bit."""
+        kw = dict(rule=QUAD20, access=ACC, latency=LAT1, h=H1)
+        trials, seed, i = 3000, 41, n - 1
+        base = StrategyProfile.symmetric(0.3, n)
+        dev = (base.replace_agent(i, effort=deviation) if isinstance(deviation, float)
+               else base.replace_agent(i, policy=deviation))
+        u_base = per_trial_records(MODEL, mechanism, base, trials, seed, **kw)["utilities"]
+        u_dev = per_trial_records(MODEL, mechanism, dev, trials, seed, **kw)["utilities"]
+        delta = u_dev[:, i] - u_base[:, i]
+        expected = (float(delta.mean()), float(delta.std(ddof=1) / math.sqrt(trials)))
+        assert deviation_test(MODEL, mechanism, base, i, deviation, trials, seed,
+                              **kw) == expected
+
     def test_deviant_agent_must_exist(self):
         with pytest.raises(ValueError):
             deviation_test(MODEL, "fpm", PROFILE, 5, 0.1, 100, 0,
                            rule=QUAD20, access=ACC)
+
+
+class TestSignalDraws:
+    @staticmethod
+    def reference(model, y, u):
+        """Count every cumulative likelihood at or below u, capped at m - 1."""
+        cum_rows = np.cumsum(model.likelihood, axis=1)[y]
+        return np.minimum((cum_rows <= u[:, None]).sum(axis=1),
+                          model.num_signal_values - 1)
+
+    @pytest.mark.parametrize("m", [2, 3, 40])
+    def test_counts_match_the_capped_reference(self, m):
+        rng = np.random.default_rng(m)
+        lik = rng.dirichlet(np.ones(m), size=3)
+        lik[0, : m // 2] = 0.0           # leading zeros: a run of equal cumsums
+        lik[1, -1] = 0.0                 # the last cumsum can fall below 1
+        lik[2, m // 2] = 0.0
+        lik /= lik.sum(axis=1, keepdims=True)
+        model = InformationModel(np.array([0.2, 0.5, 0.3]), lik)
+        y = rng.integers(3, size=20_000)
+        u = rng.random(20_000)
+        # u exactly at each row's cumulative likelihoods, and at both ends
+        y[:3 * m] = np.repeat(np.arange(3), m)
+        u[:3 * m] = np.cumsum(lik, axis=1).ravel()
+        u[3 * m:3 * m + 2] = 0.0, 1.0 - 2 ** -53
+        x = _draw_signals(model, y, u)
+        assert np.array_equal(x, self.reference(model, y, u))
+        assert x.min() >= 0 and x.max() <= m - 1
 
 
 class TestValidation:

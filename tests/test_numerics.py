@@ -45,7 +45,7 @@ class TestSolverCost:
          0.44423525427342003),
     ], ids=["mvp", "batch"])
     def test_reference_solves_take_few_foc_calls(self, monkeypatch, solve, expected):
-        """Brent's method needs 13-14 FOC calls on these; plain bisection needs 57."""
+        """Brent's method needs 10-11 FOC calls on these; plain bisection needs 57."""
         calls = []
 
         def counting_solver(f, *args, **kwargs):
@@ -59,3 +59,4 @@ class TestSolverCost:
         assert not eq.corner
         assert eq.effort == pytest.approx(expected, rel=1e-13)
         assert len(calls) <= 25
+        assert len(set(calls)) == len(calls), "an effort was evaluated twice"

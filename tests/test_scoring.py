@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from infomarkets import ScoringRule, expected_score, score
+from infomarkets.scoring import _outcome_sum
 
 QUAD = ScoringRule("quadratic")
 LOG = ScoringRule("logarithmic")
@@ -39,6 +40,69 @@ class TestScoreValues:
         p = np.array([[0.98, 0.02], [0.5, 0.5]])
         y = np.array([0, 0])
         np.testing.assert_allclose(score(QUAD, p, y), [0.9992, 0.5], atol=1e-12)
+
+
+def reference_score(rule, probs, y):
+    """The batch score as a gather along the outcome axis and a numpy sum."""
+    index = np.broadcast_to(np.asarray(y)[..., None], (*probs.shape[:-1], 1))
+    p_y = np.take_along_axis(probs, index, axis=-1)[..., 0]
+    if rule.kind == "quadratic":
+        raw = 2.0 * p_y - np.sum(probs * probs, axis=-1)
+    else:
+        with np.errstate(divide="ignore"):
+            raw = np.log(p_y)
+    return rule.scale * raw
+
+
+class TestBatchKernel:
+    """The batch kernel against the plain gather-and-sum formulation."""
+
+    @staticmethod
+    def batch(rng, shape, d):
+        probs = rng.dirichlet(np.ones(d), size=shape)
+        probs[rng.random(shape) < 0.2, 0] = 0.0  # zeros: -inf under the log rule
+        return probs, rng.integers(d, size=shape[-1])
+
+    @pytest.mark.parametrize("d", [2, 3, 5])
+    @pytest.mark.parametrize("kind", ["quadratic", "logarithmic"])
+    def test_bitwise_equal_to_reference_below_eight_outcomes(self, d, kind):
+        rule = ScoringRule(kind, scale=7.3)
+        rng = np.random.default_rng(d)
+        for shape in [(1,), (50,), (4, 50), (2, 3, 50)]:
+            probs, y = self.batch(rng, shape, d)
+            got = score(rule, probs, y)
+            assert got.shape == shape
+            assert np.array_equal(got, reference_score(rule, probs, y))
+            scalar_y = score(rule, probs, d - 1)
+            assert np.array_equal(scalar_y, reference_score(rule, probs, d - 1))
+        if kind == "logarithmic":
+            assert np.any(np.isneginf(got))
+
+    @pytest.mark.parametrize("d", [8, 13])
+    def test_pairwise_sums_agree_to_rounding_from_eight_outcomes(self, d):
+        rng = np.random.default_rng(d)
+        probs, y = self.batch(rng, (3, 200), d)
+        norm = np.sum(probs * probs, axis=-1)
+        np.testing.assert_allclose(_outcome_sum(probs, square=True), norm,
+                                   rtol=1e-15, atol=0)
+        # 2 p(y) - norm may cancel: the sums differ by rounding of the norm
+        diff = np.abs(score(QUAD, probs, y) - reference_score(QUAD, probs, y))
+        assert np.all(diff <= 1e-15 * norm)
+        assert np.array_equal(score(LOG, probs, y), reference_score(LOG, probs, y))
+
+    def test_single_belief_matches_its_batch_of_one(self):
+        rng = np.random.default_rng(7)
+        for rule in (QUAD, LOG):
+            p = rng.dirichlet(np.ones(3))
+            y = rng.integers(3, size=20)
+            assert np.array_equal(score(rule, p, y), score(rule, np.tile(p, (20, 1)), y))
+            assert score(rule, p, 2) == score(rule, p[None], np.array([2]))[0]
+
+    @pytest.mark.parametrize("y", [-1, 3, [0, 3]])
+    def test_outcome_out_of_range_raises(self, y):
+        for probs in (np.full(3, 1 / 3), np.full((2, 3), 1 / 3)):
+            with pytest.raises(ValueError, match="outside 0..2"):
+                score(QUAD, probs, y)
 
 
 class TestExpectedScore:
