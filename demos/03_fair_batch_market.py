@@ -4,8 +4,6 @@ Settles a small batch by hand, showing the leave-one-out reward rule, the
 fairness property (equal expected rewards under symmetric truthful play),
 and why misreporting strictly hurts.
 """
-import numpy as np
-
 from infomarkets import (BatchOutcomeReport, InformationModel, ReportVector,
                          ScoringRule, fpm_expected_reward, fpm_run,
                          truthful_report)

@@ -14,8 +14,6 @@ efforts 0.9 and 0.448683 forces s = 20 in both, and the same scale then
 reproduces the third reference point at noise 0.05 with no further
 freedom.
 """
-import numpy as np
-
 from infomarkets import (InformationModel, LatencyFamily, ScoringRule,
                          TimeValue, mvp_equilibrium, pm_race_equilibrium,
                          v_sequence)

@@ -14,8 +14,7 @@ from .equilibrium import (LatencyFamily, batch_equilibrium, batch_welfare,
                           mvp_equilibrium, mvp_principal_utility, mvp_welfare)
 from .errors import CapacityError, NumericalError, ProtocolError
 from .fpm import (BatchOutcomeReport, FpmResult, batch_from_json,
-                  fpm_expected_reward, fpm_run, fpm_run_sampled_permutation,
-                  result_to_json)
+                  fpm_expected_reward, fpm_run, result_to_json)
 from .info_model import (Belief, InformationModel, ScoreSequence,
                          expected_base_score, posterior, v_sequence)
 from .montecarlo import (ReportPolicy, SimStats, StrategyProfile,
@@ -38,9 +37,9 @@ __all__ = [
     "SimStats", "StrategyProfile", "TimeValue", "TimedReport",
     "apply_report", "batch_equilibrium", "batch_from_json", "batch_welfare",
     "bayes_likelihood_update", "deviation_test", "expected_base_score",
-    "expected_score", "fpm_expected_reward", "fpm_run",
-    "fpm_run_sampled_permutation", "mvp_agent_reward", "mvp_br_derivative",
-    "mvp_equilibrium", "mvp_principal_utility", "mvp_run", "mvp_welfare",
+    "expected_score", "fpm_expected_reward", "fpm_run", "mvp_agent_reward",
+    "mvp_br_derivative", "mvp_equilibrium", "mvp_principal_utility",
+    "mvp_run", "mvp_welfare",
     "per_trial_records", "pm_batch_equilibrium", "pm_batch_utility",
     "pm_batch_welfare", "pm_race_equilibrium", "posterior",
     "reports_from_stream", "result_to_json", "score",

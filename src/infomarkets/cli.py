@@ -19,8 +19,8 @@ import numpy as np
 from .equilibrium import (LatencyFamily, batch_equilibrium, mvp_equilibrium,
                           mvp_welfare)
 from .errors import CapacityError, NumericalError
-from .experiments import (EXPERIMENTS, ExperimentConfig, format_number,
-                          run_experiment, write_csv)
+from .experiments import (EXPERIMENTS, ExperimentConfig, run_experiment,
+                          write_csv)
 from .fpm import batch_from_json, fpm_run, result_to_json
 from .info_model import InformationModel, ScoreSequence
 from .montecarlo import (ReportPolicy, SimStats, StrategyProfile,

@@ -22,7 +22,7 @@ import numpy as np
 from scipy.special import gammaln
 
 from .info_model import ScoreSequence
-from .mvp import TAIL_MASS, TimeValue
+from .mvp import TimeValue
 from .numerics import EquilibriumResult, integrate_decaying, solve_decreasing_foc
 from .pm_baseline import AccessFunction
 
@@ -39,8 +39,8 @@ class LatencyFamily:
     lam: float = 1.0
 
     def __post_init__(self):
-        if not self.lam > 0:
-            raise ValueError(f"lam must be positive, got {self.lam}")
+        if not 0 < self.lam < math.inf:
+            raise ValueError(f"lam must be finite and positive, got {self.lam}")
 
     @classmethod
     def exponential(cls, lam: float) -> "LatencyFamily":
@@ -154,7 +154,7 @@ def _quadrature_mixture(latency: LatencyFamily, h: TimeValue, c: float,
         mix = float(_binomial_pmf(log_binom, latency.cdf(c, t)) @ weights)
         return factor(t) * mix * h.density(t)
 
-    return integrate_decaying(integrand, h.horizon(TAIL_MASS))
+    return integrate_decaying(integrand, h.horizon())
 
 
 def mvp_br_derivative(latency: LatencyFamily, h: TimeValue, v: ScoreSequence,

@@ -7,22 +7,23 @@ Every agent is rewarded as if he had reported last:
 where p_without_k folds everyone's report but agent k's.  Because odds
 updates commute, this equals the randomized construction that draws a
 permutation ending in k and pays the final score difference, with the
-randomness gone: :func:`fpm_run` is deterministic, and
-:func:`fpm_run_sampled_permutation` keeps the literal randomized form as a
-test oracle.
+randomness gone: :func:`settle_batch` is deterministic, and it settles
+every batch here, whether one recorded batch (:func:`fpm_run`) or every
+realization of an exact expectation (:func:`fpm_expected_reward`, which
+enumerates signal count vectors as ``v_sequence`` does).
 
 Rewards may be negative; an agent whose report degrades the belief others
 built pays for it, which is what makes misreporting strictly unprofitable.
 """
-import itertools
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
-from .belief import (ReportVector, apply_report, fold_path, parse_report,
-                     report_column, truthful_report)
+from .belief import fold_path, parse_report, report_column
 from .errors import CapacityError
-from .info_model import ENUMERATION_BUDGET, Belief, InformationModel
+from .info_model import (ENUMERATION_BUDGET, Belief, InformationModel,
+                         _count_vectors, _count_weights)
 from .scoring import ScoringRule, score
 
 
@@ -90,79 +91,59 @@ def fpm_run(model_prior: Belief, batch: BatchOutcomeReport,
     return FpmResult(Belief(aggregated[0]), rewards[0])
 
 
-def fpm_run_sampled_permutation(model_prior: Belief, batch: BatchOutcomeReport,
-                                rule: ScoringRule, rng: np.random.Generator) -> FpmResult:
-    """Literal randomized settlement: per agent, a random order ending with him.
-
-    Kept as an oracle for the determinism property; agrees with
-    :func:`fpm_run` because updates commute.
-    """
-    n = batch.num_agents
-    rewards = np.empty(n)
-    aggregated = None
-    for k in range(n):
-        order = list(rng.permutation([i for i in range(n) if i != k])) + [k]
-        belief = model_prior
-        before_last = None
-        for j in order:
-            before_last = belief
-            belief = apply_report(belief, batch.reports[j])
-        rewards[k] = (score(rule, belief, batch.outcome)
-                      - score(rule, before_last, batch.outcome))
-        aggregated = belief
-    return FpmResult(aggregated, rewards)
-
-
-def _signal_states(model: InformationModel, q: float):
-    """(probability-given-y vector, report) for no-signal and each signal value."""
-    d = model.num_outcomes
-    states = [(np.full(d, 1.0 - q), ReportVector.no_signal(d))]
-    for x in range(model.num_signal_values):
-        report = (truthful_report(model, x) if d == 2
-                  else model.likelihood[:, x])
-        states.append((q * model.likelihood[:, x], report))
-    return states
-
-
 def fpm_expected_reward(model: InformationModel, rule: ScoringRule,
                         effort_profile, report_override=None) -> np.ndarray:
     """Exact expected reward per agent when agent i has a signal w.p. q_i.
 
-    Enumerates (signal obtained?, signal value, outcome) jointly and
-    settles every realization with truthful reports, each as one row of a
-    single :func:`settle_batch` call.  ``report_override`` maps one
-    agent to a replacement report function ``f(signal or None) -> report``,
-    which is how deviation losses are measured exactly.
+    Truthful agents sharing q are interchangeable: each such class is
+    enumerated by the count vectors of its m + 1 states (no signal, then
+    each value), and each agent earns his class's mean slot reward.  The
+    classes combine as a Cartesian product whose rows, times n agents,
+    must fit :data:`ENUMERATION_BUDGET`; one :func:`settle_batch` call
+    settles every (row, outcome) pair of positive weight.
+    ``report_override`` maps an agent (a class of his own) to a report
+    function ``f(signal or None) -> report``; that is how deviation losses
+    are measured exactly.
     """
     q = np.asarray(effort_profile, dtype=float)
-    if np.any(q < 0) or np.any(q > 1):
-        raise ValueError("signal probabilities must lie in [0, 1]")
-    n = q.size
-    m = model.num_signal_values
-    if (m + 1) ** n > ENUMERATION_BUDGET:
-        raise CapacityError(
-            f"({m}+1)^{n} signal-state tuples exceed the exact-enumeration "
-            f"budget; estimate rewards with infomarkets.montecarlo.simulate")
-    per_agent_states = []
+    if q.ndim != 1 or q.size == 0 or not np.all((q >= 0) & (q <= 1)):
+        raise ValueError(f"signal probabilities q must be a nonempty list of "
+                         f"values in [0, 1], got {q}")
+    override = report_override or {}
+    d, m, n = model.num_outcomes, model.num_signal_values, q.size
+    classes = {}
     for i in range(n):
-        states = _signal_states(model, q[i])
-        if report_override and i in report_override:
-            override = report_override[i]
-            states = [(w, override(None if s == 0 else s - 1))
-                      for s, (w, _) in enumerate(states)]
-        per_agent_states.append(states)
-
-    d = model.num_outcomes
-    weights = np.array([[w for w, _ in states] for states in per_agent_states])
-    columns = np.array([[report_column(r, d) for _, r in states]
-                        for states in per_agent_states])
-    combos = np.array(list(itertools.product(range(m + 1), repeat=n)))
-    agents = np.arange(n)
-    joint = model.prior * np.prod(weights[agents, combos], axis=1)
-    rows, y = np.nonzero(joint > 0)
-    _, rewards = settle_batch(model.prior, columns[agents, combos[rows]].swapaxes(0, 1),
-                              y, rule)
-    return joint[rows, y] @ rewards
+        classes.setdefault((i,) if i in override else float(q[i]), []).append(i)
+    sizes = [math.comb(len(agents) + m, m) for agents in classes.values()]
+    rows = math.prod(sizes)
+    if rows * n > ENUMERATION_BUDGET:
+        raise CapacityError(f"{rows} count-vector rows x {n} agents exceed the "
+                            f"exact-enumeration budget of {ENUMERATION_BUDGET}; "
+                            f"estimate rewards with infomarkets.montecarlo.simulate")
+    truthful = np.vstack([np.ones(d), model.likelihood.T])   # state s -> column
+    joint = np.tile(model.prior, (rows, 1))
+    columns = []
+    for (key, agents), idx in zip(classes.items(),
+                                  np.indices(sizes).reshape(-1, rows)):
+        size, qc = len(agents), q[agents[0]]
+        signals = _count_vectors(m, size)
+        counts = np.column_stack([size - signals.sum(axis=1), signals])
+        joint *= _count_weights(counts, np.column_stack(
+            [np.full(d, 1.0 - qc), qc * model.likelihood]))[idx]
+        cols = truthful if isinstance(key, float) else np.array(
+            [report_column(override[key[0]](s - 1 if s else None), d)
+             for s in range(m + 1)])
+        # the class's slots hold each state as often as its count vector says
+        states = np.repeat(np.tile(np.arange(m + 1), len(counts)), counts.ravel())
+        columns.append(cols[states.reshape(-1, size)[idx]].swapaxes(0, 1))
+    row, y = np.nonzero(joint > 0)
+    _, rewards = settle_batch(model.prior, np.concatenate(columns)[:, row], y, rule)
+    slot_rewards = joint[row, y] @ rewards
+    out, start = np.empty(n), 0
+    for agents in classes.values():
+        out[agents] = slot_rewards[start:start + len(agents)].mean()
+        start += len(agents)
+    return out
 
 
 def batch_from_json(record: dict, num_outcomes: int) -> BatchOutcomeReport:

@@ -23,7 +23,8 @@ from .errors import CapacityError
 from .scoring import ScoringRule, expected_score
 
 #: most terms an exact enumeration may visit: signal count vectors in
-#: :func:`v_sequence`, signal-state tuples in ``fpm_expected_reward``
+#: :func:`v_sequence`, enumerated rows times agents (the report columns
+#: ``settle_batch`` holds) in ``fpm_expected_reward``
 ENUMERATION_BUDGET = 10 ** 6
 
 _PROB_TOL = 1e-12
@@ -199,22 +200,28 @@ def _count_vectors(m: int, n: int) -> np.ndarray:
     return counts
 
 
-def _mean_self_scores(model: InformationModel, rule: ScoringRule, n: int) -> np.ndarray:
-    """E[self-expected score after k signals] for k = 0..n, by count vector.
-
-    The posterior after k conditionally i.i.d. signals depends only on how
-    often each value was seen.  Weights are log-space multinomials; each
-    k's sum is divided by its total weight (1 up to rounding), which keeps
-    saturated sequences nondecreasing.
-    """
-    lik = model.likelihood
-    counts = _count_vectors(model.num_signal_values, n)
+def _count_weights(counts: np.ndarray, lik: np.ndarray) -> np.ndarray:
+    """P(count vector | y) for i.i.d. draws from row y of the d x m table
+    ``lik``: one log-space multinomial per row of ``counts`` and column y."""
     k = counts.sum(axis=1)
     log_multinomial = gammaln(k + 1.0) - gammaln(counts + 1.0).sum(axis=1)
     # 0 * log 0 is 0: an unseen value costs nothing, a seen impossible one zeroes the row
     log_lik = counts @ np.log(np.where(lik > 0, lik, 1.0)).T
-    joint = np.exp(log_multinomial[:, None] + log_lik) * model.prior
-    joint[counts @ (lik == 0).T > 0] = 0.0
+    weights = np.exp(log_multinomial[:, None] + log_lik)
+    weights[counts @ (lik == 0).T > 0] = 0.0
+    return weights
+
+
+def _mean_self_scores(model: InformationModel, rule: ScoringRule, n: int) -> np.ndarray:
+    """E[self-expected score after k signals] for k = 0..n, by count vector.
+
+    The posterior after k conditionally i.i.d. signals depends only on how
+    often each value was seen.  Each k's sum is divided by its total weight
+    (1 up to rounding), which keeps saturated sequences nondecreasing.
+    """
+    counts = _count_vectors(model.num_signal_values, n)
+    k = counts.sum(axis=1)
+    joint = _count_weights(counts, model.likelihood) * model.prior
     mass = joint.sum(axis=1)
     scores = expected_score(rule, joint / np.where(mass > 0, mass, 1.0)[:, None])
     return (np.bincount(k, weights=mass * scores, minlength=n + 1)

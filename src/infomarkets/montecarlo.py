@@ -255,10 +255,10 @@ def _settle_sequential(model, mechanism, profile, rule, latency, h,
                              np.column_stack([sorted_times, np.full(T, np.inf)]))
 
     if mechanism == "mvp":
-        path, slot_rewards = settle_sequential(model.prior, slot_cols, masses, y, rule)
+        _, slot_rewards, s_path = settle_sequential(model.prior, slot_cols, masses,
+                                                    y, rule)
     else:
-        path = fold_path(model.prior, slot_cols)
-    s_path = score(rule, path, y)                              # (n+1, T)
+        s_path = score(rule, fold_path(model.prior, slot_cols), y)  # (n+1, T)
     value = np.einsum("jt,tj->t", s_path - s_path[0], masses)
     if mechanism == "pm_sequential":
         slot_rewards = np.where(reported, (s_path[1:] - s_path[:-1]).T, 0.0)

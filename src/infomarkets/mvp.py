@@ -50,8 +50,9 @@ class TimeValue:
 
     def __post_init__(self):
         if self.kind == "exponential":
-            if not self.eta > 0:
-                raise ValueError(f"decay rate eta must be positive, got {self.eta}")
+            if not 0 < self.eta < math.inf:
+                raise ValueError(f"decay rate eta must be finite and positive, "
+                                 f"got {self.eta}")
         elif self.kind == "table":
             if self.times is None or self.values is None:
                 raise ValueError("table kind needs times and values")
@@ -61,10 +62,14 @@ class TimeValue:
             object.__setattr__(self, "values", values)
             if len(times) != len(values) or len(times) < 2:
                 raise ValueError("times and values must align with >= 2 knots")
-            if any(t1 <= t0 for t0, t1 in zip(times, times[1:])) or times[0] < 0:
-                raise ValueError("times must be strictly increasing from >= 0")
-            if any(v < 0 for v in values) or not any(v > 0 for v in values):
-                raise ValueError("density values must be nonnegative, not all zero")
+            # written so that NaN, which compares false, fails each test
+            if not (0 <= times[0] and times[-1] < math.inf
+                    and all(t0 < t1 for t0, t1 in zip(times, times[1:]))):
+                raise ValueError(f"times must be finite and strictly increasing "
+                                 f"from >= 0, got {times}")
+            if not all(0 <= v < math.inf for v in values) or not any(values):
+                raise ValueError(f"density values must be finite and nonnegative, "
+                                 f"not all zero, got {values}")
         else:
             raise ValueError(f"unknown time-value kind {self.kind!r}")
 
@@ -92,10 +97,10 @@ class TimeValue:
             out = np.interp(t, self.times, self.values, left=0.0, right=0.0)
         return float(out) if out.ndim == 0 else out
 
-    def horizon(self, tail: float = TAIL_MASS) -> float:
-        """A time beyond which at most ``tail`` mass remains."""
+    def horizon(self) -> float:
+        """A time beyond which at most :data:`TAIL_MASS` of h remains."""
         if self.kind == "exponential":
-            return -math.log(tail) / self.eta
+            return -math.log(TAIL_MASS) / self.eta
         return self.times[-1]
 
 
@@ -181,7 +186,8 @@ def settle_sequential(prior, columns, masses, y, rule: ScoringRule):
     ``(S(p_j) - S(q_j)) * masses[t, j]``, where q is the path without it.
     That path equals the actual one up to slot s, so it is folded only
     after s, as one vectorized row update per report.  Returns
-    ``(path[K+1, T, d], rewards[T, K])``.
+    ``(path[K+1, T, d], rewards[T, K], scores[K+1, T])``, where
+    ``scores[j, t]`` is the score of the belief after j reports.
     """
     columns = np.asarray(columns, dtype=float)
     path = fold_path(prior, columns)
@@ -192,7 +198,7 @@ def settle_sequential(prior, columns, masses, y, rule: ScoringRule):
         without[:j - 1] = fold_path(without[:j - 1], columns[j - 1:j])[1]
         without[j - 1] = path[j - 1]
         rewards[:j] += (s_path[j] - score(rule, without[:j], y)) * masses[:, j]
-    return path, rewards.T
+    return path, rewards.T, s_path
 
 
 def mvp_run(prior: Belief, reports: list[TimedReport], outcome: int,
@@ -223,8 +229,8 @@ def mvp_run(prior: Belief, reports: list[TimedReport], outcome: int,
     columns = np.array([report_column(r.report, d) for r in ordered]).reshape(-1, d)
     edges = np.concatenate([[0.0], breakpoints, [np.inf]])
     masses = time_value_mass(h, edges[:-1], edges[1:])
-    path, slot_rewards = settle_sequential(prior.probs, columns[:, None], masses[None],
-                                           np.array([outcome]), rule)
+    path, slot_rewards, _ = settle_sequential(prior.probs, columns[:, None],
+                                              masses[None], np.array([outcome]), rule)
     rewards = np.zeros(n)
     rewards[reporters] = slot_rewards[0]
     if not np.all(np.isfinite(rewards)):

@@ -19,6 +19,9 @@ from .errors import NumericalError
 #: tolerance on the FOC residual at an interior root
 FOC_TOL = 1e-10
 
+#: absolute error target of every quadrature
+QUAD_TOL = 1e-10
+
 #: lowest FOC value accepted: -1, less rounding for increments down to -1e-12
 _FOC_FLOOR = -1.0 - 1e-9
 
@@ -90,12 +93,12 @@ def solve_decreasing_foc(f, domain_max: float = np.inf) -> EquilibriumResult:
     return EquilibriumResult(float(root), residual, False, (lo, hi))
 
 
-def integrate_decaying(integrand, upper: float, *, tol: float = 1e-10) -> float:
+def integrate_decaying(integrand, upper: float) -> float:
     """Adaptive quadrature of a smooth exponentially damped integrand on [0, upper]."""
-    value, abserr, info, *rest = quad(integrand, 0.0, upper, epsabs=tol,
+    value, abserr, info, *rest = quad(integrand, 0.0, upper, epsabs=QUAD_TOL,
                                       epsrel=0.0, limit=300, full_output=1)
     if rest:
         raise NumericalError(f"quadrature did not converge: {rest[0]}")
-    if abserr > 100 * tol:
+    if abserr > 100 * QUAD_TOL:
         raise NumericalError(f"quadrature error estimate {abserr:.3e} above tolerance")
     return float(value)

@@ -37,8 +37,8 @@ class AccessFunction:
     def __post_init__(self):
         if self.kind not in ("linear", "exponential"):
             raise ValueError(f"unknown access kind {self.kind!r}")
-        if not self.lam > 0:
-            raise ValueError(f"lam must be positive, got {self.lam}")
+        if not 0 < self.lam < math.inf:
+            raise ValueError(f"lam must be finite and positive, got {self.lam}")
 
     @classmethod
     def linear(cls, lam: float) -> "AccessFunction":

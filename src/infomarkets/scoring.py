@@ -7,6 +7,7 @@ the expected score under a belief ``b`` is uniquely maximized by predicting
 ``p = b``.  A positive ``scale`` multiplies every score, which matters when
 scores are traded off against effort costs measured in other units.
 """
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,8 +25,8 @@ class ScoringRule:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown scoring rule kind {self.kind!r}, try one of {KINDS}")
-        if not self.scale > 0:
-            raise ValueError(f"scale must be positive, got {self.scale}")
+        if not 0 < self.scale < math.inf:
+            raise ValueError(f"scale must be finite and positive, got {self.scale}")
 
     @classmethod
     def from_config(cls, cfg: dict) -> "ScoringRule":

@@ -1,6 +1,5 @@
 import csv
 import json
-import math
 
 import numpy as np
 import pytest

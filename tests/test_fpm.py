@@ -1,11 +1,18 @@
+import itertools
+import math
+import time
+
 import numpy as np
 import pytest
 
-from infomarkets import (BatchOutcomeReport, Belief, CapacityError, FpmResult,
-                         InformationModel, ReportVector, ScoringRule,
-                         batch_from_json, fpm_expected_reward, fpm_run,
-                         fpm_run_sampled_permutation, posterior,
-                         result_to_json, truthful_report)
+from infomarkets import (AccessFunction, BatchOutcomeReport, Belief,
+                         CapacityError, FpmResult, InformationModel,
+                         ReportPolicy, ReportVector, ScoringRule,
+                         StrategyProfile, apply_report, batch_from_json,
+                         fpm_expected_reward, fpm_run, posterior,
+                         result_to_json, score, simulate, truthful_report)
+from infomarkets.belief import RATIO_CLAMP, report_column
+from infomarkets.fpm import settle_batch
 
 QUAD = ScoringRule("quadratic")
 
@@ -14,6 +21,80 @@ def random_binary_batch(rng, n):
     reports = tuple(ReportVector((float(rng.uniform(0.05, 0.95)),))
                     for _ in range(n))
     return BatchOutcomeReport(reports, int(rng.integers(2)))
+
+
+def sampled_permutation_run(model_prior, batch, rule, rng):
+    """Literal randomized settlement: per agent, a random order ending with him.
+
+    The oracle for :func:`fpm_run`'s determinism: the two agree because
+    odds updates commute.
+    """
+    n = batch.num_agents
+    rewards = np.empty(n)
+    aggregated = None
+    for k in range(n):
+        order = list(rng.permutation([i for i in range(n) if i != k])) + [k]
+        belief = model_prior
+        before_last = None
+        for j in order:
+            before_last = belief
+            belief = apply_report(belief, batch.reports[j])
+        rewards[k] = (score(rule, belief, batch.outcome)
+                      - score(rule, before_last, batch.outcome))
+        aggregated = belief
+    return FpmResult(aggregated, rewards)
+
+
+def tuple_expected_reward(model, rule, q, report_override=None):
+    """Oracle for ``fpm_expected_reward``: all (m+1)^n signal-state tuples.
+
+    State 0 is no signal (a ones column), state 1 + x is signal x (its
+    likelihood column); every tuple and outcome of positive probability
+    is settled as its own batch.
+    """
+    d, m, n = model.num_outcomes, model.num_signal_values, len(q)
+    override = report_override or {}
+
+    def column(i, s):
+        if i in override:
+            return report_column(override[i](s - 1 if s else None), d)
+        return np.ones(d) if s == 0 else model.likelihood[:, s - 1]
+
+    def chance(i, s, y):
+        return 1.0 - q[i] if s == 0 else q[i] * model.likelihood[y, s - 1]
+
+    combos = np.array(list(itertools.product(range(m + 1), repeat=n)))
+    joint = np.array([[model.prior[y] * math.prod(chance(i, s, y)
+                                                  for i, s in enumerate(combo))
+                       for y in range(d)] for combo in combos])
+    columns = np.array([[column(i, s) for s in range(m + 1)] for i in range(n)])
+    rows, y = np.nonzero(joint > 0)
+    _, rewards = settle_batch(model.prior,
+                              columns[np.arange(n), combos[rows]].swapaxes(0, 1),
+                              y, rule)
+    return joint[rows, y] @ rewards
+
+
+def random_expected_reward_case(rng):
+    """A small random model, effort profile, override and rule."""
+    d, m = int(rng.integers(2, 4)), int(rng.integers(2, 4))
+    prior = rng.dirichlet(np.ones(d))
+    likelihood = rng.dirichlet(np.ones(m), size=d)
+    if rng.random() < 0.4:  # some impossible (outcome, signal) pairs
+        likelihood[rng.random((d, m)) < 0.3] = 0.0
+        likelihood[np.arange(d), rng.integers(m, size=d)] += 0.5
+        likelihood /= likelihood.sum(axis=1, keepdims=True)
+    model = InformationModel(prior, likelihood)
+    pool = [0.0, 1.0, float(rng.uniform(0.05, 0.95)), float(rng.uniform(0.05, 0.95))]
+    q = [pool[k] for k in rng.integers(len(pool), size=int(rng.integers(1, 5)))]
+    override = None
+    if rng.random() < 0.5:
+        table = rng.uniform(0.05, 1.0, size=(m + 1, d))
+        override = {int(rng.integers(len(q))):
+                    lambda s: table[0 if s is None else s + 1]}
+    rule = ScoringRule(str(rng.choice(["quadratic", "logarithmic"])),
+                       float(rng.uniform(0.5, 20.0)))
+    return model, rule, q, override
 
 
 class TestFpmRun:
@@ -46,7 +127,6 @@ class TestFpmRun:
         batch = BatchOutcomeReport((truthful_report(m, 1), truthful_report(m, 0),
                                     truthful_report(m, 1)), 0)
         result = fpm_run(m.prior_belief(), batch, QUAD)
-        from infomarkets import posterior
         np.testing.assert_allclose(result.aggregated.probs,
                                    posterior(m, [1, 0, 1]).probs, atol=1e-12)
 
@@ -87,7 +167,7 @@ class TestFpmRun:
         for _ in range(200):
             batch = random_binary_batch(rng, int(rng.integers(2, 6)))
             direct = fpm_run(prior, batch, QUAD)
-            sampled = fpm_run_sampled_permutation(prior, batch, QUAD, rng)
+            sampled = sampled_permutation_run(prior, batch, QUAD, rng)
             np.testing.assert_allclose(direct.rewards, sampled.rewards, atol=1e-12)
             np.testing.assert_allclose(direct.aggregated.probs,
                                        sampled.aggregated.probs, atol=1e-12)
@@ -141,13 +221,54 @@ class TestExpectedReward:
 
     def test_probability_domain(self):
         m = InformationModel.binary_noisy(0.3, 0.1)
-        with pytest.raises(ValueError):
-            fpm_expected_reward(m, QUAD, [0.5, 1.2])
+        for q in ([0.5, 1.2], [], [[0.5, 0.5]]):
+            with pytest.raises(ValueError, match="signal probabilities"):
+                fpm_expected_reward(m, QUAD, q)
 
     def test_capacity_guard(self):
+        # eleven distinct q: 3^11 rows x 11 agents; equal q would share one class
         m = InformationModel.binary_noisy(0.3, 0.1)
         with pytest.raises(CapacityError):
-            fpm_expected_reward(m, QUAD, [0.5] * 20)
+            fpm_expected_reward(m, QUAD, np.linspace(0.1, 0.9, 11))
+
+    def test_matches_tuple_enumeration(self):
+        rng = np.random.default_rng(24)
+        for _ in range(200):
+            model, rule, q, override = random_expected_reward_case(rng)
+            np.testing.assert_allclose(
+                fpm_expected_reward(model, rule, q, report_override=override),
+                tuple_expected_reward(model, rule, q, override), rtol=0, atol=1e-12)
+
+    def test_three_outcomes(self):
+        model = InformationModel(np.array([0.5, 0.3, 0.2]),
+                                 np.array([[0.7, 0.2, 0.1],
+                                           [0.2, 0.6, 0.2],
+                                           [0.1, 0.3, 0.6]]))
+        rewards = fpm_expected_reward(model, QUAD, [0.6, 0.6, 0.3])
+        np.testing.assert_allclose(rewards, tuple_expected_reward(
+            model, QUAD, [0.6, 0.6, 0.3]), rtol=0, atol=1e-12)
+        assert rewards[0] == rewards[1] > rewards[2] > 0
+
+    def test_wide_market_with_one_perturbed_agent(self):
+        """n = 32: fast, and pinned by the simulator within 4 standard errors."""
+        model = InformationModel.binary_noisy(0.3, 0.1)
+        rule = ScoringRule("quadratic", 20.0)
+        access, effort, eps, n = AccessFunction.exponential(1.0), 0.5, 0.1, 32
+
+        def perturbed(signal):
+            b = 0.5 if signal is None else truthful_report(model, signal).entries[0]
+            return ReportVector((min(max(b + eps, RATIO_CLAMP), 1 - RATIO_CLAMP),))
+
+        start = time.perf_counter()
+        exact = fpm_expected_reward(model, rule, [access.value(effort)] * n,
+                                    report_override={0: perturbed})
+        assert time.perf_counter() - start < 1.0
+        profile = StrategyProfile.symmetric(effort, n).replace_agent(
+            0, policy=ReportPolicy("perturbed", epsilon=eps))
+        stats = simulate(model, "fpm", profile, 20_000, 5, rule=rule, access=access)
+        assert np.all(np.abs(stats.reward_mean - exact) < 4 * stats.reward_se)
+        assert exact[0] < exact[1]
+        assert np.ptp(exact[1:]) == 0.0
 
 
 class TestSerialization:

@@ -316,10 +316,23 @@ class TestValidation:
         (lambda: ReportPolicy("delayed", delay=math.nan), "delay"),
         (lambda: ReportPolicy("delayed", delay=math.inf), "delay"),
         (lambda: ReportPolicy("perturbed", epsilon=math.nan), "epsilon"),
+        (lambda: TimeValue.exponential(math.inf), "eta"),
+        (lambda: TimeValue.table([0.0, math.nan], [1.0, 0.0]), "times"),
+        (lambda: TimeValue.table([0.0, math.inf], [1.0, 0.0]), "times"),
+        (lambda: TimeValue.table([0.0, 1.0], [1.0, math.nan]), "values"),
+        (lambda: TimeValue.table([0.0, 1.0], [math.inf, 0.0]), "values"),
+        (lambda: ScoringRule("quadratic", math.inf), "scale"),
+        (lambda: LatencyFamily(math.inf), "lam"),
+        (lambda: AccessFunction.exponential(math.inf), "lam"),
+        (lambda: fpm_expected_reward(MODEL, QUAD20, [0.5, math.nan]),
+         "signal probabilities"),
     ], ids=["prior", "likelihood", "belief", "score_sequence", "efforts",
-            "delay_nan", "delay_inf", "epsilon"])
+            "delay_nan", "delay_inf", "epsilon", "eta_inf", "table_times_nan",
+            "table_times_inf", "table_values_nan", "table_values_inf",
+            "scale_inf", "latency_lam_inf", "access_lam_inf", "fpm_q_nan"])
     def test_non_finite_inputs_rejected(self, build, field):
-        """NaN compares false, so range checks alone let it reach simulate."""
+        """NaN compares false and inf passes "> 0", so range checks alone let
+        them reach simulate; each error names the offending field."""
         with pytest.raises(ValueError, match=field):
             build()
 
