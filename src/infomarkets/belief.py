@@ -73,13 +73,7 @@ def bayes_likelihood_update(belief: Belief, likelihood_column) -> Belief:
 
     This is the exact posterior update for any number of outcomes.
     """
-    column = report_column(likelihood_column, belief.num_outcomes)
-    weights = belief.probs * column
-    total = weights.sum()
-    if total <= 0:
-        raise ValueError("belief and likelihood column have disjoint support; "
-                         "the reported evidence is inconsistent with the market state")
-    return Belief(weights / total)
+    return apply_report(belief, likelihood_column)
 
 
 def truthful_report(model: InformationModel, signal: int) -> ReportVector:
@@ -157,15 +151,12 @@ def parse_report(entries, num_outcomes: int, where: str):
 def apply_report(belief: Belief, report) -> Belief:
     """Fold one report into a market belief.
 
-    ``report`` is either a :class:`ReportVector` (binary markets: the
-    per-coordinate odds update) or a likelihood column of length d (the
-    general exact update).
+    ``report`` is a :class:`ReportVector` (binary markets: the column
+    ``(1-b, b)``, the odds update of :func:`update`) or a likelihood column
+    of length d; either way it is one exact :func:`fold_path` step.
     """
     column = report_column(report, belief.num_outcomes)
-    if isinstance(report, ReportVector):
-        p1 = update(belief[1], report.entries[0])
-        return Belief(np.array([1.0 - p1, p1]))
-    return bayes_likelihood_update(belief, column)
+    return Belief(fold_path(belief.probs, column[None])[1])
 
 
 def fold_path(start, columns) -> np.ndarray:

@@ -12,8 +12,9 @@ time-value density, ``u = exp(-lam c t)`` turns every sequential-market
 integral into Beta integrals with an integer second argument (DLMF 5.12.1):
 running products of positive ratios, exact for any n and down to c = 0.
 Each evaluator also carries an adaptive-quadrature route over one
-binomial-mixture integrand; ``method="auto"`` picks the closed form when it
-exists and the tests cross-validate the two to tight tolerance.
+binomial-mixture integrand, the only route for a table time value;
+``method="auto"`` picks the closed form when it exists and the tests
+cross-validate the two to tight tolerance.
 """
 import math
 from dataclasses import dataclass
@@ -25,6 +26,9 @@ from .info_model import ScoreSequence
 from .mvp import TimeValue
 from .numerics import EquilibriumResult, integrate_decaying, solve_decreasing_foc
 from .pm_baseline import AccessFunction
+
+#: h tail mass the exponential quadrature route drops beyond its finite horizon
+TAIL_MASS = 1e-13
 
 
 @dataclass(frozen=True)
@@ -150,11 +154,17 @@ def _quadrature_mixture(latency: LatencyFamily, h: TimeValue, c: float,
     """Quadrature of ``factor(t) E[w_K] h(t)``, K ~ Binomial(len(weights)-1, F_c(t))."""
     log_binom = _log_binomials(weights.size - 1)
 
-    def integrand(t: float) -> float:
-        mix = float(_binomial_pmf(log_binom, latency.cdf(c, t)) @ weights)
-        return factor(t) * mix * h.density(t)
+    def mixture(t: float) -> float:
+        return factor(t) * float(_binomial_pmf(log_binom, latency.cdf(c, t)) @ weights)
 
-    return integrate_decaying(integrand, h.horizon())
+    if h.kind == "exponential":
+        return integrate_decaying(lambda t: mixture(t) * h.density(t),
+                                  -math.log(TAIL_MASS) / h.eta)
+    total = 0.0  # a table h is linear between knots: one quadrature per segment
+    for t0, t1, h0, h1 in zip(h.times, h.times[1:], h.values, h.values[1:]):
+        slope = (h1 - h0) / (t1 - t0)
+        total += integrate_decaying(lambda t: mixture(t0 + t) * (h0 + slope * t), t1 - t0)
+    return total
 
 
 def mvp_br_derivative(latency: LatencyFamily, h: TimeValue, v: ScoreSequence,

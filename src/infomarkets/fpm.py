@@ -111,6 +111,9 @@ def fpm_expected_reward(model: InformationModel, rule: ScoringRule,
                          f"values in [0, 1], got {q}")
     override = report_override or {}
     d, m, n = model.num_outcomes, model.num_signal_values, q.size
+    unknown = sorted(set(override) - set(range(n)))
+    if unknown:
+        raise ValueError(f"report_override names agents {unknown} outside 0..{n - 1}")
     classes = {}
     for i in range(n):
         classes.setdefault((i,) if i in override else float(q[i]), []).append(i)

@@ -279,8 +279,6 @@ def _validate_setup(model, mechanism, profile, trials, rule, access, latency, h)
             raise ValueError(f"{mechanism} needs a LatencyFamily")
         if h is None:
             h = TimeValue.exponential(1.0)
-        if h.kind != "exponential":
-            raise ValueError("the simulator supports exponential time value only")
     if mechanism != "pm_batch" and rule is None:
         raise ValueError(f"{mechanism} needs a ScoringRule")
     if profile.num_agents < 1:

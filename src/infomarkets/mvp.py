@@ -9,9 +9,8 @@ contribution:
     r_i = integral over t > 0 of (S(p(t), y*) - S(p~i(t), y*)) h(t) dt
 
 where h is the time-value density.  The integral runs over the whole
-timeline with no truncation: for the exponential h the tail is exact in
-closed form, and any h must have finite total mass anyway for rewards to
-be well defined.
+timeline with no truncation: both kinds of h have an exact mass beyond
+any t (:meth:`TimeValue.tail`), so every segment mass is exact.
 
 Reports are folded in time order; simultaneous timestamps (possible in
 input files, never under continuous latencies) are broken by agent index,
@@ -26,21 +25,17 @@ import numpy as np
 from .belief import fold_path, parse_report, report_column
 from .errors import ProtocolError
 from .info_model import Belief
-from .numerics import integrate_decaying
 from .scoring import ScoringRule, score
-
-#: how much h tail mass may be dropped when quadrature needs a finite horizon
-TAIL_MASS = 1e-13
 
 
 @dataclass(frozen=True)
 class TimeValue:
     """How much belief quality at time t is worth: a density h(t) on t > 0.
 
-    The exponential kind ``h(t) = eta * exp(-eta * t)`` integrates to one
-    and has closed-form interval masses.  The table kind interpolates a
-    sampled density linearly between knots (zero beyond the last knot) and
-    integrates by adaptive quadrature.
+    The exponential kind ``h(t) = eta * exp(-eta * t)`` integrates to one.
+    The table kind interpolates a sampled density linearly between knots
+    (zero outside them); a narrow table around D is a deadline at D.  Both
+    kinds have exact interval masses, see :meth:`tail`.
     """
 
     kind: str = "exponential"
@@ -97,11 +92,21 @@ class TimeValue:
             out = np.interp(t, self.times, self.values, left=0.0, right=0.0)
         return float(out) if out.ndim == 0 else out
 
-    def horizon(self) -> float:
-        """A time beyond which at most :data:`TAIL_MASS` of h remains."""
+    def tail(self, t) -> np.ndarray:
+        """The exact mass of h beyond t, elementwise; t may be infinite.
+
+        A linear interpolant integrates exactly: trapezoid sums up to the
+        knot x_j below t, plus ``(t - x_j) * (h(x_j) + h(t)) / 2``.
+        """
+        t = np.asarray(t, dtype=float)
         if self.kind == "exponential":
-            return -math.log(TAIL_MASS) / self.eta
-        return self.times[-1]
+            return np.exp(-self.eta * t)
+        x, y = np.array(self.times), np.array(self.values)
+        below = np.concatenate([[0.0], np.cumsum(np.diff(x) * (y[1:] + y[:-1]) / 2)])
+        inside = np.clip(t, x[0], x[-1])
+        j = np.clip(np.searchsorted(x, inside, side="right") - 1, 0, x.size - 2)
+        partial = (inside - x[j]) * (y[j] + np.interp(inside, x, y)) / 2
+        return np.where(t < x[-1], below[-1] - below[j] - partial, 0.0)
 
 
 def time_value_mass(h: TimeValue, a, b):
@@ -112,14 +117,7 @@ def time_value_mass(h: TimeValue, a, b):
     a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
     if np.any(a > b):
         raise ValueError(f"empty interval [{a}, {b}]")
-    if h.kind == "exponential":
-        out = np.exp(-h.eta * a) - np.exp(-h.eta * b)
-    else:
-        hi = np.minimum(b, h.times[-1])
-        lo = np.minimum(a, hi)
-        out = np.array([integrate_decaying(lambda t: h.density(l + t), u - l)
-                        if l < u else 0.0 for l, u in zip(lo.flat, hi.flat)])
-        out = out.reshape(a.shape)
+    out = h.tail(a) - h.tail(b)
     return float(out) if out.ndim == 0 else out
 
 

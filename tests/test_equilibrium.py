@@ -289,6 +289,32 @@ class TestFocCoincidence:
             assert br == pytest.approx(sw, abs=1e-8)
 
 
+class TestTableTimeValue:
+    def test_deadline_tends_to_the_batch_equilibrium(self):
+        """A triangle of mass 1 on [1 - w, 1 + w] is a deadline at 1: as w -> 0
+        the sequential equilibrium tends to the batch one with access 1 - e^(-lam c)."""
+        v, n, lam = seq(0, 2, 3, 3.5), 3, 1.5
+        batch = batch_equilibrium(AccessFunction.exponential(lam), v, n).effort
+        gaps = []
+        for w in (1e-2, 1e-3, 1e-4):
+            h = TimeValue.table([1 - w, 1, 1 + w], [0.0, 1 / w, 0.0])
+            result = mvp_equilibrium(LatencyFamily.exponential(lam), h, v, n)
+            assert not result.corner and abs(result.residual) <= FOC_TOL
+            gaps.append(abs(result.effort - batch) / batch)
+        assert gaps[0] > 10 * gaps[1] > 100 * gaps[2]
+        assert gaps[2] <= 1e-8
+
+    def test_table_with_many_knots_solves(self):
+        """400 knots of e^(-t): close to the exponential equilibrium (the chord
+        overshoots a convex density by at most 0.1^2 / 8 relative)."""
+        times = np.linspace(0.0, 40.0, 400)
+        v = seq(0, 2, 3, 3.5)
+        result = mvp_equilibrium(LAT1, TimeValue.table(times, np.exp(-times)), v, 3)
+        exact = mvp_equilibrium(LAT1, H1, v, 3).effort
+        assert not result.corner and abs(result.residual) <= FOC_TOL
+        assert result.effort == pytest.approx(exact, rel=2e-3)
+
+
 class TestMethodSwitch:
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError):

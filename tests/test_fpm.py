@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 import time
 
 import numpy as np
@@ -224,6 +225,18 @@ class TestExpectedReward:
         for q in ([0.5, 1.2], [], [[0.5, 0.5]]):
             with pytest.raises(ValueError, match="signal probabilities"):
                 fpm_expected_reward(m, QUAD, q)
+
+    def test_override_of_unknown_agent_rejected(self):
+        m = InformationModel.binary_noisy(0.3, 0.1)
+
+        def silent(signal):
+            return ReportVector.no_signal(2)
+
+        for agents in ([5], [-1], [0, 3, -2]):
+            override = {i: silent for i in agents}
+            bad = sorted(i for i in agents if not 0 <= i < 3)
+            with pytest.raises(ValueError, match=re.escape(str(bad))):
+                fpm_expected_reward(m, QUAD, [0.5] * 3, report_override=override)
 
     def test_capacity_guard(self):
         # eleven distinct q: 3^11 rows x 11 agents; equal q would share one class

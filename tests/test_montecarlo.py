@@ -21,6 +21,8 @@ LAT1 = LatencyFamily.exponential(1.0)
 H1 = TimeValue.exponential(1.0)
 ACC = AccessFunction.exponential(3.0)
 PROFILE = StrategyProfile.symmetric(0.3, 2)
+#: the deadline setting: information is worth something only around t = 1
+DEADLINE = TimeValue.table([0.95, 1.0, 1.05], [0.0, 20.0, 0.0])
 
 
 def weak_wide_model():
@@ -48,21 +50,21 @@ class TestDeterminism:
 
     @pytest.mark.parametrize("mechanism", ["fpm", "mvp", "pm_batch", "pm_sequential"])
     def test_chunking_never_changes_results(self, mechanism, monkeypatch):
-        kw = dict(rule=QUAD20, access=ACC, latency=LAT1, h=H1)
-
-        def run():
+        def run(h):
+            kw = dict(rule=QUAD20, access=ACC, latency=LAT1, h=h)
             return (simulate(MODEL, mechanism, PROFILE, 5000, 23, **kw),
                     per_trial_records(MODEL, mechanism, PROFILE, 5000, 23, **kw),
                     deviation_test(MODEL, mechanism, PROFILE, 0, 0.5, 5000, 23, **kw))
 
-        whole = run()
+        whole = [run(h) for h in (H1, DEADLINE)]
         # 2 agents x 2 outcomes: 613-trial chunks instead of one
         monkeypatch.setattr(montecarlo, "_CHUNK_ELEMENTS", 4 * 613)
-        chunked = run()
-        assert stats_equal(whole[0], chunked[0])
-        for key, array in whole[1].items():
-            assert np.array_equal(array, chunked[1][key]), key
-        assert whole[2] == chunked[2]
+        for h, expected in zip((H1, DEADLINE), whole):
+            chunked = run(h)
+            assert stats_equal(expected[0], chunked[0])
+            for key, array in expected[1].items():
+                assert np.array_equal(array, chunked[1][key]), key
+            assert expected[2] == chunked[2]
 
     def test_different_seeds_differ(self):
         a = simulate(MODEL, "fpm", PROFILE, 1000, 1, rule=QUAD20, access=ACC)
@@ -107,6 +109,14 @@ class TestAgainstExactValues:
                          latency=LAT1, h=H1)
         for i in range(2):
             assert abs(stats.reward_mean[i] - exact) < 3 * stats.reward_se[i]
+
+    @pytest.mark.parametrize("n", [2, 8])
+    def test_mvp_with_deadline_matches_quadrature_reward(self, n):
+        v = v_sequence(MODEL, QUAD20, n)
+        exact = mvp_agent_reward(LAT1, DEADLINE, v, n, 0.3, method="quadrature")
+        stats = simulate(MODEL, "mvp", StrategyProfile.symmetric(0.3, n), 100_000, 47,
+                         rule=QUAD20, latency=LAT1, h=DEADLINE)
+        assert np.all(np.abs(stats.reward_mean - exact) < 4 * stats.reward_se)
 
     def test_mvp_single_agent_closed_form(self):
         model = InformationModel.binary_noisy(0.02, 0.2)
@@ -213,6 +223,21 @@ class TestDeviations:
             assert delta < 0
             assert delta < -2 * se
 
+    @pytest.mark.parametrize("deviation", [
+        ReportPolicy("delayed", delay=0.5), ReportPolicy("perturbed", epsilon=0.1),
+        0.5, 1.5,
+    ], ids=["delayed", "perturbed", "half-effort", "one-and-a-half-effort"])
+    def test_every_deviation_hurts_before_a_deadline(self, deviation):
+        """n = 2 at the deadline equilibrium; a bare number scales its effort."""
+        from infomarkets import mvp_equilibrium
+        c_star = mvp_equilibrium(LAT1, DEADLINE, v_sequence(MODEL, QUAD20, 2), 2).effort
+        if isinstance(deviation, float):
+            deviation *= c_star
+        delta, se = deviation_test(MODEL, "mvp", StrategyProfile.symmetric(c_star, 2), 0,
+                                   deviation, 200_000, 53, rule=QUAD20, latency=LAT1,
+                                   h=DEADLINE)
+        assert delta < -3 * se
+
     @pytest.mark.parametrize("n", [2, 8])
     @pytest.mark.parametrize("mechanism, deviation", [
         ("fpm", 0.6),
@@ -279,12 +304,6 @@ class TestValidation:
             simulate(MODEL, "mvp", PROFILE, 10, 0, rule=QUAD20)
         with pytest.raises(ValueError):
             simulate(MODEL, "mvp", PROFILE, 10, 0, latency=LAT1)
-
-    def test_table_time_value_rejected(self):
-        h = TimeValue.table([0.0, 1.0], [1.0, 0.5])
-        with pytest.raises(ValueError, match="exponential"):
-            simulate(MODEL, "mvp", PROFILE, 10, 0, rule=QUAD20,
-                     latency=LAT1, h=h)
 
     def test_trials_positive(self):
         kw = dict(rule=QUAD20, access=ACC)

@@ -1,5 +1,6 @@
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -15,6 +16,18 @@ H1 = TimeValue.exponential(1.0)
 
 # frozen quadrature oracle: energy score gain 0.21129484 discounted by e^{-1}
 SINGLE_AGENT_REWARD = 0.07773103
+
+
+def fraction_mass(h, a, b):
+    """Integral of a table h over [a, b], in rationals on the stored floats."""
+    a, b, total = Fraction(a), Fraction(b) if b < math.inf else b, Fraction(0)
+    knots = list(zip(h.times, h.values))
+    for (x0, y0), (x1, y1) in zip(knots, knots[1:]):
+        lo, hi = max(Fraction(x0), a), min(Fraction(x1), b)
+        if lo < hi:
+            slope = (Fraction(y1) - Fraction(y0)) / (Fraction(x1) - Fraction(x0))
+            total += (hi - lo) * (Fraction(y0) + slope * ((lo + hi) / 2 - Fraction(x0)))
+    return total
 
 
 def exact_expected_reward(model, rule, h, times, agent, override=None):
@@ -76,6 +89,32 @@ class TestTimeValueMass:
             assert masses.shape == a.shape
             for j in range(a.size):
                 assert masses[j] == time_value_mass(h, a[j], b[j])
+
+    def test_table_masses_are_exact(self):
+        """Random tables and deadline spikes, against rationals on the stored floats."""
+        rng = np.random.default_rng(60)
+        tables = []
+        for _ in range(300):
+            k = int(rng.integers(2, 12))
+            times = np.sort(rng.uniform(0.0, 10.0, k))
+            values = rng.uniform(0.0, 3.0, k) * (rng.random(k) < 0.8)
+            values[int(rng.integers(k))] += 0.5  # never all zero
+            tables.append(TimeValue.table(times, values))
+        for deadline in (1.0, 5.0, 50.0):
+            for w in (1e-2, 1e-4, 1e-6):
+                tables.append(TimeValue.table([deadline - w, deadline, deadline + w],
+                                              [0.0, 1.0 / w, 0.0]))
+        worst = 0.0
+        for h in tables:
+            total = fraction_mass(h, 0.0, math.inf)
+            cuts = np.unique(np.concatenate([[0.0], h.times, np.array(h.times) + 1e-7,
+                                             rng.uniform(0.0, 1.1 * h.times[-1], 6)]))
+            edges = np.append(cuts, np.inf)
+            masses = time_value_mass(h, edges[:-1], edges[1:])
+            for a, b, mass in zip(edges[:-1], edges[1:], masses):
+                error = abs(Fraction(mass) - fraction_mass(h, a, b)) / total
+                worst = max(worst, float(error))
+        assert worst <= 1e-12
 
     def test_validation(self):
         with pytest.raises(ValueError):
