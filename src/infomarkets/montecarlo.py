@@ -1,4 +1,4 @@
-"""Agent-based sampling of the full games, vectorized over trials.
+"""Agent-based sampling of the full games, vectorized over trials and agents.
 
 One trial draws an outcome, gives each agent a shot at a signal (a
 Bernoulli access draw in batch settings, an exponential arrival time in
@@ -13,10 +13,18 @@ consequences the tests rely on: results are bitwise independent of how the
 trial range is chunked, and two runs with the same seed see identical
 draws, so a deviation test compares strategies on common random numbers
 and certifies harm with tiny variance.  A deviation test draws each chunk
-once and settles both arms, baseline and deviant, on that one draw.  The
-chunk length is derived, not set: each chunk settles about
-:data:`_CHUNK_ELEMENTS` trials x agents x outcomes report-column entries,
-so scratch memory is bounded at any width.
+once and settles both arms, baseline and deviant, on that one draw, and
+skips the principal's value, which only the books need.
+
+A chunk's draws are agent-major ``(n, T)`` arrays, and its kernel (built
+once per profile by :func:`_kernel`) runs no Python loop over agents or
+agents x signal values: signals compare each of the m - 1 thresholds
+against all agents at once, and report columns come from one gather into
+a per-agent table; a sequential market gathers the signal states into
+time order before the table.  So the Python work per chunk does not
+grow with n x m, and the chunk length is derived, not set: each chunk
+settles about :data:`_CHUNK_ELEMENTS` trials x agents x outcomes
+report-column entries, so scratch memory is bounded at any width.
 """
 import math
 from dataclasses import dataclass
@@ -27,15 +35,17 @@ from .belief import RATIO_CLAMP, fold_path, truthful_report
 from .equilibrium import LatencyFamily
 from .fpm import settle_batch
 from .info_model import InformationModel
-from .mvp import TimeValue, settle_sequential, time_value_mass
+from .mvp import TimeValue, settle_sequential
 from .pm_baseline import AccessFunction
 from .scoring import ScoringRule, score
 
 MECHANISMS = ("fpm", "mvp", "pm_batch", "pm_sequential")
 
-#: report-column entries settled per chunk; settlement holds about ten
-#: floats of scratch per entry, so one chunk peaks near 20-30 MB at any n
-_CHUNK_ELEMENTS = 1 << 18
+#: report-column entries settled per chunk.  A chunk holds 7-12 floats of
+#: scratch per entry, draws included: 4-6 MB at its peak for n = 2 to 300
+#: and d = 2 or 3 (``tracemalloc``), and an n = 2 chunk's belief paths
+#: (768 KB) fit in a 2 MB L2 cache
+_CHUNK_ELEMENTS = 1 << 16
 
 # purpose tags for the random streams
 _OUTCOME, _LATENCY, _SIGNAL, _WINNER = 0, 1, 2, 3
@@ -194,77 +204,119 @@ def _draw_outcomes(model: InformationModel, u: np.ndarray) -> np.ndarray:
 def _draw_signals(model: InformationModel, y: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Inverse-CDF signal draws: how many of the first m - 1 cumulative
     likelihoods of row ``y`` lie at or below ``u`` (the m-th is 1 up to
-    rounding, so leaving it out caps the index at m - 1)."""
+    rounding, so leaving it out caps the index at m - 1).
+
+    ``u`` is ``(T,)`` or agent-major ``(n, T)``: each threshold is compared
+    against every agent at once.
+    """
     cum = np.cumsum(model.likelihood, axis=1)
-    signals = np.zeros(y.size, dtype=np.intp)
+    signals = np.zeros(u.shape, dtype=np.intp)
     for j in range(model.num_signal_values - 1):
         signals += np.take(cum[:, j], y) <= u
     return signals
 
 
-def _agent_columns(model: InformationModel, profile: StrategyProfile,
-                   y: np.ndarray, u_sig: np.ndarray, active: np.ndarray) -> np.ndarray:
-    """(n, T, d) report columns: each agent's policy applied to his signal state."""
-    cols = np.empty((profile.num_agents, y.size, model.num_outcomes))
-    for i, policy in enumerate(profile.policies):
-        state = np.where(active[:, i], 1 + _draw_signals(model, y, u_sig[:, i]), 0)
-        cols[i] = _report_columns(model, policy)[state]
-    return cols
+def _column_table(model: InformationModel, profile: StrategyProfile,
+                  sequential: bool) -> np.ndarray:
+    """Every agent's report column in every extended signal state, flattened.
+
+    Row ``i * (m + 1) + s`` is agent i's column in state s (see
+    :func:`_report_columns`).  In a sequential market state 0 means the
+    agent never reports, so that row is the neutral column of ones.
+    """
+    by_policy = {p: _report_columns(model, p) for p in set(profile.policies)}
+    table = np.stack([by_policy[p] for p in profile.policies])
+    if sequential:
+        table[:, 0] = 1.0
+    return table.reshape(-1, model.num_outcomes)
 
 
-def _settle_batch(model, mechanism, profile, rule, access, y, u_lat, u_sig, u_win):
-    """Per-trial rewards (T, n) and principal's value (T,) of one chunk."""
-    has = u_lat < np.array([access.value(c) for c in profile.efforts])
+def _table_rows(model: InformationModel, y: np.ndarray, u_sig: np.ndarray,
+                active: np.ndarray) -> np.ndarray:
+    """(n, T) rows of :func:`_column_table`: state 0 where ``active`` is
+    false, else 1 + the drawn signal."""
+    first = (model.num_signal_values + 1) * np.arange(u_sig.shape[0])[:, None]
+    return np.where(active, first + 1 + _draw_signals(model, y, u_sig), first)
+
+
+def _kernel(model, mechanism, profile, rule, access, latency, h):
+    """The chunk kernel of one profile: ``settle(y, u_lat, u_sig, u_win, value)``.
+
+    ``settle`` maps one chunk's draws (agent-major ``(n, T)`` uniforms) to
+    agent-major rewards ``(n, T)`` and, if ``value``, the principal's value
+    ``(T,)`` (else None).  Every per-agent constant is built here, once per
+    run, so a chunk runs no Python loop over agents or signal values.
+    """
+    if mechanism in ("fpm", "pm_batch"):
+        return _batch_kernel(model, mechanism, profile, rule, access)
+    return _sequential_kernel(model, mechanism, profile, rule, latency, h)
+
+
+def _batch_kernel(model, mechanism, profile, rule, access):
+    q = np.array([access.value(c) for c in profile.efforts])[:, None]
 
     if mechanism == "pm_batch":
-        silent = np.array([p.kind == "silent" for p in profile.policies])
-        active = has & ~silent
-        count = active.sum(axis=1)
-        value = (count > 0).astype(float)
-        rewards = np.zeros(active.shape)
-        pick = np.floor(u_win * count).astype(int)  # uniform among signal holders
-        cum = np.cumsum(active, axis=1)
-        sel = active & (cum == (pick + 1)[:, None])
-        rewards[sel] = 1.0
-        return rewards, value
+        speaks = np.array([p.kind != "silent" for p in profile.policies])[:, None]
 
-    cols = _agent_columns(model, profile, y, u_sig, has)
-    p_all, rewards = settle_batch(model.prior, cols, y, rule)
-    return rewards, score(rule, p_all, y) - score(rule, model.prior, y)
+        def settle(y, u_lat, u_sig, u_win, value=True):
+            active = (u_lat < q) & speaks
+            count = active.sum(axis=0)
+            pick = np.floor(u_win * count).astype(int)  # uniform among signal holders
+            wins = active & (np.cumsum(active, axis=0) == pick + 1)
+            return wins.astype(float), (count > 0).astype(float) if value else None
+        return settle
+
+    table = _column_table(model, profile, sequential=False)
+
+    def settle(y, u_lat, u_sig, u_win, value=True):
+        cols = np.take(table, _table_rows(model, y, u_sig, u_lat < q), axis=0)
+        p_all, rewards = settle_batch(model.prior, cols, y, rule)
+        if not value:
+            return rewards.T, None
+        return rewards.T, score(rule, p_all, y) - score(rule, model.prior, y)
+    return settle
 
 
-def _settle_sequential(model, mechanism, profile, rule, latency, h,
-                       y, u_lat, u_sig):
-    """Per-trial rewards (T, n) and principal's value (T,) of one chunk."""
-    T = y.size
-    times = np.full((T, profile.num_agents), np.inf)
-    for i, c in enumerate(profile.efforts):
-        policy = profile.policies[i]
-        if policy.kind == "silent" or c == 0.0:
-            continue
-        times[:, i] = -np.log1p(-u_lat[:, i]) / (latency.lam * c)
-        if policy.kind == "delayed":
-            times[:, i] += policy.delay
+def _sequential_kernel(model, mechanism, profile, rule, latency, h):
+    efforts = np.asarray(profile.efforts)
+    speaks = (efforts > 0) & np.array([p.kind != "silent" for p in profile.policies])
+    rate = np.where(speaks, latency.lam * efforts, 1.0)[:, None]
+    delay = np.array([p.delay if p.kind == "delayed" else 0.0
+                      for p in profile.policies])[:, None]
+    table = _column_table(model, profile, sequential=True)
+    first_tail = h.tail(0.0)
 
-    cols = _agent_columns(model, profile, y, u_sig, np.isfinite(times))
-    order = np.argsort(times, axis=1, kind="stable")
-    sorted_times = np.take_along_axis(times, order, axis=1)
-    reported = np.isfinite(sorted_times)
-    slot_cols = np.where(reported.T[..., None], cols[order.T, np.arange(T)], 1.0)
-    masses = time_value_mass(h, np.column_stack([np.zeros(T), sorted_times]),
-                             np.column_stack([sorted_times, np.full(T, np.inf)]))
+    def settle(y, u_lat, u_sig, u_win, value=True):
+        n, T = u_lat.shape
+        times = np.where(speaks[:, None], -np.log1p(-u_lat) / rate + delay, np.inf)
+        # slot s holds the s-th report in time order; an agent who never
+        # reports sorts last, in state 0 (the neutral column)
+        order = np.argsort(times, axis=0, kind="stable")
+        sorted_times = np.take_along_axis(times, order, axis=0)
+        rows = _table_rows(model, y, u_sig, np.isfinite(times))
+        slot_cols = np.take(table, np.take_along_axis(rows, order, axis=0), axis=0)
+        # masses[j]: h's mass between edges j and j + 1 of (0, sorted times,
+        # inf), as differences of tails; tail(inf) = 0 for both kinds
+        tails = np.empty((n + 2, T))
+        tails[0] = first_tail
+        tails[1:-1] = h.tail(sorted_times)
+        tails[-1] = 0.0
+        masses = tails[:-1] - tails[1:]
 
-    if mechanism == "mvp":
-        _, slot_rewards, s_path = settle_sequential(model.prior, slot_cols, masses,
-                                                    y, rule)
-    else:
-        s_path = score(rule, fold_path(model.prior, slot_cols), y)  # (n+1, T)
-    value = np.einsum("jt,tj->t", s_path - s_path[0], masses)
-    if mechanism == "pm_sequential":
-        slot_rewards = np.where(reported, (s_path[1:] - s_path[:-1]).T, 0.0)
-    rewards = np.empty_like(slot_rewards)
-    np.put_along_axis(rewards, order, slot_rewards, axis=1)
-    return rewards, value
+        if mechanism == "mvp":
+            _, slot_rewards, s_path = settle_sequential(model.prior, slot_cols,
+                                                        masses.T, y, rule)
+            slot_rewards = slot_rewards.T
+        else:
+            s_path = score(rule, fold_path(model.prior, slot_cols), y)  # (n+1, T)
+            slot_rewards = np.where(np.isfinite(sorted_times),
+                                    s_path[1:] - s_path[:-1], 0.0)
+        rewards = np.empty((n, T))
+        np.put_along_axis(rewards, order, slot_rewards, axis=0)
+        if not value:
+            return rewards, None
+        return rewards, np.einsum("jt,tj->t", s_path - s_path[0], masses.T)
+    return settle
 
 
 def _validate_setup(model, mechanism, profile, trials, rule, access, latency, h):
@@ -289,9 +341,10 @@ def _validate_setup(model, mechanism, profile, trials, rule, access, latency, h)
 def _draws(model: InformationModel, n: int, trials: int, seed: int):
     """The trial range in chunks, with their draws: ``(slice, y, u_lat, u_sig, u_win)``.
 
-    The draws depend on the seed, the number of agents and the outcome
-    count only, never on the strategies, so every profile of n agents
-    settles on the same ones.
+    ``u_lat`` and ``u_sig`` are agent-major ``(n, T)``: row i is filled in
+    place from agent i's own streams.  The draws depend on the seed, the
+    number of agents and the outcome count only, never on the strategies,
+    so every profile of n agents settles on the same ones.
     """
     chunk = max(1, _CHUNK_ELEMENTS // (n * model.num_outcomes))
     g_outcome = _stream(seed, _OUTCOME)
@@ -302,19 +355,11 @@ def _draws(model: InformationModel, n: int, trials: int, seed: int):
         T = min(chunk, trials - done)
         y = _draw_outcomes(model, g_outcome.random(T))
         u_win = g_winner.random(T)
-        u_lat = np.column_stack([g.random(T) for g in g_lat])
-        u_sig = np.column_stack([g.random(T) for g in g_sig])
+        u_lat, u_sig = np.empty((n, T)), np.empty((n, T))
+        for i in range(n):
+            g_lat[i].random(out=u_lat[i])
+            g_sig[i].random(out=u_sig[i])
         yield slice(done, done + T), y, u_lat, u_sig, u_win
-
-
-def _settle(model, mechanism, profile, rule, access, latency, h,
-            y, u_lat, u_sig, u_win):
-    """Per-trial rewards (T, n) and principal's value (T,) of one chunk."""
-    if mechanism in ("fpm", "pm_batch"):
-        return _settle_batch(model, mechanism, profile, rule, access,
-                             y, u_lat, u_sig, u_win)
-    return _settle_sequential(model, mechanism, profile, rule, latency, h,
-                              y, u_lat, u_sig)
 
 
 def per_trial_records(model, mechanism, profile, trials, seed, *,
@@ -322,11 +367,12 @@ def per_trial_records(model, mechanism, profile, trials, seed, *,
                       h=None) -> dict[str, np.ndarray]:
     """Per-trial books: rewards, value, utilities, principal utility, welfare."""
     h = _validate_setup(model, mechanism, profile, trials, rule, access, latency, h)
+    settle = _kernel(model, mechanism, profile, rule, access, latency, h)
     rewards = np.empty((trials, profile.num_agents))
     value = np.empty(trials)
     for sl, *draws in _draws(model, profile.num_agents, trials, seed):
-        rewards[sl], value[sl] = _settle(model, mechanism, profile, rule, access,
-                                         latency, h, *draws)
+        chunk_rewards, value[sl] = settle(*draws)
+        rewards[sl] = chunk_rewards.T
     utilities = rewards - np.asarray(profile.efforts)
     principal = value - rewards.sum(axis=1)
     welfare = principal + utilities.sum(axis=1)
@@ -377,12 +423,13 @@ def deviation_test(model: InformationModel, mechanism: str,
 
     h = _validate_setup(model, mechanism, baseline, trials, rule, access, latency, h)
     i = deviant_agent
+    arms = [(_kernel(model, mechanism, profile, rule, access, latency, h),
+             profile.efforts[i]) for profile in (baseline, devprofile)]
     delta = np.empty(trials)  # only the deviant's utility change is kept
     for sl, *draws in _draws(model, baseline.num_agents, trials, seed):
-        # both arms settle on the same draws: common random numbers
-        utility = [_settle(model, mechanism, profile, rule, access, latency, h,
-                           *draws)[0][:, i] - profile.efforts[i]
-                   for profile in (baseline, devprofile)]
+        # both arms settle on the same draws: common random numbers; the
+        # principal's value is not needed
+        utility = [settle(*draws, value=False)[0][i] - cost for settle, cost in arms]
         delta[sl] = utility[1] - utility[0]
     se = float(delta.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
     return float(delta.mean()), se

@@ -84,12 +84,23 @@ class TimeValue:
             return cls.exponential(float(cfg.get("eta", 1.0)))
         return cls.table(cfg["times"], cfg["values"])
 
+    @cached_property
+    def _knots(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Table kind: read-only knot times, values, and the trapezoid mass
+        below each knot, built on first use and shared by every call."""
+        x, y = np.array(self.times), np.array(self.values)
+        below = np.concatenate([[0.0], np.cumsum(np.diff(x) * (y[1:] + y[:-1]) / 2)])
+        for a in (x, y, below):
+            a.flags.writeable = False
+        return x, y, below
+
     def density(self, t):
         t = np.asarray(t, dtype=float)
         if self.kind == "exponential":
             out = self.eta * np.exp(-self.eta * t)
         else:
-            out = np.interp(t, self.times, self.values, left=0.0, right=0.0)
+            x, y, _ = self._knots
+            out = np.interp(t, x, y, left=0.0, right=0.0)
         return float(out) if out.ndim == 0 else out
 
     def tail(self, t) -> np.ndarray:
@@ -101,8 +112,7 @@ class TimeValue:
         t = np.asarray(t, dtype=float)
         if self.kind == "exponential":
             return np.exp(-self.eta * t)
-        x, y = np.array(self.times), np.array(self.values)
-        below = np.concatenate([[0.0], np.cumsum(np.diff(x) * (y[1:] + y[:-1]) / 2)])
+        x, y, below = self._knots
         inside = np.clip(t, x[0], x[-1])
         j = np.clip(np.searchsorted(x, inside, side="right") - 1, 0, x.size - 2)
         partial = (inside - x[j]) * (y[j] + np.interp(inside, x, y)) / 2

@@ -12,8 +12,13 @@ from infomarkets import (AccessFunction, BatchOutcomeReport, Belief,
                          mvp_agent_reward, mvp_run, per_trial_records,
                          simulate, truthful_report, v_sequence)
 from infomarkets import montecarlo
-from infomarkets.montecarlo import (_LATENCY, _OUTCOME, _SIGNAL, _draw_outcomes,
-                                    _draw_signals, _stream)
+from infomarkets.belief import fold_path
+from infomarkets.fpm import settle_batch
+from infomarkets.montecarlo import (_LATENCY, _OUTCOME, _SIGNAL, _WINNER,
+                                    _draw_outcomes, _draw_signals,
+                                    _report_columns, _stream)
+from infomarkets.mvp import settle_sequential, time_value_mass
+from infomarkets.scoring import score
 
 MODEL = InformationModel.binary_noisy(0.1, 0.05)
 QUAD20 = ScoringRule("quadratic", 20.0)
@@ -32,6 +37,100 @@ def weak_wide_model():
     return InformationModel(np.array([0.6, 0.4]), lik / lik.sum(axis=1, keepdims=True))
 
 
+def binary_model(m, seed):
+    """Binary outcome, m random signal values."""
+    lik = np.random.default_rng(seed).dirichlet(np.ones(m), size=2)
+    return InformationModel(np.array([0.6, 0.4]), lik)
+
+
+def mixed_profile(n, seed, start=0):
+    """Agent i plays policy ``k % 4`` of truthful, silent, perturbed and
+    delayed at zero effort if ``k % 3 == 2``, else at a random effort, where
+    k = start + i; twelve agents cover every pair."""
+    rng = np.random.default_rng(seed)
+    efforts, policies = [], []
+    for k in range(start, start + n):
+        efforts.append(0.0 if k % 3 == 2 else float(rng.uniform(0.1, 1.2)))
+        delay = float(rng.uniform(0.0, 1.0))
+        policies.append([
+            ReportPolicy(),
+            ReportPolicy("silent"),
+            # a delay on any other kind is ignored
+            ReportPolicy("perturbed", epsilon=float(rng.uniform(-0.2, 0.2)), delay=delay),
+            ReportPolicy("delayed", delay=delay),
+        ][k % 4])
+    return StrategyProfile(tuple(efforts), tuple(policies))
+
+
+def column_stack_draws(model, n, trials, seed):
+    """Oracle draws: each stream read whole, trial-major ``(T, n)`` uniforms."""
+    y = _draw_outcomes(model, _stream(seed, _OUTCOME).random(trials))
+    u_win = _stream(seed, _WINNER).random(trials)
+    u_lat = np.column_stack([_stream(seed, _LATENCY, i).random(trials)
+                             for i in range(n)])
+    u_sig = np.column_stack([_stream(seed, _SIGNAL, i).random(trials)
+                             for i in range(n)])
+    return y, u_lat, u_sig, u_win
+
+
+def agent_columns(model, profile, y, u_sig, active):
+    """Oracle (n, T, d) report columns: one agent at a time."""
+    cols = np.empty((profile.num_agents, y.size, model.num_outcomes))
+    for i, policy in enumerate(profile.policies):
+        state = np.where(active[:, i], 1 + _draw_signals(model, y, u_sig[:, i]), 0)
+        cols[i] = _report_columns(model, policy)[state]
+    return cols
+
+
+def loop_settlement(model, mechanism, profile, trials, seed, rule, access,
+                    latency, h):
+    """Oracle for the chunk kernel: per-agent loops over trial-major draws.
+
+    Builds every agent's columns in agent order and permutes them into
+    time order afterwards.  Returns rewards (T, n) and the value (T,).
+    """
+    y, u_lat, u_sig, u_win = column_stack_draws(model, profile.num_agents,
+                                                trials, seed)
+    T = y.size
+    if mechanism in ("fpm", "pm_batch"):
+        has = u_lat < np.array([access.value(c) for c in profile.efforts])
+        if mechanism == "pm_batch":
+            silent = np.array([p.kind == "silent" for p in profile.policies])
+            active = has & ~silent
+            count = active.sum(axis=1)
+            rewards = np.zeros(active.shape)
+            pick = np.floor(u_win * count).astype(int)
+            rewards[active & (np.cumsum(active, axis=1) == (pick + 1)[:, None])] = 1.0
+            return rewards, (count > 0).astype(float)
+        cols = agent_columns(model, profile, y, u_sig, has)
+        p_all, rewards = settle_batch(model.prior, cols, y, rule)
+        return rewards, score(rule, p_all, y) - score(rule, model.prior, y)
+
+    times = np.full((T, profile.num_agents), np.inf)
+    for i, (c, policy) in enumerate(zip(profile.efforts, profile.policies)):
+        if policy.kind == "silent" or c == 0.0:
+            continue
+        times[:, i] = -np.log1p(-u_lat[:, i]) / (latency.lam * c)
+        if policy.kind == "delayed":
+            times[:, i] += policy.delay
+    cols = agent_columns(model, profile, y, u_sig, np.isfinite(times))
+    order = np.argsort(times, axis=1, kind="stable")
+    sorted_times = np.take_along_axis(times, order, axis=1)
+    reported = np.isfinite(sorted_times)
+    slot_cols = np.where(reported.T[..., None], cols[order.T, np.arange(T)], 1.0)
+    masses = time_value_mass(h, np.column_stack([np.zeros(T), sorted_times]),
+                             np.column_stack([sorted_times, np.full(T, np.inf)]))
+    if mechanism == "mvp":
+        _, slot_rewards, s_path = settle_sequential(model.prior, slot_cols, masses,
+                                                    y, rule)
+    else:
+        s_path = score(rule, fold_path(model.prior, slot_cols), y)
+        slot_rewards = np.where(reported, (s_path[1:] - s_path[:-1]).T, 0.0)
+    rewards = np.empty_like(slot_rewards)
+    np.put_along_axis(rewards, order, slot_rewards, axis=1)
+    return rewards, np.einsum("jt,tj->t", s_path - s_path[0], masses)
+
+
 def stats_equal(a, b):
     return (np.array_equal(a.reward_mean, b.reward_mean)
             and np.array_equal(a.reward_se, b.reward_se)
@@ -48,16 +147,24 @@ class TestDeterminism:
         b = simulate(MODEL, mechanism, PROFILE, 3000, 17, **kw)
         assert stats_equal(a, b)
 
-    @pytest.mark.parametrize("mechanism", ["fpm", "mvp", "pm_batch", "pm_sequential"])
-    def test_chunking_never_changes_results(self, mechanism, monkeypatch):
+    @pytest.mark.parametrize("mechanism, wide", [
+        (mechanism, wide) for wide in (False, True)
+        for mechanism in ("fpm", "mvp", "pm_batch", "pm_sequential")],
+        ids=["fpm", "mvp", "pm_batch", "pm_sequential", "fpm-wide-mixed",
+             "mvp-wide-mixed", "pm_batch-wide-mixed", "pm_sequential-wide-mixed"])
+    def test_chunking_never_changes_results(self, mechanism, wide, monkeypatch):
+        # the wide case: 40 agents of every policy kind, 3-valued signals
+        model, profile, trials = ((binary_model(3, 4), mixed_profile(40, 4), 700)
+                                  if wide else (MODEL, PROFILE, 5000))
+
         def run(h):
             kw = dict(rule=QUAD20, access=ACC, latency=LAT1, h=h)
-            return (simulate(MODEL, mechanism, PROFILE, 5000, 23, **kw),
-                    per_trial_records(MODEL, mechanism, PROFILE, 5000, 23, **kw),
-                    deviation_test(MODEL, mechanism, PROFILE, 0, 0.5, 5000, 23, **kw))
+            return (simulate(model, mechanism, profile, trials, 23, **kw),
+                    per_trial_records(model, mechanism, profile, trials, 23, **kw),
+                    deviation_test(model, mechanism, profile, 0, 0.5, trials, 23, **kw))
 
         whole = [run(h) for h in (H1, DEADLINE)]
-        # 2 agents x 2 outcomes: 613-trial chunks instead of one
+        # 2 agents x 2 outcomes: 613-trial chunks instead of one (30 when wide)
         monkeypatch.setattr(montecarlo, "_CHUNK_ELEMENTS", 4 * 613)
         for h, expected in zip((H1, DEADLINE), whole):
             chunked = run(h)
@@ -141,13 +248,8 @@ class TestEngineMatchesMechanisms:
     """Replaying the exact draw streams through the reference mechanisms."""
 
     def _draws(self, model, n, trials, seed):
-        y = _draw_outcomes(model, _stream(seed, _OUTCOME).random(trials))
-        u_lat = np.column_stack([_stream(seed, _LATENCY, i).random(trials)
-                                 for i in range(n)])
-        xs = np.column_stack([
-            _draw_signals(model, y, _stream(seed, _SIGNAL, i).random(trials))
-            for i in range(n)])
-        return y, u_lat, xs
+        y, u_lat, u_sig, _ = column_stack_draws(model, n, trials, seed)
+        return y, u_lat, _draw_signals(model, y, u_sig.T).T
 
     def test_fpm_settlement(self):
         trials, seed = 150, 99
@@ -184,6 +286,30 @@ class TestEngineMatchesMechanisms:
             _, rewards = mvp_run(prior, reports, int(y[t]), QUAD20, H1,
                                  num_agents=2)
             np.testing.assert_allclose(rec["rewards"][t], rewards, atol=1e-10)
+
+
+class TestKernelMatchesLoopOracle:
+    """The agent-vectorized chunk kernel against the per-agent loops it replaced."""
+
+    @pytest.mark.parametrize("m", [2, 3, 40])
+    @pytest.mark.parametrize("n", [1, 5, 33])
+    def test_bit_for_bit(self, n, m, monkeypatch):
+        model = binary_model(m, m)
+        # a single agent plays each (policy, effort) pair in turn
+        profiles = [mixed_profile(n, n + m, start) for start in range(12 if n == 1 else 1)]
+        trials, seed = 600, 61
+        # several chunks, the last one short
+        monkeypatch.setattr(montecarlo, "_CHUNK_ELEMENTS", 1 << 12)
+        for profile in profiles:
+            for mechanism, h in [("fpm", None), ("pm_batch", None),
+                                 ("mvp", H1), ("mvp", DEADLINE),
+                                 ("pm_sequential", H1), ("pm_sequential", DEADLINE)]:
+                kw = dict(rule=QUAD20, access=ACC, latency=LAT1, h=h)
+                rec = per_trial_records(model, mechanism, profile, trials, seed, **kw)
+                rewards, value = loop_settlement(model, mechanism, profile, trials,
+                                                 seed, **kw)
+                assert np.array_equal(rec["rewards"], rewards), (mechanism, h)
+                assert np.array_equal(rec["value"], value), (mechanism, h)
 
 
 class TestDeviations:
@@ -281,14 +407,16 @@ class TestSignalDraws:
         lik[2, m // 2] = 0.0
         lik /= lik.sum(axis=1, keepdims=True)
         model = InformationModel(np.array([0.2, 0.5, 0.3]), lik)
-        y = rng.integers(3, size=20_000)
-        u = rng.random(20_000)
+        # agent-major draws: 4 agents share each trial's outcome
+        y = rng.integers(3, size=5_000)
+        u = rng.random((4, 5_000))
         # u exactly at each row's cumulative likelihoods, and at both ends
         y[:3 * m] = np.repeat(np.arange(3), m)
-        u[:3 * m] = np.cumsum(lik, axis=1).ravel()
-        u[3 * m:3 * m + 2] = 0.0, 1.0 - 2 ** -53
+        u[1, :3 * m] = np.cumsum(lik, axis=1).ravel()
+        u[:, 3 * m], u[:, 3 * m + 1] = 0.0, 1.0 - 2 ** -53
         x = _draw_signals(model, y, u)
-        assert np.array_equal(x, self.reference(model, y, u))
+        assert x.shape == u.shape
+        assert np.array_equal(x, np.stack([self.reference(model, y, row) for row in u]))
         assert x.min() >= 0 and x.max() <= m - 1
 
 

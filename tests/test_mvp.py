@@ -116,6 +116,21 @@ class TestTimeValueMass:
                 worst = max(worst, float(error))
         assert worst <= 1e-12
 
+    def test_table_knots_are_built_once_and_read_only(self):
+        h = TimeValue.table([0.0, 1.0, 3.0], [1.0, 0.4, 0.0])
+        first = h.tail(np.array([0.5, 2.0]))
+        x, y, below = h._knots
+        assert h._knots[0] is x
+        assert np.array_equal(below, [0.0, 0.7, 1.1])
+        for a in (x, y, below):
+            with pytest.raises(ValueError):
+                a[0] = 9.0
+        assert np.array_equal(h.tail(np.array([0.5, 2.0])), first)
+        assert h.density(1.0) == 0.4
+        # the cache is not a field: equal tables stay equal and hash alike
+        fresh = TimeValue.table([0.0, 1.0, 3.0], [1.0, 0.4, 0.0])
+        assert fresh == h and hash(fresh) == hash(h)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             TimeValue.exponential(0.0)
