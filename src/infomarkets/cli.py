@@ -8,7 +8,9 @@ Subcommands expose every piece of the library for scripted use:
 * ``settle-fpm``     -- settle a recorded batch of reports;
 * ``settle-mvp``     -- settle a recorded timed-report stream.
 
-Exit codes: 0 success, 1 numerical failure, 2 usage error.
+Exit codes: 0 success, 1 numerical failure, 2 usage error.  A config key
+that nothing reads (in a figure or simulation config, or in a rule, access
+or time-value entry) is a usage error that names the key.
 """
 import argparse
 import json
@@ -18,9 +20,8 @@ import numpy as np
 
 from .equilibrium import (LatencyFamily, batch_equilibrium, mvp_equilibrium,
                           mvp_welfare)
-from .errors import CapacityError, NumericalError
-from .experiments import (EXPERIMENTS, ExperimentConfig, run_experiment,
-                          write_csv)
+from .errors import CapacityError, NumericalError, reject_unknown_keys
+from .experiments import EXPERIMENTS, run_experiment, write_csv
 from .fpm import batch_from_json, fpm_run, result_to_json
 from .info_model import InformationModel, ScoreSequence
 from .montecarlo import (ReportPolicy, SimStats, StrategyProfile,
@@ -79,18 +80,18 @@ def _emit(payload: dict, path: str | None) -> None:
 
 
 def cmd_figure(args) -> int:
+    cfg = {"experiment": args.name}
     if args.config:
-        config = ExperimentConfig.from_file(args.config)
-        if args.name and args.name != config.experiment:
-            raise SystemExit(f"config is for {config.experiment!r}, "
+        cfg = _load_json(args.config)
+        reject_unknown_keys("figure config", cfg,
+                            ("experiment", "parameters", "output_path"))
+        if args.name and args.name != cfg["experiment"]:
+            raise SystemExit(f"config is for {cfg['experiment']!r}, "
                              f"not {args.name!r}")
-    else:
-        if not args.name:
-            raise SystemExit("a figure name or --config is required")
-        config = ExperimentConfig(args.name)
-    if args.out:
-        config.output_path = args.out
-    paths = run_experiment(config)
+    elif not args.name:
+        raise SystemExit("a figure name or --config is required")
+    paths = run_experiment(cfg["experiment"], cfg.get("parameters"),
+                           args.out or cfg.get("output_path", "."))
     print("\n".join(paths))
     return 0
 
@@ -122,6 +123,10 @@ def cmd_solve(args) -> int:
 
 def cmd_simulate(args) -> int:
     cfg = _load_json(args.config)
+    reject_unknown_keys("simulate config", cfg, ("model", "mechanism", "profile",
+                        "trials", "seed", "rule", "access", "latency", "h"))
+    reject_unknown_keys("profile", cfg["profile"], ("efforts", "policies"))
+    reject_unknown_keys("latency", cfg.get("latency", {}), ("lambda",))
     model = InformationModel.from_config(cfg["model"])
     mechanism = cfg["mechanism"]
     profile = StrategyProfile(

@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types and the config-key check shared across the package."""
 
 
 class CapacityError(RuntimeError):
@@ -16,3 +16,13 @@ class NumericalError(RuntimeError):
 
 class ProtocolError(ValueError):
     """A report stream violates the one-report-per-agent rule."""
+
+
+def reject_unknown_keys(what: str, cfg: dict, accepted) -> None:
+    """Raise ValueError naming every key of ``cfg`` outside ``accepted``."""
+    if not isinstance(cfg, dict):
+        raise ValueError(f"{what} must be an object, got {cfg!r}")
+    unknown = sorted(set(cfg) - set(accepted))
+    if unknown:
+        raise ValueError(f"{what}: unknown key(s) {unknown}; "
+                         f"accepted: {sorted(accepted)}")

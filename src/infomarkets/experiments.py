@@ -9,47 +9,29 @@ together with a small JSON manifest; plotting is left to external tools.
 
 Every row that contains a solved equilibrium also carries its FOC residual
 and corner flag, so a table is self-certifying.
+
+``_TABLE`` declares each experiment once: its runner and the default of
+every parameter the runner reads.  A config may override those defaults
+and name no other key.
 """
 import json
+import os
 import platform
 import time
-from dataclasses import dataclass, field
 
 import numpy as np
+import scipy
 
 from . import __version__
 from .equilibrium import (LatencyFamily, mvp_equilibrium,
                           mvp_principal_utility, mvp_welfare)
-from .errors import NumericalError
+from .errors import NumericalError, reject_unknown_keys
 from .info_model import (InformationModel, ScoreSequence, expected_base_score,
                          v_sequence)
 from .mvp import TimeValue
 from .pm_baseline import AccessFunction, pm_batch_equilibrium, pm_batch_welfare
 from .pm_baseline import pm_race_equilibrium
 from .scoring import ScoringRule
-
-EXPERIMENTS = ("fig_original", "fig_late", "fig_eas", "fig_noise",
-               "fig_subst", "fig_welfare_heatmap", "custom")
-
-
-@dataclass
-class ExperimentConfig:
-    experiment: str
-    parameters: dict = field(default_factory=dict)
-    output_path: str = "."
-
-    def __post_init__(self):
-        if self.experiment not in EXPERIMENTS:
-            raise ValueError(f"unknown experiment {self.experiment!r}, "
-                             f"try one of {EXPERIMENTS}")
-
-    @classmethod
-    def from_file(cls, path: str) -> "ExperimentConfig":
-        with open(path) as fh:
-            raw = json.load(fh)
-        return cls(experiment=raw["experiment"],
-                   parameters=dict(raw.get("parameters", {})),
-                   output_path=raw.get("output_path", "."))
 
 
 def format_number(x) -> str:
@@ -73,24 +55,31 @@ def _grid(lo: float, hi: float, step: float) -> list[float]:
     return [lo + k * step for k in range(count + 1)]
 
 
-def _default_ease_grid() -> list[float]:
-    return _grid(0.5, 2.0, 0.05) + _grid(2.1, 3.0, 0.1) + _grid(3.5, 15.0, 0.5)
+def _solved(experiment: str, point: str, solve, *args):
+    """``solve(*args)``; a NumericalError names the experiment and grid point."""
+    try:
+        return solve(*args)
+    except NumericalError as exc:
+        raise NumericalError(f"{experiment} failed at grid point {point}: {exc}") from exc
 
 
-def _default_noise_grid() -> list[float]:
-    return _grid(0.0, 0.095, 0.005) + _grid(0.1, 0.38, 0.02)
+def _mvp(experiment: str, point: str, lam: float, h: TimeValue,
+         v: ScoreSequence, n: int):
+    """The symmetric MVP equilibrium at exponential latency rate ``lam``."""
+    return _solved(experiment, point, mvp_equilibrium,
+                   LatencyFamily.exponential(lam), h, v, n)
 
 
-def _v_from_pair(v1: float, v2: float) -> ScoreSequence:
-    return ScoreSequence(np.array([0.0, v1, max(v1, v2)]))
+def _lam_header(lams) -> list[str]:
+    """One effort and one residual column per latency rate."""
+    return [f"mvp_{col}_lam_{format_number(lam)}"
+            for lam in lams for col in ("effort", "residual")]
 
 
 def run_fig_late(params: dict):
-    alpha = params.get("alpha", 0.02)
-    beta = params.get("beta", 0.2)
-    k_max = int(params.get("k_max", 10))
-    rule = ScoringRule("quadratic", params.get("scale", 1.0))
-    model = InformationModel.binary_noisy(alpha, beta)
+    k_max = int(params["k_max"])
+    rule = ScoringRule("quadratic", params["scale"])
+    model = InformationModel.binary_noisy(params["alpha"], params["beta"])
     v = v_sequence(model, rule, k_max)
     base = expected_base_score(model, rule)
     rows = [(k, base + v[k], 0.0 if k == 0 else v[k] - v[k - 1])
@@ -99,79 +88,57 @@ def run_fig_late(params: dict):
 
 
 def run_fig_eas(params: dict):
-    lams = params.get("lambda_grid", _default_ease_grid())
-    eta = params.get("eta", 1.0)
-    n = int(params.get("n", 2))
-    v = ScoreSequence(np.asarray(params.get("v", [0.0, 2.0, 3.0]), float))
-    h = TimeValue.exponential(eta)
+    n = int(params["n"])
+    v = ScoreSequence(np.asarray(params["v"], float))
+    h = TimeValue.exponential(params["eta"])
     pm = pm_race_equilibrium(v, n)
     rows = []
-    for lam in lams:
-        eq = _solve("fig_eas", f"lambda={lam}", lambda: mvp_equilibrium(
-            LatencyFamily.exponential(lam), h, v, n))
-        rows.append((lam, pm.effort, eq.effort, eq.residual, int(eq.corner)))
-    return ["lambda", "pm_effort", "mvp_effort", "mvp_residual", "mvp_corner"], rows
+    for lam in params["lambda_grid"]:
+        eq = _mvp("fig_eas", f"lambda={lam}", lam, h, v, n)
+        rows.append((lam, pm.effort, eq.effort, eq.residual, int(eq.corner),
+                     mvp_welfare(LatencyFamily.exponential(lam), h, v, n, eq.effort)))
+    return ["lambda", "pm_effort", "mvp_effort", "mvp_residual", "mvp_corner",
+            "mvp_welfare"], rows
 
 
 def run_fig_noise(params: dict):
-    alpha = params.get("alpha", 0.1)
-    scale = params.get("scale", 20.0)
-    eta = params.get("eta", 1.0)
-    n = int(params.get("n", 2))
-    betas = params.get("beta_grid", _default_noise_grid())
-    lams = params.get("lambdas", [0.5, 1.0, 3.0, 12.0])
-    rule = ScoringRule("quadratic", scale)
-    h = TimeValue.exponential(eta)
-    header = ["beta", "v1", "v2", "pm_effort"]
-    for lam in lams:
-        tag = format_number(lam)
-        header += [f"mvp_effort_lam_{tag}", f"mvp_residual_lam_{tag}"]
+    n, lams = int(params["n"]), params["lambdas"]
+    rule = ScoringRule("quadratic", params["scale"])
+    h = TimeValue.exponential(params["eta"])
     rows = []
-    for beta in betas:
-        model = InformationModel.binary_noisy(alpha, beta)
-        v = v_sequence(model, rule, n)
+    for beta in params["beta_grid"]:
+        v = v_sequence(InformationModel.binary_noisy(params["alpha"], beta), rule, n)
         row = [beta, v[1], v[2], pm_race_equilibrium(v, n).effort]
         for lam in lams:
-            eq = _solve("fig_noise", f"beta={beta}, lambda={lam}",
-                        lambda: mvp_equilibrium(LatencyFamily.exponential(lam), h, v, n))
+            eq = _mvp("fig_noise", f"beta={beta}, lambda={lam}", lam, h, v, n)
             row += [eq.effort, eq.residual]
         rows.append(tuple(row))
-    return header, rows
+    return ["beta", "v1", "v2", "pm_effort"] + _lam_header(lams), rows
 
 
 def run_fig_subst(params: dict):
-    v2 = params.get("v2", 2.0)
-    v1s = params.get("v1_grid", _grid(1.0, 2.0, 0.04))
-    eta = params.get("eta", 1.0)
-    n = int(params.get("n", 2))
-    lams = params.get("lambdas", [1.0, 2.0, 4.0, 8.0])
-    h = TimeValue.exponential(eta)
-    header = ["v1", "pm_effort"]
-    for lam in lams:
-        tag = format_number(lam)
-        header += [f"mvp_effort_lam_{tag}", f"mvp_residual_lam_{tag}"]
+    n, lams = int(params["n"]), params["lambdas"]
+    h = TimeValue.exponential(params["eta"])
     rows = []
-    for v1 in v1s:
-        v = _v_from_pair(v1, v2)
+    for v1 in params["v1_grid"]:
+        v = ScoreSequence(np.array([0.0, v1, max(v1, params["v2"])]))
         row = [v1, pm_race_equilibrium(v, n).effort]
         for lam in lams:
-            eq = _solve("fig_subst", f"v1={v1}, lambda={lam}",
-                        lambda: mvp_equilibrium(LatencyFamily.exponential(lam), h, v, n))
+            eq = _mvp("fig_subst", f"v1={v1}, lambda={lam}", lam, h, v, n)
             row += [eq.effort, eq.residual]
         rows.append(tuple(row))
-    return header, rows
+    return ["v1", "pm_effort"] + _lam_header(lams), rows
 
 
 def run_fig_original(params: dict):
-    lam = params.get("lambda", 3.0)
-    ns = params.get("n_grid", list(range(2, 51)))
+    lam = params["lambda"]
     header = ["n"]
     for kind in ("linear", "exponential"):
         header += [f"{kind}_opt_effort", f"{kind}_opt_welfare", f"{kind}_opt_cost",
                    f"{kind}_self_effort", f"{kind}_self_welfare", f"{kind}_self_cost",
                    f"{kind}_self_residual", f"{kind}_self_corner"]
     rows = []
-    for n in ns:
+    for n in params["n_grid"]:
         row = [n]
         for kind in ("linear", "exponential"):
             F = AccessFunction(kind, lam)
@@ -179,8 +146,8 @@ def run_fig_original(params: dict):
                 c_opt = 1.0 / lam - lam ** (-n / (n - 1))
             else:
                 c_opt = np.log(lam) / (n * lam)
-            eq = _solve("fig_original", f"kind={kind}, n={n}",
-                        lambda: pm_batch_equilibrium(F, n))
+            eq = _solved("fig_original", f"kind={kind}, n={n}",
+                         pm_batch_equilibrium, F, n)
             row += [c_opt, pm_batch_welfare(F, n, c_opt), n * c_opt,
                     eq.effort, pm_batch_welfare(F, n, eq.effort), n * eq.effort,
                     eq.residual, int(eq.corner)]
@@ -189,21 +156,16 @@ def run_fig_original(params: dict):
 
 
 def run_fig_welfare_heatmap(params: dict):
-    ns = params.get("n_grid", list(range(2, 12)))
-    lams = params.get("lambda_grid", [0.5 * k for k in range(3, 13)])
-    eta = params.get("eta", 1.0)
-    h = TimeValue.exponential(eta)
+    h = TimeValue.exponential(params["eta"])
     rows = []
-    for n in ns:
+    for n in params["n_grid"]:
         v = ScoreSequence(np.array([0.0] + [1.0] * n))
-        for lam in lams:
+        pm = pm_race_equilibrium(v, n)  # the race does not depend on the rate
+        for lam in params["lambda_grid"]:
             latency = LatencyFamily.exponential(lam)
-            pm = pm_race_equilibrium(v, n)
-            pm_w = mvp_welfare(latency, h, v, n, pm.effort)
-            eq = _solve("fig_welfare_heatmap", f"n={n}, lambda={lam}",
-                        lambda: mvp_equilibrium(latency, h, v, n))
-            rows.append((n, lam, pm.effort, pm_w, eq.effort,
-                         mvp_welfare(latency, h, v, n, eq.effort),
+            eq = _mvp("fig_welfare_heatmap", f"n={n}, lambda={lam}", lam, h, v, n)
+            rows.append((n, lam, pm.effort, mvp_welfare(latency, h, v, n, pm.effort),
+                         eq.effort, mvp_welfare(latency, h, v, n, eq.effort),
                          mvp_principal_utility(latency, h, v, n, eq.effort),
                          eq.residual, int(eq.corner)))
     return ["n", "lambda", "pm_effort", "pm_welfare", "mvp_effort",
@@ -211,64 +173,57 @@ def run_fig_welfare_heatmap(params: dict):
             "mvp_corner"], rows
 
 
-def run_custom(params: dict):
-    """One MVP/PM comparison on a caller-supplied (v, lambda grid)."""
-    v = ScoreSequence(np.asarray(params["v"], dtype=float))
-    n = int(params.get("n", 2))
-    eta = params.get("eta", 1.0)
-    lams = params.get("lambda_grid", [1.0])
-    h = TimeValue.exponential(eta)
-    rows = []
-    for lam in lams:
-        latency = LatencyFamily.exponential(lam)
-        pm = pm_race_equilibrium(v, n)
-        eq = _solve("custom", f"lambda={lam}",
-                    lambda: mvp_equilibrium(latency, h, v, n))
-        rows.append((lam, pm.effort, eq.effort, eq.residual, int(eq.corner),
-                     mvp_welfare(latency, h, v, n, eq.effort)))
-    return ["lambda", "pm_effort", "mvp_effort", "mvp_residual",
-            "mvp_corner", "mvp_welfare"], rows
-
-
-def _solve(experiment: str, point: str, fn):
-    try:
-        return fn()
-    except NumericalError as exc:
-        raise NumericalError(f"{experiment} failed at grid point {point}: {exc}") from exc
-
-
-_RUNNERS = {
-    "fig_late": run_fig_late,
-    "fig_eas": run_fig_eas,
-    "fig_noise": run_fig_noise,
-    "fig_subst": run_fig_subst,
-    "fig_original": run_fig_original,
-    "fig_welfare_heatmap": run_fig_welfare_heatmap,
-    "custom": run_custom,
+#: experiment name -> (runner, default parameters)
+_TABLE = {
+    "fig_original": (run_fig_original, {"lambda": 3.0, "n_grid": list(range(2, 51))}),
+    "fig_late": (run_fig_late, {"alpha": 0.02, "beta": 0.2, "k_max": 10, "scale": 1.0}),
+    "fig_eas": (run_fig_eas, {
+        "lambda_grid": _grid(0.5, 2.0, 0.05) + _grid(2.1, 3.0, 0.1) + _grid(3.5, 15.0, 0.5),
+        "eta": 1.0, "n": 2, "v": [0.0, 2.0, 3.0]}),
+    "fig_noise": (run_fig_noise, {
+        "alpha": 0.1, "scale": 20.0, "eta": 1.0, "n": 2,
+        "beta_grid": _grid(0.0, 0.095, 0.005) + _grid(0.1, 0.38, 0.02),
+        "lambdas": [0.5, 1.0, 3.0, 12.0]}),
+    "fig_subst": (run_fig_subst, {"v2": 2.0, "v1_grid": _grid(1.0, 2.0, 0.04),
+                                  "eta": 1.0, "n": 2, "lambdas": [1.0, 2.0, 4.0, 8.0]}),
+    "fig_welfare_heatmap": (run_fig_welfare_heatmap, {
+        "n_grid": list(range(2, 12)), "lambda_grid": [0.5 * k for k in range(3, 13)],
+        "eta": 1.0}),
 }
+EXPERIMENTS = tuple(_TABLE)
 
 
-def run_experiment(config: ExperimentConfig) -> list[str]:
-    """Evaluate one experiment grid; returns the paths written."""
-    import os
+def run_experiment(name: str, parameters: dict | None = None,
+                   output_path: str = ".") -> list[str]:
+    """Evaluate one experiment grid; returns the paths written.
 
+    ``parameters`` overrides the experiment's defaults key by key.  A key
+    that is not among them is a ValueError, raised before any file is
+    written.  The manifest records the resolved parameters.
+    """
+    if name not in _TABLE:
+        raise ValueError(f"unknown experiment {name!r}, try one of {EXPERIMENTS}")
+    runner, defaults = _TABLE[name]
+    parameters = parameters or {}
+    reject_unknown_keys(f"{name} parameters", parameters, defaults)
+    resolved = {**defaults, **parameters}
     started = time.perf_counter()
-    header, rows = _RUNNERS[config.experiment](config.parameters)
-    os.makedirs(config.output_path, exist_ok=True)
-    csv_path = os.path.join(config.output_path, f"{config.experiment}.csv")
+    header, rows = runner(resolved)
+    os.makedirs(output_path, exist_ok=True)
+    csv_path = os.path.join(output_path, f"{name}.csv")
     write_csv(csv_path, header, rows)
     manifest = {
-        "experiment": config.experiment,
-        "parameters": config.parameters,
+        "experiment": name,
+        "parameters": resolved,
         "files": [os.path.basename(csv_path)],
         "rows": len(rows),
         "versions": {"infomarkets": __version__,
                      "python": platform.python_version(),
-                     "numpy": np.__version__},
+                     "numpy": np.__version__,
+                     "scipy": scipy.__version__},
         "wall_time_s": round(time.perf_counter() - started, 6),
     }
-    manifest_path = os.path.join(config.output_path,
-                                 f"{config.experiment}_manifest.json")
+    manifest_path = os.path.join(output_path, f"{name}_manifest.json")
     with open(manifest_path, "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")

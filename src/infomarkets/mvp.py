@@ -23,7 +23,7 @@ from functools import cached_property
 import numpy as np
 
 from .belief import fold_path, parse_report, report_column
-from .errors import ProtocolError
+from .errors import ProtocolError, reject_unknown_keys
 from .info_model import Belief
 from .scoring import ScoringRule, score
 
@@ -81,7 +81,9 @@ class TimeValue:
         if isinstance(cfg, (int, float)):
             return cls.exponential(float(cfg))
         if cfg.get("kind", "exponential") == "exponential":
+            reject_unknown_keys("exponential time value", cfg, ("kind", "eta"))
             return cls.exponential(float(cfg.get("eta", 1.0)))
+        reject_unknown_keys("table time value", cfg, ("kind", "times", "values"))
         return cls.table(cfg["times"], cfg["values"])
 
     @cached_property

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import reject_unknown_keys
 from .info_model import ScoreSequence
 from .numerics import EquilibriumResult, solve_decreasing_foc
 
@@ -50,6 +51,7 @@ class AccessFunction:
 
     @classmethod
     def from_config(cls, cfg: dict) -> "AccessFunction":
+        reject_unknown_keys("access function", cfg, ("kind", "lambda"))
         return cls(cfg["kind"], float(cfg["lambda"]))
 
     @property

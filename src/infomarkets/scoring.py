@@ -12,6 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import reject_unknown_keys
+
 KINDS = ("quadratic", "logarithmic")
 
 _ALIASES = {"quadratic": "quadratic", "log": "logarithmic", "logarithmic": "logarithmic"}
@@ -31,6 +33,7 @@ class ScoringRule:
     @classmethod
     def from_config(cls, cfg: dict) -> "ScoringRule":
         """Parse ``{"rule": "quadratic"|"log", "scale": <real>}``."""
+        reject_unknown_keys("scoring rule", cfg, ("rule", "scale"))
         kind = _ALIASES.get(cfg.get("rule", "quadratic"))
         if kind is None:
             raise ValueError(f"unknown scoring rule {cfg.get('rule')!r}")

@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 
 from infomarkets import (Belief, InformationModel, LatencyFamily, ReportVector,
-                         ScoringRule, StrategyProfile, TimeValue, TimedReport,
-                         fpm_run, mvp_run, simulate, truthful_report)
+                         ScoreSequence, ScoringRule, StrategyProfile, TimeValue, TimedReport,
+                         fpm_run, mvp_equilibrium, mvp_run, mvp_welfare, simulate,
+                         truthful_report)
+from infomarkets import experiments
 from infomarkets.cli import main
 from infomarkets.errors import NumericalError
 from infomarkets.fpm import BatchOutcomeReport
@@ -27,11 +29,12 @@ class TestFigure:
         assert all(float(r["pm_effort"]) == 0.25 for r in rows.values())
         assert (tmp_path / "fig_eas_manifest.json").exists()
 
-    def test_rerun_is_byte_identical(self, tmp_path):
+    @pytest.mark.parametrize("name", experiments.EXPERIMENTS)
+    def test_rerun_is_byte_identical(self, tmp_path, name):
         a_dir, b_dir = tmp_path / "a", tmp_path / "b"
         for out in (a_dir, b_dir):
-            assert main(["figure", "fig_late", "--out", str(out)]) == 0
-        assert (a_dir / "fig_late.csv").read_bytes() == (b_dir / "fig_late.csv").read_bytes()
+            assert main(["figure", name, "--out", str(out)]) == 0
+        assert (a_dir / f"{name}.csv").read_bytes() == (b_dir / f"{name}.csv").read_bytes()
 
     def test_fig_late_reference_rows(self, tmp_path):
         assert main(["figure", "fig_late", "--out", str(tmp_path)]) == 0
@@ -65,16 +68,63 @@ class TestFigure:
         assert main(["figure"]) == 2
         capsys.readouterr()
 
-    def test_config_file_drives_custom_experiment(self, tmp_path):
-        cfg = {"experiment": "custom",
+    def test_config_file_drives_fig_eas(self, tmp_path):
+        cfg = {"experiment": "fig_eas",
                "parameters": {"v": [0.0, 2.0, 3.0], "n": 2,
                               "lambda_grid": [1.0, 2.0]},
                "output_path": str(tmp_path)}
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(cfg))
         assert main(["figure", "--config", str(cfg_path)]) == 0
-        rows = read_csv(tmp_path / "custom.csv")
+        rows = read_csv(tmp_path / "fig_eas.csv")
         assert float(rows[0]["mvp_effort"]) == pytest.approx(0.290773, abs=1e-5)
+        v, h = ScoreSequence(np.array([0.0, 2.0, 3.0])), TimeValue.exponential(1.0)
+        for row, lam in zip(rows, (1.0, 2.0), strict=True):
+            latency = LatencyFamily.exponential(lam)
+            effort = mvp_equilibrium(latency, h, v, 2).effort
+            assert row["mvp_welfare"] == experiments.format_number(
+                mvp_welfare(latency, h, v, 2, effort))
+
+    @pytest.mark.parametrize("parameters, needle", [
+        ({"lamda_grid": [1.0]}, "lamda_grid"),
+        ([{"lambda_grid": [1.0]}], "must be an object"),
+    ], ids=["misspelled", "not_an_object"])
+    def test_unknown_parameter_is_usage_error(self, tmp_path, capsys,
+                                              parameters, needle):
+        out = tmp_path / "out"
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"experiment": "fig_eas",
+                                        "parameters": parameters,
+                                        "output_path": str(out)}))
+        assert main(["figure", "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error:") and needle in err[0]
+        assert not out.exists()
+
+    def test_manifest_records_the_resolved_parameters(self, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"experiment": "fig_eas",
+                                        "parameters": {"lambda_grid": [1.0]}}))
+        assert main(["figure", "--config", str(cfg_path),
+                     "--out", str(tmp_path)]) == 0
+        manifest = json.loads((tmp_path / "fig_eas_manifest.json").read_text())
+        _, defaults = experiments._TABLE["fig_eas"]
+        assert manifest["parameters"] == {**defaults, "lambda_grid": [1.0]}
+        assert set(manifest["versions"]) == {"infomarkets", "python", "numpy", "scipy"}
+
+    @pytest.mark.parametrize("name", experiments.EXPERIMENTS)
+    def test_runner_reads_every_default(self, name):
+        runner, defaults = experiments._TABLE[name]
+        read = set()
+
+        class Recording(dict):
+            def __getitem__(self, key):
+                read.add(key)
+                return super().__getitem__(key)
+
+        runner(Recording(defaults))
+        assert read == set(defaults)
 
     def test_numerical_failure_exits_one(self, monkeypatch, tmp_path, capsys):
         import infomarkets.experiments as experiments
@@ -183,6 +233,28 @@ class TestSimulate:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1
         assert err[0].startswith("error:") and "delay_s" in err[0]
+
+    @pytest.mark.parametrize("edit, key", [
+        (lambda cfg: cfg.update(time_value=2.0), "time_value"),
+        (lambda cfg: cfg["profile"].update(effort=0.3), "effort"),
+        (lambda cfg: cfg["latency"].update(rate=2.0), "rate"),
+        (lambda cfg: cfg.update(access={"kind": "linear", "lambda": 3.0,
+                                        "lamda": 2.0}), "lamda"),
+    ], ids=["top_level", "profile", "latency", "access"])
+    def test_unknown_config_key_is_usage_error(self, tmp_path, capsys, edit, key):
+        cfg = {"model": {"kind": "binary_noisy", "alpha": 0.1, "beta": 0.05},
+               "mechanism": "mvp",
+               "rule": {"rule": "quadratic"},
+               "latency": {"lambda": 1.0},
+               "profile": {"efforts": [0.3, 0.3]},
+               "trials": 50}
+        edit(cfg)
+        path = tmp_path / "sim.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["simulate", "--config", str(path)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error:") and key in err[0]
 
     def test_per_trial_dump_leaves_the_stats_unchanged(self, tmp_path):
         cfg = {"model": {"kind": "binary_noisy", "alpha": 0.1, "beta": 0.05},

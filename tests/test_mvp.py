@@ -141,6 +141,15 @@ class TestTimeValueMass:
         with pytest.raises(ValueError):
             TimeValue("gaussian")
 
+    def test_config_rejects_unknown_key(self):
+        # a misspelled rate must not fall back to eta 1
+        with pytest.raises(ValueError, match="rate"):
+            TimeValue.from_config({"kind": "exponential", "rate": 5})
+        with pytest.raises(ValueError, match="eta"):
+            TimeValue.from_config({"kind": "table", "times": [0.0, 1.0],
+                                   "values": [1.0, 1.0], "eta": 2.0})
+        assert TimeValue.from_config({"kind": "exponential", "eta": 5}).eta == 5.0
+
 
 class TestMvpRun:
     def test_single_truthful_report(self):

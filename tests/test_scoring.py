@@ -168,3 +168,8 @@ class TestConstruction:
     def test_config_rejects_unknown_rule(self):
         with pytest.raises(ValueError):
             ScoringRule.from_config({"rule": "brier"})
+
+    def test_config_rejects_unknown_key(self):
+        # a misspelled scale must not fall back to scale 1
+        with pytest.raises(ValueError, match="scle"):
+            ScoringRule.from_config({"rule": "quadratic", "scle": 20})
