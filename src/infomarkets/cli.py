@@ -25,7 +25,7 @@ from .experiments import EXPERIMENTS, run_experiment, write_csv
 from .fpm import batch_from_json, fpm_run, result_to_json
 from .info_model import InformationModel, ScoreSequence
 from .montecarlo import (ReportPolicy, SimStats, StrategyProfile,
-                         per_trial_records)
+                         per_trial_records, simulate)
 from .mvp import TimeValue, mvp_run, reports_from_stream, trace_dump_rows
 from .pm_baseline import (AccessFunction, pm_batch_equilibrium,
                           pm_batch_welfare, pm_race_equilibrium)
@@ -139,11 +139,15 @@ def cmd_simulate(args) -> int:
     latency = (LatencyFamily.exponential(float(cfg["latency"]["lambda"]))
                if "latency" in cfg else None)
     h = TimeValue.from_config(cfg["h"]) if "h" in cfg else None
-    rec = per_trial_records(model, mechanism, profile, trials, seed,
-                            rule=rule, access=access, latency=latency, h=h)
-    payload = SimStats.from_records(mechanism, profile, rec).to_json()
-    payload["seed"] = seed
-    _emit(payload, args.out)
+    kw = dict(rule=rule, access=access, latency=latency, h=h)
+    if args.per_trial_csv:
+        # the dump needs every trial's books; they reduce to the same stats
+        rec = per_trial_records(model, mechanism, profile, trials, seed, **kw)
+        stats = SimStats.from_records(mechanism, profile, rec)
+    else:
+        # streamed: memory does not grow with the trial count
+        stats = simulate(model, mechanism, profile, trials, seed, **kw)
+    _emit({**stats.to_json(), "seed": seed}, args.out)
     if args.per_trial_csv:
         n = profile.num_agents
         header = (["trial"] + [f"reward_{i}" for i in range(n)]

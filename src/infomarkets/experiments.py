@@ -18,6 +18,7 @@ import json
 import os
 import platform
 import time
+from contextlib import contextmanager
 
 import numpy as np
 import scipy
@@ -55,19 +56,21 @@ def _grid(lo: float, hi: float, step: float) -> list[float]:
     return [lo + k * step for k in range(count + 1)]
 
 
-def _solved(experiment: str, point: str, solve, *args):
-    """``solve(*args)``; a NumericalError names the experiment and grid point."""
+@contextmanager
+def _at(experiment: str, where: str):
+    """A NumericalError or ValueError raised inside names the experiment and
+    ``where``: the grid point, or the parameters read before the grid."""
     try:
-        return solve(*args)
+        yield
     except NumericalError as exc:
-        raise NumericalError(f"{experiment} failed at grid point {point}: {exc}") from exc
+        raise NumericalError(f"{experiment} failed at {where}: {exc}") from exc
+    except ValueError as exc:
+        raise ValueError(f"{experiment} failed at {where}: {exc}") from exc
 
 
-def _mvp(experiment: str, point: str, lam: float, h: TimeValue,
-         v: ScoreSequence, n: int):
+def _mvp(lam: float, h: TimeValue, v: ScoreSequence, n: int):
     """The symmetric MVP equilibrium at exponential latency rate ``lam``."""
-    return _solved(experiment, point, mvp_equilibrium,
-                   LatencyFamily.exponential(lam), h, v, n)
+    return mvp_equilibrium(LatencyFamily.exponential(lam), h, v, n)
 
 
 def _lam_header(lams) -> list[str]:
@@ -77,54 +80,68 @@ def _lam_header(lams) -> list[str]:
 
 
 def run_fig_late(params: dict):
-    k_max = int(params["k_max"])
-    rule = ScoringRule("quadratic", params["scale"])
-    model = InformationModel.binary_noisy(params["alpha"], params["beta"])
-    v = v_sequence(model, rule, k_max)
-    base = expected_base_score(model, rule)
+    with _at("fig_late", f"alpha={params['alpha']}, beta={params['beta']}, "
+                         f"k_max={params['k_max']}, scale={params['scale']}"):
+        k_max = int(params["k_max"])
+        rule = ScoringRule("quadratic", params["scale"])
+        model = InformationModel.binary_noisy(params["alpha"], params["beta"])
+        v = v_sequence(model, rule, k_max)
+        base = expected_base_score(model, rule)
     rows = [(k, base + v[k], 0.0 if k == 0 else v[k] - v[k - 1])
             for k in range(k_max + 1)]
     return ["k", "expected_score", "marginal_reward"], rows
 
 
 def run_fig_eas(params: dict):
-    n = int(params["n"])
-    v = ScoreSequence(np.asarray(params["v"], float))
-    h = TimeValue.exponential(params["eta"])
-    pm = pm_race_equilibrium(v, n)
+    with _at("fig_eas", f"n={params['n']}, v={params['v']}, eta={params['eta']}"):
+        n = int(params["n"])
+        v = ScoreSequence(np.asarray(params["v"], float))
+        h = TimeValue.exponential(params["eta"])
+        pm = pm_race_equilibrium(v, n)
     rows = []
     for lam in params["lambda_grid"]:
-        eq = _mvp("fig_eas", f"lambda={lam}", lam, h, v, n)
-        rows.append((lam, pm.effort, eq.effort, eq.residual, int(eq.corner),
-                     mvp_welfare(LatencyFamily.exponential(lam), h, v, n, eq.effort)))
+        with _at("fig_eas", f"grid point lambda={lam}"):
+            eq = _mvp(lam, h, v, n)
+            rows.append((lam, pm.effort, eq.effort, eq.residual, int(eq.corner),
+                         mvp_welfare(LatencyFamily.exponential(lam), h, v, n,
+                                     eq.effort)))
     return ["lambda", "pm_effort", "mvp_effort", "mvp_residual", "mvp_corner",
             "mvp_welfare"], rows
 
 
 def run_fig_noise(params: dict):
-    n, lams = int(params["n"]), params["lambdas"]
-    rule = ScoringRule("quadratic", params["scale"])
-    h = TimeValue.exponential(params["eta"])
+    lams = params["lambdas"]
+    with _at("fig_noise", f"n={params['n']}, scale={params['scale']}, "
+                          f"eta={params['eta']}"):
+        n = int(params["n"])
+        rule = ScoringRule("quadratic", params["scale"])
+        h = TimeValue.exponential(params["eta"])
     rows = []
     for beta in params["beta_grid"]:
-        v = v_sequence(InformationModel.binary_noisy(params["alpha"], beta), rule, n)
-        row = [beta, v[1], v[2], pm_race_equilibrium(v, n).effort]
+        with _at("fig_noise", f"grid point alpha={params['alpha']}, beta={beta}"):
+            v = v_sequence(InformationModel.binary_noisy(params["alpha"], beta), rule, n)
+            row = [beta, v[1], v[2], pm_race_equilibrium(v, n).effort]
         for lam in lams:
-            eq = _mvp("fig_noise", f"beta={beta}, lambda={lam}", lam, h, v, n)
+            with _at("fig_noise", f"grid point beta={beta}, lambda={lam}"):
+                eq = _mvp(lam, h, v, n)
             row += [eq.effort, eq.residual]
         rows.append(tuple(row))
     return ["beta", "v1", "v2", "pm_effort"] + _lam_header(lams), rows
 
 
 def run_fig_subst(params: dict):
-    n, lams = int(params["n"]), params["lambdas"]
-    h = TimeValue.exponential(params["eta"])
+    lams = params["lambdas"]
+    with _at("fig_subst", f"n={params['n']}, eta={params['eta']}"):
+        n = int(params["n"])
+        h = TimeValue.exponential(params["eta"])
     rows = []
     for v1 in params["v1_grid"]:
-        v = ScoreSequence(np.array([0.0, v1, max(v1, params["v2"])]))
-        row = [v1, pm_race_equilibrium(v, n).effort]
+        with _at("fig_subst", f"grid point v1={v1}, v2={params['v2']}"):
+            v = ScoreSequence(np.array([0.0, v1, max(v1, params["v2"])]))
+            row = [v1, pm_race_equilibrium(v, n).effort]
         for lam in lams:
-            eq = _mvp("fig_subst", f"v1={v1}, lambda={lam}", lam, h, v, n)
+            with _at("fig_subst", f"grid point v1={v1}, lambda={lam}"):
+                eq = _mvp(lam, h, v, n)
             row += [eq.effort, eq.residual]
         rows.append(tuple(row))
     return ["v1", "pm_effort"] + _lam_header(lams), rows
@@ -141,33 +158,37 @@ def run_fig_original(params: dict):
     for n in params["n_grid"]:
         row = [n]
         for kind in ("linear", "exponential"):
-            F = AccessFunction(kind, lam)
-            if kind == "linear":
-                c_opt = 1.0 / lam - lam ** (-n / (n - 1))
-            else:
-                c_opt = np.log(lam) / (n * lam)
-            eq = _solved("fig_original", f"kind={kind}, n={n}",
-                         pm_batch_equilibrium, F, n)
-            row += [c_opt, pm_batch_welfare(F, n, c_opt), n * c_opt,
-                    eq.effort, pm_batch_welfare(F, n, eq.effort), n * eq.effort,
-                    eq.residual, int(eq.corner)]
+            with _at("fig_original", f"grid point kind={kind}, n={n}, lambda={lam}"):
+                F = AccessFunction(kind, lam)
+                if kind == "linear":
+                    c_opt = 1.0 / lam - lam ** (-n / (n - 1))
+                else:
+                    c_opt = np.log(lam) / (n * lam)
+                eq = pm_batch_equilibrium(F, n)
+                row += [c_opt, pm_batch_welfare(F, n, c_opt), n * c_opt,
+                        eq.effort, pm_batch_welfare(F, n, eq.effort), n * eq.effort,
+                        eq.residual, int(eq.corner)]
         rows.append(tuple(row))
     return header, rows
 
 
 def run_fig_welfare_heatmap(params: dict):
-    h = TimeValue.exponential(params["eta"])
+    with _at("fig_welfare_heatmap", f"eta={params['eta']}"):
+        h = TimeValue.exponential(params["eta"])
     rows = []
     for n in params["n_grid"]:
-        v = ScoreSequence(np.array([0.0] + [1.0] * n))
-        pm = pm_race_equilibrium(v, n)  # the race does not depend on the rate
+        with _at("fig_welfare_heatmap", f"grid point n={n}"):
+            v = ScoreSequence(np.array([0.0] + [1.0] * n))
+            pm = pm_race_equilibrium(v, n)  # the race does not depend on the rate
         for lam in params["lambda_grid"]:
-            latency = LatencyFamily.exponential(lam)
-            eq = _mvp("fig_welfare_heatmap", f"n={n}, lambda={lam}", lam, h, v, n)
-            rows.append((n, lam, pm.effort, mvp_welfare(latency, h, v, n, pm.effort),
-                         eq.effort, mvp_welfare(latency, h, v, n, eq.effort),
-                         mvp_principal_utility(latency, h, v, n, eq.effort),
-                         eq.residual, int(eq.corner)))
+            with _at("fig_welfare_heatmap", f"grid point n={n}, lambda={lam}"):
+                latency = LatencyFamily.exponential(lam)
+                eq = _mvp(lam, h, v, n)
+                rows.append((n, lam, pm.effort,
+                             mvp_welfare(latency, h, v, n, pm.effort),
+                             eq.effort, mvp_welfare(latency, h, v, n, eq.effort),
+                             mvp_principal_utility(latency, h, v, n, eq.effort),
+                             eq.residual, int(eq.corner)))
     return ["n", "lambda", "pm_effort", "pm_welfare", "mvp_effort",
             "mvp_welfare", "mvp_principal_utility", "mvp_residual",
             "mvp_corner"], rows

@@ -19,7 +19,7 @@ from functools import cached_property
 import numpy as np
 from scipy.special import gammaln
 
-from .errors import CapacityError
+from .errors import CapacityError, reject_unknown_keys
 from .scoring import ScoringRule, expected_score
 
 #: most terms an exact enumeration may visit: signal count vectors in
@@ -109,14 +109,23 @@ class InformationModel:
 
     @classmethod
     def from_config(cls, cfg: dict) -> "InformationModel":
-        """Parse ``{kind: "binary_noisy", alpha, beta}`` or ``{kind: "table", ...}``."""
+        """Parse ``{kind: "binary_noisy", alpha, beta}`` or ``{kind: "table", ...}``.
+
+        A key the kind does not read is a ValueError, except the legacy
+        ``num_agents``, which is accepted and ignored.
+        """
+        if not isinstance(cfg, dict):
+            raise ValueError(f"model config must be an object, got {cfg!r}")
         kind = cfg.get("kind")
+        keys = {"binary_noisy": ("alpha", "beta"),
+                "table": ("prior", "likelihood")}.get(kind)
+        if keys is None:
+            raise ValueError(f"unknown model kind {kind!r}")
+        reject_unknown_keys(f"{kind} model", cfg, ("kind", "num_agents") + keys)
         if kind == "binary_noisy":
             return cls.binary_noisy(float(cfg["alpha"]), float(cfg["beta"]))
-        if kind == "table":
-            return cls(np.asarray(cfg["prior"], float),
-                       np.asarray(cfg["likelihood"], float))
-        raise ValueError(f"unknown model kind {kind!r}")
+        return cls(np.asarray(cfg["prior"], float),
+                   np.asarray(cfg["likelihood"], float))
 
     @property
     def num_outcomes(self) -> int:

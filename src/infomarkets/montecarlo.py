@@ -25,6 +25,9 @@ time order before the table.  So the Python work per chunk does not
 grow with n x m, and the chunk length is derived, not set: each chunk
 settles about :data:`_CHUNK_ELEMENTS` trials x agents x outcomes
 report-column entries, so scratch memory is bounded at any width.
+:func:`simulate` reduces each chunk's books as soon as they are settled
+(see :class:`_Moments`), so its memory does not grow with the trial count
+either; only :func:`per_trial_records` keeps every trial.
 """
 import math
 from dataclasses import dataclass
@@ -113,6 +116,73 @@ class StrategyProfile:
         return len(self.efforts)
 
 
+#: trials per block of :class:`_Moments`.  Fixed, and independent of the
+#: chunk length, so the statistics depend on the trial sequence alone
+_BLOCK = 1024
+
+
+class _Moments:
+    """Streaming means and standard errors of the rows of the books.
+
+    The trials, fed in order, are cut into blocks of :data:`_BLOCK`; a block
+    that spans two :meth:`add` calls is buffered.  Each block is a
+    ``(rows, block)`` array with contiguous rows, reduced by numpy to a sum
+    and a sum of squared deviations per row, and the blocks merge in trial
+    order by the pairwise update of Chan, Golub and LeVeque (1979).  Memory
+    stays at one block however many trials pass.
+    """
+
+    def __init__(self, rows: int):
+        self._block = np.empty((rows, _BLOCK))
+        self._fill = 0
+        self._count = 0
+        self._sum = np.zeros(rows)
+        self._m2 = np.zeros(rows)
+
+    def add(self, *parts: np.ndarray) -> None:
+        """Append the trials of ``parts``: trial-major ``(T, k)`` or ``(T,)``
+        arrays, stacked as rows in order."""
+        parts = [p.reshape(p.shape[0], -1) for p in parts]
+        trials, done = parts[0].shape[0], 0
+        while done < trials:
+            take = min(_BLOCK - self._fill, trials - done)
+            cols = slice(self._fill, self._fill + take)
+            row = 0
+            for p in parts:
+                self._block[row:row + p.shape[1], cols] = p[done:done + take].T
+                row += p.shape[1]
+            self._fill += take
+            done += take
+            if self._fill == _BLOCK:
+                self._merge(self._block)
+
+    def _merge(self, block: np.ndarray) -> None:
+        """Fold ``block`` into the running sums; it is overwritten."""
+        nb = block.shape[1]
+        total = block.sum(axis=1)
+        block -= (total / nb)[:, None]
+        np.square(block, out=block)
+        m2 = block.sum(axis=1)
+        na = self._count
+        if na:
+            delta = total / nb - self._sum / na
+            m2 += delta * delta * (na * nb / (na + nb))
+        self._count = na + nb
+        self._sum += total
+        self._m2 += m2
+        self._fill = 0
+
+    def finish(self) -> tuple[int, np.ndarray, np.ndarray]:
+        """``(trials, means, standard errors)`` of every row."""
+        if self._fill:
+            self._merge(self._block[:, :self._fill])
+        count = self._count
+        if count < 2:
+            return count, self._sum / count, np.zeros_like(self._sum)
+        return (count, self._sum / count,
+                np.sqrt(self._m2 / (count - 1)) / math.sqrt(count))
+
+
 @dataclass(frozen=True)
 class SimStats:
     """Aggregates of one simulation run (per-agent arrays are agent-indexed)."""
@@ -132,21 +202,28 @@ class SimStats:
     def from_records(cls, mechanism: str, profile: "StrategyProfile",
                      records: dict[str, np.ndarray]) -> "SimStats":
         """Reduce the books of :func:`per_trial_records` to means and standard errors."""
-        rewards, utilities = records["rewards"], records["utilities"]
-        trials = rewards.shape[0]
+        return cls._reduce(mechanism, profile, [records])
+
+    @classmethod
+    def _reduce(cls, mechanism, profile, books) -> "SimStats":
+        """Reduce ``books``, an iterable of :func:`per_trial_records`-style
+        dicts over consecutive trial ranges, through one :class:`_Moments`.
+
+        How the trials are split among the dicts never changes the result.
+        """
+        n = profile.num_agents
+        moments = _Moments(2 * n + 2)
+        for chunk in books:
+            moments.add(chunk["rewards"], chunk["utilities"],
+                        chunk["principal_utility"], chunk["welfare"])
+        trials, mean, se = moments.finish()
         costs = np.asarray(profile.efforts)
-        sqrt_t = math.sqrt(trials)
-
-        def se(a: np.ndarray) -> np.ndarray:
-            return a.std(axis=0, ddof=1) / sqrt_t if trials > 1 else np.zeros(a.shape[1])
-
         return cls(
             mechanism=mechanism, trials=trials,
-            reward_mean=rewards.mean(axis=0), reward_se=se(rewards),
+            reward_mean=mean[:n], reward_se=se[:n],
             cost_mean=costs, cost_se=np.zeros_like(costs),
-            utility_mean=utilities.mean(axis=0), utility_se=se(utilities),
-            principal_utility_mean=float(records["principal_utility"].mean()),
-            welfare_mean=float(records["welfare"].mean()),
+            utility_mean=mean[n:2 * n], utility_se=se[n:2 * n],
+            principal_utility_mean=float(mean[-2]), welfare_mean=float(mean[-1]),
         )
 
     def to_json(self) -> dict:
@@ -291,10 +368,27 @@ def _sequential_kernel(model, mechanism, profile, rule, latency, h):
         times = np.where(speaks[:, None], -np.log1p(-u_lat) / rate + delay, np.inf)
         # slot s holds the s-th report in time order; an agent who never
         # reports sorts last, in state 0 (the neutral column)
-        order = np.argsort(times, axis=0, kind="stable")
-        sorted_times = np.take_along_axis(times, order, axis=0)
+        if n == 2:
+            # one comparison orders two agents; a tie keeps agent order, as
+            # the stable sort does, and the swap is its own inverse
+            swap = times[1] < times[0]
+
+            def to_slots(a):
+                return np.where(swap, a[::-1], a)
+            from_slots = to_slots
+        else:
+            order = np.argsort(times, axis=0, kind="stable")
+
+            def to_slots(a):
+                return np.take_along_axis(a, order, axis=0)
+
+            def from_slots(a):
+                out = np.empty_like(a)
+                np.put_along_axis(out, order, a, axis=0)
+                return out
+        sorted_times = to_slots(times)
         rows = _table_rows(model, y, u_sig, np.isfinite(times))
-        slot_cols = np.take(table, np.take_along_axis(rows, order, axis=0), axis=0)
+        slot_cols = np.take(table, to_slots(rows), axis=0)
         # masses[j]: h's mass between edges j and j + 1 of (0, sorted times,
         # inf), as differences of tails; tail(inf) = 0 for both kinds
         tails = np.empty((n + 2, T))
@@ -311,8 +405,7 @@ def _sequential_kernel(model, mechanism, profile, rule, latency, h):
             s_path = score(rule, fold_path(model.prior, slot_cols), y)  # (n+1, T)
             slot_rewards = np.where(np.isfinite(sorted_times),
                                     s_path[1:] - s_path[:-1], 0.0)
-        rewards = np.empty((n, T))
-        np.put_along_axis(rewards, order, slot_rewards, axis=0)
+        rewards = from_slots(slot_rewards)
         if not value:
             return rewards, None
         return rewards, np.einsum("jt,tj->t", s_path - s_path[0], masses.T)
@@ -362,22 +455,39 @@ def _draws(model: InformationModel, n: int, trials: int, seed: int):
         yield slice(done, done + T), y, u_lat, u_sig, u_win
 
 
+def _books(model, mechanism, profile, trials, seed, rule, access, latency, h):
+    """The books chunk by chunk: ``(slice, books)`` in trial order.
+
+    ``books`` holds the chunk's trial-major ``(T, n)`` rewards and
+    utilities and its ``(T,)`` value, principal utility and welfare, the
+    keys of :func:`per_trial_records`.  Welfare is principal utility plus
+    the agents' utilities, so the identity holds bit for bit.
+    """
+    h = _validate_setup(model, mechanism, profile, trials, rule, access, latency, h)
+    settle = _kernel(model, mechanism, profile, rule, access, latency, h)
+    efforts = np.asarray(profile.efforts)
+    for sl, *draws in _draws(model, profile.num_agents, trials, seed):
+        rewards, value = settle(*draws)
+        rewards = np.ascontiguousarray(rewards.T)
+        utilities = rewards - efforts
+        principal = value - rewards.sum(axis=1)
+        welfare = principal + utilities.sum(axis=1)
+        yield sl, {"rewards": rewards, "value": value, "utilities": utilities,
+                   "principal_utility": principal, "welfare": welfare}
+
+
 def per_trial_records(model, mechanism, profile, trials, seed, *,
                       rule=None, access=None, latency=None,
                       h=None) -> dict[str, np.ndarray]:
     """Per-trial books: rewards, value, utilities, principal utility, welfare."""
-    h = _validate_setup(model, mechanism, profile, trials, rule, access, latency, h)
-    settle = _kernel(model, mechanism, profile, rule, access, latency, h)
-    rewards = np.empty((trials, profile.num_agents))
-    value = np.empty(trials)
-    for sl, *draws in _draws(model, profile.num_agents, trials, seed):
-        chunk_rewards, value[sl] = settle(*draws)
-        rewards[sl] = chunk_rewards.T
-    utilities = rewards - np.asarray(profile.efforts)
-    principal = value - rewards.sum(axis=1)
-    welfare = principal + utilities.sum(axis=1)
-    return {"rewards": rewards, "value": value, "utilities": utilities,
-            "principal_utility": principal, "welfare": welfare}
+    records = {}
+    for sl, books in _books(model, mechanism, profile, trials, seed,
+                            rule, access, latency, h):
+        for key, a in books.items():
+            if key not in records:
+                records[key] = np.empty((trials,) + a.shape[1:])
+            records[key][sl] = a
+    return records
 
 
 def simulate(model: InformationModel, mechanism: str, profile: StrategyProfile,
@@ -387,11 +497,13 @@ def simulate(model: InformationModel, mechanism: str, profile: StrategyProfile,
              h: TimeValue | None = None) -> SimStats:
     """Sample ``trials`` independent plays and aggregate the books.
 
-    Deterministic given ``seed`` and the configuration.
+    Each chunk's books are reduced as they are settled, so memory does not
+    grow with ``trials``.  Deterministic given ``seed`` and the
+    configuration, and bit for bit
+    ``SimStats.from_records(mechanism, profile, per_trial_records(...))``.
     """
-    records = per_trial_records(model, mechanism, profile, trials, seed,
-                                rule=rule, access=access, latency=latency, h=h)
-    return SimStats.from_records(mechanism, profile, records)
+    books = _books(model, mechanism, profile, trials, seed, rule, access, latency, h)
+    return SimStats._reduce(mechanism, profile, (chunk for _, chunk in books))
 
 
 def deviation_test(model: InformationModel, mechanism: str,

@@ -102,6 +102,21 @@ class TestFigure:
         assert err[0].startswith("error:") and needle in err[0]
         assert not out.exists()
 
+    @pytest.mark.parametrize("experiment, parameters, needle", [
+        ("fig_eas", {"n": 1}, "n=1"),
+        ("fig_noise", {"beta_grid": [0.6]}, "beta=0.6"),
+    ], ids=["fig_eas_n", "fig_noise_beta"])
+    def test_bad_parameter_value_is_named(self, tmp_path, capsys, experiment,
+                                          parameters, needle):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"experiment": experiment,
+                                        "parameters": parameters}))
+        assert main(["figure", "--config", str(cfg_path),
+                     "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"error: {experiment} ") and needle in err[0]
+
     def test_manifest_records_the_resolved_parameters(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"experiment": "fig_eas",

@@ -260,3 +260,16 @@ class TestTypes:
         assert t.num_signal_values == 2
         with pytest.raises(ValueError):
             InformationModel.from_config({"kind": "mystery"})
+        # the legacy agent count is accepted and ignored
+        legacy = InformationModel.from_config({"kind": "binary_noisy", "alpha": 0.02,
+                                               "beta": 0.2, "num_agents": 3})
+        np.testing.assert_array_equal(legacy.likelihood, m.likelihood)
+
+    @pytest.mark.parametrize("cfg, key", [
+        ({"kind": "binary_noisy", "alpha": 0.1, "beta": 0.05, "betta": 0.3}, "betta"),
+        ({"kind": "table", "prior": [0.5, 0.5], "likelihood": [[0.9, 0.1], [0.1, 0.9]],
+          "alpha": 0.1}, "alpha"),
+    ], ids=["binary_noisy", "table"])
+    def test_from_config_rejects_unknown_keys(self, cfg, key):
+        with pytest.raises(ValueError, match=key):
+            InformationModel.from_config(cfg)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -6,7 +7,7 @@ import pytest
 
 from infomarkets import (AccessFunction, BatchOutcomeReport, Belief,
                          InformationModel, LatencyFamily, ReportPolicy,
-                         ReportVector, ScoreSequence, ScoringRule,
+                         ReportVector, ScoreSequence, ScoringRule, SimStats,
                          StrategyProfile, TimeValue, TimedReport,
                          deviation_test, fpm_expected_reward, fpm_run,
                          mvp_agent_reward, mvp_run, per_trial_records,
@@ -132,11 +133,9 @@ def loop_settlement(model, mechanism, profile, trials, seed, rule, access,
 
 
 def stats_equal(a, b):
-    return (np.array_equal(a.reward_mean, b.reward_mean)
-            and np.array_equal(a.reward_se, b.reward_se)
-            and np.array_equal(a.utility_mean, b.utility_mean)
-            and a.principal_utility_mean == b.principal_utility_mean
-            and a.welfare_mean == b.welfare_mean)
+    """Every field of two SimStats, bit for bit."""
+    return all(np.array_equal(getattr(a, f.name), getattr(b, f.name))
+               for f in dataclasses.fields(SimStats))
 
 
 class TestDeterminism:
@@ -159,8 +158,11 @@ class TestDeterminism:
 
         def run(h):
             kw = dict(rule=QUAD20, access=ACC, latency=LAT1, h=h)
-            return (simulate(model, mechanism, profile, trials, 23, **kw),
-                    per_trial_records(model, mechanism, profile, trials, 23, **kw),
+            stats = simulate(model, mechanism, profile, trials, 23, **kw)
+            records = per_trial_records(model, mechanism, profile, trials, 23, **kw)
+            # the streamed reduction and the reduction of the whole books agree
+            assert stats_equal(stats, SimStats.from_records(mechanism, profile, records))
+            return (stats, records,
                     deviation_test(model, mechanism, profile, 0, 0.5, trials, 23, **kw))
 
         whole = [run(h) for h in (H1, DEADLINE)]
@@ -186,6 +188,22 @@ class TestAccounting:
                                 rule=QUAD20, access=ACC, latency=LAT1, h=H1)
         recomputed = rec["principal_utility"] + rec["utilities"].sum(axis=1)
         assert np.array_equal(rec["welfare"], recomputed)
+
+    @pytest.mark.parametrize("mechanism", ["fpm", "mvp"])
+    def test_block_merged_stats_match_numpy(self, mechanism):
+        # 5000 trials: four full 1024-trial blocks and a partial one
+        profile = StrategyProfile((0.3, 0.6, 0.0))
+        kw = dict(rule=QUAD20, access=ACC, latency=LAT1, h=H1)
+        rec = per_trial_records(MODEL, mechanism, profile, 5000, 8, **kw)
+        stats = simulate(MODEL, mechanism, profile, 5000, 8, **kw)
+        for mean, se, books in [(stats.reward_mean, stats.reward_se, rec["rewards"]),
+                                (stats.utility_mean, stats.utility_se, rec["utilities"])]:
+            np.testing.assert_allclose(mean, books.mean(axis=0), rtol=1e-12, atol=1e-15)
+            np.testing.assert_allclose(se, books.std(axis=0, ddof=1) / math.sqrt(5000),
+                                       rtol=1e-12, atol=1e-15)
+        assert stats.welfare_mean == pytest.approx(rec["welfare"].mean(), rel=1e-12)
+        assert stats.principal_utility_mean == pytest.approx(
+            rec["principal_utility"].mean(), rel=1e-12, abs=1e-15)
 
     def test_pm_batch_hands_all_value_to_the_winner(self):
         rec = per_trial_records(MODEL, "pm_batch", PROFILE, 2000, 5, access=ACC)
@@ -292,11 +310,12 @@ class TestKernelMatchesLoopOracle:
     """The agent-vectorized chunk kernel against the per-agent loops it replaced."""
 
     @pytest.mark.parametrize("m", [2, 3, 40])
-    @pytest.mark.parametrize("n", [1, 5, 33])
+    @pytest.mark.parametrize("n", [1, 2, 5, 33])
     def test_bit_for_bit(self, n, m, monkeypatch):
         model = binary_model(m, m)
-        # a single agent plays each (policy, effort) pair in turn
-        profiles = [mixed_profile(n, n + m, start) for start in range(12 if n == 1 else 1)]
+        # one agent, or two neighbours (the two-agent slot order), play each
+        # (policy, effort) pair in turn
+        profiles = [mixed_profile(n, n + m, start) for start in range(12 if n <= 2 else 1)]
         trials, seed = 600, 61
         # several chunks, the last one short
         monkeypatch.setattr(montecarlo, "_CHUNK_ELEMENTS", 1 << 12)
@@ -526,6 +545,19 @@ class TestValidation:
         finally:
             tracemalloc.stop()
         assert peak < 150e6
+
+    def test_simulate_memory_does_not_grow_with_the_trials(self, monkeypatch):
+        # 1000-trial chunks: the books of 200 000 trials would be 11 MB
+        monkeypatch.setattr(montecarlo, "_CHUNK_ELEMENTS", 4 * 1000)
+        peaks = []
+        for trials in (20_000, 200_000):
+            tracemalloc.start()
+            try:
+                simulate(MODEL, "fpm", PROFILE, trials, 5, rule=QUAD20, access=ACC)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < 1.1 * peaks[0] + 64e3
 
     def test_stats_serialize(self):
         stats = simulate(MODEL, "fpm", PROFILE, 100, 0, rule=QUAD20, access=ACC)
