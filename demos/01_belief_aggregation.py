@@ -7,8 +7,8 @@ posterior without ever seeing the agents' raw signals, in any order.
 """
 import numpy as np
 
-from infomarkets import (InformationModel, apply_report, posterior,
-                         truthful_report, update)
+from infomarkets import (Belief, InformationModel, ReportVector,
+                         apply_report, posterior, truthful_report)
 
 model = InformationModel.binary_noisy(alpha=0.02, beta=0.2)
 
@@ -40,10 +40,10 @@ print(f"direct Bayes posterior:    P(event) = {exact[1]:.6f}")
 print(f"difference: {abs(belief[1] - exact[1]):.2e}")
 
 print("\nOrder never matters (odds multiplications commute):")
-p = 0.02
+start = Belief(np.array([0.98, 0.02]))
 for b1, b2 in [(0.8, 0.2), (0.2, 0.8)]:
-    q = update(update(p, b1), b2)
-    print(f"  fold order ({b1}, {b2}): {q:.10f}")
+    q = apply_report(apply_report(start, ReportVector((b1,))), ReportVector((b2,)))
+    print(f"  fold order ({b1}, {b2}): {q[1]:.10f}")
 
 rng = np.random.default_rng(0)
 signals = list(rng.integers(0, 2, size=8))

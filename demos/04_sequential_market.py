@@ -1,10 +1,10 @@
 """The sequential marginal-value market on a recorded report stream.
 
-Three agents report at different times; the market maintains the actual
-belief path and, for every agent, the counterfactual path without him.
-Each reward is the time-value-weighted area between the two paths, so a
-report is worth more the earlier it lands and the more it adds to what
-others already contributed.
+Three agents report at different times; the market tracks the actual
+belief path, and each agent's counterfactual path is the path of the same
+stream without his report.  Each reward is the time-value-weighted area
+between the two paths, so a report is worth more the earlier it lands and
+the more it adds to what others already contributed.
 """
 import numpy as np
 
@@ -29,9 +29,10 @@ for t, *probs in trace_dump_rows(trace):
 
 print("\nCounterfactual paths at t = 3 (what the market would believe")
 print("had each agent stayed silent):")
-k = trace.k(3.0)
 for i in range(3):
-    print(f"  without agent {i}: P(event) = {trace.counterfactuals[i, k][1]:.6f}")
+    others = [rep for rep in reports if rep.agent != i]
+    without, _ = mvp_run(model.prior_belief(), others, outcome, rule, h)
+    print(f"  without agent {i}: P(event) = {without.belief_at(3.0)[1]:.6f}")
 
 print(f"\nTime value remaining after each report "
       f"(exponential decay, total mass 1):")

@@ -7,8 +7,7 @@ marginal-value mechanism, traditional prediction-market baselines, the
 symmetric effort equilibria of all of them, and a Monte Carlo engine for
 empirical deviation tests.
 """
-from .belief import (RATIO_CLAMP, ReportVector, apply_report,
-                     bayes_likelihood_update, truthful_report, update)
+from .belief import RATIO_CLAMP, ReportVector, apply_report, truthful_report
 from .equilibrium import (LatencyFamily, batch_equilibrium, batch_welfare,
                           mvp_agent_reward, mvp_br_derivative,
                           mvp_equilibrium, mvp_principal_utility, mvp_welfare)
@@ -36,13 +35,13 @@ __all__ = [
     "ReportPolicy", "ReportVector", "ScoreSequence", "ScoringRule",
     "SimStats", "StrategyProfile", "TimeValue", "TimedReport",
     "apply_report", "batch_equilibrium", "batch_from_json", "batch_welfare",
-    "bayes_likelihood_update", "deviation_test", "expected_base_score",
-    "expected_score", "fpm_expected_reward", "fpm_run", "mvp_agent_reward",
+    "deviation_test", "expected_base_score", "expected_score",
+    "fpm_expected_reward", "fpm_run", "mvp_agent_reward",
     "mvp_br_derivative", "mvp_equilibrium", "mvp_principal_utility",
     "mvp_run", "mvp_welfare",
     "per_trial_records", "pm_batch_equilibrium", "pm_batch_utility",
     "pm_batch_welfare", "pm_race_equilibrium", "posterior",
     "reports_from_stream", "result_to_json", "score",
     "simulate", "time_value_mass", "trace_dump_rows", "truthful_report",
-    "update", "v_sequence",
+    "v_sequence",
 ]

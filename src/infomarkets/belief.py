@@ -4,9 +4,10 @@ A market maintains a belief vector; each report multiplies the odds of an
 outcome by a likelihood ratio the reporter encodes as a number in (0, 1).
 For binary outcome spaces this per-coordinate update is an exact Bayes
 step (see :func:`truthful_report`); for three or more outcomes it is not,
-because "all other outcomes" do not share one likelihood, so the canonical
-general update is :func:`bayes_likelihood_update` on a full likelihood
-column and mechanisms accept those columns directly as reports.
+because "all other outcomes" do not share one likelihood, so a report there
+is the full likelihood column itself.  Either kind of report is folded by
+:func:`apply_report`, one exact :func:`fold_path` step, and mechanisms
+accept both.
 
 Report entry convention: ``entries[i]`` carries the ratio for outcome
 ``i + 1``; outcome 0 is the residual coordinate that keeps the belief
@@ -56,39 +57,19 @@ class ReportVector:
         return len(self.entries) + 1
 
 
-def update(p: float, b: float) -> float:
-    """One odds-form update: multiply the odds ``p/(1-p)`` by ``b/(1-b)``.
-
-    Degenerate beliefs 0 and 1 are fixed points for every report.
-    """
-    if not 0.0 < b < 1.0:
-        raise ValueError(f"report entry {b!r} is not strictly inside (0, 1)")
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"probability {p!r} outside [0, 1]")
-    return p * b / ((1.0 - p) * (1.0 - b) + p * b)
-
-
-def bayes_likelihood_update(belief: Belief, likelihood_column) -> Belief:
-    """Multiply a belief by a likelihood column and renormalize.
-
-    This is the exact posterior update for any number of outcomes.
-    """
-    return apply_report(belief, likelihood_column)
-
-
 def truthful_report(model: InformationModel, signal: int) -> ReportVector:
     """Encode a signal as the report that performs its exact Bayes update.
 
     For a binary outcome space the entry ``b`` satisfies
-    ``b/(1-b) = P(x | Y=1) / P(x | Y=0)``, so feeding ``b`` through
-    :func:`update` turns any market belief P(Y=1 | evidence) into
-    P(Y=1 | evidence, x).  Noiseless models produce ratios of 0 or
-    infinity; those are clamped just inside (0, 1) and flagged.
+    ``b/(1-b) = P(x | Y=1) / P(x | Y=0)``, so :func:`apply_report` with it
+    turns any market belief P(Y=1 | evidence) into P(Y=1 | evidence, x).
+    Noiseless models produce ratios of 0 or infinity; those are clamped
+    just inside (0, 1) and flagged.
 
     With three or more outcomes the per-coordinate encoding is not an
     exact Bayes step; report the likelihood column
-    ``model.likelihood[:, signal]`` itself and let mechanisms apply
-    :func:`bayes_likelihood_update`.
+    ``model.likelihood[:, signal]`` itself, which :func:`apply_report` and
+    the mechanisms accept.
     """
     d = model.num_outcomes
     if d != 2:
@@ -152,8 +133,9 @@ def apply_report(belief: Belief, report) -> Belief:
     """Fold one report into a market belief.
 
     ``report`` is a :class:`ReportVector` (binary markets: the column
-    ``(1-b, b)``, the odds update of :func:`update`) or a likelihood column
-    of length d; either way it is one exact :func:`fold_path` step.
+    ``(1-b, b)``, which multiplies the odds by ``b/(1-b)``) or a likelihood
+    column of length d; either way it is one exact :func:`fold_path` step,
+    the Bayes update by that column.  A belief of 0 or 1 stays fixed.
     """
     column = report_column(report, belief.num_outcomes)
     return Belief(fold_path(belief.probs, column[None])[1])

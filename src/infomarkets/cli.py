@@ -10,7 +10,8 @@ Subcommands expose every piece of the library for scripted use:
 
 Exit codes: 0 success, 1 numerical failure, 2 usage error.  A config key
 that nothing reads (in a figure or simulation config, or in a rule, access
-or time-value entry) is a usage error that names the key.
+or time-value entry) is a usage error that names the key, and so is a
+required key that is missing.
 """
 import argparse
 import json
@@ -20,7 +21,8 @@ import numpy as np
 
 from .equilibrium import (LatencyFamily, batch_equilibrium, mvp_equilibrium,
                           mvp_welfare)
-from .errors import CapacityError, NumericalError, reject_unknown_keys
+from .errors import (CapacityError, NumericalError, reject_unknown_keys,
+                     require_keys)
 from .experiments import EXPERIMENTS, run_experiment, write_csv
 from .fpm import batch_from_json, fpm_run, result_to_json
 from .info_model import InformationModel, ScoreSequence
@@ -85,6 +87,7 @@ def cmd_figure(args) -> int:
         cfg = _load_json(args.config)
         reject_unknown_keys("figure config", cfg,
                             ("experiment", "parameters", "output_path"))
+        require_keys("figure config", cfg, ("experiment",))
         if args.name and args.name != cfg["experiment"]:
             raise SystemExit(f"config is for {cfg['experiment']!r}, "
                              f"not {args.name!r}")
@@ -125,8 +128,12 @@ def cmd_simulate(args) -> int:
     cfg = _load_json(args.config)
     reject_unknown_keys("simulate config", cfg, ("model", "mechanism", "profile",
                         "trials", "seed", "rule", "access", "latency", "h"))
+    require_keys("simulate config", cfg, ("model", "mechanism", "profile"))
     reject_unknown_keys("profile", cfg["profile"], ("efforts", "policies"))
-    reject_unknown_keys("latency", cfg.get("latency", {}), ("lambda",))
+    require_keys("profile", cfg["profile"], ("efforts",))
+    if "latency" in cfg:
+        reject_unknown_keys("latency", cfg["latency"], ("lambda",))
+        require_keys("latency", cfg["latency"], ("lambda",))
     model = InformationModel.from_config(cfg["model"])
     mechanism = cfg["mechanism"]
     profile = StrategyProfile(

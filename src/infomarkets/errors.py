@@ -1,4 +1,4 @@
-"""Exception types and the config-key check shared across the package."""
+"""Exception types and the config-key checks shared across the package."""
 
 
 class CapacityError(RuntimeError):
@@ -26,3 +26,11 @@ def reject_unknown_keys(what: str, cfg: dict, accepted) -> None:
     if unknown:
         raise ValueError(f"{what}: unknown key(s) {unknown}; "
                          f"accepted: {sorted(accepted)}")
+
+
+def require_keys(what: str, cfg: dict, required) -> None:
+    """Raise ValueError naming the first key of ``required`` missing from
+    ``cfg``, a dict that has passed :func:`reject_unknown_keys`."""
+    for key in required:
+        if key not in cfg:
+            raise ValueError(f"{what}: missing key {key!r}")

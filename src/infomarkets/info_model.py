@@ -19,7 +19,7 @@ from functools import cached_property
 import numpy as np
 from scipy.special import gammaln
 
-from .errors import CapacityError, reject_unknown_keys
+from .errors import CapacityError, reject_unknown_keys, require_keys
 from .scoring import ScoringRule, expected_score
 
 #: most terms an exact enumeration may visit: signal count vectors in
@@ -122,6 +122,7 @@ class InformationModel:
         if keys is None:
             raise ValueError(f"unknown model kind {kind!r}")
         reject_unknown_keys(f"{kind} model", cfg, ("kind", "num_agents") + keys)
+        require_keys(f"{kind} model", cfg, keys)
         if kind == "binary_noisy":
             return cls.binary_noisy(float(cfg["alpha"]), float(cfg["beta"]))
         return cls(np.asarray(cfg["prior"], float),
@@ -179,6 +180,11 @@ def posterior(model: InformationModel, signals) -> Belief:
     The result is invariant to the order of ``signals`` because they are
     conditionally independent.  Each step renormalizes, as
     ``belief.fold_path`` does, so arbitrarily many signals never underflow.
+
+    This loop is kept apart from ``fold_path`` on purpose: it is the
+    independent Bayes reference that market folds (``apply_report``, the
+    batch and sequential settlements) are checked against, so it must not
+    share their code.
     """
     m = model.num_signal_values
     weights = model.prior

@@ -38,7 +38,7 @@ from .belief import RATIO_CLAMP, fold_path, truthful_report
 from .equilibrium import LatencyFamily
 from .fpm import settle_batch
 from .info_model import InformationModel
-from .mvp import TimeValue, settle_sequential
+from .mvp import TimeValue, _segment_masses, settle_sequential
 from .pm_baseline import AccessFunction
 from .scoring import ScoringRule, score
 
@@ -129,11 +129,15 @@ class _Moments:
     ``(rows, block)`` array with contiguous rows, reduced by numpy to a sum
     and a sum of squared deviations per row, and the blocks merge in trial
     order by the pairwise update of Chan, Golub and LeVeque (1979).  Memory
-    stays at one block however many trials pass.
+    stays at one block however many trials pass, and a run of fewer
+    ``trials`` than a block holds only those: it is one partial block
+    either way.
     """
 
-    def __init__(self, rows: int):
-        self._block = np.empty((rows, _BLOCK))
+    def __init__(self, rows: int, trials: int):
+        # at least one column, so that a bad count reaches the caller's check
+        self._size = min(_BLOCK, max(trials, 1))
+        self._block = np.empty((rows, self._size))
         self._fill = 0
         self._count = 0
         self._sum = np.zeros(rows)
@@ -145,7 +149,7 @@ class _Moments:
         parts = [p.reshape(p.shape[0], -1) for p in parts]
         trials, done = parts[0].shape[0], 0
         while done < trials:
-            take = min(_BLOCK - self._fill, trials - done)
+            take = min(self._size - self._fill, trials - done)
             cols = slice(self._fill, self._fill + take)
             row = 0
             for p in parts:
@@ -153,7 +157,7 @@ class _Moments:
                 row += p.shape[1]
             self._fill += take
             done += take
-            if self._fill == _BLOCK:
+            if self._fill == self._size:
                 self._merge(self._block)
 
     def _merge(self, block: np.ndarray) -> None:
@@ -202,17 +206,18 @@ class SimStats:
     def from_records(cls, mechanism: str, profile: "StrategyProfile",
                      records: dict[str, np.ndarray]) -> "SimStats":
         """Reduce the books of :func:`per_trial_records` to means and standard errors."""
-        return cls._reduce(mechanism, profile, [records])
+        return cls._reduce(mechanism, profile, [records], len(records["welfare"]))
 
     @classmethod
-    def _reduce(cls, mechanism, profile, books) -> "SimStats":
+    def _reduce(cls, mechanism, profile, books, trials: int) -> "SimStats":
         """Reduce ``books``, an iterable of :func:`per_trial_records`-style
-        dicts over consecutive trial ranges, through one :class:`_Moments`.
+        dicts over consecutive ranges of ``trials`` trials in all, through
+        one :class:`_Moments`.
 
         How the trials are split among the dicts never changes the result.
         """
         n = profile.num_agents
-        moments = _Moments(2 * n + 2)
+        moments = _Moments(2 * n + 2, trials)
         for chunk in books:
             moments.add(chunk["rewards"], chunk["utilities"],
                         chunk["principal_utility"], chunk["welfare"])
@@ -361,10 +366,9 @@ def _sequential_kernel(model, mechanism, profile, rule, latency, h):
     delay = np.array([p.delay if p.kind == "delayed" else 0.0
                       for p in profile.policies])[:, None]
     table = _column_table(model, profile, sequential=True)
-    first_tail = h.tail(0.0)
 
     def settle(y, u_lat, u_sig, u_win, value=True):
-        n, T = u_lat.shape
+        n = u_lat.shape[0]
         times = np.where(speaks[:, None], -np.log1p(-u_lat) / rate + delay, np.inf)
         # slot s holds the s-th report in time order; an agent who never
         # reports sorts last, in state 0 (the neutral column)
@@ -389,13 +393,7 @@ def _sequential_kernel(model, mechanism, profile, rule, latency, h):
         sorted_times = to_slots(times)
         rows = _table_rows(model, y, u_sig, np.isfinite(times))
         slot_cols = np.take(table, to_slots(rows), axis=0)
-        # masses[j]: h's mass between edges j and j + 1 of (0, sorted times,
-        # inf), as differences of tails; tail(inf) = 0 for both kinds
-        tails = np.empty((n + 2, T))
-        tails[0] = first_tail
-        tails[1:-1] = h.tail(sorted_times)
-        tails[-1] = 0.0
-        masses = tails[:-1] - tails[1:]
+        masses = _segment_masses(h, sorted_times)  # (n + 1, T)
 
         if mechanism == "mvp":
             _, slot_rewards, s_path = settle_sequential(model.prior, slot_cols,
@@ -503,7 +501,7 @@ def simulate(model: InformationModel, mechanism: str, profile: StrategyProfile,
     ``SimStats.from_records(mechanism, profile, per_trial_records(...))``.
     """
     books = _books(model, mechanism, profile, trials, seed, rule, access, latency, h)
-    return SimStats._reduce(mechanism, profile, (chunk for _, chunk in books))
+    return SimStats._reduce(mechanism, profile, (chunk for _, chunk in books), trials)
 
 
 def deviation_test(model: InformationModel, mechanism: str,

@@ -1,10 +1,9 @@
 """The sequential market: marginal-value rewards under time-decaying value.
 
 The market belief is a piecewise-constant path updated by timed reports.
-Alongside it the mechanism maintains, for every agent i, the counterfactual
-path that skips agent i's report but folds everyone else's.  After the
-outcome reveals, agent i earns the time-weighted integral of his marginal
-contribution:
+Agent i's counterfactual path is the path of the same stream without
+agent i's report.  After the outcome reveals, agent i earns the
+time-weighted integral of his marginal contribution:
 
     r_i = integral over t > 0 of (S(p(t), y*) - S(p~i(t), y*)) h(t) dt
 
@@ -23,7 +22,7 @@ from functools import cached_property
 import numpy as np
 
 from .belief import fold_path, parse_report, report_column
-from .errors import ProtocolError, reject_unknown_keys
+from .errors import ProtocolError, reject_unknown_keys, require_keys
 from .info_model import Belief
 from .scoring import ScoringRule, score
 
@@ -84,6 +83,7 @@ class TimeValue:
             reject_unknown_keys("exponential time value", cfg, ("kind", "eta"))
             return cls.exponential(float(cfg.get("eta", 1.0)))
         reject_unknown_keys("table time value", cfg, ("kind", "times", "values"))
+        require_keys("table time value", cfg, ("times", "values"))
         return cls.table(cfg["times"], cfg["values"])
 
     @cached_property
@@ -150,19 +150,16 @@ class TimedReport:
 
 @dataclass(frozen=True)
 class MarketTrace:
-    """The belief path, the reports behind it, and lazy counterfactual paths.
+    """The belief path of one settled report stream.
 
     ``beliefs[j]`` is in force between ``breakpoints[j-1]`` and
     ``breakpoints[j]`` (prior before the first report, final belief
-    afterwards); ``reporters[j]`` caused breakpoint j with the likelihood
-    column ``columns[j]``.
+    afterwards).  The path without agent i is the trace of the stream
+    without i's report.
     """
 
     breakpoints: np.ndarray
     beliefs: np.ndarray
-    reporters: np.ndarray
-    columns: np.ndarray
-    num_agents: int
 
     def k(self, t) -> int | np.ndarray:
         """Number of reports strictly before time t (right-continuous count)."""
@@ -172,18 +169,19 @@ class MarketTrace:
     def belief_at(self, t) -> np.ndarray:
         return self.beliefs[self.k(t)]
 
-    @cached_property
-    def counterfactuals(self) -> np.ndarray:
-        """``counterfactuals[i, j]``: the path without agent i's report.
 
-        Aligned to the same breakpoints; it equals the actual path up to
-        agent i's own slot and is folded from there on.  Built on first
-        access, since it holds O(nK) beliefs.
-        """
-        paths = np.broadcast_to(self.beliefs, (self.num_agents, *self.beliefs.shape)).copy()
-        for s, agent in enumerate(self.reporters):
-            paths[agent, s + 1:] = fold_path(self.beliefs[s], self.columns[s + 1:])
-        return paths
+def _segment_masses(h: TimeValue, sorted_times) -> np.ndarray:
+    """h's mass on (0, t_1), (t_1, t_2), .., (t_K, inf), along axis 0.
+
+    ``sorted_times`` is a float array of shape (K, ...), sorted along
+    axis 0; an infinite time gives zero-mass segments after it.  Each mass is a
+    difference of neighbouring tails, so every tail is evaluated once.
+    """
+    tails = np.empty((sorted_times.shape[0] + 2, *sorted_times.shape[1:]))
+    tails[0] = h.tail(0.0)
+    tails[1:-1] = h.tail(sorted_times)
+    tails[-1] = 0.0  # tail(inf) for both kinds
+    return tails[:-1] - tails[1:]
 
 
 def settle_sequential(prior, columns, masses, y, rule: ScoringRule):
@@ -216,9 +214,8 @@ def mvp_run(prior: Belief, reports: list[TimedReport], outcome: int,
             num_agents: int | None = None) -> tuple[MarketTrace, np.ndarray]:
     """Run the sequential market on a recorded report stream and settle it.
 
-    Returns the trace (actual path, counterfactual paths on demand) and the
-    reward of every agent ``0 .. num_agents-1``; agents who never reported
-    earn 0.
+    Returns the trace (the actual belief path) and the reward of every
+    agent ``0 .. num_agents-1``; agents who never reported earn 0.
     """
     d = prior.num_outcomes
     if not 0 <= outcome < d:
@@ -237,8 +234,7 @@ def mvp_run(prior: Belief, reports: list[TimedReport], outcome: int,
     breakpoints = np.array([r.time for r in ordered], dtype=float)
     reporters = np.array([r.agent for r in ordered], dtype=int)
     columns = np.array([report_column(r.report, d) for r in ordered]).reshape(-1, d)
-    edges = np.concatenate([[0.0], breakpoints, [np.inf]])
-    masses = time_value_mass(h, edges[:-1], edges[1:])
+    masses = _segment_masses(h, breakpoints)
     path, slot_rewards, _ = settle_sequential(prior.probs, columns[:, None],
                                               masses[None], np.array([outcome]), rule)
     rewards = np.zeros(n)
@@ -246,7 +242,7 @@ def mvp_run(prior: Belief, reports: list[TimedReport], outcome: int,
     if not np.all(np.isfinite(rewards)):
         raise ValueError("non-finite reward; the scoring rule hit a zero-probability "
                          "outcome on some segment")
-    return MarketTrace(breakpoints, path[:, 0], reporters, columns, n), rewards
+    return MarketTrace(breakpoints, path[:, 0]), rewards
 
 
 def reports_from_stream(lines, num_outcomes: int) -> list[TimedReport]:

@@ -292,6 +292,31 @@ class TestSimulate:
         assert json.loads(plain.read_text()) == {**stats.to_json(), "seed": 6}
 
 
+SIM_CFG = {"model": {"kind": "binary_noisy", "alpha": 0.1, "beta": 0.05},
+           "mechanism": "fpm",
+           "rule": {"rule": "quadratic"},
+           "access": {"kind": "exponential", "lambda": 3.0},
+           "profile": {"efforts": [0.3, 0.3]},
+           "trials": 50}
+
+
+@pytest.mark.parametrize("command, cfg, message", [
+    ("figure", {"parameters": {"n": 2}}, "figure config: missing key 'experiment'"),
+    ("simulate", {k: v for k, v in SIM_CFG.items() if k != "model"},
+     "simulate config: missing key 'model'"),
+    ("simulate", {**SIM_CFG, "model": {"kind": "binary_noisy", "alpha": 0.1}},
+     "binary_noisy model: missing key 'beta'"),
+    ("simulate", {**SIM_CFG, "access": {"kind": "exponential"}},
+     "access function: missing key 'lambda'"),
+], ids=["figure_experiment", "simulate_model", "model_beta", "access_lambda"])
+def test_missing_config_key_is_named(tmp_path, capsys, command, cfg, message):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert main([command, "--config", str(path), *(["--out", str(tmp_path)]
+                                                  if command == "figure" else [])]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+
+
 class TestSettlement:
     def test_settle_fpm_round_trip(self, tmp_path, capsys):
         batch_path = tmp_path / "batch.json"

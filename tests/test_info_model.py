@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from infomarkets import (Belief, CapacityError, InformationModel,
-                         ScoreSequence, ScoringRule, bayes_likelihood_update,
+                         ScoreSequence, ScoringRule, apply_report,
                          expected_base_score, posterior, v_sequence)
 from infomarkets.belief import fold_path
 from infomarkets.info_model import _mean_self_scores
@@ -98,7 +98,7 @@ class TestPosterior:
             signals = list(rng.integers(0, model.num_signal_values, size=4))
             belief = model.prior_belief()
             for x in signals:
-                belief = bayes_likelihood_update(belief, model.likelihood[:, x])
+                belief = apply_report(belief, model.likelihood[:, x])
             np.testing.assert_allclose(belief.probs, posterior(model, signals).probs,
                                        atol=1e-12)
 

@@ -559,6 +559,22 @@ class TestValidation:
                 tracemalloc.stop()
         assert peaks[1] < 1.1 * peaks[0] + 64e3
 
+    def test_short_wide_run_holds_no_full_block(self):
+        # 300 agents: one full reducer block is 602 rows x 1024 trials, 4.9 MB
+        model, profile = weak_wide_model(), StrategyProfile.symmetric(1.0, 300)
+        full_block = (2 * 300 + 2) * montecarlo._BLOCK * 8
+        kw = dict(rule=QUAD20, access=ACC)
+        records = per_trial_records(model, "fpm", profile, 10, 5, **kw)
+        for run in (lambda: simulate(model, "fpm", profile, 10, 5, **kw),
+                    lambda: SimStats.from_records("fpm", profile, records)):
+            tracemalloc.start()
+            try:
+                run()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < full_block / 2
+
     def test_stats_serialize(self):
         stats = simulate(MODEL, "fpm", PROFILE, 100, 0, rule=QUAD20, access=ACC)
         payload = stats.to_json()

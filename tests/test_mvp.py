@@ -208,26 +208,15 @@ class TestMvpRun:
             horizon = 60.0 / eta
             points = sorted(float(t) for t in trace.breakpoints)
             for i in range(n):
-                def integrand(t, i=i):
-                    k = trace.k(t)
-                    return (score(QUAD, trace.beliefs[k], y)
-                            - score(QUAD, trace.counterfactuals[i, k], y)) * h.density(t)
+                # the path without agent i: the same stream without his report
+                without, _ = mvp_run(m.prior_belief(),
+                                     [r for r in reports if r.agent != i], y, QUAD, h)
+
+                def integrand(t):
+                    return (score(QUAD, trace.belief_at(t), y)
+                            - score(QUAD, without.belief_at(t), y)) * h.density(t)
                 direct = quad(integrand, 0, horizon, points=points, limit=200)[0]
                 assert rewards[i] == pytest.approx(direct, abs=1e-8)
-
-    def test_counterfactual_path_ignores_own_report(self):
-        m = InformationModel.binary_noisy(0.2, 0.25)
-        others = [TimedReport(1, 0.8, truthful_report(m, 0)),
-                  TimedReport(2, 2.1, truthful_report(m, 1))]
-        mine = TimedReport(0, 1.3, truthful_report(m, 1))
-        with_me, _ = mvp_run(m.prior_belief(), others + [mine], 1, QUAD, H1,
-                             num_agents=3)
-        without_me, _ = mvp_run(m.prior_belief(), others, 1, QUAD, H1,
-                                num_agents=3)
-        for t in (0.0, 0.5, 1.0, 1.5, 2.5, 10.0):
-            cf = with_me.counterfactuals[0, with_me.k(t)]
-            actual_absent = without_me.beliefs[without_me.k(t)]
-            assert np.array_equal(cf, actual_absent)
 
     def test_simultaneous_reports_are_order_invariant(self):
         m = InformationModel.binary_noisy(0.3, 0.1)
