@@ -13,8 +13,12 @@ consequences the tests rely on: results are bitwise independent of how the
 trial range is chunked, and two runs with the same seed see identical
 draws, so a deviation test compares strategies on common random numbers
 and certifies harm with tiny variance.  A deviation test draws each chunk
-once and settles both arms, baseline and deviant, on that one draw, and
-skips the principal's value, which only the books need.
+once and settles both arms, baseline and deviant, on that one draw.  In
+the fair batch and marginal-value markets it settles the deviant alone:
+the other agents' columns, folds and scores do not depend on the
+deviant's strategy, so they are computed once per chunk, and each arm
+folds only the deviant's column and its O(n) share of the market, in
+the same operations and order as the full settlement, so the bits match.
 
 A chunk's draws are agent-major ``(n, T)`` arrays, and its kernel (built
 once per profile by :func:`_kernel`) runs no Python loop over agents or
@@ -30,6 +34,7 @@ report-column entries, so scratch memory is bounded at any width.
 either; only :func:`per_trial_records` keeps every trial.
 """
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -221,6 +226,7 @@ class SimStats:
         for chunk in books:
             moments.add(chunk["rewards"], chunk["utilities"],
                         chunk["principal_utility"], chunk["welfare"])
+            del chunk  # free this chunk before the next one is settled
         trials, mean, se = moments.finish()
         costs = np.asarray(profile.efforts)
         return cls(
@@ -313,12 +319,12 @@ def _column_table(model: InformationModel, profile: StrategyProfile,
     return table.reshape(-1, model.num_outcomes)
 
 
-def _table_rows(model: InformationModel, y: np.ndarray, u_sig: np.ndarray,
+def _table_rows(model: InformationModel, signals: np.ndarray,
                 active: np.ndarray) -> np.ndarray:
     """(n, T) rows of :func:`_column_table`: state 0 where ``active`` is
-    false, else 1 + the drawn signal."""
-    first = (model.num_signal_values + 1) * np.arange(u_sig.shape[0])[:, None]
-    return np.where(active, first + 1 + _draw_signals(model, y, u_sig), first)
+    false, else 1 + the drawn signal (``signals``, from :func:`_draw_signals`)."""
+    first = (model.num_signal_values + 1) * np.arange(signals.shape[0])[:, None]
+    return first + (1 + signals) * active
 
 
 def _kernel(model, mechanism, profile, rule, access, latency, h):
@@ -351,7 +357,8 @@ def _batch_kernel(model, mechanism, profile, rule, access):
     table = _column_table(model, profile, sequential=False)
 
     def settle(y, u_lat, u_sig, u_win, value=True):
-        cols = np.take(table, _table_rows(model, y, u_sig, u_lat < q), axis=0)
+        cols = np.take(table, _table_rows(model, _draw_signals(model, y, u_sig), u_lat < q),
+                       axis=0)
         p_all, rewards = settle_batch(model.prior, cols, y, rule)
         if not value:
             return rewards.T, None
@@ -359,39 +366,68 @@ def _batch_kernel(model, mechanism, profile, rule, access):
     return settle
 
 
-def _sequential_kernel(model, mechanism, profile, rule, latency, h):
+def _arrivals(profile: StrategyProfile, latency: LatencyFamily):
+    """Per-agent ``(speaks, rate, delay)`` columns ``(n, 1)`` of a sequential market.
+
+    An agent with positive effort who is not silent speaks: the signal
+    arrives at rate ``latency.lam * effort``, and a delayed policy adds its
+    delay to the submission time.
+    """
     efforts = np.asarray(profile.efforts)
     speaks = (efforts > 0) & np.array([p.kind != "silent" for p in profile.policies])
-    rate = np.where(speaks, latency.lam * efforts, 1.0)[:, None]
-    delay = np.array([p.delay if p.kind == "delayed" else 0.0
-                      for p in profile.policies])[:, None]
+    rate = np.where(speaks, latency.lam * efforts, 1.0)
+    delay = np.array([p.delay if p.kind == "delayed" else 0.0 for p in profile.policies])
+    return speaks[:, None], rate[:, None], delay[:, None]
+
+
+def _report_times(waits: np.ndarray, speaks, rate, delay) -> np.ndarray:
+    """Submission times from unit-rate exponential ``waits``
+    (``-log1p(-u_lat)``): ``waits / rate + delay``, or inf for an agent who
+    never reports."""
+    return np.where(speaks, waits / rate + delay, np.inf)
+
+
+def _slot_order(times: np.ndarray):
+    """``(to_slots, from_slots)``: gathers of an agent-major ``(n, T)``
+    array into time order along axis 0 and back.
+
+    Slot s holds the s-th report in time order; a tie keeps agent order,
+    so an agent who never reports (time inf) sorts last in agent order.
+    """
+    if times.shape[0] == 1:
+        def identity(a):
+            return a
+        return identity, identity
+    if times.shape[0] == 2:
+        # one comparison orders two agents; a tie keeps agent order, as
+        # the stable sort does, and the swap is its own inverse
+        swap = times[1] < times[0]
+
+        def to_slots(a):
+            return np.where(swap, a[::-1], a)
+        return to_slots, to_slots
+    order = np.argsort(times, axis=0, kind="stable")
+
+    def to_slots(a):
+        return np.take_along_axis(a, order, axis=0)
+
+    def from_slots(a):
+        out = np.empty_like(a)
+        np.put_along_axis(out, order, a, axis=0)
+        return out
+    return to_slots, from_slots
+
+
+def _sequential_kernel(model, mechanism, profile, rule, latency, h):
+    arrivals = _arrivals(profile, latency)
     table = _column_table(model, profile, sequential=True)
 
     def settle(y, u_lat, u_sig, u_win, value=True):
-        n = u_lat.shape[0]
-        times = np.where(speaks[:, None], -np.log1p(-u_lat) / rate + delay, np.inf)
-        # slot s holds the s-th report in time order; an agent who never
-        # reports sorts last, in state 0 (the neutral column)
-        if n == 2:
-            # one comparison orders two agents; a tie keeps agent order, as
-            # the stable sort does, and the swap is its own inverse
-            swap = times[1] < times[0]
-
-            def to_slots(a):
-                return np.where(swap, a[::-1], a)
-            from_slots = to_slots
-        else:
-            order = np.argsort(times, axis=0, kind="stable")
-
-            def to_slots(a):
-                return np.take_along_axis(a, order, axis=0)
-
-            def from_slots(a):
-                out = np.empty_like(a)
-                np.put_along_axis(out, order, a, axis=0)
-                return out
+        times = _report_times(-np.log1p(-u_lat), *arrivals)
+        to_slots, from_slots = _slot_order(times)
         sorted_times = to_slots(times)
-        rows = _table_rows(model, y, u_sig, np.isfinite(times))
+        # an agent who never reports sorts last, in state 0 (the neutral column)
+        rows = _table_rows(model, _draw_signals(model, y, u_sig), np.isfinite(times))
         slot_cols = np.take(table, to_slots(rows), axis=0)
         masses = _segment_masses(h, sorted_times)  # (n + 1, T)
 
@@ -407,6 +443,87 @@ def _sequential_kernel(model, mechanism, profile, rule, latency, h):
         if not value:
             return rewards, None
         return rewards, np.einsum("jt,tj->t", s_path - s_path[0], masses.T)
+    return settle
+
+
+def _paired_batch(model, arms, i, rule, access):
+    """The paired chunk function of a batch (fpm) deviation by agent i:
+    ``settle(y, u_lat, u_sig, u_win)`` -> agent i's ``(2, T)`` rewards in
+    the baseline and the deviant arm.
+
+    Agent i's leave-one-out belief joins the forward fold of the columns
+    before i with the backward fold of the columns after i, exactly as in
+    :func:`settle_batch`; neither depends on agent i's strategy, so both
+    arms share it.  Per arm only agent i's column and the forward fold
+    from i onward remain: n - i steps, both arms at once, and one score.
+    """
+    d = model.num_outcomes
+    q = np.array([access.value(c) for c in arms[0].efforts])[:, None]
+    table = _column_table(model, arms[0], sequential=False)
+    deviant = [(access.value(p.efforts[i]), _report_columns(model, p.policies[i]))
+               for p in arms]
+
+    def settle(y, u_lat, u_sig, u_win):
+        signals = _draw_signals(model, y, u_sig)
+        cols = np.take(table, _table_rows(model, signals, u_lat < q), axis=0)
+        before = fold_path(model.prior, cols[:i])[-1]
+        after = fold_path(np.ones(d), cols[:i:-1])[-1]
+        s_without = score(rule, fold_path(before, after[None])[1], y)
+        own = np.stack([np.take(block, (1 + signals[i]) * (u_lat[i] < q_i), axis=0)
+                        for q_i, block in deviant])  # (2, T, d)
+        full = fold_path(fold_path(before, own[None])[1], cols[i + 1:])[-1]
+        return score(rule, full, y) - s_without
+    return settle
+
+
+def _paired_sequential(model, arms, i, rule, latency, h):
+    """The paired chunk function of a sequential (mvp) deviation by agent i:
+    ``settle(y, u_lat, u_sig, u_win)`` -> agent i's ``(T,)`` rewards in
+    the baseline and the deviant arm.
+
+    Removing agent i's slot from a stable sort leaves the other agents in
+    the same order, so in :func:`settle_sequential` the path without
+    agent i's slot s is, at step j > s, row j - 1 of the fold of the
+    other agents' columns in time order.  Both arms share that fold and
+    its scores.  Per arm only the slot order, the segment masses and the
+    full path remain, O(n) per trial; the order and masses are shared
+    too when agent i's report time is the same in both arms.
+    """
+    n = arms[0].num_agents
+    tables = [_column_table(model, p, sequential=True) for p in arms]
+    arrivals = [_arrivals(p, latency) for p in arms]
+    # whether agent i's report time differs between the arms
+    moves = not all(np.array_equal(a[i], b[i]) for a, b in zip(*arrivals))
+    others = np.arange(n) != i
+    steps = np.arange(1, n + 1)[:, None]
+
+    def settle(y, u_lat, u_sig, u_win):
+        waits = -np.log1p(-u_lat)
+        signals = _draw_signals(model, y, u_sig)
+        times = _report_times(waits, *arrivals[0])
+        rows = _table_rows(model, signals, np.isfinite(times))
+        to_slots = _slot_order(times[others])[0]
+        s_without = score(rule, fold_path(  # (n, T)
+            model.prior, np.take(tables[0], to_slots(rows[others]), axis=0)), y)
+        rewards = []
+        for arm, table in enumerate(tables):
+            if arm == 0 or moves:
+                times[i] = _report_times(waits[i], *(a[i] for a in arrivals[arm]))
+                to_slots = _slot_order(times)[0]
+                masses = _segment_masses(h, to_slots(times))  # (n + 1, T)
+                slot_rows = to_slots(_table_rows(model, signals, np.isfinite(times)))
+                # agent i's slot counts the reports before agent i's, a tie
+                # going to agent order; the steps j after it pay agent i
+                slot = ((times[:i] <= times[i]).sum(axis=0)
+                        + (times[i + 1:] < times[i]).sum(axis=0))
+                later = steps > slot
+            s_path = score(rule, fold_path(model.prior, np.take(table, slot_rows, axis=0)), y)
+            terms = np.where(later, (s_path[1:] - s_without) * masses[1:], 0.0)
+            reward = np.zeros(len(y))
+            for term in terms:  # in increasing j, as settle_sequential sums
+                reward += term
+            rewards.append(reward)
+        return rewards
     return settle
 
 
@@ -451,6 +568,7 @@ def _draws(model: InformationModel, n: int, trials: int, seed: int):
             g_lat[i].random(out=u_lat[i])
             g_sig[i].random(out=u_sig[i])
         yield slice(done, done + T), y, u_lat, u_sig, u_win
+        del y, u_win, u_lat, u_sig  # free this chunk before drawing the next
 
 
 def _books(model, mechanism, profile, trials, seed, rule, access, latency, h):
@@ -472,6 +590,7 @@ def _books(model, mechanism, profile, trials, seed, rule, access, latency, h):
         welfare = principal + utilities.sum(axis=1)
         yield sl, {"rewards": rewards, "value": value, "utilities": utilities,
                    "principal_utility": principal, "welfare": welfare}
+        del draws, rewards, value, utilities, principal, welfare  # as in _draws
 
 
 def per_trial_records(model, mechanism, profile, trials, seed, *,
@@ -500,8 +619,16 @@ def simulate(model: InformationModel, mechanism: str, profile: StrategyProfile,
     configuration, and bit for bit
     ``SimStats.from_records(mechanism, profile, per_trial_records(...))``.
     """
-    books = _books(model, mechanism, profile, trials, seed, rule, access, latency, h)
-    return SimStats._reduce(mechanism, profile, (chunk for _, chunk in books), trials)
+    def chunks():
+        for _, chunk in _books(model, mechanism, profile, trials, seed,
+                               rule, access, latency, h):
+            yield chunk
+            del chunk
+    return SimStats._reduce(mechanism, profile, chunks(), trials)
+
+
+def _is_effort(x) -> bool:
+    return isinstance(x, numbers.Real) and not isinstance(x, bool)
 
 
 def deviation_test(model: InformationModel, mechanism: str,
@@ -512,34 +639,52 @@ def deviation_test(model: InformationModel, mechanism: str,
                    h: TimeValue | None = None) -> tuple[float, float]:
     """Paired estimate of how a unilateral deviation changes the deviant's utility.
 
-    ``deviation`` is a :class:`ReportPolicy`, a bare effort level, or an
-    ``(effort, policy)`` pair.  Each chunk is drawn once and both arms,
-    baseline and deviant, settle on that draw, so the difference has tiny
-    variance; a mean below ``-3 * se`` certifies the deviation as harmful.
-    The result equals, bit for bit, the paired difference of two
-    :func:`per_trial_records` runs with the same seed.  Returns
+    ``deviation`` is a :class:`ReportPolicy`, an effort level (any real
+    number), or an ``(effort, ReportPolicy)`` pair.  Each chunk is drawn
+    once and both arms, baseline and deviant, settle on that draw, so the
+    difference has tiny variance; a mean below ``-3 * se`` certifies the
+    deviation as harmful.  In ``fpm`` and ``mvp`` only the deviant's reward
+    is settled: what does not depend on the deviant's strategy (the other
+    agents' columns, their folds and scores) is computed once per chunk,
+    and each arm folds only the deviant's column and its O(n) share (see
+    :func:`_paired_batch` and :func:`_paired_sequential`).  The rank-order
+    baselines ``pm_batch`` and ``pm_sequential`` settle both arms in full.
+    Either way the result equals, bit for bit, the paired difference of
+    two :func:`per_trial_records` runs with the same seed.  Returns
     ``(delta_mean, delta_se)``.
     """
     if not 0 <= deviant_agent < baseline.num_agents:
         raise ValueError(f"no agent {deviant_agent} in the profile")
     if isinstance(deviation, ReportPolicy):
-        devprofile = baseline.replace_agent(deviant_agent, policy=deviation)
-    elif isinstance(deviation, (int, float)):
-        devprofile = baseline.replace_agent(deviant_agent, effort=float(deviation))
+        effort, policy = None, deviation
+    elif _is_effort(deviation):
+        effort, policy = float(deviation), None
+    elif (isinstance(deviation, (tuple, list)) and len(deviation) == 2
+          and _is_effort(deviation[0]) and isinstance(deviation[1], ReportPolicy)):
+        effort, policy = float(deviation[0]), deviation[1]
     else:
-        effort, policy = deviation
-        devprofile = baseline.replace_agent(deviant_agent, effort=float(effort),
-                                            policy=policy)
+        raise ValueError("deviation must be a ReportPolicy, an effort or an "
+                         f"(effort, ReportPolicy) pair, got {deviation!r}")
+    arms = (baseline, baseline.replace_agent(deviant_agent, effort=effort, policy=policy))
 
     h = _validate_setup(model, mechanism, baseline, trials, rule, access, latency, h)
     i = deviant_agent
-    arms = [(_kernel(model, mechanism, profile, rule, access, latency, h),
-             profile.efforts[i]) for profile in (baseline, devprofile)]
+    if mechanism == "fpm":
+        settle = _paired_batch(model, arms, i, rule, access)
+    elif mechanism == "mvp":
+        settle = _paired_sequential(model, arms, i, rule, latency, h)
+    else:
+        kernels = [_kernel(model, mechanism, p, rule, access, latency, h) for p in arms]
+
+        def settle(*draws):
+            # the principal's value is not needed
+            return [kernel(*draws, value=False)[0][i] for kernel in kernels]
+    costs = [p.efforts[i] for p in arms]
     delta = np.empty(trials)  # only the deviant's utility change is kept
     for sl, *draws in _draws(model, baseline.num_agents, trials, seed):
-        # both arms settle on the same draws: common random numbers; the
-        # principal's value is not needed
-        utility = [settle(*draws, value=False)[0][i] - cost for settle, cost in arms]
-        delta[sl] = utility[1] - utility[0]
+        # both arms settle on the same draws: common random numbers
+        base, dev = settle(*draws)
+        delta[sl] = (dev - costs[1]) - (base - costs[0])
+        del draws, base, dev  # free this chunk before drawing the next
     se = float(delta.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
     return float(delta.mean()), se

@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import numbers
+import re
 import tracemalloc
 
 import numpy as np
@@ -138,6 +140,24 @@ def stats_equal(a, b):
                for f in dataclasses.fields(SimStats))
 
 
+def assert_paired_equals_separate(model, mechanism, base, i, deviation, trials, seed, h):
+    """``deviation_test`` equals, bit for bit, the paired difference of two
+    separate ``per_trial_records`` runs."""
+    kw = dict(rule=QUAD20, access=ACC, latency=LAT1, h=h)
+    if isinstance(deviation, ReportPolicy):
+        dev = base.replace_agent(i, policy=deviation)
+    elif isinstance(deviation, tuple):
+        dev = base.replace_agent(i, effort=deviation[0], policy=deviation[1])
+    else:
+        dev = base.replace_agent(i, effort=deviation)
+    u_base = per_trial_records(model, mechanism, base, trials, seed, **kw)["utilities"]
+    u_dev = per_trial_records(model, mechanism, dev, trials, seed, **kw)["utilities"]
+    delta = u_dev[:, i] - u_base[:, i]
+    expected = (float(delta.mean()), float(delta.std(ddof=1) / math.sqrt(trials)))
+    assert deviation_test(model, mechanism, base, i, deviation, trials, seed,
+                          **kw) == expected, (mechanism, i, deviation, h)
+
+
 class TestDeterminism:
     @pytest.mark.parametrize("mechanism", ["fpm", "mvp", "pm_batch", "pm_sequential"])
     def test_same_seed_same_stats(self, mechanism):
@@ -174,6 +194,16 @@ class TestDeterminism:
             for key, array in expected[1].items():
                 assert np.array_equal(array, chunked[1][key]), key
             assert expected[2] == chunked[2]
+
+    def test_paired_sequential_chunking_never_changes_results(self, monkeypatch):
+        kw = dict(rule=QUAD20, latency=LAT1, h=H1)
+        base, delayed = StrategyProfile.symmetric(0.3, 8), ReportPolicy("delayed", delay=0.5)
+        whole = [deviation_test(MODEL, "mvp", base, i, delayed, 5000, 23, **kw)
+                 for i in (0, 4, 7)]
+        # 8 agents x 2 outcomes: 613-trial chunks instead of one
+        monkeypatch.setattr(montecarlo, "_CHUNK_ELEMENTS", 16 * 613)
+        assert [deviation_test(MODEL, "mvp", base, i, delayed, 5000, 23, **kw)
+                for i in (0, 4, 7)] == whole
 
     def test_different_seeds_differ(self):
         a = simulate(MODEL, "fpm", PROFILE, 1000, 1, rule=QUAD20, access=ACC)
@@ -383,25 +413,44 @@ class TestDeviations:
                                    h=DEADLINE)
         assert delta < -3 * se
 
-    @pytest.mark.parametrize("n", [2, 8])
+    @pytest.mark.parametrize("n", [2, 3, 8])
     @pytest.mark.parametrize("mechanism, deviation", [
         ("fpm", 0.6),
+        ("fpm", ReportPolicy("perturbed", epsilon=0.1)),
+        ("fpm", 0.0),
+        ("fpm", ReportPolicy("silent")),
+        ("fpm", (0.45, ReportPolicy("perturbed", epsilon=-0.15))),
         ("mvp", ReportPolicy("delayed", delay=0.5)),
         ("mvp", ReportPolicy("perturbed", epsilon=0.1)),
-    ], ids=["fpm-effort", "mvp-delayed", "mvp-perturbed"])
+        ("mvp", 0.6),
+        ("mvp", 0.0),
+        ("mvp", ReportPolicy("silent")),
+        ("mvp", (0.45, ReportPolicy("delayed", delay=0.3))),
+        ("pm_batch", 0.6),
+        ("pm_sequential", ReportPolicy("delayed", delay=0.5)),
+    ], ids=["fpm-effort", "fpm-perturbed", "fpm-zero-effort", "fpm-silent", "fpm-pair",
+            "mvp-delayed", "mvp-perturbed", "mvp-effort", "mvp-zero-effort", "mvp-silent",
+            "mvp-pair", "pm_batch-effort", "pm_sequential-delayed"])
     def test_shared_draws_equal_two_separate_runs(self, mechanism, deviation, n):
-        """Settling both arms on one draw per chunk changes no bit."""
-        kw = dict(rule=QUAD20, access=ACC, latency=LAT1, h=H1)
-        trials, seed, i = 3000, 41, n - 1
+        """Settling the deviant alone on one draw per chunk changes no bit,
+        whichever agent deviates and whatever the time value."""
         base = StrategyProfile.symmetric(0.3, n)
-        dev = (base.replace_agent(i, effort=deviation) if isinstance(deviation, float)
-               else base.replace_agent(i, policy=deviation))
-        u_base = per_trial_records(MODEL, mechanism, base, trials, seed, **kw)["utilities"]
-        u_dev = per_trial_records(MODEL, mechanism, dev, trials, seed, **kw)["utilities"]
-        delta = u_dev[:, i] - u_base[:, i]
-        expected = (float(delta.mean()), float(delta.std(ddof=1) / math.sqrt(trials)))
-        assert deviation_test(MODEL, mechanism, base, i, deviation, trials, seed,
-                              **kw) == expected
+        for h in (H1, DEADLINE) if mechanism in ("mvp", "pm_sequential") else (H1,):
+            for i in sorted({0, n // 2, n - 1}):
+                assert_paired_equals_separate(MODEL, mechanism, base, i, deviation,
+                                              3000, 41, h)
+
+    @pytest.mark.parametrize("mechanism", ["fpm", "mvp", "pm_batch", "pm_sequential"])
+    def test_shared_draws_equal_two_separate_runs_wide_mixed(self, mechanism):
+        """40 agents of every policy kind, 3-valued signals: the deviant's
+        own baseline policy may be silent, perturbed or delayed."""
+        model, base = binary_model(3, 4), mixed_profile(40, 4)
+        # at agents 8 and 12 the batch rewards' last bits depend on folding
+        # the later columns backward, as settle_batch does
+        for i in (0, 8, 12, 20, 39):
+            for deviation in (0.6, ReportPolicy("perturbed", epsilon=0.1)):
+                assert_paired_equals_separate(model, mechanism, base, i, deviation,
+                                              700, 23, H1)
 
     def test_deviant_agent_must_exist(self):
         with pytest.raises(ValueError):
@@ -461,6 +510,27 @@ class TestValidation:
                 per_trial_records(MODEL, "fpm", PROFILE, trials, 0, **kw)
             with pytest.raises(ValueError, match="trials"):
                 deviation_test(MODEL, "fpm", PROFILE, 0, 0.5, trials, 0, **kw)
+
+    @pytest.mark.parametrize("deviation, effort", [
+        (np.int64(1), 1.0), (np.float32(0.5), 0.5), (1, 1.0),
+        ((np.float64(0.5), ReportPolicy("delayed", delay=0.5)), 0.5),
+        ([0.5, ReportPolicy("delayed", delay=0.5)], 0.5),
+    ], ids=["numpy-int", "numpy-float32", "int", "pair-numpy-effort", "pair-list"])
+    def test_deviation_effort_may_be_any_real(self, deviation, effort):
+        kw = dict(rule=QUAD20, latency=LAT1, h=H1)
+        plain = effort if isinstance(deviation, numbers.Real) else (effort, deviation[1])
+        assert (deviation_test(MODEL, "mvp", PROFILE, 0, deviation, 500, 3, **kw)
+                == deviation_test(MODEL, "mvp", PROFILE, 0, plain, 500, 3, **kw))
+
+    @pytest.mark.parametrize("deviation", [
+        "delayed", None, True, np.bool_(True), (0.5,), (0.5, "delayed"),
+        (ReportPolicy(), 0.5), (0.5, ReportPolicy(), 1), (True, ReportPolicy()),
+    ], ids=["string", "none", "bool", "numpy-bool", "one-tuple", "pair-string-policy",
+            "pair-reversed", "triple", "pair-bool-effort"])
+    def test_deviation_of_another_type_is_named(self, deviation):
+        with pytest.raises(ValueError, match=r"^deviation .*, got " + re.escape(repr(deviation))):
+            deviation_test(MODEL, "mvp", PROFILE, 0, deviation, 100, 0,
+                           rule=QUAD20, latency=LAT1, h=H1)
 
     def test_profile_validation(self):
         with pytest.raises(ValueError):
@@ -558,6 +628,19 @@ class TestValidation:
             finally:
                 tracemalloc.stop()
         assert peaks[1] < 1.1 * peaks[0] + 64e3
+
+    def test_simulate_frees_each_chunk_before_drawing_the_next(self):
+        # n = 2 x 2 outcomes: one 16 384-trial chunk against four; a chunk's
+        # draws and books are about 0.9 MB
+        peaks = []
+        for trials in (16_384, 65_536):
+            tracemalloc.start()
+            try:
+                simulate(MODEL, "fpm", PROFILE, trials, 5, rule=QUAD20, access=ACC)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < peaks[0] + 64e3
 
     def test_short_wide_run_holds_no_full_block(self):
         # 300 agents: one full reducer block is 602 rows x 1024 trials, 4.9 MB
