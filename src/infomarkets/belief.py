@@ -141,6 +141,17 @@ def apply_report(belief: Belief, report) -> Belief:
     return Belief(fold_path(belief.probs, column[None])[1])
 
 
+def _state_table(model: InformationModel, report=None) -> np.ndarray:
+    """The (m + 1, d) columns reported in each signal state: row 0 without
+    a signal, row 1 + x with signal x.  ``report`` maps a signal (None for
+    no signal) to a report; the truthful default is a row of ones, then
+    the likelihood columns."""
+    if report is None:
+        return np.vstack([np.ones(model.num_outcomes), model.likelihood.T])
+    return np.array([report_column(report(s - 1 if s else None), model.num_outcomes)
+                     for s in range(model.num_signal_values + 1)])
+
+
 def fold_path(start, columns) -> np.ndarray:
     """Beliefs after folding 0, 1, .., K likelihood columns into ``start``.
 

@@ -131,6 +131,10 @@ def cmd_simulate(args) -> int:
     require_keys("simulate config", cfg, ("model", "mechanism", "profile"))
     reject_unknown_keys("profile", cfg["profile"], ("efforts", "policies"))
     require_keys("profile", cfg["profile"], ("efforts",))
+    for key in ("efforts", "policies"):
+        if not isinstance(cfg["profile"].get(key, []), list):
+            raise ValueError(f"profile: {key!r} must be a list, "
+                             f"got {cfg['profile'][key]!r}")
     if "latency" in cfg:
         reject_unknown_keys("latency", cfg["latency"], ("lambda",))
         require_keys("latency", cfg["latency"], ("lambda",))

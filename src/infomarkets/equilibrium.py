@@ -11,10 +11,10 @@ For the built-in exponential latency family combined with an exponential
 time-value density, ``u = exp(-lam c t)`` turns every sequential-market
 integral into Beta integrals with an integer second argument (DLMF 5.12.1):
 running products of positive ratios, exact for any n and down to c = 0.
-Each evaluator also carries an adaptive-quadrature route over one
-binomial-mixture integrand, the only route for a table time value;
-``method="auto"`` picks the closed form when it exists and the tests
-cross-validate the two to tight tolerance.
+Each evaluator also has an adaptive-quadrature route over one
+binomial-mixture integrand, the only route for a table time value; the
+``method`` of mvp_br_derivative, mvp_welfare and mvp_agent_reward picks
+the route, so the tests can cross-validate the two to tight tolerance.
 """
 import math
 from dataclasses import dataclass
@@ -185,7 +185,7 @@ def mvp_br_derivative(latency: LatencyFamily, h: TimeValue, v: ScoreSequence,
 
 
 def mvp_equilibrium(latency: LatencyFamily, h: TimeValue, v: ScoreSequence,
-                    n: int, method: str = "auto") -> EquilibriumResult:
+                    n: int) -> EquilibriumResult:
     """Symmetric equilibrium effort of the sequential mechanism.
 
     Root of the best-response derivative on the diagonal c_i = c; the
@@ -195,7 +195,7 @@ def mvp_equilibrium(latency: LatencyFamily, h: TimeValue, v: ScoreSequence,
     _check_inputs(v, n)
 
     def foc(c: float) -> float:
-        return mvp_br_derivative(latency, h, v, n, c, c, method=method)
+        return mvp_br_derivative(latency, h, v, n, c, c)
 
     return solve_decreasing_foc(foc)
 
@@ -229,12 +229,12 @@ def mvp_agent_reward(latency: LatencyFamily, h: TimeValue, v: ScoreSequence,
 
 
 def mvp_principal_utility(latency: LatencyFamily, h: TimeValue, v: ScoreSequence,
-                          n: int, c: float, method: str = "auto") -> float:
+                          n: int, c: float) -> float:
     """Principal's expected utility gain: welfare minus what agents keep.
 
     Identity: welfare = principal utility + sum of agent utilities, with
     each agent keeping (expected reward - effort).
     """
-    welfare = mvp_welfare(latency, h, v, n, c, method=method)
-    reward = mvp_agent_reward(latency, h, v, n, c, method=method)
+    welfare = mvp_welfare(latency, h, v, n, c)
+    reward = mvp_agent_reward(latency, h, v, n, c)
     return welfare - n * (reward - c)

@@ -219,14 +219,19 @@ def run_experiment(name: str, parameters: dict | None = None,
     """Evaluate one experiment grid; returns the paths written.
 
     ``parameters`` overrides the experiment's defaults key by key.  A key
-    that is not among them is a ValueError, raised before any file is
-    written.  The manifest records the resolved parameters.
+    that is not among them, or a list where the default is a number or the
+    other way round, is a ValueError, raised before any file is written.
+    The manifest records the resolved parameters.
     """
     if name not in _TABLE:
         raise ValueError(f"unknown experiment {name!r}, try one of {EXPERIMENTS}")
     runner, defaults = _TABLE[name]
     parameters = parameters or {}
     reject_unknown_keys(f"{name} parameters", parameters, defaults)
+    for key, value in parameters.items():
+        if isinstance(value, list) != isinstance(defaults[key], list):
+            kind = "a list" if isinstance(defaults[key], list) else "a number"
+            raise ValueError(f"{name} parameters: {key!r} must be {kind}, got {value!r}")
     resolved = {**defaults, **parameters}
     started = time.perf_counter()
     header, rows = runner(resolved)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .belief import fold_path, parse_report, report_column
+from .belief import _state_table, fold_path, parse_report, report_column
 from .errors import CapacityError
 from .info_model import (ENUMERATION_BUDGET, Belief, InformationModel,
                          _count_vectors, _count_weights)
@@ -123,7 +123,7 @@ def fpm_expected_reward(model: InformationModel, rule: ScoringRule,
         raise CapacityError(f"{rows} count-vector rows x {n} agents exceed the "
                             f"exact-enumeration budget of {ENUMERATION_BUDGET}; "
                             f"estimate rewards with infomarkets.montecarlo.simulate")
-    truthful = np.vstack([np.ones(d), model.likelihood.T])   # state s -> column
+    truthful = _state_table(model)
     joint = np.tile(model.prior, (rows, 1))
     columns = []
     for (key, agents), idx in zip(classes.items(),
@@ -133,9 +133,7 @@ def fpm_expected_reward(model: InformationModel, rule: ScoringRule,
         counts = np.column_stack([size - signals.sum(axis=1), signals])
         joint *= _count_weights(counts, np.column_stack(
             [np.full(d, 1.0 - qc), qc * model.likelihood]))[idx]
-        cols = truthful if isinstance(key, float) else np.array(
-            [report_column(override[key[0]](s - 1 if s else None), d)
-             for s in range(m + 1)])
+        cols = truthful if isinstance(key, float) else _state_table(model, override[key[0]])
         # the class's slots hold each state as often as its count vector says
         states = np.repeat(np.tile(np.arange(m + 1), len(counts)), counts.ravel())
         columns.append(cols[states.reshape(-1, size)[idx]].swapaxes(0, 1))

@@ -21,12 +21,14 @@ folds only the deviant's column and its O(n) share of the market, in
 the same operations and order as the full settlement, so the bits match.
 
 A chunk's draws are agent-major ``(n, T)`` arrays, and its kernel (built
-once per profile by :func:`_kernel`) runs no Python loop over agents or
-agents x signal values: signals compare each of the m - 1 thresholds
-against all agents at once, and report columns come from one gather into
-a per-agent table; a sequential market gathers the signal states into
-time order before the table.  So the Python work per chunk does not
-grow with n x m, and the chunk length is derived, not set: each chunk
+once per profile by :func:`_kernel`) maps them to rewards and the
+principal's value with no Python loop over agents or signal values:
+signals compare each of the m - 1 thresholds against all agents at once,
+and report columns come from one gather into a table of each agent's
+signal-state columns (built as ``fpm_expected_reward`` builds its own); a
+sequential market gathers the states into time order first.  So the
+Python work per chunk does not grow with n x m, and the chunk length is
+derived, not set: each chunk
 settles about :data:`_CHUNK_ELEMENTS` trials x agents x outcomes
 report-column entries, so scratch memory is bounded at any width.
 :func:`simulate` reduces each chunk's books as soon as they are settled
@@ -39,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .belief import RATIO_CLAMP, fold_path, truthful_report
+from .belief import RATIO_CLAMP, _state_table, fold_path, truthful_report
 from .equilibrium import LatencyFamily
 from .fpm import settle_batch
 from .info_model import InformationModel
@@ -258,29 +260,24 @@ def _stream(seed: int, purpose: int, agent: int = 0) -> np.random.Generator:
 
 
 def _report_columns(model: InformationModel, policy: ReportPolicy) -> np.ndarray:
-    """Columns indexed by extended signal state (0 = no signal, 1+x = signal x).
+    """The (m + 1, d) state table of one policy (see :func:`_state_table`).
 
-    Truthful content is the likelihood column itself; the ratio-encoded
-    binary report (1-b, b) is the same column up to scale.  Perturbation
-    works in ratio space and therefore requires a binary market.
+    Perturbation shifts the ratio-encoded binary report (1-b, b), the
+    truthful column up to scale, so it requires a binary market; a
+    signal-less perturbed agent distorts the 1/2 default too.
     """
-    d, m = model.num_outcomes, model.num_signal_values
-    cols = np.ones((m + 1, d))
     if policy.kind == "silent":
-        return cols
+        return _state_table(model, lambda s: np.ones(model.num_outcomes))
     if policy.kind == "perturbed":
-        if d != 2:
+        if model.num_outcomes != 2:
             raise ValueError("perturbed policies target the binary ratio encoding")
-        for x in range(m):
-            b = truthful_report(model, x).entries[0]
+
+        def shifted(s):
+            b = 0.5 if s is None else truthful_report(model, s).entries[0]
             b = min(max(b + policy.epsilon, RATIO_CLAMP), 1.0 - RATIO_CLAMP)
-            cols[1 + x] = (1.0 - b, b)
-        # a signal-less perturbed agent distorts the 1/2 default too
-        b0 = min(max(0.5 + policy.epsilon, RATIO_CLAMP), 1.0 - RATIO_CLAMP)
-        cols[0] = (1.0 - b0, b0)
-        return cols
-    cols[1:] = model.likelihood.T
-    return cols
+            return (1.0 - b, b)
+        return _state_table(model, shifted)
+    return _state_table(model)
 
 
 def _draw_outcomes(model: InformationModel, u: np.ndarray) -> np.ndarray:
@@ -328,12 +325,12 @@ def _table_rows(model: InformationModel, signals: np.ndarray,
 
 
 def _kernel(model, mechanism, profile, rule, access, latency, h):
-    """The chunk kernel of one profile: ``settle(y, u_lat, u_sig, u_win, value)``.
+    """The chunk kernel of one profile: ``settle(y, u_lat, u_sig, u_win)``.
 
     ``settle`` maps one chunk's draws (agent-major ``(n, T)`` uniforms) to
-    agent-major rewards ``(n, T)`` and, if ``value``, the principal's value
-    ``(T,)`` (else None).  Every per-agent constant is built here, once per
-    run, so a chunk runs no Python loop over agents or signal values.
+    agent-major rewards ``(n, T)`` and the principal's value ``(T,)``.
+    Every per-agent constant is built here, once per run, so a chunk runs
+    no Python loop over agents or signal values.
     """
     if mechanism in ("fpm", "pm_batch"):
         return _batch_kernel(model, mechanism, profile, rule, access)
@@ -346,22 +343,20 @@ def _batch_kernel(model, mechanism, profile, rule, access):
     if mechanism == "pm_batch":
         speaks = np.array([p.kind != "silent" for p in profile.policies])[:, None]
 
-        def settle(y, u_lat, u_sig, u_win, value=True):
+        def settle(y, u_lat, u_sig, u_win):
             active = (u_lat < q) & speaks
             count = active.sum(axis=0)
             pick = np.floor(u_win * count).astype(int)  # uniform among signal holders
             wins = active & (np.cumsum(active, axis=0) == pick + 1)
-            return wins.astype(float), (count > 0).astype(float) if value else None
+            return wins.astype(float), (count > 0).astype(float)
         return settle
 
     table = _column_table(model, profile, sequential=False)
 
-    def settle(y, u_lat, u_sig, u_win, value=True):
+    def settle(y, u_lat, u_sig, u_win):
         cols = np.take(table, _table_rows(model, _draw_signals(model, y, u_sig), u_lat < q),
                        axis=0)
         p_all, rewards = settle_batch(model.prior, cols, y, rule)
-        if not value:
-            return rewards.T, None
         return rewards.T, score(rule, p_all, y) - score(rule, model.prior, y)
     return settle
 
@@ -394,10 +389,6 @@ def _slot_order(times: np.ndarray):
     Slot s holds the s-th report in time order; a tie keeps agent order,
     so an agent who never reports (time inf) sorts last in agent order.
     """
-    if times.shape[0] == 1:
-        def identity(a):
-            return a
-        return identity, identity
     if times.shape[0] == 2:
         # one comparison orders two agents; a tie keeps agent order, as
         # the stable sort does, and the swap is its own inverse
@@ -422,7 +413,7 @@ def _sequential_kernel(model, mechanism, profile, rule, latency, h):
     arrivals = _arrivals(profile, latency)
     table = _column_table(model, profile, sequential=True)
 
-    def settle(y, u_lat, u_sig, u_win, value=True):
+    def settle(y, u_lat, u_sig, u_win):
         times = _report_times(-np.log1p(-u_lat), *arrivals)
         to_slots, from_slots = _slot_order(times)
         sorted_times = to_slots(times)
@@ -439,10 +430,8 @@ def _sequential_kernel(model, mechanism, profile, rule, latency, h):
             s_path = score(rule, fold_path(model.prior, slot_cols), y)  # (n+1, T)
             slot_rewards = np.where(np.isfinite(sorted_times),
                                     s_path[1:] - s_path[:-1], 0.0)
-        rewards = from_slots(slot_rewards)
-        if not value:
-            return rewards, None
-        return rewards, np.einsum("jt,tj->t", s_path - s_path[0], masses.T)
+        return (from_slots(slot_rewards),
+                np.einsum("jt,tj->t", s_path - s_path[0], masses.T))
     return settle
 
 
@@ -647,10 +636,10 @@ def deviation_test(model: InformationModel, mechanism: str,
     is settled: what does not depend on the deviant's strategy (the other
     agents' columns, their folds and scores) is computed once per chunk,
     and each arm folds only the deviant's column and its O(n) share (see
-    :func:`_paired_batch` and :func:`_paired_sequential`).  The rank-order
-    baselines ``pm_batch`` and ``pm_sequential`` settle both arms in full.
-    Either way the result equals, bit for bit, the paired difference of
-    two :func:`per_trial_records` runs with the same seed.  Returns
+    :func:`_paired_batch` and :func:`_paired_sequential`); the rank-order
+    baselines take it from each arm's full kernel.  Either way the result
+    equals, bit for bit, the paired difference of two
+    :func:`per_trial_records` runs with the same seed.  Returns
     ``(delta_mean, delta_se)``.
     """
     if not 0 <= deviant_agent < baseline.num_agents:
@@ -677,8 +666,7 @@ def deviation_test(model: InformationModel, mechanism: str,
         kernels = [_kernel(model, mechanism, p, rule, access, latency, h) for p in arms]
 
         def settle(*draws):
-            # the principal's value is not needed
-            return [kernel(*draws, value=False)[0][i] for kernel in kernels]
+            return [kernel(*draws)[0][i] for kernel in kernels]
     costs = [p.efforts[i] for p in arms]
     delta = np.empty(trials)  # only the deviant's utility change is kept
     for sl, *draws in _draws(model, baseline.num_agents, trials, seed):

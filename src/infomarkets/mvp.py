@@ -16,6 +16,7 @@ input files, never under continuous latencies) are broken by agent index,
 which cannot affect rewards because tied segments have zero width.
 """
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -76,9 +77,12 @@ class TimeValue:
         return cls("table", times=tuple(times), values=tuple(values))
 
     @classmethod
-    def from_config(cls, cfg: dict) -> "TimeValue":
-        if isinstance(cfg, (int, float)):
+    def from_config(cls, cfg) -> "TimeValue":
+        """A decay rate eta (a real number), or an exponential or table object."""
+        if isinstance(cfg, numbers.Real) and not isinstance(cfg, bool):
             return cls.exponential(float(cfg))
+        if not isinstance(cfg, dict):
+            raise ValueError(f"time value h must be a number or an object, got {cfg!r}")
         if cfg.get("kind", "exponential") == "exponential":
             reject_unknown_keys("exponential time value", cfg, ("kind", "eta"))
             return cls.exponential(float(cfg.get("eta", 1.0)))

@@ -159,6 +159,12 @@ class TestReportVector:
         out = apply_report(p, np.array([0.1, 0.3, 0.6]))
         np.testing.assert_allclose(out.probs, [0.1, 0.3, 0.6], atol=1e-15)
 
+    def test_report_column_rejects_wrong_shape_and_negative_entries(self):
+        with pytest.raises(ValueError, match="shape"):
+            report_column([0.2, 0.3, 0.5], 2)
+        with pytest.raises(ValueError, match="nonnegative"):
+            report_column([-0.1, 1.1], 2)
+
     def test_report_to_column_matches_update(self):
         rng = np.random.default_rng(4)
         for _ in range(50):

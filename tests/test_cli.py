@@ -317,6 +317,28 @@ def test_missing_config_key_is_named(tmp_path, capsys, command, cfg, message):
     assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
 
 
+@pytest.mark.parametrize("command, cfg, needle", [
+    ("simulate", {**SIM_CFG, "h": "fast"}, "time value h"),
+    ("simulate", {**SIM_CFG, "h": [1, 2]}, "time value h"),
+    ("simulate", {**SIM_CFG, "h": True}, "time value h"),
+    ("simulate", {**SIM_CFG, "profile": {"efforts": 5}}, "'efforts'"),
+    ("simulate", {**SIM_CFG, "profile": {"efforts": [0.3], "policies": 5}},
+     "'policies'"),
+    ("figure", {"experiment": "fig_original", "parameters": {"n_grid": 5}}, "'n_grid'"),
+    ("figure", {"experiment": "fig_noise", "parameters": {"lambdas": 3}}, "'lambdas'"),
+    ("figure", {"experiment": "fig_eas", "parameters": {"eta": [1.0]}}, "'eta'"),
+], ids=["h_string", "h_list", "h_bool", "efforts", "policies", "n_grid", "lambdas",
+        "eta_list"])
+def test_config_value_of_the_wrong_type_is_named(tmp_path, capsys, command, cfg, needle):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error:") and needle in err[0]
+    assert not (tmp_path / "out").exists()
+
+
 class TestSettlement:
     def test_settle_fpm_round_trip(self, tmp_path, capsys):
         batch_path = tmp_path / "batch.json"
@@ -391,17 +413,38 @@ class TestUsage:
         assert main(["frobnicate"]) == 2
         capsys.readouterr()
 
-    def test_module_entry_point(self, tmp_path):
+    @staticmethod
+    def _run_module(tmp_path, argv):
         import os
         import pathlib
         import subprocess
         import sys
 
         src = pathlib.Path(__file__).resolve().parent.parent / "src"
-        env = dict(os.environ, PYTHONPATH=str(src))
-        proc = subprocess.run(
-            [sys.executable, "-m", "infomarkets", "solve", "--setting",
-             "pm_race", "--v", "0,2,3"],
-            capture_output=True, text=True, env=env)
+        return subprocess.run([sys.executable, "-m", "infomarkets", *argv],
+                              capture_output=True, text=True, cwd=tmp_path,
+                              env=dict(os.environ, PYTHONPATH=str(src)))
+
+    def test_module_entry_point(self, tmp_path):
+        proc = self._run_module(tmp_path, ["solve", "--setting", "pm_race",
+                                           "--v", "0,2,3"])
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["effort"] == pytest.approx(0.25, abs=1e-10)
+
+    @pytest.mark.parametrize("argv, code", [
+        (["solve", "--setting", "mvp", "--lam", "2", "--eta", "1", "--v", "0,2,3",
+          "--n", "2"], 0),
+        (["simulate", "--config", "missing.json"], 2),
+    ], ids=["mvp", "usage_error"])
+    def test_module_entry_point_other_commands(self, tmp_path, argv, code):
+        proc = self._run_module(tmp_path, argv)
+        assert proc.returncode == code
+        if argv[2] == "mvp":
+            expected = mvp_equilibrium(LatencyFamily.exponential(2.0),
+                                       TimeValue.exponential(1.0),
+                                       ScoreSequence(np.array([0.0, 2.0, 3.0])), 2)
+            assert json.loads(proc.stdout)["effort"] == expected.effort
+        else:
+            err = proc.stderr.splitlines()
+            assert len(err) == 1 and err[0].startswith("error:")
+            assert "missing.json" in err[0]

@@ -315,6 +315,11 @@ class TestTableTimeValue:
         assert result.effort == pytest.approx(exact, rel=2e-3)
 
 
+def test_negative_effort_rejected():
+    with pytest.raises(ValueError, match="nonnegative"):
+        mvp_welfare(LAT1, H1, seq(0, 1, 1), 2, -0.1)
+
+
 class TestMethodSwitch:
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError):

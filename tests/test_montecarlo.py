@@ -235,6 +235,17 @@ class TestAccounting:
         assert stats.principal_utility_mean == pytest.approx(
             rec["principal_utility"].mean(), rel=1e-12, abs=1e-15)
 
+    @pytest.mark.parametrize("mechanism", ["fpm", "mvp"])
+    def test_one_trial_has_zero_standard_errors(self, mechanism):
+        stats = simulate(MODEL, mechanism, PROFILE, 1, 3, rule=QUAD20,
+                         access=ACC, latency=LAT1, h=H1)
+        rec = per_trial_records(MODEL, mechanism, PROFILE, 1, 3, rule=QUAD20,
+                                access=ACC, latency=LAT1, h=H1)
+        assert stats.trials == 1
+        np.testing.assert_array_equal(stats.reward_mean, rec["rewards"][0])
+        np.testing.assert_array_equal(stats.reward_se, 0.0)
+        np.testing.assert_array_equal(stats.utility_se, 0.0)
+
     def test_pm_batch_hands_all_value_to_the_winner(self):
         rec = per_trial_records(MODEL, "pm_batch", PROFILE, 2000, 5, access=ACC)
         np.testing.assert_array_equal(rec["rewards"].sum(axis=1), rec["value"])

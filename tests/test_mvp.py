@@ -150,6 +150,12 @@ class TestTimeValueMass:
                                    "values": [1.0, 1.0], "eta": 2.0})
         assert TimeValue.from_config({"kind": "exponential", "eta": 5}).eta == 5.0
 
+    def test_config_bare_number_and_table(self):
+        assert TimeValue.from_config(2.5) == TimeValue.exponential(2.5)
+        assert TimeValue.from_config(
+            {"kind": "table", "times": [0.95, 1, 1.05], "values": [0, 20, 0]}
+        ) == TimeValue.table([0.95, 1.0, 1.05], [0.0, 20.0, 0.0])
+
 
 class TestMvpRun:
     def test_single_truthful_report(self):
@@ -184,6 +190,13 @@ class TestMvpRun:
             mvp_run(m.prior_belief(),
                     [TimedReport(0, 0.5, rep), TimedReport(0, 1.5, rep)],
                     1, QUAD, H1)
+
+    def test_non_finite_reward_raises(self):
+        # the report rules outcome 1 out, and the log score of 0 is -inf
+        report = TimedReport(0, 1.0, np.array([1.0, 0.0]))
+        with pytest.raises(ValueError, match="non-finite reward"):
+            mvp_run(Belief(np.array([0.5, 0.5])), [report], 1,
+                    ScoringRule("logarithmic"), H1)
 
     def test_bad_times_rejected(self):
         rep = ReportVector((0.8,))

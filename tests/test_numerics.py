@@ -32,6 +32,15 @@ class TestSolverCertificate:
         with pytest.raises(NumericalError, match="at effort 1e-12"):
             solve_decreasing_foc(lambda c: -3.0)
 
+    def test_upper_bracket_doubles_until_the_sign_changes(self):
+        eq = solve_decreasing_foc(lambda c: 6.0 / (1.0 + c) - 1.0)
+        assert not eq.corner and eq.bracket == (1e-12, 8.0)
+        assert eq.effort == pytest.approx(5.0, rel=1e-14)
+
+    def test_no_sign_change_after_every_doubling_raises(self):
+        with pytest.raises(NumericalError, match="no sign change"):
+            solve_decreasing_foc(lambda c: 0.5)
+
 
 V023 = ScoreSequence(np.array([0.0, 2.0, 3.0]))
 
