@@ -21,8 +21,8 @@ import numpy as np
 
 from .equilibrium import (LatencyFamily, batch_equilibrium, mvp_equilibrium,
                           mvp_welfare)
-from .errors import (CapacityError, NumericalError, reject_unknown_keys,
-                     require_keys)
+from .errors import (CapacityError, NumericalError, check_type,
+                     reject_unknown_keys, require_keys)
 from .experiments import EXPERIMENTS, run_experiment, write_csv
 from .fpm import batch_from_json, fpm_run, result_to_json
 from .info_model import InformationModel, ScoreSequence
@@ -60,7 +60,7 @@ def _parse_v(text: str) -> ScoreSequence:
 def _policy_from_config(cfg) -> ReportPolicy:
     try:
         return ReportPolicy(**cfg)
-    except TypeError as exc:  # an unknown key, or a policy that is not an object
+    except TypeError as exc:  # an unknown key, or a value of the wrong type
         raise ValueError(f"policy {cfg!r}: {exc}") from None
 
 
@@ -88,6 +88,8 @@ def cmd_figure(args) -> int:
         reject_unknown_keys("figure config", cfg,
                             ("experiment", "parameters", "output_path"))
         require_keys("figure config", cfg, ("experiment",))
+        check_type("figure config", "experiment", cfg["experiment"], "string")
+        check_type("figure config", "output_path", cfg.get("output_path", "."), "string")
         if args.name and args.name != cfg["experiment"]:
             raise SystemExit(f"config is for {cfg['experiment']!r}, "
                              f"not {args.name!r}")
@@ -131,20 +133,21 @@ def cmd_simulate(args) -> int:
     require_keys("simulate config", cfg, ("model", "mechanism", "profile"))
     reject_unknown_keys("profile", cfg["profile"], ("efforts", "policies"))
     require_keys("profile", cfg["profile"], ("efforts",))
-    for key in ("efforts", "policies"):
-        if not isinstance(cfg["profile"].get(key, []), list):
-            raise ValueError(f"profile: {key!r} must be a list, "
-                             f"got {cfg['profile'][key]!r}")
+    for key, kind in (("efforts", "list of number"), ("policies", "list of object")):
+        check_type("profile", key, cfg["profile"].get(key, []), kind)
     if "latency" in cfg:
         reject_unknown_keys("latency", cfg["latency"], ("lambda",))
         require_keys("latency", cfg["latency"], ("lambda",))
+        check_type("latency", "lambda", cfg["latency"]["lambda"], "number")
     model = InformationModel.from_config(cfg["model"])
     mechanism = cfg["mechanism"]
     profile = StrategyProfile(
         tuple(cfg["profile"]["efforts"]),
         tuple(_policy_from_config(p) for p in cfg["profile"].get("policies", [])))
-    trials = args.trials if args.trials is not None else int(cfg.get("trials", 10000))
-    seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
+    trials = (args.trials if args.trials is not None else
+              check_type("simulate config", "trials", cfg.get("trials", 10000), "integer"))
+    seed = (args.seed if args.seed is not None else
+            check_type("simulate config", "seed", cfg.get("seed", 0), "integer"))
     rule = ScoringRule.from_config(cfg["rule"]) if "rule" in cfg else None
     access = AccessFunction.from_config(cfg["access"]) if "access" in cfg else None
     latency = (LatencyFamily.exponential(float(cfg["latency"]["lambda"]))

@@ -11,24 +11,28 @@ For the built-in exponential latency family combined with an exponential
 time-value density, ``u = exp(-lam c t)`` turns every sequential-market
 integral into Beta integrals with an integer second argument (DLMF 5.12.1):
 running products of positive ratios, exact for any n and down to c = 0.
-Each evaluator also has an adaptive-quadrature route over one
-binomial-mixture integrand, the only route for a table time value; the
-``method`` of mvp_br_derivative, mvp_welfare and mvp_agent_reward picks
-the route, so the tests can cross-validate the two to tight tolerance.
+Each evaluator also has a quadrature route, the only route for a table time
+value: one binomial-mixture integrand times ``h.density``, evaluated at all
+nodes at once and integrated by :func:`numerics.integrate_segments` over a
+table's knots or over a fixed grid for the exponential kind.  The ``method``
+of mvp_br_derivative, mvp_welfare and mvp_agent_reward picks the route, so
+the tests can cross-validate the two to tight tolerance.
 """
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
+from scipy.special import gammaln, xlog1py, xlogy
 
 from .info_model import ScoreSequence
 from .mvp import TimeValue
-from .numerics import EquilibriumResult, integrate_decaying, solve_decreasing_foc
+from .numerics import EquilibriumResult, integrate_segments, solve_decreasing_foc
 from .pm_baseline import AccessFunction
 
 #: h tail mass the exponential quadrature route drops beyond its finite horizon
 TAIL_MASS = 1e-13
+#: equal segments of the exponential quadrature route's starting grid
+_EXP_SEGMENTS = 16
 
 
 @dataclass(frozen=True)
@@ -85,14 +89,19 @@ def _log_binomials(n: int) -> np.ndarray:
     return gammaln(n + 1.0) - gammaln(ks + 1.0) - gammaln(n - ks + 1.0)
 
 
-def _binomial_pmf(log_binom: np.ndarray, p: float) -> np.ndarray:
-    """Binomial(N, p) probabilities of k = 0..N, given ``log C(N, k)``."""
+def _binomial_pmf(log_binom: np.ndarray, p) -> np.ndarray:
+    """Binomial(N, p) probabilities of k = 0..N along a new last axis, given
+    ``log C(N, k)``; ``p`` is a float in [0, 1] or an array of them."""
     top = log_binom.size - 1
+    ks = np.arange(top + 1)
+    if np.ndim(p) > 0:
+        # xlogy takes 0 log 0 as 0, so p = 0 and p = 1 need no branch
+        p = p[..., None]
+        return np.exp(log_binom + xlogy(ks, p) + xlog1py(top - ks, -p))
     if p <= 0.0 or p >= 1.0:
         pmf = np.zeros(top + 1)
         pmf[0 if p <= 0.0 else top] = 1.0
         return pmf
-    ks = np.arange(top + 1)
     return np.exp(log_binom + ks * math.log(p) + (top - ks) * math.log1p(-p))
 
 
@@ -151,20 +160,30 @@ def _beta_mixture(weights: list, base: float, a: float) -> tuple[float, float]:
 
 def _quadrature_mixture(latency: LatencyFamily, h: TimeValue, c: float,
                         weights: np.ndarray, factor) -> float:
-    """Quadrature of ``factor(t) E[w_K] h(t)``, K ~ Binomial(len(weights)-1, F_c(t))."""
-    log_binom = _log_binomials(weights.size - 1)
+    """Quadrature of ``factor(t) E[w_K] h(t)``, K ~ Binomial(len(weights)-1, F_c(t)).
 
-    def mixture(t: float) -> float:
-        return factor(t) * float(_binomial_pmf(log_binom, latency.cdf(c, t)) @ weights)
+    A table h is linear between its knots, which are the segment edges; the
+    exponential kind starts from equal segments up to where its tail mass
+    is ``TAIL_MASS``.  Edges where F_c(t) = 2^-j, down to about 1 / (4N),
+    are added to either: a mixture weighted to small k can peak within
+    1 / (N lam c) of t = 0, between all nodes of a wider segment.
+    """
+    top = weights.size - 1
+    log_binom = _log_binomials(top)
 
-    if h.kind == "exponential":
-        return integrate_decaying(lambda t: mixture(t) * h.density(t),
-                                  -math.log(TAIL_MASS) / h.eta)
-    total = 0.0  # a table h is linear between knots: one quadrature per segment
-    for t0, t1, h0, h1 in zip(h.times, h.times[1:], h.values, h.values[1:]):
-        slope = (h1 - h0) / (t1 - t0)
-        total += integrate_decaying(lambda t: mixture(t0 + t) * (h0 + slope * t), t1 - t0)
-    return total
+    def integrand(t: np.ndarray) -> np.ndarray:
+        mixture = _binomial_pmf(log_binom, latency.cdf(c, t)) @ weights
+        return factor(t) * mixture * h.density(t)
+
+    if h.kind == "table":
+        edges = np.array(h.times)
+    else:
+        edges = np.linspace(0.0, -math.log(TAIL_MASS) / h.eta, _EXP_SEGMENTS + 1)
+    if c > 0.0:
+        halvings = 0.5 ** np.arange(1, top.bit_length() + 3)
+        steps = -np.log(np.concatenate([1.0 - halvings, halvings])) / (latency.lam * c)
+        edges = np.union1d(edges, steps[(steps > edges[0]) & (steps < edges[-1])])
+    return integrate_segments(integrand, edges)
 
 
 def mvp_br_derivative(latency: LatencyFamily, h: TimeValue, v: ScoreSequence,

@@ -26,7 +26,7 @@ import scipy
 from . import __version__
 from .equilibrium import (LatencyFamily, mvp_equilibrium,
                           mvp_principal_utility, mvp_welfare)
-from .errors import NumericalError, reject_unknown_keys
+from .errors import NumericalError, check_type, reject_unknown_keys
 from .info_model import (InformationModel, ScoreSequence, expected_base_score,
                          v_sequence)
 from .mvp import TimeValue
@@ -214,13 +214,21 @@ _TABLE = {
 EXPERIMENTS = tuple(_TABLE)
 
 
+def _config_type(default) -> str:
+    """The config type a parameter must have, read off its default."""
+    if isinstance(default, list):
+        return "list of " + _config_type(default[0])
+    return "integer" if isinstance(default, int) else "number"
+
+
 def run_experiment(name: str, parameters: dict | None = None,
                    output_path: str = ".") -> list[str]:
     """Evaluate one experiment grid; returns the paths written.
 
     ``parameters`` overrides the experiment's defaults key by key.  A key
-    that is not among them, or a list where the default is a number or the
-    other way round, is a ValueError, raised before any file is written.
+    that is not among them, or a value whose type differs from its
+    default's (an integer, a number, or a list of either), is a
+    ValueError, raised before any file is written.
     The manifest records the resolved parameters.
     """
     if name not in _TABLE:
@@ -229,9 +237,7 @@ def run_experiment(name: str, parameters: dict | None = None,
     parameters = parameters or {}
     reject_unknown_keys(f"{name} parameters", parameters, defaults)
     for key, value in parameters.items():
-        if isinstance(value, list) != isinstance(defaults[key], list):
-            kind = "a list" if isinstance(defaults[key], list) else "a number"
-            raise ValueError(f"{name} parameters: {key!r} must be {kind}, got {value!r}")
+        check_type(f"{name} parameters", key, value, _config_type(defaults[key]))
     resolved = {**defaults, **parameters}
     started = time.perf_counter()
     header, rows = runner(resolved)

@@ -21,7 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .belief import _state_table, fold_path, parse_report, report_column
-from .errors import CapacityError
+from .errors import (CapacityError, check_type, reject_unknown_keys,
+                     require_keys)
 from .info_model import (ENUMERATION_BUDGET, Belief, InformationModel,
                          _count_vectors, _count_weights)
 from .scoring import ScoringRule, score
@@ -149,9 +150,13 @@ def fpm_expected_reward(model: InformationModel, rule: ScoringRule,
 
 def batch_from_json(record: dict, num_outcomes: int) -> BatchOutcomeReport:
     """Parse ``{"reports": [[...], ...], "outcome": y}``; see :func:`parse_report`."""
+    reject_unknown_keys("batch file", record, ("reports", "outcome"))
+    require_keys("batch file", record, ("reports", "outcome"))
+    entries = check_type("batch file", "reports", record["reports"], "list of list of number")
     reports = [parse_report(entry, num_outcomes, f"report {slot}")
-               for slot, entry in enumerate(record["reports"])]
-    return BatchOutcomeReport(tuple(reports), int(record["outcome"]))
+               for slot, entry in enumerate(entries)]
+    return BatchOutcomeReport(tuple(reports),
+                              check_type("batch file", "outcome", record["outcome"], "integer"))
 
 
 def result_to_json(result: FpmResult) -> dict:

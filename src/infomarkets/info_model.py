@@ -19,7 +19,7 @@ from functools import cached_property
 import numpy as np
 from scipy.special import gammaln
 
-from .errors import CapacityError, reject_unknown_keys, require_keys
+from .errors import CapacityError, check_type, reject_unknown_keys, require_keys
 from .scoring import ScoringRule, expected_score
 
 #: most terms an exact enumeration may visit: signal count vectors in
@@ -114,9 +114,9 @@ class InformationModel:
         A key the kind does not read is a ValueError, except the legacy
         ``num_agents``, which is accepted and ignored.
         """
-        if not isinstance(cfg, dict):
-            raise ValueError(f"model config must be an object, got {cfg!r}")
-        kind = cfg.get("kind")
+        check_type("model config", None, cfg, "object")
+        require_keys("model config", cfg, ("kind",))
+        kind = check_type("model config", "kind", cfg["kind"], "string")
         keys = {"binary_noisy": ("alpha", "beta"),
                 "table": ("prior", "likelihood")}.get(kind)
         if keys is None:
@@ -124,7 +124,9 @@ class InformationModel:
         reject_unknown_keys(f"{kind} model", cfg, ("kind", "num_agents") + keys)
         require_keys(f"{kind} model", cfg, keys)
         if kind == "binary_noisy":
-            return cls.binary_noisy(float(cfg["alpha"]), float(cfg["beta"]))
+            alpha, beta = (check_type("binary_noisy model", key, cfg[key], "number")
+                           for key in keys)
+            return cls.binary_noisy(float(alpha), float(beta))
         return cls(np.asarray(cfg["prior"], float),
                    np.asarray(cfg["likelihood"], float))
 

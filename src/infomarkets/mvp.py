@@ -16,14 +16,13 @@ input files, never under continuous latencies) are broken by agent index,
 which cannot affect rewards because tied segments have zero width.
 """
 import math
-import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .belief import fold_path, parse_report, report_column
-from .errors import ProtocolError, reject_unknown_keys, require_keys
+from .errors import ProtocolError, check_type, reject_unknown_keys, require_keys
 from .info_model import Belief
 from .scoring import ScoringRule, score
 
@@ -79,16 +78,18 @@ class TimeValue:
     @classmethod
     def from_config(cls, cfg) -> "TimeValue":
         """A decay rate eta (a real number), or an exponential or table object."""
-        if isinstance(cfg, numbers.Real) and not isinstance(cfg, bool):
-            return cls.exponential(float(cfg))
+        check_type("time value h", None, cfg, "number or object")
         if not isinstance(cfg, dict):
-            raise ValueError(f"time value h must be a number or an object, got {cfg!r}")
+            return cls.exponential(float(cfg))
         if cfg.get("kind", "exponential") == "exponential":
             reject_unknown_keys("exponential time value", cfg, ("kind", "eta"))
-            return cls.exponential(float(cfg.get("eta", 1.0)))
+            eta = check_type("exponential time value", "eta", cfg.get("eta", 1.0), "number")
+            return cls.exponential(float(eta))
         reject_unknown_keys("table time value", cfg, ("kind", "times", "values"))
         require_keys("table time value", cfg, ("times", "values"))
-        return cls.table(cfg["times"], cfg["values"])
+        times, values = (check_type("table time value", key, cfg[key], "list of number")
+                         for key in ("times", "values"))
+        return cls.table(times, values)
 
     @cached_property
     def _knots(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

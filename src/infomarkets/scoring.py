@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import reject_unknown_keys
+from .errors import check_type, reject_unknown_keys
 
 KINDS = ("quadratic", "logarithmic")
 
@@ -34,10 +34,11 @@ class ScoringRule:
     def from_config(cls, cfg: dict) -> "ScoringRule":
         """Parse ``{"rule": "quadratic"|"log", "scale": <real>}``."""
         reject_unknown_keys("scoring rule", cfg, ("rule", "scale"))
-        kind = _ALIASES.get(cfg.get("rule", "quadratic"))
-        if kind is None:
-            raise ValueError(f"unknown scoring rule {cfg.get('rule')!r}")
-        return cls(kind=kind, scale=float(cfg.get("scale", 1.0)))
+        name = check_type("scoring rule", "rule", cfg.get("rule", "quadratic"), "string")
+        if name not in _ALIASES:
+            raise ValueError(f"unknown scoring rule {name!r}")
+        scale = check_type("scoring rule", "scale", cfg.get("scale", 1.0), "number")
+        return cls(kind=_ALIASES[name], scale=float(scale))
 
     def to_config(self) -> dict:
         return {"rule": "log" if self.kind == "logarithmic" else "quadratic",

@@ -10,6 +10,7 @@ import math
 import time
 
 import numpy as np
+from scipy.integrate import quad
 
 from infomarkets import (AccessFunction, InformationModel, LatencyFamily,
                          ReportPolicy, ScoreSequence, ScoringRule,
@@ -20,7 +21,7 @@ from infomarkets import (AccessFunction, InformationModel, LatencyFamily,
                          per_trial_records, pm_batch_equilibrium,
                          pm_batch_welfare, pm_race_equilibrium, simulate,
                          time_value_mass, v_sequence)
-from infomarkets.numerics import integrate_decaying
+from infomarkets.numerics import QUAD_TOL
 from helpers import welfare_foc_root
 
 QUAD = ScoringRule("quadratic")
@@ -252,7 +253,7 @@ def test_criterion_9_closed_forms_vs_quadrature():
             (mvp_agent_reward(latency, h, v, n, c, method="closed"),
              mvp_agent_reward(latency, h, v, n, c, method="quadrature")),
             (time_value_mass(h, c_i, c_i + 3.0),
-             integrate_decaying(lambda t: h.density(c_i + t), 3.0)),
+             quad(h.density, c_i, c_i + 3.0, epsabs=QUAD_TOL, epsrel=0.0)[0]),
         ]
         worst = max(worst, max(abs(a - b) for a, b in pairs))
     certify(9, "closed-form integral evaluators match adaptive quadrature",

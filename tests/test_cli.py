@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 
 import numpy as np
@@ -12,6 +13,17 @@ from infomarkets import experiments
 from infomarkets.cli import main
 from infomarkets.errors import NumericalError
 from infomarkets.fpm import BatchOutcomeReport
+
+
+#: sha256 of each default figure table: any change to a figure's bytes shows here
+FIGURE_SHA256 = {
+    "fig_original": "bdbd1e7f508bd7e163bd9db5073ce441d3fcb313591882c5c563e20340208031",
+    "fig_late": "0976cabad09b55e013553afa41e5fcb2cf51695ac1112938c5e75fe28a22c788",
+    "fig_eas": "84681410f9e28be329fecebd6cd0df1c41aa6ec9127bb1ffcc20847b0dbbb32e",
+    "fig_noise": "2477cee7ebc0bccc9756a6d5b51a1ad56ac637e2f8c5bb25540d3494916db838",
+    "fig_subst": "0d2083083d410344a62b039e66e6d841223f2ef27fd03010940d6fda2bebf1bd",
+    "fig_welfare_heatmap": "ac4ea2ba9ef9a78137eface3662b67c23f62099bb2feee7564b01c9047d45eb2",
+}
 
 
 def read_csv(path):
@@ -34,7 +46,9 @@ class TestFigure:
         a_dir, b_dir = tmp_path / "a", tmp_path / "b"
         for out in (a_dir, b_dir):
             assert main(["figure", name, "--out", str(out)]) == 0
-        assert (a_dir / f"{name}.csv").read_bytes() == (b_dir / f"{name}.csv").read_bytes()
+        table = (a_dir / f"{name}.csv").read_bytes()
+        assert table == (b_dir / f"{name}.csv").read_bytes()
+        assert hashlib.sha256(table).hexdigest() == FIGURE_SHA256[name]
 
     def test_fig_late_reference_rows(self, tmp_path):
         assert main(["figure", "fig_late", "--out", str(tmp_path)]) == 0
@@ -327,8 +341,25 @@ def test_missing_config_key_is_named(tmp_path, capsys, command, cfg, message):
     ("figure", {"experiment": "fig_original", "parameters": {"n_grid": 5}}, "'n_grid'"),
     ("figure", {"experiment": "fig_noise", "parameters": {"lambdas": 3}}, "'lambdas'"),
     ("figure", {"experiment": "fig_eas", "parameters": {"eta": [1.0]}}, "'eta'"),
+    ("simulate", {**SIM_CFG, "profile": {"efforts": [True, None]}}, "profile: 'efforts'"),
+    ("simulate", {**SIM_CFG, "latency": {"lambda": [1]}}, "latency: 'lambda'"),
+    ("simulate", {**SIM_CFG, "h": {"kind": "table", "times": 5, "values": 3}},
+     "table time value: 'times'"),
+    ("simulate", {**SIM_CFG, "rule": {"rule": ["quadratic"]}}, "scoring rule: 'rule'"),
+    ("simulate", {**SIM_CFG, "trials": [50]}, "simulate config: 'trials'"),
+    ("simulate", {**SIM_CFG, "h": {"eta": True}}, "exponential time value: 'eta'"),
+    ("simulate", {**SIM_CFG, "trials": 2.7}, "simulate config: 'trials'"),
+    ("figure", {"experiment": "fig_noise", "parameters": {"lambdas": ["a"]}},
+     "fig_noise parameters: 'lambdas'"),
+    ("figure", {"experiment": ["fig_eas"]}, "figure config: 'experiment'"),
+    ("figure", {"experiment": "fig_eas", "parameters": {"n": "2"}},
+     "fig_eas parameters: 'n'"),
+    ("figure", {"experiment": "fig_late", "parameters": {"k_max": 3.7}},
+     "fig_late parameters: 'k_max'"),
 ], ids=["h_string", "h_list", "h_bool", "efforts", "policies", "n_grid", "lambdas",
-        "eta_list"])
+        "eta_list", "effort_entries", "latency_lambda", "table_times", "rule_name",
+        "trials_list", "eta_bool", "trials_fraction", "lambdas_entries",
+        "experiment_list", "n_string", "k_max_fraction"])
 def test_config_value_of_the_wrong_type_is_named(tmp_path, capsys, command, cfg, needle):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
@@ -337,6 +368,36 @@ def test_config_value_of_the_wrong_type_is_named(tmp_path, capsys, command, cfg,
     assert len(err) == 1
     assert err[0].startswith("error:") and needle in err[0]
     assert not (tmp_path / "out").exists()
+
+
+def test_figure_output_path_of_the_wrong_type_is_named(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cfg.json").write_text(json.dumps({"experiment": "fig_eas",
+                                                   "output_path": 5}))
+    assert main(["figure", "--config", "cfg.json"]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: figure config: 'output_path' must be a string, got 5"]
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+
+@pytest.mark.parametrize("record, message", [
+    ({"reports": 5, "outcome": 1}, "'reports' must be a list of lists of numbers, got 5"),
+    ({"reports": [[0.8], [[0.5]]], "outcome": 1},
+     "'reports' must be a list of lists of numbers, got [[0.8], [[0.5]]]"),
+    ({"reports": [[0.8], [0.5]], "outcome": 1.9}, "'outcome' must be an integer, got 1.9"),
+    ({"reports": [[0.8], [0.5]], "outcome": 1, "outcme": 0},
+     "unknown key(s) ['outcme']; accepted: ['outcome', 'reports']"),
+    ({"reports": [[0.8], [0.5]]}, "missing key 'outcome'"),
+], ids=["reports_number", "report_nested", "outcome_fraction", "unknown_key",
+        "missing_outcome"])
+def test_batch_file_entry_of_the_wrong_type_is_named(tmp_path, capsys, record, message):
+    batch_path = tmp_path / "batch.json"
+    batch_path.write_text(json.dumps(record))
+    out = tmp_path / "settled.json"
+    assert main(["settle-fpm", "--alpha", "0.02", "--beta", "0.2",
+                 "--batch", str(batch_path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: batch file: {message}"]
+    assert not out.exists()
 
 
 class TestSettlement:

@@ -2,13 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
+import infomarkets.equilibrium as equilibrium_module
 from infomarkets import (AccessFunction, LatencyFamily, ScoreSequence,
                          TimeValue, batch_equilibrium, batch_welfare,
                          mvp_agent_reward, mvp_br_derivative, mvp_equilibrium,
                          mvp_principal_utility, mvp_welfare,
                          pm_race_equilibrium)
-from infomarkets.numerics import FOC_TOL
+from infomarkets.equilibrium import TAIL_MASS
+from infomarkets.numerics import FOC_TOL, QUAD_TOL
 from helpers import welfare_foc_root
 
 H1 = TimeValue.exponential(1.0)
@@ -313,6 +316,96 @@ class TestTableTimeValue:
         exact = mvp_equilibrium(LAT1, H1, v, 3).effort
         assert not result.corner and abs(result.residual) <= FOC_TOL
         assert result.effort == pytest.approx(exact, rel=2e-3)
+
+
+def adaptive_mixture(latency, h, c, weights, factor) -> float:
+    """Oracle for the quadrature route: scipy's adaptive ``quad`` on each
+    segment a table h is linear on, one Python integrand call per point."""
+    log_binom = equilibrium_module._log_binomials(weights.size - 1)
+
+    def integrand(t):
+        pmf = equilibrium_module._binomial_pmf(log_binom, latency.cdf(c, t))
+        return factor(t) * float(pmf @ weights) * h.density(t)
+
+    return sum(quad(integrand, t0, t1, epsabs=QUAD_TOL / len(h.times), epsrel=0.0,
+                    limit=300)[0] for t0, t1 in zip(h.times, h.times[1:]))
+
+
+def route_and_oracle(latency, h, v, n, c_i, c):
+    """(quadrature route, adaptive oracle) for each of the three evaluators."""
+    deltas, values = v.deltas[:n], v.values[:n + 1]
+    return [
+        (mvp_br_derivative(latency, h, v, n, c_i, c),
+         adaptive_mixture(latency, h, c, deltas, lambda t: latency.dcdf_dc(c_i, t)) - 1.0),
+        (mvp_welfare(latency, h, v, n, c),
+         adaptive_mixture(latency, h, c, values, lambda t: 1.0) - n * c),
+        (mvp_agent_reward(latency, h, v, n, c),
+         adaptive_mixture(latency, h, c, deltas, lambda t: latency.cdf(c, t))),
+    ]
+
+
+def halving(n):
+    """v_k = 1 - 2^-k: increments halve, so the mixture peaks near t = 0."""
+    return ScoreSequence(1.0 - 0.5 ** np.arange(n + 1.0))
+
+
+def decay_table(knots, end):
+    times = np.linspace(0.0, end, knots)
+    return TimeValue.table(times, np.exp(-times))
+
+
+def deadline(w):
+    return TimeValue.table([1 - w, 1, 1 + w], [0.0, 1 / w, 0.0])
+
+
+class TestQuadratureRoute:
+    @pytest.mark.parametrize("h, n, points", [
+        (decay_table(400, 40.0), 3, [(1.5, 0.3, 0.3)]),
+        (decay_table(10, 9.0), 256, [(1.5, 0.3, 0.3), (8.0, 2.0, 2.0)]),
+        (deadline(1e-2), 3, [(1.5, 0.3, 0.3), (8.0, 2.0, 2.0)]),
+        (deadline(1e-3), 256, [(1.5, 0.3, 0.3), (8.0, 2.0, 2.0)]),
+        (deadline(1e-4), 32, [(1.5, 0.3, 0.3), (2.0, 0.05, 1.0)]),
+    ], ids=["knots400", "knots10", "deadline_1e-2", "deadline_1e-3", "deadline_1e-4"])
+    def test_tables_match_the_adaptive_oracle(self, h, n, points):
+        for lam, c_i, c in points:
+            for got, oracle in route_and_oracle(LatencyFamily.exponential(lam), h,
+                                                halving(n), n, c_i, c):
+                assert got == pytest.approx(oracle, abs=QUAD_TOL)
+
+    def test_exponential_h_matches_the_closed_forms(self):
+        """The adaptive route missed the peak near t = 0 here, by up to 1.3e-5."""
+        worst = 0.0
+        for eta in (0.4, 1.0, 2.5):
+            h = TimeValue.exponential(eta)
+            for n in (1, 2, 3, 8, 32, 64, 128, 256):
+                v = halving(n)
+                for lam, c_i, c in ((1.0, 0.3, 0.3), (2.0, 0.05, 1.0), (8.0, 1.5, 1e-12),
+                                    (0.5, 1e-8, 3.0), (8.0, 2.0, 2.0)):
+                    latency = LatencyFamily.exponential(lam)
+                    for fn in (lambda m: mvp_br_derivative(latency, h, v, n, c_i, c, method=m),
+                               lambda m: mvp_welfare(latency, h, v, n, c, method=m),
+                               lambda m: mvp_agent_reward(latency, h, v, n, c, method=m)):
+                        closed = fn("closed")
+                        worst = max(worst, abs(fn("quadrature") - closed) / max(1.0, abs(closed)))
+        assert worst <= 2.4e-12
+
+    def test_steep_starting_segment_is_halved(self, monkeypatch):
+        """lam c_i = 50 against eta = 0.4: the first segment of the grid is
+        4.7 wide, so the FOC integrand falls by e^-50 within a tenth of it."""
+        original, rounds = equilibrium_module.integrate_segments, []
+
+        def counting(integrand, edges):
+            def counted(t):
+                rounds.append(t.shape)
+                return integrand(t)
+            return original(counted, edges)
+
+        monkeypatch.setattr(equilibrium_module, "integrate_segments", counting)
+        latency, h, v = LatencyFamily.exponential(10.0), TimeValue.exponential(0.4), halving(4)
+        closed = mvp_br_derivative(latency, h, v, 4, 5.0, 1e-12, method="closed")
+        quadr = mvp_br_derivative(latency, h, v, 4, 5.0, 1e-12, method="quadrature")
+        assert len(rounds) > 1 and rounds[0][0] == 16
+        assert quadr == pytest.approx(closed, rel=1e-12, abs=1e-12)
 
 
 def test_negative_effort_rejected():

@@ -1,5 +1,7 @@
 import math
 import re
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +10,7 @@ import infomarkets.equilibrium as equilibrium_module
 from infomarkets import (AccessFunction, LatencyFamily, NumericalError,
                          ScoreSequence, TimeValue, batch_equilibrium,
                          mvp_equilibrium)
-from infomarkets.numerics import solve_decreasing_foc
+from infomarkets.numerics import integrate_segments, solve_decreasing_foc
 
 
 def foc_with_midpoint(value):
@@ -69,3 +71,50 @@ class TestSolverCost:
         assert eq.effort == pytest.approx(expected, rel=1e-13)
         assert len(calls) <= 25
         assert len(set(calls)) == len(calls), "an effort was evaluated twice"
+
+
+def named_segment(exc) -> tuple[float, float]:
+    lo, hi = re.search(r"segment \[(\S+), (\S+)\]", str(exc)).groups()
+    return float(lo), float(hi)
+
+
+def guarded(integrand, edges):
+    """The NumericalError ``integrate_segments`` raises, its time and its
+    traced memory peak."""
+    tracemalloc.start()
+    started = time.perf_counter()
+    try:
+        with pytest.raises(NumericalError) as info:
+            integrate_segments(integrand, edges)
+        return info.value, time.perf_counter() - started, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestIntegrator:
+    def test_smooth_integrand_to_rounding(self):
+        assert integrate_segments(np.exp, [0.0, 1.0, 3.0]) == pytest.approx(
+            math.e ** 3 - 1.0, rel=1e-15)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_value_names_its_segment(self, value):
+        exc, seconds, peak = guarded(
+            lambda t: np.where(abs(t - 0.6) < 0.05, value, 1.0), [0.0, 0.25, 0.5, 0.75, 1.0])
+        assert "not finite" in str(exc) and named_segment(exc) == (0.5, 0.75)
+        assert seconds < 1.0 and peak < 2 ** 20
+
+    def test_step_stays_unresolved_at_the_depth_limit(self):
+        """Halving never makes the two rules agree across a jump: the binary
+        digits of 1/3 alternate, so each halving leaves the step a third of
+        the way into one live segment, between nodes of both rules."""
+        step = 1.0 / 3.0
+        exc, seconds, peak = guarded(lambda t: (t > step).astype(float), [0.0, 1.0])
+        assert "halvings" in str(exc)
+        lo, hi = named_segment(exc)
+        assert lo < step < hi and hi - lo < 1e-11
+        assert seconds < 1.0 and peak < 2 ** 20
+
+    def test_disagreement_everywhere_stops_at_the_segment_bound(self):
+        exc, seconds, peak = guarded(lambda t: np.sign(np.sin(1e9 * t)), [0.0, 1.0])
+        assert "segments" in str(exc) and named_segment(exc)
+        assert seconds < 1.0 and peak < 4 * 2 ** 20
