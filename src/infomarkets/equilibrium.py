@@ -17,16 +17,19 @@ nodes at once and integrated by :func:`numerics.integrate_segments` over a
 table's knots or over a fixed grid for the exponential kind.  The ``method``
 of mvp_br_derivative, mvp_welfare and mvp_agent_reward picks the route, so
 the tests can cross-validate the two to tight tolerance.
+
+Binomial coefficients come from :func:`numerics._log_factorials` in log
+space, so the library needs no special-function package.
 """
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, xlog1py, xlogy
 
 from .info_model import ScoreSequence
 from .mvp import TimeValue
-from .numerics import EquilibriumResult, integrate_segments, solve_decreasing_foc
+from .numerics import (EquilibriumResult, _log_factorials, integrate_segments,
+                       solve_decreasing_foc)
 from .pm_baseline import AccessFunction
 
 #: h tail mass the exponential quadrature route drops beyond its finite horizon
@@ -85,8 +88,8 @@ def _resolve_method(method: str, h: TimeValue) -> str:
 
 def _log_binomials(n: int) -> np.ndarray:
     """``log C(n, k)`` for k = 0..n."""
-    ks = np.arange(n + 1.0)
-    return gammaln(n + 1.0) - gammaln(ks + 1.0) - gammaln(n - ks + 1.0)
+    log_fact = _log_factorials(n)
+    return log_fact[n] - log_fact - log_fact[::-1]
 
 
 def _binomial_pmf(log_binom: np.ndarray, p) -> np.ndarray:
@@ -95,9 +98,12 @@ def _binomial_pmf(log_binom: np.ndarray, p) -> np.ndarray:
     top = log_binom.size - 1
     ks = np.arange(top + 1)
     if np.ndim(p) > 0:
-        # xlogy takes 0 log 0 as 0, so p = 0 and p = 1 need no branch
+        # a zero count takes 0 log 0 as 0, so p = 0 and p = 1 need no branch
         p = p[..., None]
-        return np.exp(log_binom + xlogy(ks, p) + xlog1py(top - ks, -p))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            hits = np.where(ks == 0, 0.0, ks * np.log(p))
+            misses = np.where(ks == top, 0.0, (top - ks) * np.log1p(-p))
+        return np.exp(log_binom + hits + misses)
     if p <= 0.0 or p >= 1.0:
         pmf = np.zeros(top + 1)
         pmf[0 if p <= 0.0 else top] = 1.0

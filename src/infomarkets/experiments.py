@@ -21,7 +21,6 @@ import time
 from contextlib import contextmanager
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .equilibrium import (LatencyFamily, mvp_equilibrium,
@@ -251,8 +250,7 @@ def run_experiment(name: str, parameters: dict | None = None,
         "rows": len(rows),
         "versions": {"infomarkets": __version__,
                      "python": platform.python_version(),
-                     "numpy": np.__version__,
-                     "scipy": scipy.__version__},
+                     "numpy": np.__version__},
         "wall_time_s": round(time.perf_counter() - started, 6),
     }
     manifest_path = os.path.join(output_path, f"{name}_manifest.json")

@@ -11,15 +11,17 @@ count vectors of signal values, the expected-score sequence ``v_0 .. v_n``:
 how much the self-expected proper score of the market belief rises after k
 truthful reports.  That sequence is the single input through which the
 information structure enters every equilibrium computation downstream.
+Each count vector's multinomial weight is taken in log space from
+:func:`numerics._log_factorials`.
 """
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import CapacityError, check_type, reject_unknown_keys, require_keys
+from .numerics import _log_factorials
 from .scoring import ScoringRule, expected_score
 
 #: most terms an exact enumeration may visit: signal count vectors in
@@ -221,7 +223,8 @@ def _count_weights(counts: np.ndarray, lik: np.ndarray) -> np.ndarray:
     """P(count vector | y) for i.i.d. draws from row y of the d x m table
     ``lik``: one log-space multinomial per row of ``counts`` and column y."""
     k = counts.sum(axis=1)
-    log_multinomial = gammaln(k + 1.0) - gammaln(counts + 1.0).sum(axis=1)
+    log_fact = _log_factorials(int(k.max()))
+    log_multinomial = log_fact[k] - log_fact[counts].sum(axis=1)
     # 0 * log 0 is 0: an unseen value costs nothing, a seen impossible one zeroes the row
     log_lik = counts @ np.log(np.where(lik > 0, lik, 1.0)).T
     weights = np.exp(log_multinomial[:, None] + log_lik)

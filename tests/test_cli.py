@@ -140,7 +140,7 @@ class TestFigure:
         manifest = json.loads((tmp_path / "fig_eas_manifest.json").read_text())
         _, defaults = experiments._TABLE["fig_eas"]
         assert manifest["parameters"] == {**defaults, "lambda_grid": [1.0]}
-        assert set(manifest["versions"]) == {"infomarkets", "python", "numpy", "scipy"}
+        assert set(manifest["versions"]) == {"infomarkets", "python", "numpy"}
 
     @pytest.mark.parametrize("name", experiments.EXPERIMENTS)
     def test_runner_reads_every_default(self, name):

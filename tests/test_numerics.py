@@ -1,16 +1,25 @@
 import math
 import re
+import sys
+import threading
 import time
 import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
+from scipy.special import gammaln
 
 import infomarkets.equilibrium as equilibrium_module
-from infomarkets import (AccessFunction, LatencyFamily, NumericalError,
-                         ScoreSequence, TimeValue, batch_equilibrium,
-                         mvp_equilibrium)
-from infomarkets.numerics import integrate_segments, solve_decreasing_foc
+import infomarkets.numerics as numerics_module
+from infomarkets import (AccessFunction, InformationModel, LatencyFamily,
+                         NumericalError, ScoreSequence, ScoringRule, TimeValue,
+                         batch_equilibrium, mvp_equilibrium, v_sequence)
+from infomarkets.numerics import (_brent, _log_factorials, _log_gamma_of_integer,
+                                  integrate_segments, solve_decreasing_foc)
+
+#: the tolerances solve_decreasing_foc hands the root finder
+XTOL, RTOL = 1e-300, 4.0 * np.finfo(float).eps
 
 
 def foc_with_midpoint(value):
@@ -118,3 +127,128 @@ class TestIntegrator:
         exc, seconds, peak = guarded(lambda t: np.sign(np.sin(1e9 * t)), [0.0, 1.0])
         assert "segments" in str(exc) and named_segment(exc)
         assert seconds < 1.0 and peak < 4 * 2 ** 20
+
+
+class TestLogFactorials:
+    """scipy's ``gammaln`` runs Cephes ``lgam``, so it is the bitwise oracle."""
+
+    def test_table_matches_gammaln_bit_for_bit(self):
+        ks = np.arange(10 ** 5 + 1)  # crosses lgam's branches at 13 and 1000
+        np.testing.assert_array_equal(_log_factorials(10 ** 5), gammaln(ks + 1.0))
+
+    @pytest.mark.parametrize("x", [1e8, 1e8 + 1, 2e8, 3e9, 1e12])
+    def test_large_arguments_match_gammaln(self, x):
+        assert _log_gamma_of_integer(x) == gammaln(x)
+
+    def test_callers_cannot_write_into_the_table(self):
+        log_fact = _log_factorials(20)
+        assert not log_fact.flags.writeable
+        with pytest.raises(ValueError):
+            log_fact.flags.writeable = True
+
+    def test_threads_growing_the_table_at_once_agree(self, monkeypatch):
+        empty = np.zeros(1)
+        empty.flags.writeable = False
+        monkeypatch.setattr(numerics_module, "_log_factorial_table", empty)
+        sizes = [50 * (j + 1) for j in range(16)]
+        results = [None] * len(sizes)
+
+        def grow(j):
+            results[j] = _log_factorials(sizes[j])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=grow, args=(j,)) for j in range(len(sizes))]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=10)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for n, log_fact in zip(sizes, results):
+            np.testing.assert_array_equal(log_fact, gammaln(np.arange(n + 1) + 1.0))
+        # a lost update would leave a table shorter than the largest n asked for
+        assert numerics_module._log_factorial_table.size == max(sizes) + 1
+
+
+def recording(f):
+    """``f`` and the list of points it is called at."""
+    points = []
+
+    def g(x):
+        points.append(x)
+        return f(x)
+    return g, points
+
+
+def sweep_focs(count, seed):
+    """(FOC, bracket) of ``count`` random batch and sequential equilibria,
+    drawn as the benchmark's solver sweep draws its comparison points."""
+    rng = np.random.default_rng(seed)
+    captured = []
+
+    def capture(f, *args, **kwargs):
+        eq = solve_decreasing_foc(f, *args, **kwargs)
+        if not eq.corner:
+            captured.append((f, eq.bracket))
+        return eq
+
+    rule = ScoringRule("quadratic", 20.0)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(equilibrium_module, "solve_decreasing_foc", capture)
+        for n in rng.permutation(np.round(np.geomspace(2, 64, count)).astype(int)):
+            lam, eta = rng.uniform(0.5, 8.0), rng.uniform(0.4, 2.5)
+            access = rng.uniform(1.5, 8.0)
+            alpha, beta = rng.uniform(0.05, 0.5), rng.uniform(0.01, 0.4)
+            v = v_sequence(InformationModel.binary_noisy(alpha, beta), rule, int(n))
+            mvp_equilibrium(LatencyFamily.exponential(lam), TimeValue.exponential(eta),
+                            v, int(n))
+            batch_equilibrium(AccessFunction.exponential(access), v, int(n))
+    return captured
+
+
+def steep_sigmoid(c):
+    """Saturates to exactly +-1 away from 0.3, so interpolation cannot move."""
+    return math.tanh(1e3 * (0.3 - c))
+
+
+class TestBrent:
+    """scipy's ``brentq`` is the oracle: the same points, the same root bits."""
+
+    def assert_same_as_brentq(self, f, lo, hi):
+        ours, our_points = recording(f)
+        theirs, their_points = recording(f)
+        root = _brent(ours, lo, hi, XTOL, RTOL)
+        assert root == brentq(theirs, lo, hi, xtol=XTOL, rtol=RTOL)
+        assert our_points == their_points
+        return our_points
+
+    def test_sweep_focs_match_brentq(self):
+        focs = sweep_focs(25, seed=5)
+        assert len(focs) >= 40
+        for f, (lo, hi) in focs:
+            self.assert_same_as_brentq(f, lo, hi)
+
+    @pytest.mark.parametrize("lo, hi", [(0.5, 2.0), (1e-12, 0.5)])
+    def test_zero_at_a_bracket_end_returns_it(self, lo, hi):
+        points = self.assert_same_as_brentq(lambda c: 0.5 - c, lo, hi)
+        assert points == [lo, hi]
+
+    def test_steep_sigmoid_takes_bisection_steps(self):
+        points = self.assert_same_as_brentq(steep_sigmoid, 1e-12, 1.0)
+        # the first two steps halve the bracket
+        mid = 1.0 + (1e-12 - 1.0) / 2
+        assert points[2:4] == [mid, mid + (1e-12 - mid) / 2]
+
+    def test_triple_root_does_not_converge_and_names_the_bracket(self):
+        """Brent's steps creep towards a triple root: neither port converges
+        in 100 steps."""
+        def foc(c):
+            return (0.3 - c) ** 3
+
+        with pytest.raises(RuntimeError, match="converge"):
+            brentq(foc, 1e-12, 1.0, xtol=XTOL, rtol=RTOL)
+        with pytest.raises(NumericalError, match=r"100 steps on the bracket \[1e-12, 1.0\]"):
+            solve_decreasing_foc(foc)
