@@ -34,6 +34,21 @@ report-column entries, so scratch memory is bounded at any width.
 :func:`simulate` reduces each chunk's books as soon as they are settled
 (see :class:`_Moments`), so its memory does not grow with the trial count
 either; only :func:`per_trial_records` keeps every trial.
+
+A small market has few distinct trials.  A trial's configuration is its
+report-column rows (in agent order in a batch market, in time order in a
+sequential one) and its outcome; with two agents and binary signals there
+are at most 18 in agent order and 72 in time order.  When the
+configurations number at most the trials one chunk settles,
+:func:`_tabulated` runs the kernel's settlement core once on each of them
+as the kernel is built, and every chunk gathers its trials' values from
+that table by a mixed-radix key.  It is a cache, not a second settlement:
+every operation of :func:`fold_path` and :func:`score` acts on one trial
+at a time, so a gathered value is bit for bit the one the core computes
+on the chunk.  The fair batch kernel, the paired batch deviation, the
+rank-order sequential path scores and the paired sequential deviation's
+path scores are tabulated.  The marginal-value rewards fold continuous
+segment masses into each trial, so :func:`settle_sequential` stays direct.
 """
 import math
 import numbers
@@ -316,28 +331,88 @@ def _column_table(model: InformationModel, profile: StrategyProfile,
     return table.reshape(-1, model.num_outcomes)
 
 
-def _table_rows(model: InformationModel, signals: np.ndarray,
-                active: np.ndarray) -> np.ndarray:
-    """(n, T) rows of :func:`_column_table`: state 0 where ``active`` is
-    false, else 1 + the drawn signal (``signals``, from :func:`_draw_signals`)."""
-    first = (model.num_signal_values + 1) * np.arange(signals.shape[0])[:, None]
-    return first + (1 + signals) * active
+def _states(signals: np.ndarray, active: np.ndarray) -> np.ndarray:
+    """Signal states: 0 where ``active`` is false, else 1 + the drawn signal
+    (``signals``, from :func:`_draw_signals`)."""
+    return (1 + signals) * active
 
 
-def _kernel(model, mechanism, profile, rule, access, latency, h):
+def _table_rows(model: InformationModel, states: np.ndarray) -> np.ndarray:
+    """(n, T) rows of :func:`_column_table` of the agent-major ``states``."""
+    first = (model.num_signal_values + 1) * np.arange(states.shape[0])[:, None]
+    return first + states
+
+
+def _tabulated(core, blocks: np.ndarray, prior: np.ndarray, limit: int):
+    """``core`` itself, or a lookup with its signature over a table of its values.
+
+    ``core(rows, y)`` maps ``(width, T)`` integer rows and ``(T,)``
+    outcomes to an array ``(..., T)`` whose trial t depends on
+    ``rows[:, t]`` and ``y[t]`` alone.  Row k takes values in
+    ``range(radix)`` and selects the column ``blocks[k, rows[k]]`` of the
+    ``(width, radix, d)`` array ``blocks``.  When the ``radix**width * d``
+    configurations number at most ``limit``, the core runs once on every
+    configuration of positive probability, ``prior[y]`` times the product
+    of its columns at y, and the lookup gathers each trial's values by its
+    mixed-radix key.  The other configurations are never evaluated: a
+    chunk that meets one is settled by ``core``, which raises or not just
+    as it would have.
+    """
+    width, radix, d = blocks.shape
+    if radix ** width * d > limit:
+        return core
+    digits = np.indices((radix,) * width + (d,)).reshape(width + 1, -1)
+    possible = prior[digits[-1]] > 0
+    for k in range(width):
+        possible &= blocks[k, digits[k], digits[-1]] > 0
+    index = np.full(possible.size, -1)
+    index[possible] = np.arange(np.count_nonzero(possible))
+    values = core(digits[:-1, possible], digits[-1, possible])
+
+    def lookup(rows, y):
+        key = np.zeros(y.size, dtype=np.intp)
+        for row in rows:
+            key *= radix
+            key += row
+        key *= d
+        key += y
+        at = np.take(index, key)
+        if at.min() < 0:
+            return core(rows, y)
+        return np.take(values, at, axis=-1)
+    return lookup
+
+
+def _path_scores(model: InformationModel, rule: ScoringRule, table: np.ndarray):
+    """``scores(rows, y)``: the ``(K + 1, T)`` scores of the belief path that
+    folds the columns ``table[rows]`` of ``(K, T)`` rows in order."""
+    def scores(rows, y):
+        return score(rule, fold_path(model.prior, np.take(table, rows, axis=0)), y)
+    return scores
+
+
+def _in_time_order(table: np.ndarray, slots: int) -> np.ndarray:
+    """The :func:`_tabulated` blocks of ``slots`` time-ordered rows: each
+    slot may hold any row of ``table``."""
+    return np.broadcast_to(table, (slots, *table.shape))
+
+
+def _kernel(model, mechanism, profile, rule, access, latency, h, limit):
     """The chunk kernel of one profile: ``settle(y, u_lat, u_sig, u_win)``.
 
-    ``settle`` maps one chunk's draws (agent-major ``(n, T)`` uniforms) to
-    agent-major rewards ``(n, T)`` and the principal's value ``(T,)``.
-    Every per-agent constant is built here, once per run, so a chunk runs
-    no Python loop over agents or signal values.
+    ``settle`` maps one chunk's draws (agent-major ``(n, T)`` uniforms;
+    ``u_win`` is None except in ``pm_batch``) to agent-major rewards
+    ``(n, T)`` and the principal's value ``(T,)``.  Every per-agent
+    constant is built here, once per run, so a chunk runs no Python loop
+    over agents or signal values.  ``limit`` is the most trials a chunk of
+    the run settles, which bounds a table (see :func:`_tabulated`).
     """
     if mechanism in ("fpm", "pm_batch"):
-        return _batch_kernel(model, mechanism, profile, rule, access)
-    return _sequential_kernel(model, mechanism, profile, rule, latency, h)
+        return _batch_kernel(model, mechanism, profile, rule, access, limit)
+    return _sequential_kernel(model, mechanism, profile, rule, latency, h, limit)
 
 
-def _batch_kernel(model, mechanism, profile, rule, access):
+def _batch_kernel(model, mechanism, profile, rule, access, limit):
     q = np.array([access.value(c) for c in profile.efforts])[:, None]
 
     if mechanism == "pm_batch":
@@ -353,11 +428,18 @@ def _batch_kernel(model, mechanism, profile, rule, access):
 
     table = _column_table(model, profile, sequential=False)
 
-    def settle(y, u_lat, u_sig, u_win):
-        cols = np.take(table, _table_rows(model, _draw_signals(model, y, u_sig), u_lat < q),
-                       axis=0)
+    def settle_states(states, y):
+        """The rewards ``(n, T)`` stacked on the value ``(T,)``."""
+        cols = np.take(table, _table_rows(model, states), axis=0)
         p_all, rewards = settle_batch(model.prior, cols, y, rule)
-        return rewards.T, score(rule, p_all, y) - score(rule, model.prior, y)
+        return np.vstack([rewards.T, score(rule, p_all, y) - score(rule, model.prior, y)])
+    settle_states = _tabulated(settle_states, table.reshape(profile.num_agents, -1,
+                                                            model.num_outcomes),
+                               model.prior, limit)
+
+    def settle(y, u_lat, u_sig, u_win):
+        books = settle_states(_states(_draw_signals(model, y, u_sig), u_lat < q), y)
+        return books[:-1], books[-1]
     return settle
 
 
@@ -382,52 +464,81 @@ def _report_times(waits: np.ndarray, speaks, rate, delay) -> np.ndarray:
     return np.where(speaks, waits / rate + delay, np.inf)
 
 
-def _slot_order(times: np.ndarray):
-    """``(to_slots, from_slots)``: gathers of an agent-major ``(n, T)``
-    array into time order along axis 0 and back.
+def _time_order(times: np.ndarray) -> np.ndarray:
+    """The ``(n, T)`` agents of the reports of ``times`` in time order.
 
-    Slot s holds the s-th report in time order; a tie keeps agent order,
-    so an agent who never reports (time inf) sorts last in agent order.
+    Row s holds the agent of the s-th report; a tie keeps agent order, so
+    an agent who never reports (time inf) sorts last in agent order.
     """
     if times.shape[0] == 2:
         # one comparison orders two agents; a tie keeps agent order, as
-        # the stable sort does, and the swap is its own inverse
-        swap = times[1] < times[0]
+        # the stable sort does
+        order = np.empty(times.shape, dtype=np.intp)
+        order[0] = times[1] < times[0]
+        np.subtract(1, order[0], out=order[1])
+        return order
+    return np.argsort(times, axis=0, kind="stable")
 
-        def to_slots(a):
-            return np.where(swap, a[::-1], a)
-        return to_slots, to_slots
-    order = np.argsort(times, axis=0, kind="stable")
+
+def _slot_gathers(order: np.ndarray):
+    """``(to_slots, from_slots)``: gathers of an agent-major ``(n, T)``
+    array into the order ``order`` (see :func:`_time_order`) and back.
+
+    Both go through one flat index ``order * T + t``, which a per-trial
+    select or an axis gather would spend several times as long on.
+    """
+    flat = order * order.shape[1] + np.arange(order.shape[1])
 
     def to_slots(a):
-        return np.take_along_axis(a, order, axis=0)
+        return np.take(a, flat)
 
     def from_slots(a):
         out = np.empty_like(a)
-        np.put_along_axis(out, order, a, axis=0)
+        np.put(out, flat, a)
         return out
     return to_slots, from_slots
 
 
-def _sequential_kernel(model, mechanism, profile, rule, latency, h):
+def _with_agent(order: np.ndarray, agent: int, slot: np.ndarray) -> np.ndarray:
+    """The ``(n, T)`` time order that inserts ``agent`` at ``slot`` into the
+    ``(n - 1, T)`` time order of the other agents."""
+    full = np.empty((order.shape[0] + 1, order.shape[1]), dtype=np.intp)
+    if order.shape[0] == 1:
+        # agents 0 and 1: the other one reports first where the slot is 1,
+        # two integer operations where a masked select would cost several
+        np.bitwise_xor(slot, agent, out=full[0])
+        np.subtract(1, full[0], out=full[1])
+        return full
+    full[:-1] = order
+    # the agents from the slot on move down one row
+    full[1:] = np.where(np.arange(order.shape[0])[:, None] >= slot, order, full[1:])
+    full[slot, np.arange(order.shape[1])] = agent
+    return full
+
+
+def _sequential_kernel(model, mechanism, profile, rule, latency, h, limit):
     arrivals = _arrivals(profile, latency)
     table = _column_table(model, profile, sequential=True)
+    if mechanism == "pm_sequential":
+        path_scores = _tabulated(_path_scores(model, rule, table),
+                                 _in_time_order(table, profile.num_agents),
+                                 model.prior, limit)
 
     def settle(y, u_lat, u_sig, u_win):
         times = _report_times(-np.log1p(-u_lat), *arrivals)
-        to_slots, from_slots = _slot_order(times)
+        to_slots, from_slots = _slot_gathers(_time_order(times))
         sorted_times = to_slots(times)
         # an agent who never reports sorts last, in state 0 (the neutral column)
-        rows = _table_rows(model, _draw_signals(model, y, u_sig), np.isfinite(times))
-        slot_cols = np.take(table, to_slots(rows), axis=0)
+        slot_rows = to_slots(_table_rows(model, _states(_draw_signals(model, y, u_sig),
+                                                        np.isfinite(times))))
         masses = _segment_masses(h, sorted_times)  # (n + 1, T)
 
         if mechanism == "mvp":
-            _, slot_rewards, s_path = settle_sequential(model.prior, slot_cols,
-                                                        masses.T, y, rule)
+            _, slot_rewards, s_path = settle_sequential(
+                model.prior, np.take(table, slot_rows, axis=0), masses.T, y, rule)
             slot_rewards = slot_rewards.T
         else:
-            s_path = score(rule, fold_path(model.prior, slot_cols), y)  # (n+1, T)
+            s_path = path_scores(slot_rows, y)  # (n + 1, T)
             slot_rewards = np.where(np.isfinite(sorted_times),
                                     s_path[1:] - s_path[:-1], 0.0)
         return (from_slots(slot_rewards),
@@ -435,7 +546,7 @@ def _sequential_kernel(model, mechanism, profile, rule, latency, h):
     return settle
 
 
-def _paired_batch(model, arms, i, rule, access):
+def _paired_batch(model, arms, i, rule, access, limit):
     """The paired chunk function of a batch (fpm) deviation by agent i:
     ``settle(y, u_lat, u_sig, u_win)`` -> agent i's ``(2, T)`` rewards in
     the baseline and the deviant arm.
@@ -445,27 +556,38 @@ def _paired_batch(model, arms, i, rule, access):
     :func:`settle_batch`; neither depends on agent i's strategy, so both
     arms share it.  Per arm only agent i's column and the forward fold
     from i onward remain: n - i steps, both arms at once, and one score.
+
+    A configuration is every agent's signal state in the baseline arm and
+    agent i's in the deviant arm, which differs under an effort deviation,
+    with the outcome: one key settles both arms (see :func:`_tabulated`).
     """
-    d = model.num_outcomes
+    n, d = arms[0].num_agents, model.num_outcomes
     q = np.array([access.value(c) for c in arms[0].efforts])[:, None]
     table = _column_table(model, arms[0], sequential=False)
-    deviant = [(access.value(p.efforts[i]), _report_columns(model, p.policies[i]))
-               for p in arms]
+    q_dev = access.value(arms[1].efforts[i])
+    own_dev = _report_columns(model, arms[1].policies[i])
 
-    def settle(y, u_lat, u_sig, u_win):
-        signals = _draw_signals(model, y, u_sig)
-        cols = np.take(table, _table_rows(model, signals, u_lat < q), axis=0)
+    def settle_states(states, y):
+        cols = np.take(table, _table_rows(model, states[:n]), axis=0)
         before = fold_path(model.prior, cols[:i])[-1]
         after = fold_path(np.ones(d), cols[:i:-1])[-1]
         s_without = score(rule, fold_path(before, after[None])[1], y)
-        own = np.stack([np.take(block, (1 + signals[i]) * (u_lat[i] < q_i), axis=0)
-                        for q_i, block in deviant])  # (2, T, d)
+        own = np.stack([cols[i], np.take(own_dev, states[n], axis=0)])  # (2, T, d)
         full = fold_path(fold_path(before, own[None])[1], cols[i + 1:])[-1]
         return score(rule, full, y) - s_without
+    settle_states = _tabulated(settle_states, np.concatenate(
+        [table.reshape(n, -1, d), own_dev[None]]), model.prior, limit)
+
+    def settle(y, u_lat, u_sig, u_win):
+        signals = _draw_signals(model, y, u_sig)
+        states = np.empty((n + 1, y.size), dtype=np.intp)
+        states[:n] = _states(signals, u_lat < q)
+        states[n] = _states(signals[i], u_lat[i] < q_dev)
+        return settle_states(states, y)
     return settle
 
 
-def _paired_sequential(model, arms, i, rule, latency, h):
+def _paired_sequential(model, arms, i, rule, latency, h, limit):
     """The paired chunk function of a sequential (mvp) deviation by agent i:
     ``settle(y, u_lat, u_sig, u_win)`` -> agent i's ``(T,)`` rewards in
     the baseline and the deviant arm.
@@ -474,39 +596,49 @@ def _paired_sequential(model, arms, i, rule, latency, h):
     the same order, so in :func:`settle_sequential` the path without
     agent i's slot s is, at step j > s, row j - 1 of the fold of the
     other agents' columns in time order.  Both arms share that fold and
-    its scores.  Per arm only the slot order, the segment masses and the
-    full path remain, O(n) per trial; the order and masses are shared
-    too when agent i's report time is the same in both arms.
+    its scores.  Per arm only agent i's slot, the segment masses and the
+    full path remain, O(n) per trial; they are shared too when agent i's
+    report time is the same in both arms.  The arm's time order is the
+    other agents' with agent i inserted at its slot, so nothing is sorted
+    twice.  Both path scores are tabulated over the time-ordered rows,
+    each arm's on its own column table (see :func:`_tabulated`).
     """
-    n = arms[0].num_agents
+    n, first = arms[0].num_agents, model.num_signal_values + 1
     tables = [_column_table(model, p, sequential=True) for p in arms]
     arrivals = [_arrivals(p, latency) for p in arms]
     # whether agent i's report time differs between the arms
     moves = not all(np.array_equal(a[i], b[i]) for a, b in zip(*arrivals))
-    others = np.arange(n) != i
+    others = np.flatnonzero(np.arange(n) != i)
     steps = np.arange(1, n + 1)[:, None]
+
+    def path_scores(table, slots):
+        return _tabulated(_path_scores(model, rule, table), _in_time_order(table, slots),
+                          model.prior, limit)
+    without = path_scores(tables[0], n - 1)
+    paths = [path_scores(tables[0], n)]
+    paths.append(paths[0] if np.array_equal(*tables) else path_scores(tables[1], n))
 
     def settle(y, u_lat, u_sig, u_win):
         waits = -np.log1p(-u_lat)
         signals = _draw_signals(model, y, u_sig)
         times = _report_times(waits, *arrivals[0])
-        rows = _table_rows(model, signals, np.isfinite(times))
-        to_slots = _slot_order(times[others])[0]
-        s_without = score(rule, fold_path(  # (n, T)
-            model.prior, np.take(tables[0], to_slots(rows[others]), axis=0)), y)
+        rows = _table_rows(model, _states(signals, np.isfinite(times)))
+        order = others[_time_order(times[others])]
+        s_without = without(_slot_gathers(order)[0](rows), y)  # (n, T)
         rewards = []
-        for arm, table in enumerate(tables):
+        for arm, path in enumerate(paths):
             if arm == 0 or moves:
                 times[i] = _report_times(waits[i], *(a[i] for a in arrivals[arm]))
-                to_slots = _slot_order(times)[0]
-                masses = _segment_masses(h, to_slots(times))  # (n + 1, T)
-                slot_rows = to_slots(_table_rows(model, signals, np.isfinite(times)))
+                rows[i] = first * i + _states(signals[i], np.isfinite(times[i]))
                 # agent i's slot counts the reports before agent i's, a tie
                 # going to agent order; the steps j after it pay agent i
                 slot = ((times[:i] <= times[i]).sum(axis=0)
                         + (times[i + 1:] < times[i]).sum(axis=0))
+                to_slots = _slot_gathers(_with_agent(order, i, slot))[0]
+                masses = _segment_masses(h, to_slots(times))  # (n + 1, T)
+                slot_rows = to_slots(rows)
                 later = steps > slot
-            s_path = score(rule, fold_path(model.prior, np.take(table, slot_rows, axis=0)), y)
+            s_path = path(slot_rows, y)
             terms = np.where(later, (s_path[1:] - s_without) * masses[1:], 0.0)
             reward = np.zeros(len(y))
             for term in terms:  # in increasing j, as settle_sequential sums
@@ -535,23 +667,30 @@ def _validate_setup(model, mechanism, profile, trials, rule, access, latency, h)
     return h
 
 
-def _draws(model: InformationModel, n: int, trials: int, seed: int):
+def _chunk_length(model: InformationModel, n: int) -> int:
+    """Trials per chunk: about :data:`_CHUNK_ELEMENTS` report-column entries."""
+    return max(1, _CHUNK_ELEMENTS // (n * model.num_outcomes))
+
+
+def _draws(model: InformationModel, n: int, trials: int, seed: int, winner: bool):
     """The trial range in chunks, with their draws: ``(slice, y, u_lat, u_sig, u_win)``.
 
     ``u_lat`` and ``u_sig`` are agent-major ``(n, T)``: row i is filled in
-    place from agent i's own streams.  The draws depend on the seed, the
-    number of agents and the outcome count only, never on the strategies,
-    so every profile of n agents settles on the same ones.
+    place from agent i's own streams.  ``u_win`` is drawn only if
+    ``winner`` (else None); it has a stream of its own, so the other draws
+    are the same either way.  The draws depend on the seed, the number of
+    agents and the outcome count only, never on the strategies, so every
+    profile of n agents settles on the same ones.
     """
-    chunk = max(1, _CHUNK_ELEMENTS // (n * model.num_outcomes))
+    chunk = _chunk_length(model, n)
     g_outcome = _stream(seed, _OUTCOME)
-    g_winner = _stream(seed, _WINNER)
+    g_winner = _stream(seed, _WINNER) if winner else None
     g_lat = [_stream(seed, _LATENCY, i) for i in range(n)]
     g_sig = [_stream(seed, _SIGNAL, i) for i in range(n)]
     for done in range(0, trials, chunk):
         T = min(chunk, trials - done)
         y = _draw_outcomes(model, g_outcome.random(T))
-        u_win = g_winner.random(T)
+        u_win = g_winner.random(T) if winner else None
         u_lat, u_sig = np.empty((n, T)), np.empty((n, T))
         for i in range(n):
             g_lat[i].random(out=u_lat[i])
@@ -569,9 +708,11 @@ def _books(model, mechanism, profile, trials, seed, rule, access, latency, h):
     the agents' utilities, so the identity holds bit for bit.
     """
     h = _validate_setup(model, mechanism, profile, trials, rule, access, latency, h)
-    settle = _kernel(model, mechanism, profile, rule, access, latency, h)
+    n = profile.num_agents
+    settle = _kernel(model, mechanism, profile, rule, access, latency, h,
+                     min(trials, _chunk_length(model, n)))
     efforts = np.asarray(profile.efforts)
-    for sl, *draws in _draws(model, profile.num_agents, trials, seed):
+    for sl, *draws in _draws(model, n, trials, seed, mechanism == "pm_batch"):
         rewards, value = settle(*draws)
         rewards = np.ascontiguousarray(rewards.T)
         utilities = rewards - efforts
@@ -657,19 +798,21 @@ def deviation_test(model: InformationModel, mechanism: str,
     arms = (baseline, baseline.replace_agent(deviant_agent, effort=effort, policy=policy))
 
     h = _validate_setup(model, mechanism, baseline, trials, rule, access, latency, h)
-    i = deviant_agent
+    i, n = deviant_agent, baseline.num_agents
+    limit = min(trials, _chunk_length(model, n))
     if mechanism == "fpm":
-        settle = _paired_batch(model, arms, i, rule, access)
+        settle = _paired_batch(model, arms, i, rule, access, limit)
     elif mechanism == "mvp":
-        settle = _paired_sequential(model, arms, i, rule, latency, h)
+        settle = _paired_sequential(model, arms, i, rule, latency, h, limit)
     else:
-        kernels = [_kernel(model, mechanism, p, rule, access, latency, h) for p in arms]
+        kernels = [_kernel(model, mechanism, p, rule, access, latency, h, limit)
+                   for p in arms]
 
         def settle(*draws):
             return [kernel(*draws)[0][i] for kernel in kernels]
     costs = [p.efforts[i] for p in arms]
     delta = np.empty(trials)  # only the deviant's utility change is kept
-    for sl, *draws in _draws(model, baseline.num_agents, trials, seed):
+    for sl, *draws in _draws(model, n, trials, seed, mechanism == "pm_batch"):
         # both arms settle on the same draws: common random numbers
         base, dev = settle(*draws)
         delta[sl] = (dev - costs[1]) - (base - costs[0])

@@ -114,7 +114,12 @@ def solve_decreasing_foc(f, domain_max: float = np.inf) -> EquilibriumResult:
         hi = min(hi * 2.0, domain_max)
 
     # xtol far below the lower bracket, so rtol (its floor, 4 eps) decides
-    root = _brent(foc, lo, hi, xtol=1e-300, rtol=4.0 * np.finfo(float).eps)
+    xtol, rtol = 1e-300, 4.0 * np.finfo(float).eps
+    # Brent (1973) bounds the evaluations by about k^2, k the bisections
+    # that shrink the bracket to the tolerance at its lower end; a FOC flat
+    # at its root needs more steps than the usual 100
+    bisections = math.ceil(math.log2((hi - lo) / (xtol + rtol * lo)))
+    root = _brent(foc, lo, hi, xtol, rtol, maxiter=(bisections + 1) ** 2)
     residual = foc(root)
     if abs(residual) > FOC_TOL:
         raise NumericalError(f"root finder stalled: residual {residual:.3e} at {root}")

@@ -469,6 +469,125 @@ class TestDeviations:
                            rule=QUAD20, access=ACC)
 
 
+class TestConfigurationTables:
+    """Settling each distinct configuration once and gathering from the
+    table changes no bit of any result."""
+
+    #: 3 outcomes, 3 signal values
+    THREE = InformationModel(np.array([0.5, 0.3, 0.2]),
+                             np.array([[0.6, 0.3, 0.1], [0.2, 0.5, 0.3], [0.1, 0.2, 0.7]]))
+    #: noiseless binary signals, and 3-valued signals with zero likelihoods
+    NOISELESS = InformationModel.binary_noisy(0.3, 0.0)
+    PARTIAL = InformationModel(np.array([0.6, 0.4]),
+                               np.array([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5]]))
+
+    @staticmethod
+    def deviations(mechanism, model):
+        binary = model.num_outcomes == 2
+        perturbed = ReportPolicy("perturbed", epsilon=0.1)
+        delayed, silent = ReportPolicy("delayed", delay=0.5), ReportPolicy("silent")
+        return {
+            "fpm": [0.6, silent, (0.45, silent)] + ([perturbed, (0.45, perturbed)]
+                                                     if binary else []),
+            "mvp": [0.6, delayed, silent, (0.45, delayed)] + ([perturbed] if binary else []),
+            "pm_batch": [0.6],
+            "pm_sequential": [delayed],
+        }[mechanism]
+
+    def run_all(self, model, rule, n, trials):
+        """Every run path, every deviation, on the first and the last agent."""
+        base = StrategyProfile.symmetric(0.3, n)
+        out = []
+        for mechanism in montecarlo.MECHANISMS:
+            kw = dict(rule=rule, access=ACC, latency=LAT1, h=H1)
+            out.append(simulate(model, mechanism, base, trials, 29, **kw))
+            out.append(per_trial_records(model, mechanism, base, trials, 29, **kw))
+            for deviation in self.deviations(mechanism, model):
+                for i in (0, n - 1):
+                    out.append(deviation_test(model, mechanism, base, i, deviation,
+                                              trials, 29, **kw))
+        return out
+
+    @staticmethod
+    def assert_same(a, b):
+        assert len(a) == len(b)
+        for x, y in zip(a, b):
+            if isinstance(x, SimStats):
+                assert stats_equal(x, y)
+            elif isinstance(x, dict):
+                for key in x:
+                    assert np.array_equal(x[key], y[key]), key
+            else:
+                assert x == y
+
+    TABULATED = staticmethod(montecarlo._tabulated)
+
+    def spy(self, monkeypatch, enabled=True):
+        """Count the tables built (or, if not ``enabled``, settle directly)."""
+        built = []
+
+        def tabulated(core, blocks, prior, limit):
+            table = self.TABULATED(core, blocks, prior, limit) if enabled else core
+            built.append(table is not core)
+            return table
+        monkeypatch.setattr(montecarlo, "_tabulated", tabulated)
+        return built
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("rule", [QUAD20, ScoringRule("logarithmic", 3.0)],
+                             ids=["quadratic", "log"])
+    @pytest.mark.parametrize("name", ["MODEL", "THREE", "NOISELESS", "PARTIAL"])
+    def test_tables_equal_the_direct_settlement(self, name, rule, n, monkeypatch):
+        model = MODEL if name == "MODEL" else getattr(self, name)
+        built = self.spy(monkeypatch)
+        tabled = self.run_all(model, rule, n, 1500)
+        # every fpm and paired kernel at n = 2; some time-ordered ones at n = 3
+        # and 3 outcomes exceed a 1500-trial chunk
+        assert sum(built) >= (len(built) if n == 2 else 10)
+        self.spy(monkeypatch, enabled=False)
+        self.assert_same(tabled, self.run_all(model, rule, n, 1500))
+
+    def test_configuration_count_at_the_limit(self, monkeypatch):
+        """18 configurations in agent order: 17 trials settle directly, 18
+        through the table, and both equal a direct run."""
+        kw = dict(rule=QUAD20, access=ACC)
+        for trials, tabled in ((17, False), (18, True)):
+            built = self.spy(monkeypatch)
+            records = per_trial_records(MODEL, "fpm", PROFILE, trials, 3, **kw)
+            assert built == [tabled]
+            self.spy(monkeypatch, enabled=False)
+            direct = per_trial_records(MODEL, "fpm", PROFILE, trials, 3, **kw)
+            self.assert_same([records], [direct])
+
+    def test_impossible_configurations_are_never_evaluated(self):
+        """Noiseless signals: two agents who saw different signals, or a
+        signal the outcome rules out, have probability 0; the table leaves
+        them out, and a chunk that meets one is settled directly."""
+        table = montecarlo._column_table(self.NOISELESS, PROFILE, sequential=False)
+        seen = []
+        core = montecarlo._path_scores(self.NOISELESS, QUAD20, table)
+
+        def recording(rows, y):
+            seen.append((rows.copy(), y.copy()))
+            return core(rows, y)
+        lookup = montecarlo._tabulated(recording, montecarlo._in_time_order(table, 2),
+                                       self.NOISELESS.prior, 1000)
+        (rows, y), = seen
+        cols = table[rows]  # (2, configurations, 2)
+        at_y = cols[:, np.arange(y.size), y]
+        assert np.all(self.NOISELESS.prior[y] * at_y[0] * at_y[1] > 0)
+        # of the 6 x 6 x 2 configurations, these have positive probability
+        assert y.size == np.count_nonzero(
+            self.NOISELESS.prior[:, None, None] * (table.T[:, :, None] * table.T[:, None, :]))
+        # rows 1 and 4: signal 0 (outcome 0 for sure), rows 2 and 5 signal 1,
+        # rows 0 and 3 no signal; agent 0 saw signal 0 and agent 1 signal 1
+        with pytest.raises(ValueError, match="disjoint support"):
+            lookup(np.array([[1], [5]]), np.array([0]))
+        # both saw signal 0 and the outcome is 1: settled as the core settles it
+        rows, y = np.array([[1, 1], [4, 3]]), np.array([1, 0])
+        np.testing.assert_array_equal(lookup(rows, y), core(rows, y))
+
+
 class TestSignalDraws:
     @staticmethod
     def reference(model, y, u):

@@ -15,7 +15,7 @@ import infomarkets.numerics as numerics_module
 from infomarkets import (AccessFunction, InformationModel, LatencyFamily,
                          NumericalError, ScoreSequence, ScoringRule, TimeValue,
                          batch_equilibrium, mvp_equilibrium, v_sequence)
-from infomarkets.numerics import (_brent, _log_factorials, _log_gamma_of_integer,
+from infomarkets.numerics import (FOC_TOL, _brent, _log_factorials, _log_gamma_of_integer,
                                   integrate_segments, solve_decreasing_foc)
 
 #: the tolerances solve_decreasing_foc hands the root finder
@@ -242,13 +242,24 @@ class TestBrent:
         mid = 1.0 + (1e-12 - 1.0) / 2
         assert points[2:4] == [mid, mid + (1e-12 - mid) / 2]
 
-    def test_triple_root_does_not_converge_and_names_the_bracket(self):
+    def test_triple_root_converges_within_brents_bound(self):
         """Brent's steps creep towards a triple root: neither port converges
-        in 100 steps."""
+        in the usual 100 steps, but the solver allows Brent's bound of about
+        k^2 and takes scipy's steps to its root."""
         def foc(c):
             return (0.3 - c) ** 3
 
         with pytest.raises(RuntimeError, match="converge"):
             brentq(foc, 1e-12, 1.0, xtol=XTOL, rtol=RTOL)
         with pytest.raises(NumericalError, match=r"100 steps on the bracket \[1e-12, 1.0\]"):
-            solve_decreasing_foc(foc)
+            _brent(foc, 1e-12, 1.0, XTOL, RTOL)
+        ours, our_points = recording(foc)
+        theirs, their_points = recording(foc)
+        result = solve_decreasing_foc(ours)
+        assert result.effort == brentq(theirs, 1e-12, 1.0, xtol=XTOL, rtol=RTOL,
+                                       maxiter=10_000)
+        # the bracket ends, then the steps of brentq (the solver's cache
+        # serves the root finder's second look at the ends)
+        assert our_points == their_points and len(our_points) > 100
+        assert not result.corner and abs(result.residual) <= FOC_TOL
+        assert abs(result.effort - 0.3) < 1e-15
