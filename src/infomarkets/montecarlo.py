@@ -41,7 +41,7 @@ sequential one) and its outcome; with two agents and binary signals there
 are at most 18 in agent order and 72 in time order.  When the
 configurations number at most the trials one chunk settles,
 :func:`_tabulated` runs the kernel's settlement core once on each of them
-as the kernel is built, and every chunk gathers its trials' values from
+on the run's first chunk, and every chunk gathers its trials' values from
 that table by a mixed-radix key.  It is a cache, not a second settlement:
 every operation of :func:`fold_path` and :func:`score` acts on one trial
 at a time, so a gathered value is bit for bit the one the core computes
@@ -343,33 +343,27 @@ def _table_rows(model: InformationModel, states: np.ndarray) -> np.ndarray:
     return first + states
 
 
-def _tabulated(core, blocks: np.ndarray, prior: np.ndarray, limit: int):
-    """``core`` itself, or a lookup with its signature over a table of its values.
+def _tabulated(core, blocks: np.ndarray, prior: np.ndarray):
+    """A function with ``core``'s signature that gathers from a table of its values.
 
     ``core(rows, y)`` maps ``(width, T)`` integer rows and ``(T,)``
-    outcomes to an array ``(..., T)`` whose trial t depends on
-    ``rows[:, t]`` and ``y[t]`` alone.  Row k takes values in
-    ``range(radix)`` and selects the column ``blocks[k, rows[k]]`` of the
-    ``(width, radix, d)`` array ``blocks``.  When the ``radix**width * d``
-    configurations number at most ``limit``, the core runs once on every
-    configuration of positive probability, ``prior[y]`` times the product
-    of its columns at y, and the lookup gathers each trial's values by its
-    mixed-radix key.  The other configurations are never evaluated: a
-    chunk that meets one is settled by ``core``, which raises or not just
-    as it would have.
+    outcomes to ``(..., T)`` values, trial t's from ``rows[:, t]`` and
+    ``y[t]`` alone; row k, in ``range(radix)``, selects the column
+    ``blocks[k, rows[k]]`` of the ``(width, radix, d)`` array ``blocks``.
+    The first call, on the run's longest chunk, builds the :func:`_table`,
+    and each chunk gathers its trials' values by mixed-radix key.  A market
+    too large for a table, or a chunk that meets a configuration outside
+    it, is settled by ``core``, which raises or not just as it would have.
     """
     width, radix, d = blocks.shape
-    if radix ** width * d > limit:
-        return core
-    digits = np.indices((radix,) * width + (d,)).reshape(width + 1, -1)
-    possible = prior[digits[-1]] > 0
-    for k in range(width):
-        possible &= blocks[k, digits[k], digits[-1]] > 0
-    index = np.full(possible.size, -1)
-    index[possible] = np.arange(np.count_nonzero(possible))
-    values = core(digits[:-1, possible], digits[-1, possible])
+    table = []
 
     def lookup(rows, y):
+        if not table:
+            table.append(_table(core, blocks, prior, y.size))
+        if table[0] is None:
+            return core(rows, y)
+        index, values = table[0]
         key = np.zeros(y.size, dtype=np.intp)
         for row in rows:
             key *= radix
@@ -381,6 +375,23 @@ def _tabulated(core, blocks: np.ndarray, prior: np.ndarray, limit: int):
             return core(rows, y)
         return np.take(values, at, axis=-1)
     return lookup
+
+
+def _table(core, blocks: np.ndarray, prior: np.ndarray, trials: int):
+    """``(index, values)`` of :func:`_tabulated`, or None if the
+    ``radix**width * d`` configurations outnumber ``trials``: ``core`` run
+    once on each configuration of positive probability (``prior[y]`` times
+    its columns at y), and each key's position in ``values``, else -1."""
+    width, radix, d = blocks.shape
+    if radix ** width * d > trials:
+        return None
+    digits = np.indices((radix,) * width + (d,)).reshape(width + 1, -1)
+    possible = prior[digits[-1]] > 0
+    for k in range(width):
+        possible &= blocks[k, digits[k], digits[-1]] > 0
+    index = np.full(possible.size, -1)
+    index[possible] = np.arange(np.count_nonzero(possible))
+    return index, core(digits[:-1, possible], digits[-1, possible])
 
 
 def _path_scores(model: InformationModel, rule: ScoringRule, table: np.ndarray):
@@ -397,22 +408,21 @@ def _in_time_order(table: np.ndarray, slots: int) -> np.ndarray:
     return np.broadcast_to(table, (slots, *table.shape))
 
 
-def _kernel(model, mechanism, profile, rule, access, latency, h, limit):
+def _kernel(model, mechanism, profile, rule, access, latency, h):
     """The chunk kernel of one profile: ``settle(y, u_lat, u_sig, u_win)``.
 
     ``settle`` maps one chunk's draws (agent-major ``(n, T)`` uniforms;
     ``u_win`` is None except in ``pm_batch``) to agent-major rewards
     ``(n, T)`` and the principal's value ``(T,)``.  Every per-agent
     constant is built here, once per run, so a chunk runs no Python loop
-    over agents or signal values.  ``limit`` is the most trials a chunk of
-    the run settles, which bounds a table (see :func:`_tabulated`).
+    over agents or signal values.
     """
     if mechanism in ("fpm", "pm_batch"):
-        return _batch_kernel(model, mechanism, profile, rule, access, limit)
-    return _sequential_kernel(model, mechanism, profile, rule, latency, h, limit)
+        return _batch_kernel(model, mechanism, profile, rule, access)
+    return _sequential_kernel(model, mechanism, profile, rule, latency, h)
 
 
-def _batch_kernel(model, mechanism, profile, rule, access, limit):
+def _batch_kernel(model, mechanism, profile, rule, access):
     q = np.array([access.value(c) for c in profile.efforts])[:, None]
 
     if mechanism == "pm_batch":
@@ -433,9 +443,8 @@ def _batch_kernel(model, mechanism, profile, rule, access, limit):
         cols = np.take(table, _table_rows(model, states), axis=0)
         p_all, rewards = settle_batch(model.prior, cols, y, rule)
         return np.vstack([rewards.T, score(rule, p_all, y) - score(rule, model.prior, y)])
-    settle_states = _tabulated(settle_states, table.reshape(profile.num_agents, -1,
-                                                            model.num_outcomes),
-                               model.prior, limit)
+    blocks = table.reshape(profile.num_agents, -1, model.num_outcomes)
+    settle_states = _tabulated(settle_states, blocks, model.prior)
 
     def settle(y, u_lat, u_sig, u_win):
         books = settle_states(_states(_draw_signals(model, y, u_sig), u_lat < q), y)
@@ -503,12 +512,6 @@ def _with_agent(order: np.ndarray, agent: int, slot: np.ndarray) -> np.ndarray:
     """The ``(n, T)`` time order that inserts ``agent`` at ``slot`` into the
     ``(n - 1, T)`` time order of the other agents."""
     full = np.empty((order.shape[0] + 1, order.shape[1]), dtype=np.intp)
-    if order.shape[0] == 1:
-        # agents 0 and 1: the other one reports first where the slot is 1,
-        # two integer operations where a masked select would cost several
-        np.bitwise_xor(slot, agent, out=full[0])
-        np.subtract(1, full[0], out=full[1])
-        return full
     full[:-1] = order
     # the agents from the slot on move down one row
     full[1:] = np.where(np.arange(order.shape[0])[:, None] >= slot, order, full[1:])
@@ -516,13 +519,12 @@ def _with_agent(order: np.ndarray, agent: int, slot: np.ndarray) -> np.ndarray:
     return full
 
 
-def _sequential_kernel(model, mechanism, profile, rule, latency, h, limit):
+def _sequential_kernel(model, mechanism, profile, rule, latency, h):
     arrivals = _arrivals(profile, latency)
     table = _column_table(model, profile, sequential=True)
     if mechanism == "pm_sequential":
         path_scores = _tabulated(_path_scores(model, rule, table),
-                                 _in_time_order(table, profile.num_agents),
-                                 model.prior, limit)
+                                 _in_time_order(table, profile.num_agents), model.prior)
 
     def settle(y, u_lat, u_sig, u_win):
         times = _report_times(-np.log1p(-u_lat), *arrivals)
@@ -546,7 +548,7 @@ def _sequential_kernel(model, mechanism, profile, rule, latency, h, limit):
     return settle
 
 
-def _paired_batch(model, arms, i, rule, access, limit):
+def _paired_batch(model, arms, i, rule, access):
     """The paired chunk function of a batch (fpm) deviation by agent i:
     ``settle(y, u_lat, u_sig, u_win)`` -> agent i's ``(2, T)`` rewards in
     the baseline and the deviant arm.
@@ -576,7 +578,7 @@ def _paired_batch(model, arms, i, rule, access, limit):
         full = fold_path(fold_path(before, own[None])[1], cols[i + 1:])[-1]
         return score(rule, full, y) - s_without
     settle_states = _tabulated(settle_states, np.concatenate(
-        [table.reshape(n, -1, d), own_dev[None]]), model.prior, limit)
+        [table.reshape(n, -1, d), own_dev[None]]), model.prior)
 
     def settle(y, u_lat, u_sig, u_win):
         signals = _draw_signals(model, y, u_sig)
@@ -587,7 +589,7 @@ def _paired_batch(model, arms, i, rule, access, limit):
     return settle
 
 
-def _paired_sequential(model, arms, i, rule, latency, h, limit):
+def _paired_sequential(model, arms, i, rule, latency, h):
     """The paired chunk function of a sequential (mvp) deviation by agent i:
     ``settle(y, u_lat, u_sig, u_win)`` -> agent i's ``(T,)`` rewards in
     the baseline and the deviant arm.
@@ -613,7 +615,7 @@ def _paired_sequential(model, arms, i, rule, latency, h, limit):
 
     def path_scores(table, slots):
         return _tabulated(_path_scores(model, rule, table), _in_time_order(table, slots),
-                          model.prior, limit)
+                          model.prior)
     without = path_scores(tables[0], n - 1)
     paths = [path_scores(tables[0], n)]
     paths.append(paths[0] if np.array_equal(*tables) else path_scores(tables[1], n))
@@ -667,11 +669,6 @@ def _validate_setup(model, mechanism, profile, trials, rule, access, latency, h)
     return h
 
 
-def _chunk_length(model: InformationModel, n: int) -> int:
-    """Trials per chunk: about :data:`_CHUNK_ELEMENTS` report-column entries."""
-    return max(1, _CHUNK_ELEMENTS // (n * model.num_outcomes))
-
-
 def _draws(model: InformationModel, n: int, trials: int, seed: int, winner: bool):
     """The trial range in chunks, with their draws: ``(slice, y, u_lat, u_sig, u_win)``.
 
@@ -682,7 +679,7 @@ def _draws(model: InformationModel, n: int, trials: int, seed: int, winner: bool
     agents and the outcome count only, never on the strategies, so every
     profile of n agents settles on the same ones.
     """
-    chunk = _chunk_length(model, n)
+    chunk = max(1, _CHUNK_ELEMENTS // (n * model.num_outcomes))
     g_outcome = _stream(seed, _OUTCOME)
     g_winner = _stream(seed, _WINNER) if winner else None
     g_lat = [_stream(seed, _LATENCY, i) for i in range(n)]
@@ -709,8 +706,7 @@ def _books(model, mechanism, profile, trials, seed, rule, access, latency, h):
     """
     h = _validate_setup(model, mechanism, profile, trials, rule, access, latency, h)
     n = profile.num_agents
-    settle = _kernel(model, mechanism, profile, rule, access, latency, h,
-                     min(trials, _chunk_length(model, n)))
+    settle = _kernel(model, mechanism, profile, rule, access, latency, h)
     efforts = np.asarray(profile.efforts)
     for sl, *draws in _draws(model, n, trials, seed, mechanism == "pm_batch"):
         rewards, value = settle(*draws)
@@ -799,14 +795,12 @@ def deviation_test(model: InformationModel, mechanism: str,
 
     h = _validate_setup(model, mechanism, baseline, trials, rule, access, latency, h)
     i, n = deviant_agent, baseline.num_agents
-    limit = min(trials, _chunk_length(model, n))
     if mechanism == "fpm":
-        settle = _paired_batch(model, arms, i, rule, access, limit)
+        settle = _paired_batch(model, arms, i, rule, access)
     elif mechanism == "mvp":
-        settle = _paired_sequential(model, arms, i, rule, latency, h, limit)
+        settle = _paired_sequential(model, arms, i, rule, latency, h)
     else:
-        kernels = [_kernel(model, mechanism, p, rule, access, latency, h, limit)
-                   for p in arms]
+        kernels = [_kernel(model, mechanism, p, rule, access, latency, h) for p in arms]
 
         def settle(*draws):
             return [kernel(*draws)[0][i] for kernel in kernels]

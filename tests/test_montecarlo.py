@@ -520,17 +520,25 @@ class TestConfigurationTables:
             else:
                 assert x == y
 
-    TABULATED = staticmethod(montecarlo._tabulated)
+    TABULATED, TABLE = staticmethod(montecarlo._tabulated), staticmethod(montecarlo._table)
 
     def spy(self, monkeypatch, enabled=True):
-        """Count the tables built (or, if not ``enabled``, settle directly)."""
-        built = []
+        """Map each lookup's core to whether a table was built for it (or,
+        if not ``enabled``, settle directly)."""
+        built = {}
 
-        def tabulated(core, blocks, prior, limit):
-            table = self.TABULATED(core, blocks, prior, limit) if enabled else core
-            built.append(table is not core)
-            return table
+        def tabulated(core, blocks, prior):
+            if not enabled:
+                return core
+            built[core] = False
+            return self.TABULATED(core, blocks, prior)
+
+        def table(core, blocks, prior, trials):
+            made = self.TABLE(core, blocks, prior, trials)
+            built[core] = made is not None
+            return made
         monkeypatch.setattr(montecarlo, "_tabulated", tabulated)
+        monkeypatch.setattr(montecarlo, "_table", table)
         return built
 
     @pytest.mark.parametrize("n", [2, 3])
@@ -543,7 +551,7 @@ class TestConfigurationTables:
         tabled = self.run_all(model, rule, n, 1500)
         # every fpm and paired kernel at n = 2; some time-ordered ones at n = 3
         # and 3 outcomes exceed a 1500-trial chunk
-        assert sum(built) >= (len(built) if n == 2 else 10)
+        assert sum(built.values()) >= (len(built) if n == 2 else 10)
         self.spy(monkeypatch, enabled=False)
         self.assert_same(tabled, self.run_all(model, rule, n, 1500))
 
@@ -554,7 +562,7 @@ class TestConfigurationTables:
         for trials, tabled in ((17, False), (18, True)):
             built = self.spy(monkeypatch)
             records = per_trial_records(MODEL, "fpm", PROFILE, trials, 3, **kw)
-            assert built == [tabled]
+            assert list(built.values()) == [tabled]
             self.spy(monkeypatch, enabled=False)
             direct = per_trial_records(MODEL, "fpm", PROFILE, trials, 3, **kw)
             self.assert_same([records], [direct])
@@ -571,7 +579,11 @@ class TestConfigurationTables:
             seen.append((rows.copy(), y.copy()))
             return core(rows, y)
         lookup = montecarlo._tabulated(recording, montecarlo._in_time_order(table, 2),
-                                       self.NOISELESS.prior, 1000)
+                                       self.NOISELESS.prior)
+        # a first chunk of 72 trials, as many as the keys: both saw signal 0
+        # and the outcome is 0
+        first = np.ones((2, 72), dtype=int), np.zeros(72, dtype=int)
+        np.testing.assert_array_equal(lookup(*first), core(*first))
         (rows, y), = seen
         cols = table[rows]  # (2, configurations, 2)
         at_y = cols[:, np.arange(y.size), y]
