@@ -10,7 +10,7 @@ import numpy as np
 
 from infomarkets import (InformationModel, ScoringRule, TimeValue,
                          TimedReport, mvp_run, time_value_mass,
-                         trace_dump_rows, truthful_report)
+                         truthful_report)
 
 model = InformationModel.binary_noisy(alpha=0.1, beta=0.2)
 rule = ScoringRule("quadratic")
@@ -24,7 +24,8 @@ outcome = 1
 trace, rewards = mvp_run(model.prior_belief(), reports, outcome, rule, h)
 
 print("Belief path (event probability over time):")
-for t, *probs in trace_dump_rows(trace):
+# beliefs[0] is the prior, in force from t = 0; beliefs[j] from breakpoints[j - 1]
+for t, probs in zip([0.0, *trace.breakpoints], trace.beliefs):
     print(f"  t = {t:4.1f}:  P(event) = {probs[1]:.6f}")
 
 print("\nCounterfactual paths at t = 3 (what the market would believe")

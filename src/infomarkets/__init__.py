@@ -12,14 +12,14 @@ from .equilibrium import (LatencyFamily, batch_equilibrium, batch_welfare,
                           mvp_agent_reward, mvp_br_derivative,
                           mvp_equilibrium, mvp_principal_utility, mvp_welfare)
 from .errors import CapacityError, NumericalError, ProtocolError
-from .fpm import (BatchOutcomeReport, FpmResult, batch_from_json,
-                  fpm_expected_reward, fpm_run, result_to_json)
+from .fpm import (BatchOutcomeReport, FpmResult, fpm_expected_reward,
+                  fpm_run)
 from .info_model import (Belief, InformationModel, ScoreSequence,
                          expected_base_score, posterior, v_sequence)
 from .montecarlo import (ReportPolicy, SimStats, StrategyProfile,
                          deviation_test, per_trial_records, simulate)
 from .mvp import (MarketTrace, TimedReport, TimeValue, mvp_run,
-                  reports_from_stream, time_value_mass, trace_dump_rows)
+                  time_value_mass)
 from .numerics import EquilibriumResult
 from .pm_baseline import (AccessFunction, pm_batch_equilibrium,
                           pm_batch_utility, pm_batch_welfare,
@@ -34,14 +34,12 @@ __all__ = [
     "MarketTrace", "NumericalError", "ProtocolError", "RATIO_CLAMP",
     "ReportPolicy", "ReportVector", "ScoreSequence", "ScoringRule",
     "SimStats", "StrategyProfile", "TimeValue", "TimedReport",
-    "apply_report", "batch_equilibrium", "batch_from_json", "batch_welfare",
+    "apply_report", "batch_equilibrium", "batch_welfare",
     "deviation_test", "expected_base_score", "expected_score",
     "fpm_expected_reward", "fpm_run", "mvp_agent_reward",
     "mvp_br_derivative", "mvp_equilibrium", "mvp_principal_utility",
-    "mvp_run", "mvp_welfare",
-    "per_trial_records", "pm_batch_equilibrium", "pm_batch_utility",
-    "pm_batch_welfare", "pm_race_equilibrium", "posterior",
-    "reports_from_stream", "result_to_json", "score",
-    "simulate", "time_value_mass", "trace_dump_rows", "truthful_report",
+    "mvp_run", "mvp_welfare", "per_trial_records", "pm_batch_equilibrium",
+    "pm_batch_utility", "pm_batch_welfare", "pm_race_equilibrium",
+    "posterior", "score", "simulate", "time_value_mass", "truthful_report",
     "v_sequence",
 ]

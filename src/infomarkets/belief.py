@@ -113,22 +113,6 @@ def report_column(report, num_outcomes: int) -> np.ndarray:
     return column
 
 
-def parse_report(entries, num_outcomes: int, where: str):
-    """A report from its numbers as read from a file; ``where`` names the record.
-
-    d-1 entries are a ratio-encoded :class:`ReportVector`; d entries are a
-    raw likelihood column (the exact encoding for d > 2).
-    """
-    entries = [float(e) for e in entries]
-    if len(entries) == num_outcomes - 1:
-        return ReportVector(tuple(entries))
-    if len(entries) == num_outcomes:
-        return np.asarray(entries)
-    raise ValueError(f"{where}: {len(entries)} entries fit neither the ratio "
-                     f"encoding ({num_outcomes - 1} entries) nor a likelihood "
-                     f"column ({num_outcomes} entries)")
-
-
 def apply_report(belief: Belief, report) -> Belief:
     """Fold one report into a market belief.
 

@@ -8,30 +8,34 @@ Subcommands expose every piece of the library for scripted use:
 * ``settle-fpm``     -- settle a recorded batch of reports;
 * ``settle-mvp``     -- settle a recorded timed-report stream.
 
+Every file and config format the commands read is parsed here, and only here.
 Exit codes: 0 success, 1 numerical failure, 2 usage error.  A config key
 that nothing reads (in a figure or simulation config, or in a rule, access
 or time-value entry) is a usage error that names the key, and so is a
-required key that is missing.
+required key that is missing, or a bad record of a batch file or a report
+stream, named ``report k`` or ``line k``.
 """
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 
 import numpy as np
 
+from .belief import ReportVector, report_column
 from .equilibrium import (LatencyFamily, batch_equilibrium, mvp_equilibrium,
                           mvp_welfare)
 from .errors import (CapacityError, NumericalError, check_type,
                      reject_unknown_keys, require_keys)
 from .experiments import EXPERIMENTS, run_experiment, write_csv
-from .fpm import batch_from_json, fpm_run, result_to_json
+from .fpm import BatchOutcomeReport, fpm_run
 from .info_model import InformationModel, ScoreSequence
 from .montecarlo import (ReportPolicy, SimStats, StrategyProfile,
                          per_trial_records, simulate)
-from .mvp import TimeValue, mvp_run, reports_from_stream, trace_dump_rows
+from .mvp import TimedReport, TimeValue, mvp_run
 from .pm_baseline import (AccessFunction, pm_batch_equilibrium,
                           pm_batch_welfare, pm_race_equilibrium)
-from .scoring import ScoringRule
+from .scoring import KINDS, ScoringRule
 
 USAGE_ERROR, NUMERICAL_ERROR = 2, 1
 
@@ -41,20 +45,76 @@ def _load_json(path: str) -> dict:
         return json.load(fh)
 
 
-def _model_from_args(args) -> InformationModel:
-    if args.model:
-        return InformationModel.from_config(_load_json(args.model))
-    if args.alpha is None or args.beta is None:
-        raise SystemExit("either --model FILE or both --alpha and --beta are required")
-    return InformationModel.binary_noisy(args.alpha, args.beta)
+@contextmanager
+def _record(where: str):
+    """Prefix a ValueError raised inside with the record it came from."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ValueError(f"{where}: {exc}") from None
 
 
-def _rule_from_args(args) -> ScoringRule:
-    return ScoringRule.from_config({"rule": args.rule, "scale": args.scale})
+def _model_from_config(cfg) -> InformationModel:
+    """``{kind: "binary_noisy", alpha, beta}`` or ``{kind: "table", prior,
+    likelihood}``; of the keys a kind does not read, only ``num_agents`` passes."""
+    check_type("model config", None, cfg, "object")
+    require_keys("model config", cfg, ("kind",))
+    kind = check_type("model config", "kind", cfg["kind"], "string")
+    keys = {"binary_noisy": ("alpha", "beta"),
+            "table": ("prior", "likelihood")}.get(kind)
+    if keys is None:
+        raise ValueError(f"unknown model kind {kind!r}")
+    reject_unknown_keys(f"{kind} model", cfg, ("kind", "num_agents") + keys)
+    require_keys(f"{kind} model", cfg, keys)
+    if kind == "binary_noisy":
+        alpha, beta = (check_type("binary_noisy model", key, cfg[key], "number")
+                       for key in keys)
+        return InformationModel.binary_noisy(float(alpha), float(beta))
+    return InformationModel(np.asarray(cfg["prior"], float),
+                            np.asarray(cfg["likelihood"], float))
 
 
-def _parse_v(text: str) -> ScoreSequence:
-    return ScoreSequence(np.array([float(x) for x in text.split(",")]))
+def _rule_from_config(cfg) -> ScoringRule:
+    """``{"rule": "quadratic" | "log", "scale": <real>}``."""
+    reject_unknown_keys("scoring rule", cfg, ("rule", "scale"))
+    name = check_type("scoring rule", "rule", cfg.get("rule", "quadratic"), "string")
+    kind = {"log": "logarithmic"}.get(name, name)
+    if kind not in KINDS:
+        raise ValueError(f"unknown scoring rule {name!r}")
+    scale = check_type("scoring rule", "scale", cfg.get("scale", 1.0), "number")
+    return ScoringRule(kind, float(scale))
+
+
+def _access_from_config(cfg) -> AccessFunction:
+    """``{"kind": "linear" | "exponential", "lambda": <real>}``."""
+    reject_unknown_keys("access function", cfg, ("kind", "lambda"))
+    require_keys("access function", cfg, ("kind", "lambda"))
+    return AccessFunction(cfg["kind"], float(check_type("access function", "lambda",
+                                                        cfg["lambda"], "number")))
+
+
+def _latency_from_config(cfg) -> LatencyFamily:
+    """``{"lambda": <real>}``: arrival after an Exp(lambda * effort) time."""
+    reject_unknown_keys("latency", cfg, ("lambda",))
+    require_keys("latency", cfg, ("lambda",))
+    return LatencyFamily.exponential(float(check_type("latency", "lambda",
+                                                      cfg["lambda"], "number")))
+
+
+def _time_value_from_config(cfg) -> TimeValue:
+    """A decay rate eta (a real number), or an exponential or table object."""
+    check_type("time value h", None, cfg, "number or object")
+    if not isinstance(cfg, dict):
+        return TimeValue.exponential(float(cfg))
+    if cfg.get("kind", "exponential") == "exponential":
+        reject_unknown_keys("exponential time value", cfg, ("kind", "eta"))
+        eta = check_type("exponential time value", "eta", cfg.get("eta", 1.0), "number")
+        return TimeValue.exponential(float(eta))
+    reject_unknown_keys("table time value", cfg, ("kind", "times", "values"))
+    require_keys("table time value", cfg, ("times", "values"))
+    times, values = (check_type("table time value", key, cfg[key], "list of number")
+                     for key in ("times", "values"))
+    return TimeValue.table(times, values)
 
 
 def _policy_from_config(cfg) -> ReportPolicy:
@@ -62,6 +122,72 @@ def _policy_from_config(cfg) -> ReportPolicy:
         return ReportPolicy(**cfg)
     except TypeError as exc:  # an unknown key, or a value of the wrong type
         raise ValueError(f"policy {cfg!r}: {exc}") from None
+
+
+def _profile_from_config(cfg) -> StrategyProfile:
+    """``{"efforts": [...], "policies": [{"kind": ..., ...}, ...]}``."""
+    reject_unknown_keys("profile", cfg, ("efforts", "policies"))
+    require_keys("profile", cfg, ("efforts",))
+    efforts, policies = (check_type("profile", key, cfg.get(key, []), kind) for key, kind
+                         in (("efforts", "list of number"), ("policies", "list of object")))
+    return StrategyProfile(tuple(efforts), tuple(_policy_from_config(p) for p in policies))
+
+
+def _parse_report(entries, num_outcomes: int):
+    """A report from its numbers: d-1 entries are a ratio-encoded
+    :class:`ReportVector`, d entries a likelihood column (exact for d > 2)."""
+    entries = [float(e) for e in entries]
+    if len(entries) == num_outcomes - 1:
+        return ReportVector(tuple(entries))
+    if len(entries) == num_outcomes:
+        return report_column(entries, num_outcomes)
+    raise ValueError(f"{len(entries)} entries fit neither the ratio encoding "
+                     f"({num_outcomes - 1} entries) nor a likelihood column "
+                     f"({num_outcomes} entries)")
+
+
+def _batch_from_json(record, num_outcomes: int) -> BatchOutcomeReport:
+    """``{"reports": [[...], ...], "outcome": y}``; an error in report k names it."""
+    reject_unknown_keys("batch file", record, ("reports", "outcome"))
+    require_keys("batch file", record, ("reports", "outcome"))
+    entries = check_type("batch file", "reports", record["reports"], "list of list of number")
+    reports = []
+    for slot, entry in enumerate(entries):
+        with _record(f"report {slot}"):
+            reports.append(_parse_report(entry, num_outcomes))
+    return BatchOutcomeReport(tuple(reports),
+                              check_type("batch file", "outcome", record["outcome"], "integer"))
+
+
+def _reports_from_stream(lines, num_outcomes: int) -> list[TimedReport]:
+    """``agent_id, time, b_1, ..., b_{d-1}`` records, one per line; blank
+    lines and ``#`` comments are skipped, and an error names its line."""
+    out = []
+    for lineno, line in enumerate(lines, start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = [p.strip() for p in line.split(",")]
+        with _record(f"line {lineno}"):
+            if len(parts) < 3:
+                raise ValueError("expected agent_id, time, entries")
+            out.append(TimedReport(int(parts[0]), float(parts[1]),
+                                   _parse_report(parts[2:], num_outcomes)))
+    return out
+
+
+def _market_from_args(args) -> tuple[InformationModel, ScoringRule]:
+    if args.model:
+        model = _model_from_config(_load_json(args.model))
+    elif args.alpha is None or args.beta is None:
+        raise SystemExit("either --model FILE or both --alpha and --beta are required")
+    else:
+        model = InformationModel.binary_noisy(args.alpha, args.beta)
+    return model, _rule_from_config({"rule": args.rule, "scale": args.scale})
+
+
+def _parse_v(text: str) -> ScoreSequence:
+    return ScoreSequence(np.array([float(x) for x in text.split(",")]))
 
 
 def _eq_to_json(eq, extra=None) -> dict:
@@ -131,28 +257,17 @@ def cmd_simulate(args) -> int:
     reject_unknown_keys("simulate config", cfg, ("model", "mechanism", "profile",
                         "trials", "seed", "rule", "access", "latency", "h"))
     require_keys("simulate config", cfg, ("model", "mechanism", "profile"))
-    reject_unknown_keys("profile", cfg["profile"], ("efforts", "policies"))
-    require_keys("profile", cfg["profile"], ("efforts",))
-    for key, kind in (("efforts", "list of number"), ("policies", "list of object")):
-        check_type("profile", key, cfg["profile"].get(key, []), kind)
-    if "latency" in cfg:
-        reject_unknown_keys("latency", cfg["latency"], ("lambda",))
-        require_keys("latency", cfg["latency"], ("lambda",))
-        check_type("latency", "lambda", cfg["latency"]["lambda"], "number")
-    model = InformationModel.from_config(cfg["model"])
+    profile = _profile_from_config(cfg["profile"])
+    latency = _latency_from_config(cfg["latency"]) if "latency" in cfg else None
+    model = _model_from_config(cfg["model"])
     mechanism = cfg["mechanism"]
-    profile = StrategyProfile(
-        tuple(cfg["profile"]["efforts"]),
-        tuple(_policy_from_config(p) for p in cfg["profile"].get("policies", [])))
     trials = (args.trials if args.trials is not None else
               check_type("simulate config", "trials", cfg.get("trials", 10000), "integer"))
     seed = (args.seed if args.seed is not None else
             check_type("simulate config", "seed", cfg.get("seed", 0), "integer"))
-    rule = ScoringRule.from_config(cfg["rule"]) if "rule" in cfg else None
-    access = AccessFunction.from_config(cfg["access"]) if "access" in cfg else None
-    latency = (LatencyFamily.exponential(float(cfg["latency"]["lambda"]))
-               if "latency" in cfg else None)
-    h = TimeValue.from_config(cfg["h"]) if "h" in cfg else None
+    rule = _rule_from_config(cfg["rule"]) if "rule" in cfg else None
+    access = _access_from_config(cfg["access"]) if "access" in cfg else None
+    h = _time_value_from_config(cfg["h"]) if "h" in cfg else None
     kw = dict(rule=rule, access=access, latency=latency, h=h)
     if args.per_trial_csv:
         # the dump needs every trial's books; they reduce to the same stats
@@ -175,27 +290,26 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_settle_fpm(args) -> int:
-    model = _model_from_args(args)
-    rule = _rule_from_args(args)
-    batch = batch_from_json(_load_json(args.batch), model.num_outcomes)
+    model, rule = _market_from_args(args)
+    batch = _batch_from_json(_load_json(args.batch), model.num_outcomes)
     result = fpm_run(model.prior_belief(), batch, rule)
-    _emit(result_to_json(result), args.out)
+    _emit({"aggregated": result.aggregated.probs.tolist(),
+           "rewards": result.rewards.tolist()}, args.out)
     return 0
 
 
 def cmd_settle_mvp(args) -> int:
-    model = _model_from_args(args)
-    rule = _rule_from_args(args)
+    model, rule = _market_from_args(args)
     h = TimeValue.exponential(args.eta)
     with open(args.reports) as fh:
-        reports = reports_from_stream(fh, model.num_outcomes)
+        reports = _reports_from_stream(fh, model.num_outcomes)
     trace, rewards = mvp_run(model.prior_belief(), reports, args.outcome,
                              rule, h, num_agents=args.num_agents)
     write_csv(args.out_rewards, ["agent_id", "reward"],
               [(i, float(r)) for i, r in enumerate(rewards)])
-    d = model.num_outcomes
-    write_csv(args.out_trace, ["time"] + [f"p_{y}" for y in range(d)],
-              trace_dump_rows(trace))
+    # one row per belief of the path: time 0 (the prior), then each report time
+    write_csv(args.out_trace, ["time"] + [f"p_{y}" for y in range(model.num_outcomes)],
+              np.column_stack([np.concatenate([[0.0], trace.breakpoints]), trace.beliefs]))
     print(f"settled {len(reports)} reports; rewards -> {args.out_rewards}, "
           f"trace -> {args.out_trace}")
     return 0

@@ -28,12 +28,15 @@ import numpy as np
 
 from .info_model import ScoreSequence
 from .mvp import TimeValue
-from .numerics import (EquilibriumResult, _log_factorials, integrate_segments,
-                       solve_decreasing_foc)
+from .numerics import (QUAD_TOL, EquilibriumResult, _log_factorials,
+                       integrate_segments, solve_decreasing_foc)
 from .pm_baseline import AccessFunction
 
 #: h tail mass the exponential quadrature route drops beyond its finite horizon
 TAIL_MASS = 1e-13
+#: share of QUAD_TOL the quadrature route leaves unresolved: the integrand
+#: it drops beyond the horizon, and 1 - F_c(t) past its last latency edge
+_TAIL_SHARE = 1 / 16
 #: equal segments of the exponential quadrature route's starting grid
 _EXP_SEGMENTS = 16
 
@@ -165,14 +168,18 @@ def _beta_mixture(weights: list, base: float, a: float) -> tuple[float, float]:
 
 
 def _quadrature_mixture(latency: LatencyFamily, h: TimeValue, c: float,
-                        weights: np.ndarray, factor) -> float:
+                        weights: np.ndarray, factor, tail) -> float:
     """Quadrature of ``factor(t) E[w_K] h(t)``, K ~ Binomial(len(weights)-1, F_c(t)).
 
     A table h is linear between its knots, which are the segment edges; the
-    exponential kind starts from equal segments up to where its tail mass
-    is ``TAIL_MASS``.  Edges where F_c(t) = 2^-j, down to about 1 / (4N),
-    are added to either: a mixture weighted to small k can peak within
-    1 / (N lam c) of t = 0, between all nodes of a wider segment.
+    exponential kind starts from equal segments up to a horizon T where its
+    tail mass is at most ``TAIL_MASS`` and ``max|w| tail(T)``, a bound on the
+    dropped integrand, at most ``_TAIL_SHARE * QUAD_TOL``.  Edges where
+    F_c(t) = 2^-j, down to about 1 / (4N), are added to either: a mixture
+    weighted to small k can peak within 1 / (N lam c) of t = 0, between all
+    nodes of a wider segment.  So are edges where 1 - F_c(t) = 2^-j, until
+    that is ``_TAIL_SHARE * QUAD_TOL``: on a wide segment past the last of
+    them, the two rules can agree on a wrong value of the mixture's rise.
     """
     top = weights.size - 1
     log_binom = _log_binomials(top)
@@ -184,10 +191,19 @@ def _quadrature_mixture(latency: LatencyFamily, h: TimeValue, c: float,
     if h.kind == "table":
         edges = np.array(h.times)
     else:
-        edges = np.linspace(0.0, -math.log(TAIL_MASS) / h.eta, _EXP_SEGMENTS + 1)
+        horizon, scale = -math.log(TAIL_MASS) / h.eta, np.abs(weights).max()
+        while scale * tail(horizon) > _TAIL_SHARE * QUAD_TOL:
+            horizon *= 1.25
+        edges = np.linspace(0.0, horizon, _EXP_SEGMENTS + 1)
     if c > 0.0:
         halvings = 0.5 ** np.arange(1, top.bit_length() + 3)
-        steps = -np.log(np.concatenate([1.0 - halvings, halvings])) / (latency.lam * c)
+        # on the rising side j then doubles: each further segment holds one
+        # smooth exponential stretch of the rise
+        rising = [halvings[-1]]
+        while rising[-1] > _TAIL_SHARE * QUAD_TOL:
+            rising.append(rising[-1] ** 2)
+        steps = -np.log(np.concatenate([1.0 - halvings, halvings, rising[1:]]))
+        steps /= latency.lam * c
         edges = np.union1d(edges, steps[(steps > edges[0]) & (steps < edges[-1])])
     return integrate_segments(integrand, edges)
 
@@ -205,8 +221,10 @@ def mvp_br_derivative(latency: LatencyFamily, h: TimeValue, v: ScoreSequence,
         lam = latency.lam
         _, moment = _beta_mixture(deltas.tolist(), h.eta + lam * c_i, lam * c)
         return lam * h.eta * moment - 1.0
-    return _quadrature_mixture(latency, h, c, deltas,
-                               lambda t: latency.dcdf_dc(c_i, t)) - 1.0
+    lam, a = latency.lam, h.eta + latency.lam * c_i
+    # beyond T, lam t e^(-lam c_i t) h(t) has the mass lam eta e^(-aT) (T/a + 1/a^2)
+    return _quadrature_mixture(latency, h, c, deltas, lambda t: latency.dcdf_dc(c_i, t),
+                               lambda T: lam * h.eta * math.exp(-a * T) * (T / a + 1 / a**2)) - 1.0
 
 
 def mvp_equilibrium(latency: LatencyFamily, h: TimeValue, v: ScoreSequence,
@@ -237,7 +255,7 @@ def mvp_welfare(latency: LatencyFamily, h: TimeValue, v: ScoreSequence,
     if _resolve_method(method, h) == "closed":
         plain, _ = _beta_mixture(values.tolist(), h.eta, latency.lam * c)
         return h.eta * plain - n * c
-    return _quadrature_mixture(latency, h, c, values, lambda t: 1.0) - n * c
+    return _quadrature_mixture(latency, h, c, values, lambda t: 1.0, h.tail) - n * c
 
 
 def mvp_agent_reward(latency: LatencyFamily, h: TimeValue, v: ScoreSequence,
@@ -250,7 +268,7 @@ def mvp_agent_reward(latency: LatencyFamily, h: TimeValue, v: ScoreSequence,
         # B(x, k+2) = B(x, k+1) (k+1) / (x+k+1) moves the factor k+1 into the weights
         plain, _ = _beta_mixture((deltas * np.arange(1, n + 1)).tolist(), h.eta, a)
         return h.eta * a / (h.eta + a * n) * plain
-    return _quadrature_mixture(latency, h, c, deltas, lambda t: latency.cdf(c, t))
+    return _quadrature_mixture(latency, h, c, deltas, lambda t: latency.cdf(c, t), h.tail)
 
 
 def mvp_principal_utility(latency: LatencyFamily, h: TimeValue, v: ScoreSequence,

@@ -1,4 +1,5 @@
-"""Exception types and the config checks shared across the package."""
+"""Exception types, and the config checks with which :mod:`infomarkets.cli`
+parses every file and config format and ``run_experiment`` its parameters."""
 import numbers
 
 

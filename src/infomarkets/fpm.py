@@ -20,9 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .belief import _state_table, fold_path, parse_report, report_column
-from .errors import (CapacityError, check_type, reject_unknown_keys,
-                     require_keys)
+from .belief import _state_table, fold_path, report_column
+from .errors import CapacityError
 from .info_model import (ENUMERATION_BUDGET, Belief, InformationModel,
                          _count_vectors, _count_weights)
 from .scoring import ScoringRule, score
@@ -146,19 +145,3 @@ def fpm_expected_reward(model: InformationModel, rule: ScoringRule,
         out[agents] = slot_rewards[start:start + len(agents)].mean()
         start += len(agents)
     return out
-
-
-def batch_from_json(record: dict, num_outcomes: int) -> BatchOutcomeReport:
-    """Parse ``{"reports": [[...], ...], "outcome": y}``; see :func:`parse_report`."""
-    reject_unknown_keys("batch file", record, ("reports", "outcome"))
-    require_keys("batch file", record, ("reports", "outcome"))
-    entries = check_type("batch file", "reports", record["reports"], "list of list of number")
-    reports = [parse_report(entry, num_outcomes, f"report {slot}")
-               for slot, entry in enumerate(entries)]
-    return BatchOutcomeReport(tuple(reports),
-                              check_type("batch file", "outcome", record["outcome"], "integer"))
-
-
-def result_to_json(result: FpmResult) -> dict:
-    return {"aggregated": [float(p) for p in result.aggregated.probs],
-            "rewards": [float(r) for r in result.rewards]}

@@ -20,7 +20,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import CapacityError, check_type, reject_unknown_keys, require_keys
+from .errors import CapacityError
 from .numerics import _log_factorials
 from .scoring import ScoringRule, expected_score
 
@@ -108,29 +108,6 @@ class InformationModel:
         prior = np.array([1.0 - alpha, alpha])
         likelihood = np.array([[1.0 - beta, beta], [beta, 1.0 - beta]])
         return cls(prior, likelihood)
-
-    @classmethod
-    def from_config(cls, cfg: dict) -> "InformationModel":
-        """Parse ``{kind: "binary_noisy", alpha, beta}`` or ``{kind: "table", ...}``.
-
-        A key the kind does not read is a ValueError, except the legacy
-        ``num_agents``, which is accepted and ignored.
-        """
-        check_type("model config", None, cfg, "object")
-        require_keys("model config", cfg, ("kind",))
-        kind = check_type("model config", "kind", cfg["kind"], "string")
-        keys = {"binary_noisy": ("alpha", "beta"),
-                "table": ("prior", "likelihood")}.get(kind)
-        if keys is None:
-            raise ValueError(f"unknown model kind {kind!r}")
-        reject_unknown_keys(f"{kind} model", cfg, ("kind", "num_agents") + keys)
-        require_keys(f"{kind} model", cfg, keys)
-        if kind == "binary_noisy":
-            alpha, beta = (check_type("binary_noisy model", key, cfg[key], "number")
-                           for key in keys)
-            return cls.binary_noisy(float(alpha), float(beta))
-        return cls(np.asarray(cfg["prior"], float),
-                   np.asarray(cfg["likelihood"], float))
 
     @property
     def num_outcomes(self) -> int:

@@ -21,8 +21,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .belief import fold_path, parse_report, report_column
-from .errors import ProtocolError, check_type, reject_unknown_keys, require_keys
+from .belief import fold_path, report_column
+from .errors import ProtocolError
 from .info_model import Belief
 from .scoring import ScoringRule, score
 
@@ -74,22 +74,6 @@ class TimeValue:
     @classmethod
     def table(cls, times, values) -> "TimeValue":
         return cls("table", times=tuple(times), values=tuple(values))
-
-    @classmethod
-    def from_config(cls, cfg) -> "TimeValue":
-        """A decay rate eta (a real number), or an exponential or table object."""
-        check_type("time value h", None, cfg, "number or object")
-        if not isinstance(cfg, dict):
-            return cls.exponential(float(cfg))
-        if cfg.get("kind", "exponential") == "exponential":
-            reject_unknown_keys("exponential time value", cfg, ("kind", "eta"))
-            eta = check_type("exponential time value", "eta", cfg.get("eta", 1.0), "number")
-            return cls.exponential(float(eta))
-        reject_unknown_keys("table time value", cfg, ("kind", "times", "values"))
-        require_keys("table time value", cfg, ("times", "values"))
-        times, values = (check_type("table time value", key, cfg[key], "list of number")
-                         for key in ("times", "values"))
-        return cls.table(times, values)
 
     @cached_property
     def _knots(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -248,28 +232,3 @@ def mvp_run(prior: Belief, reports: list[TimedReport], outcome: int,
         raise ValueError("non-finite reward; the scoring rule hit a zero-probability "
                          "outcome on some segment")
     return MarketTrace(breakpoints, path[:, 0]), rewards
-
-
-def reports_from_stream(lines, num_outcomes: int) -> list[TimedReport]:
-    """Parse ``agent_id, time, b_1, ..., b_{d-1}`` records (one per line).
-
-    Records with d trailing numbers are read as likelihood columns.
-    """
-    out = []
-    for lineno, line in enumerate(lines, start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = [p.strip() for p in line.split(",")]
-        if len(parts) < 3:
-            raise ValueError(f"line {lineno}: expected agent_id, time, entries")
-        report = parse_report(parts[2:], num_outcomes, f"line {lineno}")
-        out.append(TimedReport(int(parts[0]), float(parts[1]), report))
-    return out
-
-
-def trace_dump_rows(trace: MarketTrace):
-    """Rows ``time, p_1, ..., p_d`` describing the belief path (time 0 first)."""
-    yield (0.0, *map(float, trace.beliefs[0]))
-    for j in range(trace.breakpoints.size):
-        yield (float(trace.breakpoints[j]), *map(float, trace.beliefs[j + 1]))

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import check_type, reject_unknown_keys, require_keys
 from .info_model import ScoreSequence
 from .numerics import EquilibriumResult, solve_decreasing_foc
 
@@ -48,13 +47,6 @@ class AccessFunction:
     @classmethod
     def exponential(cls, lam: float) -> "AccessFunction":
         return cls("exponential", lam)
-
-    @classmethod
-    def from_config(cls, cfg: dict) -> "AccessFunction":
-        reject_unknown_keys("access function", cfg, ("kind", "lambda"))
-        require_keys("access function", cfg, ("kind", "lambda"))
-        return cls(cfg["kind"], float(check_type("access function", "lambda",
-                                                 cfg["lambda"], "number")))
 
     @property
     def domain_max(self) -> float:

@@ -12,11 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import check_type, reject_unknown_keys
-
 KINDS = ("quadratic", "logarithmic")
-
-_ALIASES = {"quadratic": "quadratic", "log": "logarithmic", "logarithmic": "logarithmic"}
 
 
 @dataclass(frozen=True)
@@ -29,20 +25,6 @@ class ScoringRule:
             raise ValueError(f"unknown scoring rule kind {self.kind!r}, try one of {KINDS}")
         if not 0 < self.scale < math.inf:
             raise ValueError(f"scale must be finite and positive, got {self.scale}")
-
-    @classmethod
-    def from_config(cls, cfg: dict) -> "ScoringRule":
-        """Parse ``{"rule": "quadratic"|"log", "scale": <real>}``."""
-        reject_unknown_keys("scoring rule", cfg, ("rule", "scale"))
-        name = check_type("scoring rule", "rule", cfg.get("rule", "quadratic"), "string")
-        if name not in _ALIASES:
-            raise ValueError(f"unknown scoring rule {name!r}")
-        scale = check_type("scoring rule", "scale", cfg.get("scale", 1.0), "number")
-        return cls(kind=_ALIASES[name], scale=float(scale))
-
-    def to_config(self) -> dict:
-        return {"rule": "log" if self.kind == "logarithmic" else "quadratic",
-                "scale": self.scale}
 
 
 def _probs(p) -> np.ndarray:

@@ -400,6 +400,39 @@ def test_batch_file_entry_of_the_wrong_type_is_named(tmp_path, capsys, record, m
     assert not out.exists()
 
 
+@pytest.mark.parametrize("reports, message", [
+    ([[1.5]], "report 0: report entry 1.5 is not strictly inside (0, 1)"),
+    ([[0.5, 0.5], [-0.1, 0.3]], "report 1: likelihood column entries must be nonnegative"),
+], ids=["entry_range", "column_negative"])
+def test_batch_report_error_names_its_slot(tmp_path, capsys, reports, message):
+    batch_path = tmp_path / "batch.json"
+    batch_path.write_text(json.dumps({"reports": reports, "outcome": 0}))
+    out = tmp_path / "settled.json"
+    assert main(["settle-fpm", "--alpha", "0.02", "--beta", "0.2",
+                 "--batch", str(batch_path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("line, message", [
+    ("x, 0.5, 0.8", "invalid literal for int() with base 10: 'x'"),
+    ("0, abc, 0.8", "could not convert string to float: 'abc'"),
+    ("0, 0.5, zz", "could not convert string to float: 'zz'"),
+    ("-1, 0.5, 0.8", "agent index must be nonnegative, got -1"),
+    ("0, nan, 0.8", "report time must be finite and >= 0, got nan"),
+    ("0, 0.5, 1.5", "report entry 1.5 is not strictly inside (0, 1)"),
+], ids=["agent", "time", "entry", "agent_negative", "time_nan", "entry_range"])
+def test_stream_record_error_names_its_line(tmp_path, capsys, line, message):
+    stream = tmp_path / "reports.txt"
+    stream.write_text(f"# agent, time, entries\n1, 0.2, 0.8\n{line}\n")
+    rewards_path, trace_path = tmp_path / "rewards.csv", tmp_path / "trace.csv"
+    assert main(["settle-mvp", "--alpha", "0.02", "--beta", "0.2", "--outcome", "1",
+                 "--reports", str(stream), "--out-rewards", str(rewards_path),
+                 "--out-trace", str(trace_path)]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: line 3: {message}"]
+    assert not rewards_path.exists() and not trace_path.exists()
+
+
 class TestSettlement:
     def test_settle_fpm_round_trip(self, tmp_path, capsys):
         batch_path = tmp_path / "batch.json"

@@ -318,30 +318,40 @@ class TestTableTimeValue:
         assert result.effort == pytest.approx(exact, rel=2e-3)
 
 
-def adaptive_mixture(latency, h, c, weights, factor) -> float:
+def adaptive_mixture(latency, h, c, weights, factor, cuts=()) -> float:
     """Oracle for the quadrature route: scipy's adaptive ``quad`` on each
-    segment a table h is linear on, one Python integrand call per point."""
+    segment a table h is linear on (split further at ``cuts``), one Python
+    integrand call per point."""
     log_binom = equilibrium_module._log_binomials(weights.size - 1)
 
     def integrand(t):
         pmf = equilibrium_module._binomial_pmf(log_binom, latency.cdf(c, t))
         return factor(t) * float(pmf @ weights) * h.density(t)
 
-    return sum(quad(integrand, t0, t1, epsabs=QUAD_TOL / len(h.times), epsrel=0.0,
-                    limit=300)[0] for t0, t1 in zip(h.times, h.times[1:]))
+    edges = np.union1d(h.times, [t for t in cuts if h.times[0] < t < h.times[-1]])
+    # a relative floor of 1e-13: the FOC integral reaches about 1000 here
+    return sum(quad(integrand, t0, t1, epsabs=QUAD_TOL / len(edges), epsrel=1e-13,
+                    limit=300)[0] for t0, t1 in zip(edges, edges[1:]))
 
 
-def route_and_oracle(latency, h, v, n, c_i, c):
+def route_and_oracle(latency, h, v, n, c_i, c, cuts=()):
     """(quadrature route, adaptive oracle) for each of the three evaluators."""
     deltas, values = v.deltas[:n], v.values[:n + 1]
     return [
         (mvp_br_derivative(latency, h, v, n, c_i, c),
-         adaptive_mixture(latency, h, c, deltas, lambda t: latency.dcdf_dc(c_i, t)) - 1.0),
+         adaptive_mixture(latency, h, c, deltas, lambda t: latency.dcdf_dc(c_i, t),
+                          cuts) - 1.0),
         (mvp_welfare(latency, h, v, n, c),
-         adaptive_mixture(latency, h, c, values, lambda t: 1.0) - n * c),
+         adaptive_mixture(latency, h, c, values, lambda t: 1.0, cuts) - n * c),
         (mvp_agent_reward(latency, h, v, n, c),
-         adaptive_mixture(latency, h, c, deltas, lambda t: latency.cdf(c, t))),
+         adaptive_mixture(latency, h, c, deltas, lambda t: latency.cdf(c, t), cuts)),
     ]
+
+
+def latency_edges(latency, c):
+    """Where F_c(t) = 2^-j and where 1 - F_c(t) = 2^-j, j = 1..48."""
+    halvings = 0.5 ** np.arange(1, 49)
+    return -np.log(np.concatenate([halvings, 1.0 - halvings])) / (latency.lam * c)
 
 
 def halving(n):
@@ -371,6 +381,30 @@ class TestQuadratureRoute:
             for got, oracle in route_and_oracle(LatencyFamily.exponential(lam), h,
                                                 halving(n), n, c_i, c):
                 assert got == pytest.approx(oracle, abs=QUAD_TOL)
+
+    def test_coarse_table_resolves_the_rise_of_the_latency(self):
+        """Three knots 150 apart against lam c = 24: the rise of F_c(t) to 1
+        ends far inside the first segment.  The route missed it by 3.5e-5."""
+        h = TimeValue.table([0.0, 150.0, 300.0], [1 / 150, 1 / 300, 0.0])
+        latency = LatencyFamily.exponential(8.0)
+        for n in (1, 3):
+            for got, oracle in route_and_oracle(latency, h, seq(0, 1, 1.5, 1.75), n,
+                                                1e-8, 3.0, latency_edges(latency, 3.0)):
+                assert got == pytest.approx(oracle, abs=QUAD_TOL)
+
+    @pytest.mark.parametrize("eta", [0.01, 0.03, 0.1])
+    @pytest.mark.parametrize("lam, c_i, c", [(8.0, 1e-8, 3.0), (8.0, 1e-6, 1e-3)])
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_slow_decay_matches_the_closed_forms(self, eta, lam, c_i, c, n):
+        """The horizon covers the FOC integrand's own tail, which outlives h's
+        when c_i is small, and edges resolve the rise of F_c(t) to 1: the route
+        missed by up to 2.5e-9 and 1.0e-4 without them."""
+        latency, h, v = LatencyFamily.exponential(lam), TimeValue.exponential(eta), \
+            seq(0, 1, 1.5, 1.75)
+        for fn in (lambda m: mvp_br_derivative(latency, h, v, n, c_i, c, method=m),
+                   lambda m: mvp_welfare(latency, h, v, n, c, method=m),
+                   lambda m: mvp_agent_reward(latency, h, v, n, c, method=m)):
+            assert fn("quadrature") == pytest.approx(fn("closed"), abs=QUAD_TOL)
 
     def test_exponential_h_matches_the_closed_forms(self):
         """The adaptive route missed the peak near t = 0 here, by up to 1.3e-5."""

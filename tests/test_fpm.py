@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import re
 import time
@@ -9,10 +10,10 @@ import pytest
 from infomarkets import (AccessFunction, BatchOutcomeReport, Belief,
                          CapacityError, FpmResult, InformationModel,
                          ReportPolicy, ReportVector, ScoringRule,
-                         StrategyProfile, apply_report, batch_from_json,
-                         fpm_expected_reward, fpm_run, posterior,
-                         result_to_json, score, simulate, truthful_report)
+                         StrategyProfile, apply_report, fpm_expected_reward,
+                         fpm_run, posterior, score, simulate, truthful_report)
 from infomarkets.belief import RATIO_CLAMP, report_column
+from infomarkets.cli import _batch_from_json, main
 from infomarkets.fpm import settle_batch
 
 QUAD = ScoringRule("quadratic")
@@ -285,23 +286,29 @@ class TestExpectedReward:
 
 
 class TestSerialization:
-    def test_batch_round_trip(self):
+    def test_batch_round_trip(self, tmp_path, capsys):
         record = {"reports": [[0.8], [0.5]], "outcome": 1}
-        batch = batch_from_json(record, 2)
+        batch = _batch_from_json(record, 2)
         assert isinstance(batch.reports[0], ReportVector)
         result = fpm_run(Belief(np.array([0.98, 0.02])), batch, QUAD)
-        out = result_to_json(result)
+        # the settlement JSON is written by the settle-fpm command
+        path = tmp_path / "batch.json"
+        path.write_text(json.dumps(record))
+        assert main(["settle-fpm", "--alpha", "0.02", "--beta", "0.2",
+                     "--batch", str(path)]) == 0
+        out = json.loads(capsys.readouterr().out)
         assert set(out) == {"aggregated", "rewards"}
         assert len(out["rewards"]) == 2
+        assert out["rewards"] == result.rewards.tolist()
 
     def test_column_reports_parse_for_wide_markets(self):
         record = {"reports": [[0.2, 0.3, 0.5]], "outcome": 0}
-        batch = batch_from_json(record, 3)
+        batch = _batch_from_json(record, 3)
         assert isinstance(batch.reports[0], np.ndarray)
 
     def test_bad_report_length(self):
         with pytest.raises(ValueError, match="report 1: 3 entries fit neither"):
-            batch_from_json({"reports": [[0.5], [0.1, 0.2, 0.3]], "outcome": 0}, 2)
+            _batch_from_json({"reports": [[0.5], [0.1, 0.2, 0.3]], "outcome": 0}, 2)
 
     def test_result_requires_finite_rewards(self):
         with pytest.raises(ValueError):

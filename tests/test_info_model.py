@@ -8,6 +8,7 @@ from infomarkets import (Belief, CapacityError, InformationModel,
                          ScoreSequence, ScoringRule, apply_report,
                          expected_base_score, posterior, v_sequence)
 from infomarkets.belief import fold_path
+from infomarkets.cli import _model_from_config
 from infomarkets.info_model import _mean_self_scores
 from infomarkets.scoring import expected_score
 
@@ -251,18 +252,18 @@ class TestTypes:
             InformationModel.binary_noisy(0.5, 0.7)
 
     def test_from_config(self):
-        m = InformationModel.from_config({"kind": "binary_noisy",
-                                          "alpha": 0.02, "beta": 0.2})
+        m = _model_from_config({"kind": "binary_noisy",
+                                "alpha": 0.02, "beta": 0.2})
         np.testing.assert_allclose(m.prior, [0.98, 0.02])
-        t = InformationModel.from_config(
+        t = _model_from_config(
             {"kind": "table", "prior": [0.5, 0.5],
              "likelihood": [[0.9, 0.1], [0.1, 0.9]]})
         assert t.num_signal_values == 2
         with pytest.raises(ValueError):
-            InformationModel.from_config({"kind": "mystery"})
+            _model_from_config({"kind": "mystery"})
         # the legacy agent count is accepted and ignored
-        legacy = InformationModel.from_config({"kind": "binary_noisy", "alpha": 0.02,
-                                               "beta": 0.2, "num_agents": 3})
+        legacy = _model_from_config({"kind": "binary_noisy", "alpha": 0.02,
+                                     "beta": 0.2, "num_agents": 3})
         np.testing.assert_array_equal(legacy.likelihood, m.likelihood)
 
     @pytest.mark.parametrize("cfg, key", [
@@ -272,4 +273,4 @@ class TestTypes:
     ], ids=["binary_noisy", "table"])
     def test_from_config_rejects_unknown_keys(self, cfg, key):
         with pytest.raises(ValueError, match=key):
-            InformationModel.from_config(cfg)
+            _model_from_config(cfg)

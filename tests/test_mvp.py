@@ -7,9 +7,9 @@ import pytest
 from scipy.integrate import quad
 
 from infomarkets import (Belief, InformationModel, ProtocolError, ReportVector,
-                         ScoringRule, TimeValue, TimedReport, mvp_run,
-                         reports_from_stream, score, time_value_mass,
-                         trace_dump_rows, truthful_report)
+                         ScoringRule, TimeValue, TimedReport, mvp_run, score,
+                         time_value_mass, truthful_report)
+from infomarkets.cli import _reports_from_stream, _time_value_from_config
 
 QUAD = ScoringRule("quadratic")
 H1 = TimeValue.exponential(1.0)
@@ -144,15 +144,15 @@ class TestTimeValueMass:
     def test_config_rejects_unknown_key(self):
         # a misspelled rate must not fall back to eta 1
         with pytest.raises(ValueError, match="rate"):
-            TimeValue.from_config({"kind": "exponential", "rate": 5})
+            _time_value_from_config({"kind": "exponential", "rate": 5})
         with pytest.raises(ValueError, match="eta"):
-            TimeValue.from_config({"kind": "table", "times": [0.0, 1.0],
-                                   "values": [1.0, 1.0], "eta": 2.0})
-        assert TimeValue.from_config({"kind": "exponential", "eta": 5}).eta == 5.0
+            _time_value_from_config({"kind": "table", "times": [0.0, 1.0],
+                                     "values": [1.0, 1.0], "eta": 2.0})
+        assert _time_value_from_config({"kind": "exponential", "eta": 5}).eta == 5.0
 
     def test_config_bare_number_and_table(self):
-        assert TimeValue.from_config(2.5) == TimeValue.exponential(2.5)
-        assert TimeValue.from_config(
+        assert _time_value_from_config(2.5) == TimeValue.exponential(2.5)
+        assert _time_value_from_config(
             {"kind": "table", "times": [0.95, 1, 1.05], "values": [0, 20, 0]}
         ) == TimeValue.table([0.95, 1.0, 1.05], [0.0, 20.0, 0.0])
 
@@ -356,27 +356,29 @@ class TestIncentives:
 class TestStreamFormat:
     def test_parse_ratio_entries(self):
         lines = ["# agent, time, entries", "1, 0.5, 0.8", "0, 1.25, 0.3"]
-        reports = reports_from_stream(lines, 2)
+        reports = _reports_from_stream(lines, 2)
         assert [r.agent for r in reports] == [1, 0]
         assert isinstance(reports[0].report, ReportVector)
         assert reports[0].report.entries == (0.8,)
 
     def test_parse_likelihood_columns(self):
-        reports = reports_from_stream(["0, 1.0, 0.2, 0.3, 0.5"], 3)
+        reports = _reports_from_stream(["0, 1.0, 0.2, 0.3, 0.5"], 3)
         assert isinstance(reports[0].report, np.ndarray)
 
     def test_parse_rejects_wrong_arity(self):
         with pytest.raises(ValueError, match="line 2: 3 entries fit neither"):
-            reports_from_stream(["1, 0.5, 0.8", "0, 1.0, 0.2, 0.3, 0.4"], 2)
+            _reports_from_stream(["1, 0.5, 0.8", "0, 1.0, 0.2, 0.3, 0.4"], 2)
         with pytest.raises(ValueError):
-            reports_from_stream(["0"], 2)
+            _reports_from_stream(["0"], 2)
 
     def test_trace_dump(self):
         m = InformationModel.binary_noisy(0.02, 0.2)
         trace, _ = mvp_run(m.prior_belief(),
                            [TimedReport(0, 1.0, truthful_report(m, 1))],
                            1, QUAD, H1)
-        rows = list(trace_dump_rows(trace))
+        # the rows settle-mvp writes: time 0 and the prior, then each report
+        rows = [(t, *map(float, p))
+                for t, p in zip([0.0, *trace.breakpoints], trace.beliefs)]
         assert rows[0] == (0.0, 0.98, 0.02)
         assert rows[1][0] == 1.0
         assert rows[1][2] == pytest.approx(4 / 53, abs=1e-12)

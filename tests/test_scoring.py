@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from infomarkets import ScoringRule, expected_score, score
+from infomarkets.cli import _rule_from_config
 from infomarkets.scoring import _outcome_sum
 
 QUAD = ScoringRule("quadratic")
@@ -161,15 +162,14 @@ class TestConstruction:
             ScoringRule("quadratic", scale=0.0)
 
     def test_config_round_trip(self):
-        for cfg in ({"rule": "quadratic", "scale": 20.0}, {"rule": "log"}):
-            rule = ScoringRule.from_config(cfg)
-            assert ScoringRule.from_config(rule.to_config()) == rule
+        assert _rule_from_config({"rule": "quadratic", "scale": 20.0}) == ScoringRule("quadratic", 20.0)
+        assert _rule_from_config({"rule": "log"}) == LOG
 
     def test_config_rejects_unknown_rule(self):
         with pytest.raises(ValueError):
-            ScoringRule.from_config({"rule": "brier"})
+            _rule_from_config({"rule": "brier"})
 
     def test_config_rejects_unknown_key(self):
         # a misspelled scale must not fall back to scale 1
         with pytest.raises(ValueError, match="scle"):
-            ScoringRule.from_config({"rule": "quadratic", "scle": 20})
+            _rule_from_config({"rule": "quadratic", "scle": 20})
