@@ -173,8 +173,9 @@ def _quadrature_mixture(latency: LatencyFamily, h: TimeValue, c: float,
 
     A table h is linear between its knots, which are the segment edges; the
     exponential kind starts from equal segments up to a horizon T where its
-    tail mass is at most ``TAIL_MASS`` and ``max|w| tail(T)``, a bound on the
-    dropped integrand, at most ``_TAIL_SHARE * QUAD_TOL``.  Edges where
+    tail mass is at most ``TAIL_MASS`` and ``max|w| tail(T)`` at most
+    ``_TAIL_SHARE * QUAD_TOL``, ``tail(T)`` being the mass of ``|factor| h``
+    beyond T, so it bounds the integrand dropped there.  Edges where
     F_c(t) = 2^-j, down to about 1 / (4N), are added to either: a mixture
     weighted to small k can peak within 1 / (N lam c) of t = 0, between all
     nodes of a wider segment.  So are edges where 1 - F_c(t) = 2^-j, until
@@ -222,9 +223,13 @@ def mvp_br_derivative(latency: LatencyFamily, h: TimeValue, v: ScoreSequence,
         _, moment = _beta_mixture(deltas.tolist(), h.eta + lam * c_i, lam * c)
         return lam * h.eta * moment - 1.0
     lam, a = latency.lam, h.eta + latency.lam * c_i
-    # beyond T, lam t e^(-lam c_i t) h(t) has the mass lam eta e^(-aT) (T/a + 1/a^2)
-    return _quadrature_mixture(latency, h, c, deltas, lambda t: latency.dcdf_dc(c_i, t),
-                               lambda T: lam * h.eta * math.exp(-a * T) * (T / a + 1 / a**2)) - 1.0
+
+    def tail(T: float) -> float:
+        """The mass of lam t e^(-lam c_i t) h(t) beyond T, h exponential."""
+        return lam * h.eta * math.exp(-a * T) * (T / a + 1 / a**2)
+
+    return _quadrature_mixture(latency, h, c, deltas,
+                               lambda t: latency.dcdf_dc(c_i, t), tail) - 1.0
 
 
 def mvp_equilibrium(latency: LatencyFamily, h: TimeValue, v: ScoreSequence,
