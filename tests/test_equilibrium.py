@@ -399,8 +399,8 @@ class TestQuadratureRoute:
         """The horizon covers the FOC integrand's own tail, which outlives h's
         when c_i is small, and edges resolve the rise of F_c(t) to 1: the route
         missed by up to 2.5e-9 and 1.0e-4 without them."""
-        latency, h, v = LatencyFamily.exponential(lam), TimeValue.exponential(eta), \
-            seq(0, 1, 1.5, 1.75)
+        latency, h = LatencyFamily.exponential(lam), TimeValue.exponential(eta)
+        v = seq(0, 1, 1.5, 1.75)
         for fn in (lambda m: mvp_br_derivative(latency, h, v, n, c_i, c, method=m),
                    lambda m: mvp_welfare(latency, h, v, n, c, method=m),
                    lambda m: mvp_agent_reward(latency, h, v, n, c, method=m)):

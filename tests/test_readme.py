@@ -35,8 +35,8 @@ FILES = {
   "trials": 10000, "seed": 1
 }
 """,
-    "my_experiment.json": ('{"experiment": "fig_eas", "parameters": {"lambda_grid": [1, 2, 4]}, '
-                           '"output_path": "out/"}\n'),
+    "my_experiment.json": ('{"experiment": "fig_eas", '
+                           '"parameters": {"lambda_grid": [1, 2, 4]}, "output_path": "out/"}\n'),
 }
 
 #: trials of each simulate command, in place of the README's count

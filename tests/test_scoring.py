@@ -162,7 +162,8 @@ class TestConstruction:
             ScoringRule("quadratic", scale=0.0)
 
     def test_config_round_trip(self):
-        assert _rule_from_config({"rule": "quadratic", "scale": 20.0}) == ScoringRule("quadratic", 20.0)
+        assert (_rule_from_config({"rule": "quadratic", "scale": 20.0})
+                == ScoringRule("quadratic", 20.0))
         assert _rule_from_config({"rule": "log"}) == LOG
 
     def test_config_rejects_unknown_rule(self):
