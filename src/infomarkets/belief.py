@@ -93,7 +93,8 @@ def report_column(report, num_outcomes: int) -> np.ndarray:
     """The likelihood column a report multiplies a d-outcome belief by.
 
     ``report`` is either a :class:`ReportVector` (binary markets only:
-    the column ``(1-b, b)``) or a nonnegative likelihood column of length d.
+    the column ``(1-b, b)``) or a finite, nonnegative likelihood column of
+    length d.
     """
     if isinstance(report, ReportVector):
         if report.num_outcomes != num_outcomes:
@@ -108,6 +109,8 @@ def report_column(report, num_outcomes: int) -> np.ndarray:
     if column.shape != (num_outcomes,):
         raise ValueError(f"likelihood column shape {column.shape} does not match "
                          f"a market over {num_outcomes} outcomes")
+    if not np.all(np.isfinite(column)):
+        raise ValueError(f"likelihood column entries must be finite, got {column.tolist()}")
     if np.any(column < 0):
         raise ValueError("likelihood column entries must be nonnegative")
     return column

@@ -106,7 +106,10 @@ def _time_value_from_config(cfg) -> TimeValue:
     check_type("time value h", None, cfg, "number or object")
     if not isinstance(cfg, dict):
         return TimeValue.exponential(float(cfg))
-    if cfg.get("kind", "exponential") == "exponential":
+    kind = check_type("time value h", "kind", cfg.get("kind", "exponential"), "string")
+    if kind not in ("exponential", "table"):
+        raise ValueError(f"unknown time value kind {kind!r}")
+    if kind == "exponential":
         reject_unknown_keys("exponential time value", cfg, ("kind", "eta"))
         eta = check_type("exponential time value", "eta", cfg.get("eta", 1.0), "number")
         return TimeValue.exponential(float(eta))

@@ -26,6 +26,14 @@ from .info_model import (ENUMERATION_BUDGET, Belief, InformationModel,
                          _count_vectors, _count_weights)
 from .scoring import ScoringRule, score
 
+#: report-column entries (batches x agents x outcomes) settled at once: a
+#: Monte Carlo chunk's trials, or a block of :func:`fpm_expected_reward`'s
+#: (row, outcome) pairs.  A chunk holds 7-12 floats of scratch per entry,
+#: draws included: 4-6 MB at its peak for n = 2 to 300 and d = 2 or 3, and
+#: 4.3 MiB for a paired mvp deviation at n = 2 (``tracemalloc``); an n = 2
+#: chunk's belief paths (768 KB) fit in a 2 MB L2 cache
+_CHUNK_ELEMENTS = 1 << 16
+
 
 @dataclass(frozen=True)
 class BatchOutcomeReport:
@@ -99,8 +107,10 @@ def fpm_expected_reward(model: InformationModel, rule: ScoringRule,
     enumerated by the count vectors of its m + 1 states (no signal, then
     each value), and each agent earns his class's mean slot reward.  The
     classes combine as a Cartesian product whose rows, times n agents,
-    must fit :data:`ENUMERATION_BUDGET`; one :func:`settle_batch` call
-    settles every (row, outcome) pair of positive weight.
+    must fit :data:`ENUMERATION_BUDGET`.  :func:`settle_batch` settles
+    the (row, outcome) pairs of positive weight in blocks of
+    :data:`_CHUNK_ELEMENTS` report-column entries, so its scratch does
+    not grow with the rows or the outcomes.
     ``report_override`` maps an agent (a class of his own) to a report
     function ``f(signal or None) -> report``; that is how deviation losses
     are measured exactly.
@@ -137,9 +147,17 @@ def fpm_expected_reward(model: InformationModel, rule: ScoringRule,
         # the class's slots hold each state as often as its count vector says
         states = np.repeat(np.tile(np.arange(m + 1), len(counts)), counts.ravel())
         columns.append(cols[states.reshape(-1, size)[idx]].swapaxes(0, 1))
+    columns = np.concatenate(columns)
     row, y = np.nonzero(joint > 0)
-    _, rewards = settle_batch(model.prior, np.concatenate(columns)[:, row], y, rule)
-    slot_rewards = joint[row, y] @ rewards
+    # agent-major, so that the product below reads the layout, and so the
+    # bits, of one settle_batch call on every pair
+    rewards = np.empty((n, row.size))
+    block = max(1, _CHUNK_ELEMENTS // (n * d))
+    for start in range(0, row.size, block):
+        pairs = slice(start, start + block)
+        rewards[:, pairs] = settle_batch(model.prior, columns[:, row[pairs]],
+                                         y[pairs], rule)[1].T
+    slot_rewards = joint[row, y] @ rewards.T
     out, start = np.empty(n), 0
     for agents in classes.values():
         out[agents] = slot_rewards[start:start + len(agents)].mean()

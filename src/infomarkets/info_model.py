@@ -26,7 +26,7 @@ from .scoring import ScoringRule, expected_score
 
 #: most terms an exact enumeration may visit: signal count vectors in
 #: :func:`v_sequence`, enumerated rows times agents (the report columns
-#: ``settle_batch`` holds) in ``fpm_expected_reward``
+#: it stacks) in ``fpm_expected_reward``
 ENUMERATION_BUDGET = 10 ** 6
 
 _PROB_TOL = 1e-12

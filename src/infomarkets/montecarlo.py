@@ -58,19 +58,13 @@ import numpy as np
 
 from .belief import RATIO_CLAMP, _state_table, fold_path, truthful_report
 from .equilibrium import LatencyFamily
-from .fpm import settle_batch
+from .fpm import _CHUNK_ELEMENTS, settle_batch
 from .info_model import InformationModel
 from .mvp import TimeValue, _segment_masses, settle_sequential
 from .pm_baseline import AccessFunction
 from .scoring import ScoringRule, score
 
 MECHANISMS = ("fpm", "mvp", "pm_batch", "pm_sequential")
-
-#: report-column entries settled per chunk.  A chunk holds 7-12 floats of
-#: scratch per entry, draws included: 4-6 MB at its peak for n = 2 to 300
-#: and d = 2 or 3 (``tracemalloc``), and an n = 2 chunk's belief paths
-#: (768 KB) fit in a 2 MB L2 cache
-_CHUNK_ELEMENTS = 1 << 16
 
 # purpose tags for the random streams
 _OUTCOME, _LATENCY, _SIGNAL, _WINNER = 0, 1, 2, 3
@@ -296,9 +290,13 @@ def _report_columns(model: InformationModel, policy: ReportPolicy) -> np.ndarray
 
 
 def _draw_outcomes(model: InformationModel, u: np.ndarray) -> np.ndarray:
+    """Inverse-CDF outcome draws, counted as :func:`_draw_signals` counts:
+    how many of the first d - 1 cumulative prior masses lie at or below ``u``."""
     cum = np.cumsum(model.prior)
-    return np.minimum(np.searchsorted(cum, u, side="right"),
-                      model.num_outcomes - 1)
+    y = np.zeros(u.shape, dtype=np.intp)
+    for j in range(model.num_outcomes - 1):
+        y += cum[j] <= u
+    return y
 
 
 def _draw_signals(model: InformationModel, y: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -625,13 +623,16 @@ def _paired_sequential(model, arms, i, rule, latency, h):
         signals = _draw_signals(model, y, u_sig)
         times = _report_times(waits, *arrivals[0])
         rows = _table_rows(model, _states(signals, np.isfinite(times)))
+        # each arm recomputes agent i's rows alone, from these two
+        wait, signal = waits[i].copy(), signals[i].copy()
+        del waits, signals
         order = others[_time_order(times[others])]
         s_without = without(_slot_gathers(order)[0](rows), y)  # (n, T)
         rewards = []
         for arm, path in enumerate(paths):
             if arm == 0 or moves:
-                times[i] = _report_times(waits[i], *(a[i] for a in arrivals[arm]))
-                rows[i] = first * i + _states(signals[i], np.isfinite(times[i]))
+                times[i] = _report_times(wait, *(a[i] for a in arrivals[arm]))
+                rows[i] = first * i + _states(signal, np.isfinite(times[i]))
                 # agent i's slot counts the reports before agent i's, a tie
                 # going to agent order; the steps j after it pay agent i
                 slot = ((times[:i] <= times[i]).sum(axis=0)
@@ -639,13 +640,17 @@ def _paired_sequential(model, arms, i, rule, latency, h):
                 to_slots = _slot_gathers(_with_agent(order, i, slot))[0]
                 masses = _segment_masses(h, to_slots(times))  # (n + 1, T)
                 slot_rows = to_slots(rows)
-                later = steps > slot
+                unpaid = steps <= slot
             s_path = path(slot_rows, y)
-            terms = np.where(later, (s_path[1:] - s_without) * masses[1:], 0.0)
+            terms = np.subtract(s_path[1:], s_without)
+            del s_path
+            terms *= masses[1:]
+            terms[unpaid] = 0.0
             reward = np.zeros(len(y))
             for term in terms:  # in increasing j, as settle_sequential sums
                 reward += term
             rewards.append(reward)
+            del terms, term
         return rewards
     return settle
 
@@ -811,5 +816,10 @@ def deviation_test(model: InformationModel, mechanism: str,
         base, dev = settle(*draws)
         delta[sl] = (dev - costs[1]) - (base - costs[0])
         del draws, base, dev  # free this chunk before drawing the next
-    se = float(delta.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
-    return float(delta.mean()), se
+    mean = delta.mean()
+    if trials < 2:
+        return float(mean), 0.0
+    # np.std(ddof=1)'s operations in its order, in place: the same bits, no copy
+    delta -= mean
+    np.square(delta, out=delta)
+    return float(mean), math.sqrt(delta.sum() / (trials - 1)) / math.sqrt(trials)

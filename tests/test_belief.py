@@ -165,6 +165,13 @@ class TestReportVector:
         with pytest.raises(ValueError, match="nonnegative"):
             report_column([-0.1, 1.1], 2)
 
+    @pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf])
+    def test_report_column_rejects_non_finite_entries(self, entry):
+        # a NaN or infinite entry would otherwise surface later, as
+        # "disjoint support" from the fold, far from the report
+        with pytest.raises(ValueError, match="must be finite"):
+            report_column([entry, 0.3], 2)
+
     def test_report_to_column_matches_update(self):
         rng = np.random.default_rng(4)
         for _ in range(50):

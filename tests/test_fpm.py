@@ -3,6 +3,7 @@ import json
 import math
 import re
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from infomarkets import (AccessFunction, BatchOutcomeReport, Belief,
                          ReportPolicy, ReportVector, ScoringRule,
                          StrategyProfile, apply_report, fpm_expected_reward,
                          fpm_run, posterior, score, simulate, truthful_report)
+from infomarkets import fpm
 from infomarkets.belief import RATIO_CLAMP, report_column
 from infomarkets.cli import _batch_from_json, main
 from infomarkets.fpm import settle_batch
@@ -262,6 +264,36 @@ class TestExpectedReward:
         np.testing.assert_allclose(rewards, tuple_expected_reward(
             model, QUAD, [0.6, 0.6, 0.3]), rtol=0, atol=1e-12)
         assert rewards[0] == rewards[1] > rewards[2] > 0
+
+    def test_blocks_change_no_bit(self, monkeypatch):
+        """Settling the pairs in blocks of 5 (and a partial one) gives the
+        bits of settling them in one block."""
+        model = InformationModel(np.array([0.5, 0.3, 0.2]),
+                                 np.array([[0.7, 0.2, 0.1],
+                                           [0.2, 0.6, 0.2],
+                                           [0.1, 0.3, 0.6]]))
+        q, override = [0.6, 0.6, 0.6, 0.3, 0.3, 0.9], {5: lambda s: [0.2, 0.5, 0.3]}
+        cases = [(QUAD, None), (ScoringRule("logarithmic", 3.0), override)]
+        whole = [fpm_expected_reward(model, rule, q, report_override=o) for rule, o in cases]
+        monkeypatch.setattr(fpm, "_CHUNK_ELEMENTS", 5 * len(q) * 3)
+        for (rule, o), expected in zip(cases, whole):
+            assert np.array_equal(fpm_expected_reward(model, rule, q, report_override=o),
+                                  expected)
+
+    @pytest.mark.parametrize("d", [2, 3, 5])
+    def test_memory_does_not_grow_with_the_outcomes(self, d):
+        # 24 agents in two q classes: 8281 rows x 24 agents.  Settled in one
+        # call, the pairs would take 43, 88 and 223 MiB for d = 2, 3 and 5
+        likelihood = np.random.default_rng(d).dirichlet(np.ones(2), size=d)
+        model = InformationModel(np.full(d, 1.0 / d), likelihood)
+        tracemalloc.start()
+        try:
+            rewards = fpm_expected_reward(model, QUAD, [0.3] * 12 + [0.6] * 12)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.all(np.isfinite(rewards))
+        assert peak <= 24 * 2 ** 20
 
     def test_wide_market_with_one_perturbed_agent(self):
         """n = 32: fast, and pinned by the simulator within 4 standard errors."""

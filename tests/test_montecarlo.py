@@ -463,6 +463,31 @@ class TestDeviations:
                 assert_paired_equals_separate(model, mechanism, base, i, deviation,
                                               700, 23, H1)
 
+    @pytest.mark.parametrize("mechanism, deviation", [
+        ("fpm", ReportPolicy("perturbed", epsilon=0.1)),
+        ("mvp", ReportPolicy("delayed", delay=0.5)),
+    ], ids=["fpm-perturbed", "mvp-delayed"])
+    def test_many_chunks_equal_two_separate_runs(self, mechanism, deviation):
+        """12 chunks of 16 384 trials and a partial one: the in-place
+        standard error is np.std(ddof=1)'s, bit for bit."""
+        assert_paired_equals_separate(MODEL, mechanism, PROFILE, 0, deviation,
+                                      200_000, 41, H1)
+
+    def test_memory_is_one_float_per_trial_and_one_chunk(self):
+        # 1e6 trials: the (trials,) differences take 7.6 MiB and a chunk's
+        # scratch about 4.2 MiB; a copy of the differences for the standard
+        # error would add 7.6 MiB
+        kw = dict(rule=QUAD20, latency=LAT1, h=H1)
+        delay = ReportPolicy("delayed", delay=0.5)
+        for trials, bound in ((16_384, 4.5 * 2 ** 20), (1_000_000, 12 * 2 ** 20)):
+            tracemalloc.start()
+            try:
+                deviation_test(MODEL, "mvp", PROFILE, 0, delay, trials, 1, **kw)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= bound, (trials, peak)
+
     def test_deviant_agent_must_exist(self):
         with pytest.raises(ValueError):
             deviation_test(MODEL, "fpm", PROFILE, 5, 0.1, 100, 0,
@@ -628,6 +653,21 @@ class TestSignalDraws:
         assert x.shape == u.shape
         assert np.array_equal(x, np.stack([self.reference(model, y, row) for row in u]))
         assert x.min() >= 0 and x.max() <= m - 1
+
+    @pytest.mark.parametrize("prior", [[0.6, 0.4], [0.5, 0.3, 0.2], [0.0, 0.5, 0.0, 0.5],
+                                       [0.2, 0.3, 0.5, 0.0, 0.0], [0.1, 0.2, 0.3, 0.15, 0.25]])
+    def test_outcomes_match_the_searchsorted_reference(self, prior):
+        """Counting the first d - 1 cumulative prior masses at or below u
+        is ``searchsorted(cum, u, side="right")`` capped at d - 1,
+        zero-mass outcomes included."""
+        model = InformationModel(np.array(prior), np.full((len(prior), 2), 0.5))
+        cum = np.cumsum(model.prior)
+        # u exactly at each cumulative mass, and at both ends
+        u = np.concatenate([np.random.default_rng(len(prior)).random(5_000), cum,
+                            [0.0, 1.0 - 2 ** -53]])
+        expected = np.minimum(np.searchsorted(cum, u, side="right"), len(prior) - 1)
+        y = _draw_outcomes(model, u)
+        assert y.dtype == expected.dtype and np.array_equal(y, expected)
 
 
 class TestValidation:

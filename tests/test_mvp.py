@@ -150,6 +150,13 @@ class TestTimeValueMass:
                                      "values": [1.0, 1.0], "eta": 2.0})
         assert _time_value_from_config({"kind": "exponential", "eta": 5}).eta == 5.0
 
+    def test_config_names_an_unknown_kind(self):
+        # a misspelled kind must not fall back to a table
+        with pytest.raises(ValueError, match="unknown time value kind 'gaussian'"):
+            _time_value_from_config({"kind": "gaussian", "times": [0, 1], "values": [1, 1]})
+        with pytest.raises(ValueError, match="unknown time value kind 'gaussian'"):
+            _time_value_from_config({"kind": "gaussian", "eta": 2})
+
     def test_config_bare_number_and_table(self):
         assert _time_value_from_config(2.5) == TimeValue.exponential(2.5)
         assert _time_value_from_config(
