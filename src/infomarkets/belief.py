@@ -93,8 +93,8 @@ def report_column(report, num_outcomes: int) -> np.ndarray:
     """The likelihood column a report multiplies a d-outcome belief by.
 
     ``report`` is either a :class:`ReportVector` (binary markets only:
-    the column ``(1-b, b)``) or a finite, nonnegative likelihood column of
-    length d.
+    the column ``(1-b, b)``) or a nonnegative likelihood column of length
+    d with a finite sum.
     """
     if isinstance(report, ReportVector):
         if report.num_outcomes != num_outcomes:
@@ -113,6 +113,11 @@ def report_column(report, num_outcomes: int) -> np.ndarray:
         raise ValueError(f"likelihood column entries must be finite, got {column.tolist()}")
     if np.any(column < 0):
         raise ValueError("likelihood column entries must be nonnegative")
+    with np.errstate(over="ignore"):  # no fold_path step sums past this sum
+        finite = np.isfinite(_outcome_sum(column))
+    if not finite:
+        raise ValueError(f"likelihood column entries must sum to a finite number, "
+                         f"got {column.tolist()}")
     return column
 
 

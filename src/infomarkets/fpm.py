@@ -77,14 +77,14 @@ def settle_batch(prior, columns, y, rule: ScoringRule):
     outcome is ``y[t]``.  Agent k's leave-one-out belief joins the forward
     fold of the reports before k with the backward fold of the reports
     after k, so no report is ever divided out.  Returns
-    ``(aggregated[T, d], rewards[T, n])``.
+    ``(aggregated[T, d], rewards[n, T])``.
     """
     columns = np.asarray(columns, dtype=float)
     forward = fold_path(prior, columns)
     backward = fold_path(np.ones(columns.shape[-1]), columns[:0:-1])
     without = fold_path(forward[:-1], backward[::-1][None])[1]
     rewards = score(rule, forward[-1], y) - score(rule, without, y)
-    return forward[-1], rewards.T
+    return forward[-1], rewards
 
 
 def fpm_run(model_prior: Belief, batch: BatchOutcomeReport,
@@ -96,7 +96,7 @@ def fpm_run(model_prior: Belief, batch: BatchOutcomeReport,
     columns = np.array([report_column(r, d) for r in batch.reports])
     aggregated, rewards = settle_batch(model_prior.probs, columns[:, None],
                                        np.array([batch.outcome]), rule)
-    return FpmResult(Belief(aggregated[0]), rewards[0])
+    return FpmResult(Belief(aggregated[0]), rewards[:, 0])
 
 
 def fpm_expected_reward(model: InformationModel, rule: ScoringRule,
@@ -149,14 +149,14 @@ def fpm_expected_reward(model: InformationModel, rule: ScoringRule,
         columns.append(cols[states.reshape(-1, size)[idx]].swapaxes(0, 1))
     columns = np.concatenate(columns)
     row, y = np.nonzero(joint > 0)
-    # agent-major, so that the product below reads the layout, and so the
-    # bits, of one settle_batch call on every pair
+    # settle_batch's agent-major layout, so that the product below reads the
+    # layout, and so the bits, of one settle_batch call on every pair
     rewards = np.empty((n, row.size))
     block = max(1, _CHUNK_ELEMENTS // (n * d))
     for start in range(0, row.size, block):
         pairs = slice(start, start + block)
         rewards[:, pairs] = settle_batch(model.prior, columns[:, row[pairs]],
-                                         y[pairs], rule)[1].T
+                                         y[pairs], rule)[1]
     slot_rewards = joint[row, y] @ rewards.T
     out, start = np.empty(n), 0
     for agents in classes.values():

@@ -13,12 +13,11 @@ consequences the tests rely on: results are bitwise independent of how the
 trial range is chunked, and two runs with the same seed see identical
 draws, so a deviation test compares strategies on common random numbers
 and certifies harm with tiny variance.  A deviation test draws each chunk
-once and settles both arms, baseline and deviant, on that one draw.  In
-the fair batch and marginal-value markets it settles the deviant alone:
-the other agents' columns, folds and scores do not depend on the
-deviant's strategy, so they are computed once per chunk, and each arm
-folds only the deviant's column and its O(n) share of the market, in
-the same operations and order as the full settlement, so the bits match.
+once and settles both arms, baseline and deviant, on that one draw, each
+through its own profile's kernel, except in the marginal-value market:
+there the other agents' time order, folds and scores do not depend on
+the deviant's strategy, so each arm folds only the deviant's slot and
+its O(n) share, in the operations and order of :func:`settle_sequential`.
 
 A chunk's draws are agent-major ``(n, T)`` arrays, and its kernel (built
 once per profile by :func:`_kernel`) maps them to rewards and the
@@ -45,10 +44,10 @@ on the run's first chunk, and every chunk gathers its trials' values from
 that table by a mixed-radix key.  It is a cache, not a second settlement:
 every operation of :func:`fold_path` and :func:`score` acts on one trial
 at a time, so a gathered value is bit for bit the one the core computes
-on the chunk.  The fair batch kernel, the paired batch deviation, the
-rank-order sequential path scores and the paired sequential deviation's
-path scores are tabulated.  The marginal-value rewards fold continuous
-segment masses into each trial, so :func:`settle_sequential` stays direct.
+on the chunk.  The fair batch kernel, the rank-order sequential path
+scores and the paired sequential deviation's path scores are tabulated.
+The marginal-value rewards fold continuous segment masses into each
+trial, so :func:`settle_sequential` stays direct.
 """
 import math
 import numbers
@@ -392,18 +391,13 @@ def _table(core, blocks: np.ndarray, prior: np.ndarray, trials: int):
     return index, core(digits[:-1, possible], digits[-1, possible])
 
 
-def _path_scores(model: InformationModel, rule: ScoringRule, table: np.ndarray):
-    """``scores(rows, y)``: the ``(K + 1, T)`` scores of the belief path that
-    folds the columns ``table[rows]`` of ``(K, T)`` rows in order."""
+def _path_scores(model: InformationModel, rule: ScoringRule, table: np.ndarray,
+                 slots: int):
+    """The :func:`_tabulated` ``scores(rows, y)``: the ``(slots + 1, T)``
+    scores of the path that folds ``table[rows]``, any rows in any slots."""
     def scores(rows, y):
         return score(rule, fold_path(model.prior, np.take(table, rows, axis=0)), y)
-    return scores
-
-
-def _in_time_order(table: np.ndarray, slots: int) -> np.ndarray:
-    """The :func:`_tabulated` blocks of ``slots`` time-ordered rows: each
-    slot may hold any row of ``table``."""
-    return np.broadcast_to(table, (slots, *table.shape))
+    return _tabulated(scores, np.broadcast_to(table, (slots, *table.shape)), model.prior)
 
 
 def _kernel(model, mechanism, profile, rule, access, latency, h):
@@ -440,7 +434,7 @@ def _batch_kernel(model, mechanism, profile, rule, access):
         """The rewards ``(n, T)`` stacked on the value ``(T,)``."""
         cols = np.take(table, _table_rows(model, states), axis=0)
         p_all, rewards = settle_batch(model.prior, cols, y, rule)
-        return np.vstack([rewards.T, score(rule, p_all, y) - score(rule, model.prior, y)])
+        return np.vstack([rewards, score(rule, p_all, y) - score(rule, model.prior, y)])
     blocks = table.reshape(profile.num_agents, -1, model.num_outcomes)
     settle_states = _tabulated(settle_states, blocks, model.prior)
 
@@ -521,8 +515,7 @@ def _sequential_kernel(model, mechanism, profile, rule, latency, h):
     arrivals = _arrivals(profile, latency)
     table = _column_table(model, profile, sequential=True)
     if mechanism == "pm_sequential":
-        path_scores = _tabulated(_path_scores(model, rule, table),
-                                 _in_time_order(table, profile.num_agents), model.prior)
+        path_scores = _path_scores(model, rule, table, profile.num_agents)
 
     def settle(y, u_lat, u_sig, u_win):
         times = _report_times(-np.log1p(-u_lat), *arrivals)
@@ -535,55 +528,13 @@ def _sequential_kernel(model, mechanism, profile, rule, latency, h):
 
         if mechanism == "mvp":
             _, slot_rewards, s_path = settle_sequential(
-                model.prior, np.take(table, slot_rows, axis=0), masses.T, y, rule)
-            slot_rewards = slot_rewards.T
+                model.prior, np.take(table, slot_rows, axis=0), masses, y, rule)
         else:
             s_path = path_scores(slot_rows, y)  # (n + 1, T)
             slot_rewards = np.where(np.isfinite(sorted_times),
                                     s_path[1:] - s_path[:-1], 0.0)
         return (from_slots(slot_rewards),
                 np.einsum("jt,tj->t", s_path - s_path[0], masses.T))
-    return settle
-
-
-def _paired_batch(model, arms, i, rule, access):
-    """The paired chunk function of a batch (fpm) deviation by agent i:
-    ``settle(y, u_lat, u_sig, u_win)`` -> agent i's ``(2, T)`` rewards in
-    the baseline and the deviant arm.
-
-    Agent i's leave-one-out belief joins the forward fold of the columns
-    before i with the backward fold of the columns after i, exactly as in
-    :func:`settle_batch`; neither depends on agent i's strategy, so both
-    arms share it.  Per arm only agent i's column and the forward fold
-    from i onward remain: n - i steps, both arms at once, and one score.
-
-    A configuration is every agent's signal state in the baseline arm and
-    agent i's in the deviant arm, which differs under an effort deviation,
-    with the outcome: one key settles both arms (see :func:`_tabulated`).
-    """
-    n, d = arms[0].num_agents, model.num_outcomes
-    q = np.array([access.value(c) for c in arms[0].efforts])[:, None]
-    table = _column_table(model, arms[0], sequential=False)
-    q_dev = access.value(arms[1].efforts[i])
-    own_dev = _report_columns(model, arms[1].policies[i])
-
-    def settle_states(states, y):
-        cols = np.take(table, _table_rows(model, states[:n]), axis=0)
-        before = fold_path(model.prior, cols[:i])[-1]
-        after = fold_path(np.ones(d), cols[:i:-1])[-1]
-        s_without = score(rule, fold_path(before, after[None])[1], y)
-        own = np.stack([cols[i], np.take(own_dev, states[n], axis=0)])  # (2, T, d)
-        full = fold_path(fold_path(before, own[None])[1], cols[i + 1:])[-1]
-        return score(rule, full, y) - s_without
-    settle_states = _tabulated(settle_states, np.concatenate(
-        [table.reshape(n, -1, d), own_dev[None]]), model.prior)
-
-    def settle(y, u_lat, u_sig, u_win):
-        signals = _draw_signals(model, y, u_sig)
-        states = np.empty((n + 1, y.size), dtype=np.intp)
-        states[:n] = _states(signals, u_lat < q)
-        states[n] = _states(signals[i], u_lat[i] < q_dev)
-        return settle_states(states, y)
     return settle
 
 
@@ -611,12 +562,8 @@ def _paired_sequential(model, arms, i, rule, latency, h):
     others = np.flatnonzero(np.arange(n) != i)
     steps = np.arange(1, n + 1)[:, None]
 
-    def path_scores(table, slots):
-        return _tabulated(_path_scores(model, rule, table), _in_time_order(table, slots),
-                          model.prior)
-    without = path_scores(tables[0], n - 1)
-    paths = [path_scores(tables[0], n)]
-    paths.append(paths[0] if np.array_equal(*tables) else path_scores(tables[1], n))
+    without = _path_scores(model, rule, tables[0], n - 1)
+    paths = [_path_scores(model, rule, table, n) for table in tables]
 
     def settle(y, u_lat, u_sig, u_win):
         waits = -np.log1p(-u_lat)
@@ -774,14 +721,13 @@ def deviation_test(model: InformationModel, mechanism: str,
     number), or an ``(effort, ReportPolicy)`` pair.  Each chunk is drawn
     once and both arms, baseline and deviant, settle on that draw, so the
     difference has tiny variance; a mean below ``-3 * se`` certifies the
-    deviation as harmful.  In ``fpm`` and ``mvp`` only the deviant's reward
-    is settled: what does not depend on the deviant's strategy (the other
-    agents' columns, their folds and scores) is computed once per chunk,
-    and each arm folds only the deviant's column and its O(n) share (see
-    :func:`_paired_batch` and :func:`_paired_sequential`); the rank-order
-    baselines take it from each arm's full kernel.  Either way the result
-    equals, bit for bit, the paired difference of two
-    :func:`per_trial_records` runs with the same seed.  Returns
+    deviation as harmful.  Each arm takes the deviant's rewards from its
+    own profile's kernel, except in ``mvp``: there what does not depend on
+    the deviant's strategy (the other agents' time order, their folds and
+    scores) is computed once per chunk, and each arm folds only the
+    deviant's slot and its O(n) share (see :func:`_paired_sequential`).
+    Either way the result equals, bit for bit, the paired difference of
+    two :func:`per_trial_records` runs with the same seed.  Returns
     ``(delta_mean, delta_se)``.
     """
     if not 0 <= deviant_agent < baseline.num_agents:
@@ -800,9 +746,7 @@ def deviation_test(model: InformationModel, mechanism: str,
 
     h = _validate_setup(model, mechanism, baseline, trials, rule, access, latency, h)
     i, n = deviant_agent, baseline.num_agents
-    if mechanism == "fpm":
-        settle = _paired_batch(model, arms, i, rule, access)
-    elif mechanism == "mvp":
+    if mechanism == "mvp":
         settle = _paired_sequential(model, arms, i, rule, latency, h)
     else:
         kernels = [_kernel(model, mechanism, p, rule, access, latency, h) for p in arms]

@@ -34,7 +34,8 @@ class TimeValue:
     The exponential kind ``h(t) = eta * exp(-eta * t)`` integrates to one.
     The table kind interpolates a sampled density linearly between knots
     (zero outside them); a narrow table around D is a deadline at D.  Both
-    kinds have exact interval masses, see :meth:`tail`.
+    kinds have exact interval masses, see :meth:`tail`.  Neither kind takes
+    the other's fields.
     """
 
     kind: str = "exponential"
@@ -44,10 +45,15 @@ class TimeValue:
 
     def __post_init__(self):
         if self.kind == "exponential":
+            for name in ("times", "values"):
+                if getattr(self, name) is not None:
+                    raise ValueError(f"the exponential kind takes no {name}")
             if not 0 < self.eta < math.inf:
                 raise ValueError(f"decay rate eta must be finite and positive, "
                                  f"got {self.eta}")
         elif self.kind == "table":
+            if self.eta != 1.0:
+                raise ValueError(f"the table kind takes no eta, got {self.eta}")
             if self.times is None or self.values is None:
                 raise ValueError("table kind needs times and values")
             times = tuple(float(t) for t in self.times)
@@ -177,13 +183,13 @@ def settle_sequential(prior, columns, masses, y, rule: ScoringRule):
     """Belief paths and each slot's marginal-value reward for T report streams.
 
     ``columns[s, t]`` is the likelihood column of the s-th report (in time
-    order) of stream t, whose outcome is ``y[t]``, and ``masses[t, j]`` is
+    order) of stream t, whose outcome is ``y[t]``, and ``masses[j, t]`` is
     the time-value mass of the segment on which the belief after j reports
     is in force.  The report in slot s earns the sum over j > s of
-    ``(S(p_j) - S(q_j)) * masses[t, j]``, where q is the path without it.
+    ``(S(p_j) - S(q_j)) * masses[j, t]``, where q is the path without it.
     That path equals the actual one up to slot s, so it is folded only
     after s, as one vectorized row update per report.  Returns
-    ``(path[K+1, T, d], rewards[T, K], scores[K+1, T])``, where
+    ``(path[K+1, T, d], rewards[K, T], scores[K+1, T])``, where
     ``scores[j, t]`` is the score of the belief after j reports.
     """
     columns = np.asarray(columns, dtype=float)
@@ -194,8 +200,8 @@ def settle_sequential(prior, columns, masses, y, rule: ScoringRule):
     for j in range(1, path.shape[0]):
         without[:j - 1] = fold_path(without[:j - 1], columns[j - 1:j])[1]
         without[j - 1] = path[j - 1]
-        rewards[:j] += (s_path[j] - score(rule, without[:j], y)) * masses[:, j]
-    return path, rewards.T, s_path
+        rewards[:j] += (s_path[j] - score(rule, without[:j], y)) * masses[j]
+    return path, rewards, s_path
 
 
 def mvp_run(prior: Belief, reports: list[TimedReport], outcome: int,
@@ -225,9 +231,9 @@ def mvp_run(prior: Belief, reports: list[TimedReport], outcome: int,
     columns = np.array([report_column(r.report, d) for r in ordered]).reshape(-1, d)
     masses = _segment_masses(h, breakpoints)
     path, slot_rewards, _ = settle_sequential(prior.probs, columns[:, None],
-                                              masses[None], np.array([outcome]), rule)
+                                              masses[:, None], np.array([outcome]), rule)
     rewards = np.zeros(n)
-    rewards[reporters] = slot_rewards[0]
+    rewards[reporters] = slot_rewards[:, 0]
     if not np.all(np.isfinite(rewards)):
         raise ValueError("non-finite reward; the scoring rule hit a zero-probability "
                          "outcome on some segment")

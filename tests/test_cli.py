@@ -405,7 +405,10 @@ def test_batch_file_entry_of_the_wrong_type_is_named(tmp_path, capsys, record, m
     ([[0.5, 0.5], [-0.1, 0.3]], "report 1: likelihood column entries must be nonnegative"),
     ([[0.5, 0.5], [np.inf, 0.3]],
      "report 1: likelihood column entries must be finite, got [inf, 0.3]"),
-], ids=["entry_range", "column_negative", "column_infinite"])
+    ([[0.5, 0.5], [1e308, 1e308]],
+     "report 1: likelihood column entries must sum to a finite number, "
+     "got [1e+308, 1e+308]"),
+], ids=["entry_range", "column_negative", "column_infinite", "column_sum_overflow"])
 def test_batch_report_error_names_its_slot(tmp_path, capsys, reports, message):
     batch_path = tmp_path / "batch.json"
     batch_path.write_text(json.dumps({"reports": reports, "outcome": 0}))
@@ -424,8 +427,10 @@ def test_batch_report_error_names_its_slot(tmp_path, capsys, reports, message):
     ("0, nan, 0.8", "report time must be finite and >= 0, got nan"),
     ("0, 0.5, 1.5", "report entry 1.5 is not strictly inside (0, 1)"),
     ("0, 0.5, nan, 0.3", "likelihood column entries must be finite, got [nan, 0.3]"),
+    ("0, 0.5, 1e308, 1e308",
+     "likelihood column entries must sum to a finite number, got [1e+308, 1e+308]"),
 ], ids=["agent", "time", "entry", "agent_negative", "time_nan", "entry_range",
-        "column_nan"])
+        "column_nan", "column_sum_overflow"])
 def test_stream_record_error_names_its_line(tmp_path, capsys, line, message):
     stream = tmp_path / "reports.txt"
     stream.write_text(f"# agent, time, entries\n1, 0.2, 0.8\n{line}\n")

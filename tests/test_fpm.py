@@ -76,7 +76,7 @@ def tuple_expected_reward(model, rule, q, report_override=None):
     _, rewards = settle_batch(model.prior,
                               columns[np.arange(n), combos[rows]].swapaxes(0, 1),
                               y, rule)
-    return joint[rows, y] @ rewards
+    return rewards @ joint[rows, y]
 
 
 def random_expected_reward_case(rng):

@@ -1,7 +1,8 @@
 """The library's import structure, read with the standard ``ast`` module.
 
 Every name a module imports is used in it (the re-exports of
-``__init__`` are exempt), and only the modules that validate inputs import
+``__init__`` are exempt), every private module-level name is read
+somewhere in the library, and only the modules that validate inputs import
 the config checks: every other module takes built objects, not configs.
 """
 import ast
@@ -40,3 +41,27 @@ def test_every_import_is_used(path):
                          ids=lambda p: p.stem)
 def test_only_input_readers_import_the_config_checks(path):
     assert sorted({name for _, name in imports(path)} & CONFIG_CHECKS) == []
+
+
+def private_definitions(tree: ast.Module) -> list[str]:
+    """The private (one leading underscore) functions, classes and constants
+    defined at the top level of ``tree``."""
+    names = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names += [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+    return [name for name in names if name.startswith("_") and not name.startswith("__")]
+
+
+def test_every_private_name_is_read():
+    """A helper whose last caller is deleted goes with it."""
+    trees = {path.stem: ast.parse(path.read_text()) for path in MODULES}
+    read = {node.id for tree in trees.values() for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    defined = [(stem, name) for stem, tree in trees.items()
+               for name in private_definitions(tree)]
+    assert len(defined) > 50  # the walk found the definitions
+    assert [f"{stem}.{name}" for stem, name in defined if name not in read] == []

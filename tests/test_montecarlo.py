@@ -90,7 +90,8 @@ def loop_settlement(model, mechanism, profile, trials, seed, rule, access,
     """Oracle for the chunk kernel: per-agent loops over trial-major draws.
 
     Builds every agent's columns in agent order and permutes them into
-    time order afterwards.  Returns rewards (T, n) and the value (T,).
+    time order afterwards.  Returns agent-major rewards (n, T), as the
+    kernel does, and the value (T,).
     """
     y, u_lat, u_sig, u_win = column_stack_draws(model, profile.num_agents,
                                                 trials, seed)
@@ -104,34 +105,34 @@ def loop_settlement(model, mechanism, profile, trials, seed, rule, access,
             rewards = np.zeros(active.shape)
             pick = np.floor(u_win * count).astype(int)
             rewards[active & (np.cumsum(active, axis=1) == (pick + 1)[:, None])] = 1.0
-            return rewards, (count > 0).astype(float)
+            return rewards.T, (count > 0).astype(float)
         cols = agent_columns(model, profile, y, u_sig, has)
         p_all, rewards = settle_batch(model.prior, cols, y, rule)
         return rewards, score(rule, p_all, y) - score(rule, model.prior, y)
 
-    times = np.full((T, profile.num_agents), np.inf)
+    times = np.full((profile.num_agents, T), np.inf)
     for i, (c, policy) in enumerate(zip(profile.efforts, profile.policies)):
         if policy.kind == "silent" or c == 0.0:
             continue
-        times[:, i] = -np.log1p(-u_lat[:, i]) / (latency.lam * c)
+        times[i] = -np.log1p(-u_lat[:, i]) / (latency.lam * c)
         if policy.kind == "delayed":
-            times[:, i] += policy.delay
-    cols = agent_columns(model, profile, y, u_sig, np.isfinite(times))
-    order = np.argsort(times, axis=1, kind="stable")
-    sorted_times = np.take_along_axis(times, order, axis=1)
+            times[i] += policy.delay
+    cols = agent_columns(model, profile, y, u_sig, np.isfinite(times).T)
+    order = np.argsort(times, axis=0, kind="stable")
+    sorted_times = np.take_along_axis(times, order, axis=0)
     reported = np.isfinite(sorted_times)
-    slot_cols = np.where(reported.T[..., None], cols[order.T, np.arange(T)], 1.0)
-    masses = time_value_mass(h, np.column_stack([np.zeros(T), sorted_times]),
-                             np.column_stack([sorted_times, np.full(T, np.inf)]))
+    slot_cols = np.where(reported[..., None], cols[order, np.arange(T)], 1.0)
+    masses = time_value_mass(h, np.vstack([np.zeros(T), sorted_times]),
+                             np.vstack([sorted_times, np.full(T, np.inf)]))
     if mechanism == "mvp":
         _, slot_rewards, s_path = settle_sequential(model.prior, slot_cols, masses,
                                                     y, rule)
     else:
         s_path = score(rule, fold_path(model.prior, slot_cols), y)
-        slot_rewards = np.where(reported, (s_path[1:] - s_path[:-1]).T, 0.0)
+        slot_rewards = np.where(reported, s_path[1:] - s_path[:-1], 0.0)
     rewards = np.empty_like(slot_rewards)
-    np.put_along_axis(rewards, order, slot_rewards, axis=1)
-    return rewards, np.einsum("jt,tj->t", s_path - s_path[0], masses)
+    np.put_along_axis(rewards, order, slot_rewards, axis=0)
+    return rewards, np.einsum("jt,tj->t", s_path - s_path[0], masses.T)
 
 
 def stats_equal(a, b):
@@ -368,7 +369,7 @@ class TestKernelMatchesLoopOracle:
                 rec = per_trial_records(model, mechanism, profile, trials, seed, **kw)
                 rewards, value = loop_settlement(model, mechanism, profile, trials,
                                                  seed, **kw)
-                assert np.array_equal(rec["rewards"], rewards), (mechanism, h)
+                assert np.array_equal(rec["rewards"].T, rewards), (mechanism, h)
                 assert np.array_equal(rec["value"], value), (mechanism, h)
 
 
@@ -443,8 +444,9 @@ class TestDeviations:
             "mvp-delayed", "mvp-perturbed", "mvp-effort", "mvp-zero-effort", "mvp-silent",
             "mvp-pair", "pm_batch-effort", "pm_sequential-delayed"])
     def test_shared_draws_equal_two_separate_runs(self, mechanism, deviation, n):
-        """Settling the deviant alone on one draw per chunk changes no bit,
-        whichever agent deviates and whatever the time value."""
+        """Settling both arms on one draw per chunk (the deviant alone in
+        mvp) changes no bit, whichever agent deviates and whatever the
+        time value."""
         base = StrategyProfile.symmetric(0.3, n)
         for h in (H1, DEADLINE) if mechanism in ("mvp", "pm_sequential") else (H1,):
             for i in sorted({0, n // 2, n - 1}):
@@ -598,12 +600,14 @@ class TestConfigurationTables:
         them out, and a chunk that meets one is settled directly."""
         table = montecarlo._column_table(self.NOISELESS, PROFILE, sequential=False)
         seen = []
-        core = montecarlo._path_scores(self.NOISELESS, QUAD20, table)
+
+        def core(rows, y):
+            return score(QUAD20, fold_path(self.NOISELESS.prior, table[rows]), y)
 
         def recording(rows, y):
             seen.append((rows.copy(), y.copy()))
             return core(rows, y)
-        lookup = montecarlo._tabulated(recording, montecarlo._in_time_order(table, 2),
+        lookup = montecarlo._tabulated(recording, np.broadcast_to(table, (2, *table.shape)),
                                        self.NOISELESS.prior)
         # a first chunk of 72 trials, as many as the keys: both saw signal 0
         # and the outcome is 0

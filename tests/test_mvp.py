@@ -140,6 +140,13 @@ class TestTimeValueMass:
             TimeValue.table([1.0, 0.5], [1.0, 1.0])
         with pytest.raises(ValueError):
             TimeValue("gaussian")
+        # neither kind silently drops the other kind's fields
+        with pytest.raises(ValueError, match="exponential kind takes no times"):
+            TimeValue("exponential", 2.0, times=(0, 1), values=(1, 1))
+        with pytest.raises(ValueError, match="exponential kind takes no values"):
+            TimeValue("exponential", values=(1, 1))
+        with pytest.raises(ValueError, match="table kind takes no eta, got -3.0"):
+            TimeValue("table", eta=-3.0, times=(0, 1), values=(1, 1))
 
     def test_config_rejects_unknown_key(self):
         # a misspelled rate must not fall back to eta 1
