@@ -190,15 +190,8 @@ def _market_from_args(args) -> tuple[InformationModel, ScoringRule]:
 
 
 def _parse_v(text: str) -> ScoreSequence:
-    return ScoreSequence(np.array([float(x) for x in text.split(",")]))
-
-
-def _eq_to_json(eq, extra=None) -> dict:
-    out = {"effort": eq.effort, "residual": eq.residual, "corner": eq.corner,
-           "bracket": list(eq.bracket)}
-    if extra:
-        out.update(extra)
-    return out
+    with _record("--v"):
+        return ScoreSequence(np.array([float(x) for x in text.split(",")]))
 
 
 def _emit(payload: dict, path: str | None) -> None:
@@ -231,27 +224,22 @@ def cmd_figure(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    n = args.n
+    n, extra = args.n, {"setting": args.setting}
     if args.setting == "mvp":
         v = _parse_v(args.v)
-        eq = mvp_equilibrium(LatencyFamily.exponential(args.lam),
-                             TimeValue.exponential(args.eta), v, n)
-        welfare = mvp_welfare(LatencyFamily.exponential(args.lam),
-                              TimeValue.exponential(args.eta), v, n, eq.effort)
-        _emit(_eq_to_json(eq, {"setting": "mvp", "welfare": welfare}), args.out)
+        latency, h = LatencyFamily.exponential(args.lam), TimeValue.exponential(args.eta)
+        eq = mvp_equilibrium(latency, h, v, n)
+        extra["welfare"] = mvp_welfare(latency, h, v, n, eq.effort)
     elif args.setting == "pm_race":
         eq = pm_race_equilibrium(_parse_v(args.v), n)
-        _emit(_eq_to_json(eq, {"setting": "pm_race"}), args.out)
     elif args.setting == "batch":
-        F = AccessFunction(args.access, args.lam)
-        eq = batch_equilibrium(F, _parse_v(args.v), n)
-        _emit(_eq_to_json(eq, {"setting": "batch"}), args.out)
+        eq = batch_equilibrium(AccessFunction(args.access, args.lam), _parse_v(args.v), n)
     else:  # pm_batch
         F = AccessFunction(args.access, args.lam)
         eq = pm_batch_equilibrium(F, n)
-        _emit(_eq_to_json(eq, {"setting": "pm_batch",
-                               "welfare": pm_batch_welfare(F, n, eq.effort)}),
-              args.out)
+        extra["welfare"] = pm_batch_welfare(F, n, eq.effort)
+    _emit({"effort": eq.effort, "residual": eq.residual, "corner": eq.corner,
+           "bracket": list(eq.bracket), **extra}, args.out)
     return 0
 
 

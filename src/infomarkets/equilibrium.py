@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .info_model import ScoreSequence
+from .info_model import ScoreSequence, _check_inputs
 from .mvp import TimeValue
 from .numerics import (QUAD_TOL, EquilibriumResult, _log_factorials,
                        integrate_segments, solve_decreasing_foc)
@@ -70,13 +70,6 @@ class LatencyFamily:
         t = np.asarray(t, dtype=float)
         out = self.lam * t * np.exp(-self.lam * c * t)
         return float(out) if out.ndim == 0 else out
-
-
-def _check_inputs(v: ScoreSequence, n: int, *efforts: float) -> None:
-    if len(v) < n + 1:
-        raise ValueError(f"need v_0..v_{n}, got {len(v)} values")
-    if min(efforts, default=0.0) < 0:
-        raise ValueError("efforts must be nonnegative")
 
 
 def _resolve_method(method: str, h: TimeValue) -> str:

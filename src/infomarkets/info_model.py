@@ -15,6 +15,7 @@ Each count vector's multinomial weight is taken in log space from
 :func:`numerics._log_factorials`.
 """
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -22,7 +23,7 @@ import numpy as np
 
 from .errors import CapacityError
 from .numerics import _log_factorials
-from .scoring import ScoringRule, expected_score
+from .scoring import ScoringRule, _outcome_sum, expected_score
 
 #: most terms an exact enumeration may visit: signal count vectors in
 #: :func:`v_sequence`, enumerated rows times agents (the report columns
@@ -136,7 +137,7 @@ class ScoreSequence:
         if not np.all(np.isfinite(values)):
             raise ValueError(f"score sequence values must be finite, got {values}")
         if values[0] != 0.0:
-            raise ValueError(f"v_0 must be exactly 0, got {values[0]!r}")
+            raise ValueError(f"v_0 must be exactly 0, got {values[0]}")
         if np.any(np.diff(values) < -1e-12):
             raise ValueError("score sequence must be nondecreasing: more reports "
                              "cannot lower the expected proper score")
@@ -153,6 +154,22 @@ class ScoreSequence:
         deltas = np.diff(self.values)
         deltas.flags.writeable = False
         return deltas
+
+
+def _check_count(name: str, value, least: int) -> None:
+    """Refuse a ``value`` of argument ``name`` that is not an integer >= ``least``, or a bool."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        raise ValueError(f"{name} must be an integer of at least {least}, got {value!r}")
+
+
+def _check_inputs(v: ScoreSequence, n: int, *efforts: float, least: int = 1) -> None:
+    """Every evaluator's check: an integer ``n >= least`` (2 for the races),
+    ``v`` holding v_0..v_n, and nonnegative efforts."""
+    _check_count("n", n, least)
+    if len(v) < n + 1:
+        raise ValueError(f"need v_0..v_{n}, got {len(v)} values")
+    if min(efforts, default=0.0) < 0:
+        raise ValueError("efforts must be nonnegative")
 
 
 def posterior(model: InformationModel, signals) -> Belief:
@@ -219,7 +236,7 @@ def _mean_self_scores(model: InformationModel, rule: ScoringRule, n: int) -> np.
     counts = _count_vectors(model.num_signal_values, n)
     k = counts.sum(axis=1)
     joint = _count_weights(counts, model.likelihood) * model.prior
-    mass = joint.sum(axis=1)
+    mass = _outcome_sum(joint)
     scores = expected_score(rule, joint / np.where(mass > 0, mass, 1.0)[:, None])
     return (np.bincount(k, weights=mass * scores, minlength=n + 1)
             / np.bincount(k, weights=mass, minlength=n + 1))
@@ -231,8 +248,7 @@ def v_sequence(model: InformationModel, rule: ScoringRule, n: int) -> ScoreSeque
     Enumerates the C(n+m, m) signal count vectors with total at most n (286
     for m = 3, n = 10) instead of m^k tuples, within :data:`ENUMERATION_BUDGET`.
     """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
+    _check_count("n", n, 0)
     m = model.num_signal_values
     terms = math.comb(n + m, m)
     if terms > ENUMERATION_BUDGET:

@@ -51,14 +51,14 @@ trial, so :func:`settle_sequential` stays direct.
 """
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .belief import RATIO_CLAMP, _state_table, fold_path, truthful_report
 from .equilibrium import LatencyFamily
 from .fpm import _CHUNK_ELEMENTS, settle_batch
-from .info_model import InformationModel
+from .info_model import InformationModel, _check_count
 from .mvp import TimeValue, _segment_masses, settle_sequential
 from .pm_baseline import AccessFunction
 from .scoring import ScoringRule, score
@@ -248,18 +248,9 @@ class SimStats:
         )
 
     def to_json(self) -> dict:
-        return {
-            "mechanism": self.mechanism,
-            "trials": self.trials,
-            "reward_mean": self.reward_mean.tolist(),
-            "reward_se": self.reward_se.tolist(),
-            "cost_mean": self.cost_mean.tolist(),
-            "cost_se": self.cost_se.tolist(),
-            "utility_mean": self.utility_mean.tolist(),
-            "utility_se": self.utility_se.tolist(),
-            "principal_utility_mean": self.principal_utility_mean,
-            "welfare_mean": self.welfare_mean,
-        }
+        """Every field in declaration order, arrays as lists."""
+        return {key: value.tolist() if isinstance(value, np.ndarray) else value
+                for key, value in asdict(self).items()}
 
 
 def _stream(seed: int, purpose: int, agent: int = 0) -> np.random.Generator:
@@ -602,11 +593,11 @@ def _paired_sequential(model, arms, i, rule, latency, h):
     return settle
 
 
-def _validate_setup(model, mechanism, profile, trials, rule, access, latency, h):
+def _validate_setup(model, mechanism, profile, trials, seed, rule, access, latency, h):
     if mechanism not in MECHANISMS:
         raise ValueError(f"unknown mechanism {mechanism!r}, try one of {MECHANISMS}")
-    if trials < 1:
-        raise ValueError(f"trials must be at least 1, got {trials}")
+    _check_count("trials", trials, 1)
+    _check_count("seed", seed, 0)
     if mechanism in ("fpm", "pm_batch") and access is None:
         raise ValueError(f"{mechanism} needs an AccessFunction")
     if mechanism in ("mvp", "pm_sequential"):
@@ -654,9 +645,9 @@ def _books(model, mechanism, profile, trials, seed, rule, access, latency, h):
     ``books`` holds the chunk's trial-major ``(T, n)`` rewards and
     utilities and its ``(T,)`` value, principal utility and welfare, the
     keys of :func:`per_trial_records`.  Welfare is principal utility plus
-    the agents' utilities, so the identity holds bit for bit.
+    the agents' utilities, so the identity holds bit for bit.  The
+    arguments are those :func:`_validate_setup` has passed.
     """
-    h = _validate_setup(model, mechanism, profile, trials, rule, access, latency, h)
     n = profile.num_agents
     settle = _kernel(model, mechanism, profile, rule, access, latency, h)
     efforts = np.asarray(profile.efforts)
@@ -675,6 +666,7 @@ def per_trial_records(model, mechanism, profile, trials, seed, *,
                       rule=None, access=None, latency=None,
                       h=None) -> dict[str, np.ndarray]:
     """Per-trial books: rewards, value, utilities, principal utility, welfare."""
+    h = _validate_setup(model, mechanism, profile, trials, seed, rule, access, latency, h)
     records = {}
     for sl, books in _books(model, mechanism, profile, trials, seed,
                             rule, access, latency, h):
@@ -697,6 +689,8 @@ def simulate(model: InformationModel, mechanism: str, profile: StrategyProfile,
     configuration, and bit for bit
     ``SimStats.from_records(mechanism, profile, per_trial_records(...))``.
     """
+    h = _validate_setup(model, mechanism, profile, trials, seed, rule, access, latency, h)
+
     def chunks():
         for _, chunk in _books(model, mechanism, profile, trials, seed,
                                rule, access, latency, h):
@@ -730,7 +724,8 @@ def deviation_test(model: InformationModel, mechanism: str,
     two :func:`per_trial_records` runs with the same seed.  Returns
     ``(delta_mean, delta_se)``.
     """
-    if not 0 <= deviant_agent < baseline.num_agents:
+    _check_count("deviant_agent", deviant_agent, 0)
+    if deviant_agent >= baseline.num_agents:
         raise ValueError(f"no agent {deviant_agent} in the profile")
     if isinstance(deviation, ReportPolicy):
         effort, policy = None, deviation
@@ -744,7 +739,7 @@ def deviation_test(model: InformationModel, mechanism: str,
                          f"(effort, ReportPolicy) pair, got {deviation!r}")
     arms = (baseline, baseline.replace_agent(deviant_agent, effort=effort, policy=policy))
 
-    h = _validate_setup(model, mechanism, baseline, trials, rule, access, latency, h)
+    h = _validate_setup(model, mechanism, baseline, trials, seed, rule, access, latency, h)
     i, n = deviant_agent, baseline.num_agents
     if mechanism == "mvp":
         settle = _paired_sequential(model, arms, i, rule, latency, h)

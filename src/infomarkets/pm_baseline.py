@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .info_model import ScoreSequence
+from .info_model import ScoreSequence, _check_count, _check_inputs
 from .numerics import EquilibriumResult, solve_decreasing_foc
 
 
@@ -84,13 +84,13 @@ def pm_batch_utility(F: AccessFunction, n: int, x: float, c: float) -> float:
     The winner among all signal holders is uniform, hence the 1/(k+1)
     sharing factor against k signal-holding competitors.
     """
-    if n < 1:
-        raise ValueError("need n >= 1 agents")
+    _check_count("n", n, 1)
     return F.value(x) * _tie_sharing_factor(F.value(c), n) - x
 
 
 def pm_batch_welfare(F: AccessFunction, n: int, c: float) -> float:
     """Social welfare at symmetric effort: P(any signal) minus total cost."""
+    _check_count("n", n, 1)
     Fc = F.value(c)
     return -np.expm1(n * math.log1p(-Fc)) - c * n if Fc < 1.0 else 1.0 - c * n
 
@@ -103,8 +103,7 @@ def pm_batch_equilibrium(F: AccessFunction, n: int) -> EquilibriumResult:
     cost on the whole domain, so everyone invests the cap 1/lam (a corner
     with strictly positive welfare 1 - n/lam).
     """
-    if n < 2:
-        raise ValueError("the race needs n >= 2 agents")
+    _check_count("n", n, 2)
     if not F.lam > 1:
         raise ValueError("the race is degenerate unless lam > 1")
 
@@ -133,10 +132,7 @@ def pm_race_equilibrium(v: ScoreSequence, n: int) -> EquilibriumResult:
     effort ratios.  The FOC ``gain / (n c) - 1`` has the root c = gain / n;
     zero effort when faster arrival is not worth its cost at any level.
     """
-    if n < 2:
-        raise ValueError("the race needs n >= 2 agents")
-    if len(v) < n + 1:
-        raise ValueError(f"need v_0..v_{n}, got {len(v)} values")
+    _check_inputs(v, n, least=2)
     gain = float(np.dot(_rank_weights(n), v.deltas[:n]))
     if gain <= 0.0:
         return EquilibriumResult(0.0, -1.0, True, (0.0, 0.0))

@@ -82,11 +82,10 @@ def expected_score(rule: ScoringRule, p) -> float | np.ndarray:
     """Self-expected score ``E_{Y~p}[S(p, Y)]``; ``scale * ||p||^2`` for quadratic."""
     probs = _probs(p)
     if rule.kind == "quadratic":
-        raw = np.sum(probs * probs, axis=-1)
+        raw = _outcome_sum(probs, square=True)
     else:
         # 0 * ln 0 is treated as 0
         with np.errstate(divide="ignore", invalid="ignore"):
-            terms = np.where(probs > 0, probs * np.log(probs), 0.0)
-        raw = np.sum(terms, axis=-1)
+            raw = _outcome_sum(np.where(probs > 0, probs * np.log(probs), 0.0))
     out = rule.scale * raw
     return float(out) if out.ndim == 0 else out

@@ -193,6 +193,17 @@ class TestSolve:
         payload = json.loads(capsys.readouterr().out)
         assert payload["welfare"] == pytest.approx(0.19814, abs=1e-4)
 
+    @pytest.mark.parametrize("argv, message", [
+        (["--setting", "mvp", "--n", "0"], "n must be an integer of at least 1, got 0"),
+        (["--setting", "batch", "--n", "-1"], "n must be an integer of at least 1, got -1"),
+        (["--setting", "pm_batch", "--n", "0"], "n must be an integer of at least 2, got 0"),
+        (["--setting", "mvp", "--v", "0,x"], "--v: could not convert string to float: 'x'"),
+        (["--setting", "pm_race", "--v", "1,2"], "--v: v_0 must be exactly 0, got 1.0"),
+    ], ids=["mvp-n", "batch-n", "pm_batch-n", "v-entry", "v-start"])
+    def test_bad_argument_is_named(self, capsys, argv, message):
+        assert main(["solve", *argv]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
 
 class TestSimulate:
     def test_config_driven_run(self, tmp_path, capsys):

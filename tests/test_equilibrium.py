@@ -9,7 +9,8 @@ from infomarkets import (AccessFunction, LatencyFamily, ScoreSequence,
                          TimeValue, batch_equilibrium, batch_welfare,
                          mvp_agent_reward, mvp_br_derivative, mvp_equilibrium,
                          mvp_principal_utility, mvp_welfare,
-                         pm_race_equilibrium)
+                         pm_batch_equilibrium, pm_batch_utility,
+                         pm_batch_welfare, pm_race_equilibrium)
 from infomarkets.equilibrium import TAIL_MASS
 from infomarkets.numerics import FOC_TOL, QUAD_TOL
 from helpers import welfare_foc_root
@@ -445,6 +446,36 @@ class TestQuadratureRoute:
 def test_negative_effort_rejected():
     with pytest.raises(ValueError, match="nonnegative"):
         mvp_welfare(LAT1, H1, seq(0, 1, 1), 2, -0.1)
+
+
+#: every evaluator that takes an agent count n, as a function of n alone
+_V = seq(0, 1, 1.5, 1.75)
+_ACCESS = AccessFunction.exponential(3.0)
+EVALUATORS = {
+    "batch_equilibrium": lambda n: batch_equilibrium(_ACCESS, _V, n),
+    "batch_welfare": lambda n: batch_welfare(_ACCESS, _V, n, 0.1),
+    "mvp_br_derivative": lambda n: mvp_br_derivative(LAT1, H1, _V, n, 0.1, 0.2),
+    "mvp_equilibrium": lambda n: mvp_equilibrium(LAT1, H1, _V, n),
+    "mvp_welfare": lambda n: mvp_welfare(LAT1, H1, _V, n, 0.1),
+    "mvp_agent_reward": lambda n: mvp_agent_reward(LAT1, H1, _V, n, 0.1),
+    "mvp_principal_utility": lambda n: mvp_principal_utility(LAT1, H1, _V, n, 0.1),
+    "pm_batch_utility": lambda n: pm_batch_utility(_ACCESS, n, 0.1, 0.2),
+    "pm_batch_welfare": lambda n: pm_batch_welfare(_ACCESS, n, 0.1),
+    "pm_batch_equilibrium": lambda n: pm_batch_equilibrium(_ACCESS, n),
+    "pm_race_equilibrium": lambda n: pm_race_equilibrium(_V, n),
+}
+
+
+@pytest.mark.parametrize("n", [0, -1, 2.5, True], ids=["0", "-1", "2.5", "True"])
+@pytest.mark.parametrize("name", EVALUATORS)
+def test_agent_count_must_be_a_positive_integer(name, n):
+    with pytest.raises(ValueError, match=r"^n must be an integer of at least [12], got "):
+        EVALUATORS[name](n)
+
+
+@pytest.mark.parametrize("name", EVALUATORS)
+def test_numpy_agent_count_is_an_integer(name):
+    assert EVALUATORS[name](np.int64(2)) == EVALUATORS[name](2)
 
 
 class TestMethodSwitch:

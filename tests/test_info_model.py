@@ -193,9 +193,37 @@ class TestVSequence:
             best = min(best, time.perf_counter() - start)
         assert best < 0.010
 
-    def test_negative_n_rejected(self):
-        with pytest.raises(ValueError):
-            v_sequence(InformationModel.binary_noisy(0.1, 0.1), QUAD, -1)
+    @pytest.mark.parametrize("n", [-1, 2.5, True])
+    def test_n_must_be_a_nonnegative_integer(self, n):
+        with pytest.raises(ValueError, match=r"^n must be an integer of at least 0, got "):
+            v_sequence(InformationModel.binary_noisy(0.1, 0.1), QUAD, n)
+
+    #: the bits of v_1..v_n, frozen before the outcome sums of the
+    #: enumeration moved from numpy's reduction to ``scoring._outcome_sum``
+    PINNED = {
+        ("binary", "quadratic"): [
+            0.03031185031185024, 0.0683751724137931, 0.09392780357904629,
+            0.11467406049421569, 0.12966735136004126, 0.1414031512675583],
+        ("binary", "logarithmic"): [
+            0.07265449359323245, 0.13182149237865776, 0.17622372237860245,
+            0.2103549816356453, 0.23632957283997794, 0.2563245643551342],
+        ("three", "quadratic"): [
+            0.11228438743918623, 0.18789609585937006, 0.24708020702218247,
+            0.29504154775408775],
+        ("three", "logarithmic"): [
+            0.17267512691708364, 0.3002807181062511, 0.4010168548127132,
+            0.4827385622742445],
+    }
+
+    @pytest.mark.parametrize("market, kind", PINNED)
+    def test_bits_are_pinned(self, market, kind):
+        model = {"binary": InformationModel.binary_noisy(0.1, 0.2),
+                 "three": InformationModel(
+                     np.array([0.5, 0.3, 0.2]),
+                     np.array([[0.6, 0.3, 0.1], [0.2, 0.5, 0.3], [0.1, 0.2, 0.7]]))}[market]
+        expected = self.PINNED[market, kind]
+        v = v_sequence(model, ScoringRule(kind), len(expected))
+        assert v.values.tolist() == [0.0] + expected
 
 
 class TestExpectedBaseScore:

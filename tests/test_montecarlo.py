@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 import numbers
 import re
@@ -495,6 +496,12 @@ class TestDeviations:
             deviation_test(MODEL, "fpm", PROFILE, 5, 0.1, 100, 0,
                            rule=QUAD20, access=ACC)
 
+    @pytest.mark.parametrize("agent", [True, 0.5, -1])
+    def test_deviant_agent_must_be_an_index(self, agent):
+        with pytest.raises(ValueError, match=r"^deviant_agent must be an integer of at least 0"):
+            deviation_test(MODEL, "fpm", PROFILE, agent, 0.1, 100, 0,
+                           rule=QUAD20, access=ACC)
+
 
 class TestConfigurationTables:
     """Settling each distinct configuration once and gathering from the
@@ -687,15 +694,18 @@ class TestValidation:
         with pytest.raises(ValueError):
             simulate(MODEL, "mvp", PROFILE, 10, 0, latency=LAT1)
 
-    def test_trials_positive(self):
+    @pytest.mark.parametrize("name, trials, seed", [
+        ("trials", 0, 0), ("trials", -5, 0), ("trials", 2.5, 0), ("trials", True, 0),
+        ("seed", 10, 1.5), ("seed", 10, -1), ("seed", 10, True),
+    ])
+    def test_trials_positive_and_seed_nonnegative_integers(self, name, trials, seed):
         kw = dict(rule=QUAD20, access=ACC)
-        for trials in (0, -5):
-            with pytest.raises(ValueError, match="trials"):
-                simulate(MODEL, "fpm", PROFILE, trials, 0, **kw)
-            with pytest.raises(ValueError, match="trials"):
-                per_trial_records(MODEL, "fpm", PROFILE, trials, 0, **kw)
-            with pytest.raises(ValueError, match="trials"):
-                deviation_test(MODEL, "fpm", PROFILE, 0, 0.5, trials, 0, **kw)
+        message = rf"^{name} must be an integer of at least"
+        for run in (simulate, per_trial_records):
+            with pytest.raises(ValueError, match=message):
+                run(MODEL, "fpm", PROFILE, trials, seed, **kw)
+        with pytest.raises(ValueError, match=message):
+            deviation_test(MODEL, "fpm", PROFILE, 0, 0.5, trials, seed, **kw)
 
     @pytest.mark.parametrize("deviation, effort", [
         (np.int64(1), 1.0), (np.float32(0.5), 0.5), (1, 1.0),
@@ -847,5 +857,13 @@ class TestValidation:
     def test_stats_serialize(self):
         stats = simulate(MODEL, "fpm", PROFILE, 100, 0, rule=QUAD20, access=ACC)
         payload = stats.to_json()
-        assert payload["trials"] == 100
-        assert len(payload["reward_mean"]) == 2
+        assert list(payload) == [
+            "mechanism", "trials", "reward_mean", "reward_se", "cost_mean", "cost_se",
+            "utility_mean", "utility_se", "principal_utility_mean", "welfare_mean"]
+        assert payload["mechanism"] == "fpm" and payload["trials"] == 100
+        assert payload["cost_mean"] == [0.3, 0.3] and payload["cost_se"] == [0.0, 0.0]
+        for key in ("reward_mean", "reward_se", "utility_mean", "utility_se"):
+            assert payload[key] == getattr(stats, key).tolist()
+        assert payload["principal_utility_mean"] == stats.principal_utility_mean
+        assert payload["welfare_mean"] == stats.welfare_mean
+        assert json.loads(json.dumps(payload)) == payload

@@ -131,6 +131,18 @@ class TestExpectedScore:
             direct = sum(p[y] * score(rule, p, y) for y in range(4))
             assert expected_score(rule, p) == pytest.approx(direct, abs=1e-12)
 
+    @pytest.mark.parametrize("d", range(2, 8))
+    def test_equals_numpy_sums_below_eight_outcomes(self, d):
+        """The left-to-right outcome sum moves no bit while numpy adds left to right too."""
+        probs = np.random.default_rng(d).dirichlet(np.ones(d), size=(3, 40))
+        probs[0, :, -1] = 0.0  # the log rule's 0 ln 0 = 0 branch
+        with np.errstate(divide="ignore", invalid="ignore"):
+            terms = np.where(probs > 0, probs * np.log(probs), 0.0)
+        assert np.array_equal(expected_score(QUAD, probs), np.sum(probs * probs, axis=-1))
+        assert np.array_equal(expected_score(LOG, probs), np.sum(terms, axis=-1))
+        assert expected_score(QUAD, probs[1, 0]) == np.sum(probs[1, 0] ** 2)
+        assert expected_score(LOG, probs[0, 0]) == np.sum(terms[0, 0])
+
 
 class TestProperness:
     """Reporting the true belief must (strictly) maximize the expected score."""
