@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .info_model import Belief, InformationModel
+from .info_model import Belief, InformationModel, _check_count
 from .scoring import _outcome_sum
 
 #: degenerate likelihood ratios (0 or infinite) are encoded this far inside (0, 1)
@@ -71,14 +71,12 @@ def truthful_report(model: InformationModel, signal: int) -> ReportVector:
     ``model.likelihood[:, signal]`` itself, which :func:`apply_report` and
     the mechanisms accept.
     """
-    d = model.num_outcomes
-    if d != 2:
+    if model.num_outcomes != 2:
         raise ValueError(
             "the likelihood-ratio encoding is exact only for binary outcome "
             "spaces; for d > 2 submit the likelihood column "
             "model.likelihood[:, signal] as the report")
-    if not 0 <= signal < model.num_signal_values:
-        raise ValueError(f"signal value {signal} outside the likelihood table")
+    _check_count("signal", signal, 0, model.num_signal_values - 1)
     ell = model.likelihood[:, signal]
     clamped = False
     if ell[0] == 0.0 or ell[1] == 0.0:

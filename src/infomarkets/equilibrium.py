@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .info_model import ScoreSequence, _check_inputs
+from .info_model import ScoreSequence, _check_inputs, _check_nonnegative
 from .mvp import TimeValue
 from .numerics import (QUAD_TOL, EquilibriumResult, _log_factorials,
                        integrate_segments, solve_decreasing_foc)
@@ -61,12 +61,13 @@ class LatencyFamily:
         return cls(lam)
 
     def cdf(self, c: float, t):
-        t = np.asarray(t, dtype=float)
-        out = -np.expm1(-self.lam * c * t)
+        _check_nonnegative("c", c)
+        out = -np.expm1(-self.lam * c * np.asarray(t, dtype=float))
         return float(out) if out.ndim == 0 else out
 
     def dcdf_dc(self, c: float, t):
         """Sensitivity of arrival probability to effort, d F_c(t) / d c."""
+        _check_nonnegative("c", c)
         t = np.asarray(t, dtype=float)
         out = self.lam * t * np.exp(-self.lam * c * t)
         return float(out) if out.ndim == 0 else out
@@ -209,7 +210,9 @@ def mvp_br_derivative(latency: LatencyFamily, h: TimeValue, v: ScoreSequence,
     Zero at the best response; the sequential analogue of the batch FOC
     with arrival times doing the rank mixing.
     """
-    _check_inputs(v, n, c_i, c)
+    _check_inputs(v, n)
+    _check_nonnegative("c_i", c_i)
+    _check_nonnegative("c", c)
     deltas = v.deltas[:n]
     if _resolve_method(method, h) == "closed":
         lam = latency.lam
@@ -248,7 +251,8 @@ def mvp_welfare(latency: LatencyFamily, h: TimeValue, v: ScoreSequence,
     Time-integrates the binomial mixture of v_k over how many signals have
     arrived by t, weighted by the time value, minus total effort.
     """
-    _check_inputs(v, n, c)
+    _check_inputs(v, n)
+    _check_nonnegative("c", c)
     values = v.values[:n + 1]
     if _resolve_method(method, h) == "closed":
         plain, _ = _beta_mixture(values.tolist(), h.eta, latency.lam * c)
@@ -259,7 +263,8 @@ def mvp_welfare(latency: LatencyFamily, h: TimeValue, v: ScoreSequence,
 def mvp_agent_reward(latency: LatencyFamily, h: TimeValue, v: ScoreSequence,
                      n: int, c: float, method: str = "auto") -> float:
     """Exact expected reward of one agent under symmetric truthful timely play."""
-    _check_inputs(v, n, c)
+    _check_inputs(v, n)
+    _check_nonnegative("c", c)
     deltas = v.deltas[:n]
     if _resolve_method(method, h) == "closed":
         a = latency.lam * c

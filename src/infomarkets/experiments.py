@@ -119,7 +119,8 @@ def run_fig_noise(params: dict):
     for beta in params["beta_grid"]:
         with _at("fig_noise", f"grid point alpha={params['alpha']}, beta={beta}"):
             v = v_sequence(InformationModel.binary_noisy(params["alpha"], beta), rule, n)
-            row = [beta, v[1], v[2], pm_race_equilibrium(v, n).effort]
+            pm = pm_race_equilibrium(v, n)  # refuses n < 2 before v[2] is read
+            row = [beta, v[1], v[2], pm.effort]
         for lam in lams:
             with _at("fig_noise", f"grid point beta={beta}, lambda={lam}"):
                 eq = _mvp(lam, h, v, n)
@@ -159,11 +160,11 @@ def run_fig_original(params: dict):
         for kind in ("linear", "exponential"):
             with _at("fig_original", f"grid point kind={kind}, n={n}, lambda={lam}"):
                 F = AccessFunction(kind, lam)
+                eq = pm_batch_equilibrium(F, n)  # refuses n < 2 before n - 1 divides
                 if kind == "linear":
                     c_opt = 1.0 / lam - lam ** (-n / (n - 1))
                 else:
                     c_opt = np.log(lam) / (n * lam)
-                eq = pm_batch_equilibrium(F, n)
                 row += [c_opt, pm_batch_welfare(F, n, c_opt), n * c_opt,
                         eq.effort, pm_batch_welfare(F, n, eq.effort), n * eq.effort,
                         eq.residual, int(eq.corner)]

@@ -23,7 +23,7 @@ import numpy as np
 from .belief import _state_table, fold_path, report_column
 from .errors import CapacityError
 from .info_model import (ENUMERATION_BUDGET, Belief, InformationModel,
-                         _count_vectors, _count_weights)
+                         _check_count, _count_vectors, _count_weights)
 from .scoring import ScoringRule, score
 
 #: report-column entries (batches x agents x outcomes) settled at once: a
@@ -91,8 +91,7 @@ def fpm_run(model_prior: Belief, batch: BatchOutcomeReport,
             rule: ScoringRule) -> FpmResult:
     """Settle a batch: aggregated belief plus each agent's leave-one-out reward."""
     d = model_prior.num_outcomes
-    if not 0 <= batch.outcome < d:
-        raise ValueError(f"outcome {batch.outcome} outside the belief support")
+    _check_count("outcome", batch.outcome, 0, d - 1)
     columns = np.array([report_column(r, d) for r in batch.reports])
     aggregated, rewards = settle_batch(model_prior.probs, columns[:, None],
                                        np.array([batch.outcome]), rule)

@@ -33,13 +33,15 @@ ENUMERATION_BUDGET = 10 ** 6
 _PROB_TOL = 1e-12
 
 
-def _validate_distribution(vec: np.ndarray, what: str, tol: float) -> None:
+def _validate_distribution(vec: np.ndarray, what: str, tol: float, least: int = 1) -> None:
+    if vec.ndim != 1 or vec.size < least:
+        raise ValueError(f"{what} must list at least {least} probabilities, got {vec}")
     if not np.all(np.isfinite(vec)):
         raise ValueError(f"{what} has non-finite entries: {vec}")
     if np.any(vec < -tol) or np.any(vec > 1 + tol):
         raise ValueError(f"{what} has entries outside [0, 1]: {vec}")
     if abs(vec.sum() - 1.0) > tol:
-        raise ValueError(f"{what} sums to {vec.sum()!r}, not 1")
+        raise ValueError(f"{what} sums to {float(vec.sum())!r}, not 1")
 
 
 @dataclass(frozen=True)
@@ -52,9 +54,7 @@ class Belief:
         probs = np.asarray(self.probs, dtype=float)
         probs.flags.writeable = False
         object.__setattr__(self, "probs", probs)
-        if probs.ndim != 1 or probs.size < 2:
-            raise ValueError("a belief needs at least two outcome probabilities")
-        _validate_distribution(probs, "belief", 1e-10)
+        _validate_distribution(probs, "belief", 1e-10, least=2)
 
     @classmethod
     def normalized(cls, raw) -> "Belief":
@@ -93,7 +93,7 @@ class InformationModel:
         lik.flags.writeable = False
         object.__setattr__(self, "prior", prior)
         object.__setattr__(self, "likelihood", lik)
-        _validate_distribution(prior, "prior", _PROB_TOL)
+        _validate_distribution(prior, "prior", _PROB_TOL, least=2)
         if lik.ndim != 2 or lik.shape[0] != prior.size:
             raise ValueError("likelihood must be a d x m table matching the prior")
         for y in range(lik.shape[0]):
@@ -102,10 +102,8 @@ class InformationModel:
     @classmethod
     def binary_noisy(cls, alpha: float, beta: float) -> "InformationModel":
         """Binary outcome with prior ``alpha`` on outcome 1 and flip noise ``beta``."""
-        if not 0.0 <= alpha <= 1.0:
-            raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
-        if not 0.0 <= beta <= 0.5:
-            raise ValueError(f"beta must lie in [0, 1/2], got {beta}")
+        _check_nonnegative("alpha", alpha, 1.0)
+        _check_nonnegative("beta", beta, 0.5)
         prior = np.array([1.0 - alpha, alpha])
         likelihood = np.array([[1.0 - beta, beta], [beta, 1.0 - beta]])
         return cls(prior, likelihood)
@@ -156,20 +154,27 @@ class ScoreSequence:
         return deltas
 
 
-def _check_count(name: str, value, least: int) -> None:
-    """Refuse a ``value`` of argument ``name`` that is not an integer >= ``least``, or a bool."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
-        raise ValueError(f"{name} must be an integer of at least {least}, got {value!r}")
+def _check_count(name: str, value, least: int, most: int | None = None) -> None:
+    """Refuse a bool, or anything but an integer from ``least`` to ``most``, as ``name``."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+            or value < least or most is not None and value > most):
+        bound = "" if most is None else f" and at most {most}"
+        raise ValueError(f"{name} must be an integer of at least {least}{bound}, got {value!r}")
 
 
-def _check_inputs(v: ScoreSequence, n: int, *efforts: float, least: int = 1) -> None:
-    """Every evaluator's check: an integer ``n >= least`` (2 for the races),
-    ``v`` holding v_0..v_n, and nonnegative efforts."""
+def _check_nonnegative(name: str, value, most: float = math.inf) -> None:
+    """Refuse a bool, or anything but a finite number in [0, ``most``], as ``name``.
+    Comparisons only, as every FOC evaluation runs it; NaN fails them all."""
+    if not (0 <= value <= most and value < math.inf) or isinstance(value, bool):
+        bound = "" if most == math.inf else f" at most {most}"
+        raise ValueError(f"{name} must be a finite nonnegative number{bound}, got {value!r}")
+
+
+def _check_inputs(v: ScoreSequence, n: int, least: int = 1) -> None:
+    """An evaluator's ``n``, an integer of at least ``least``, and ``v`` holding v_0..v_n."""
     _check_count("n", n, least)
     if len(v) < n + 1:
         raise ValueError(f"need v_0..v_{n}, got {len(v)} values")
-    if min(efforts, default=0.0) < 0:
-        raise ValueError("efforts must be nonnegative")
 
 
 def posterior(model: InformationModel, signals) -> Belief:
@@ -187,8 +192,7 @@ def posterior(model: InformationModel, signals) -> Belief:
     m = model.num_signal_values
     weights = model.prior
     for x in signals:
-        if not 0 <= x < m:
-            raise ValueError(f"signal value {x} outside the table with {m} columns")
+        _check_count("signal", x, 0, m - 1)
         weights = weights * model.likelihood[:, x]
         total = weights.sum()
         if total <= 0:

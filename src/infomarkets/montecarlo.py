@@ -58,7 +58,7 @@ import numpy as np
 from .belief import RATIO_CLAMP, _state_table, fold_path, truthful_report
 from .equilibrium import LatencyFamily
 from .fpm import _CHUNK_ELEMENTS, settle_batch
-from .info_model import InformationModel, _check_count
+from .info_model import InformationModel, _check_count, _check_nonnegative
 from .mvp import TimeValue, _segment_masses, settle_sequential
 from .pm_baseline import AccessFunction
 from .scoring import ScoringRule, score
@@ -74,8 +74,8 @@ class ReportPolicy:
     """What an agent does with the report he would otherwise submit truthfully.
 
     ``perturbed`` shifts the binary ratio entry by ``epsilon``; ``delayed`` adds
-    ``delay`` to the submission time (sequential settings only); ``silent``
-    never reports.
+    ``delay`` (finite, >= 0) to the submission time (sequential settings
+    only); ``silent`` never reports.
     """
 
     kind: str = "truthful"
@@ -87,8 +87,7 @@ class ReportPolicy:
             raise ValueError(f"unknown report policy {self.kind!r}")
         if not math.isfinite(self.epsilon):
             raise ValueError(f"epsilon must be finite, got {self.epsilon!r}")
-        if not (math.isfinite(self.delay) and self.delay >= 0):
-            raise ValueError(f"delay must be finite and nonnegative, got {self.delay!r}")
+        _check_nonnegative("delay", self.delay)
 
 
 TRUTHFUL = ReportPolicy()
@@ -96,18 +95,17 @@ TRUTHFUL = ReportPolicy()
 
 @dataclass(frozen=True)
 class StrategyProfile:
-    """Per-agent efforts and report policies."""
+    """Per-agent efforts (each finite and >= 0, named ``efforts[i]``) and report policies."""
 
     efforts: tuple[float, ...]
     policies: tuple[ReportPolicy, ...] = ()
 
     def __post_init__(self):
-        efforts = tuple(float(c) for c in self.efforts)
-        object.__setattr__(self, "efforts", efforts)
-        if not all(math.isfinite(c) and c >= 0 for c in efforts):
-            raise ValueError(f"efforts must be finite and nonnegative, got {efforts}")
-        policies = tuple(self.policies) or (TRUTHFUL,) * len(efforts)
-        if len(policies) != len(efforts):
+        for i, c in enumerate(self.efforts):
+            _check_nonnegative(f"efforts[{i}]", c)
+        object.__setattr__(self, "efforts", tuple(float(c) for c in self.efforts))
+        policies = tuple(self.policies) or (TRUTHFUL,) * len(self.efforts)
+        if len(policies) != len(self.efforts):
             raise ValueError("one policy per agent required")
         object.__setattr__(self, "policies", policies)
 
@@ -118,8 +116,8 @@ class StrategyProfile:
 
     def replace_agent(self, i: int, effort: float | None = None,
                       policy: ReportPolicy | None = None) -> "StrategyProfile":
-        efforts = list(self.efforts)
-        policies = list(self.policies)
+        _check_count("i", i, 0, self.num_agents - 1)
+        efforts, policies = list(self.efforts), list(self.policies)
         if effort is not None:
             efforts[i] = effort
         if policy is not None:
@@ -406,6 +404,8 @@ def _kernel(model, mechanism, profile, rule, access, latency, h):
 
 
 def _batch_kernel(model, mechanism, profile, rule, access):
+    for i, c in enumerate(profile.efforts):
+        _check_nonnegative(f"efforts[{i}]", c, access.domain_max)
     q = np.array([access.value(c) for c in profile.efforts])[:, None]
 
     if mechanism == "pm_batch":
@@ -607,8 +607,7 @@ def _validate_setup(model, mechanism, profile, trials, seed, rule, access, laten
             h = TimeValue.exponential(1.0)
     if mechanism != "pm_batch" and rule is None:
         raise ValueError(f"{mechanism} needs a ScoringRule")
-    if profile.num_agents < 1:
-        raise ValueError("need at least one agent")
+    _check_count("profile.num_agents", profile.num_agents, 1)
     return h
 
 
@@ -711,8 +710,8 @@ def deviation_test(model: InformationModel, mechanism: str,
                    h: TimeValue | None = None) -> tuple[float, float]:
     """Paired estimate of how a unilateral deviation changes the deviant's utility.
 
-    ``deviation`` is a :class:`ReportPolicy`, an effort level (any real
-    number), or an ``(effort, ReportPolicy)`` pair.  Each chunk is drawn
+    ``deviation`` is a :class:`ReportPolicy`, an effort level (a real >= 0 of
+    any numeric type), or an ``(effort, ReportPolicy)`` pair.  Each chunk is drawn
     once and both arms, baseline and deviant, settle on that draw, so the
     difference has tiny variance; a mean below ``-3 * se`` certifies the
     deviation as harmful.  Each arm takes the deviant's rewards from its
@@ -724,9 +723,7 @@ def deviation_test(model: InformationModel, mechanism: str,
     two :func:`per_trial_records` runs with the same seed.  Returns
     ``(delta_mean, delta_se)``.
     """
-    _check_count("deviant_agent", deviant_agent, 0)
-    if deviant_agent >= baseline.num_agents:
-        raise ValueError(f"no agent {deviant_agent} in the profile")
+    _check_count("deviant_agent", deviant_agent, 0, baseline.num_agents - 1)
     if isinstance(deviation, ReportPolicy):
         effort, policy = None, deviation
     elif _is_effort(deviation):

@@ -23,7 +23,7 @@ import numpy as np
 
 from .belief import fold_path, report_column
 from .errors import ProtocolError
-from .info_model import Belief
+from .info_model import Belief, _check_count, _check_nonnegative
 from .scoring import ScoringRule, score
 
 
@@ -130,17 +130,15 @@ def time_value_mass(h: TimeValue, a, b):
 
 @dataclass(frozen=True)
 class TimedReport:
-    """One agent's single submission: who, when, and what."""
+    """One agent's single submission: who (an index >= 0), when (finite, >= 0), and what."""
 
     agent: int
     time: float
     report: object
 
     def __post_init__(self):
-        if self.agent < 0:
-            raise ValueError(f"agent index must be nonnegative, got {self.agent}")
-        if not (math.isfinite(self.time) and self.time >= 0):
-            raise ValueError(f"report time must be finite and >= 0, got {self.time}")
+        _check_count("agent", self.agent, 0)
+        _check_nonnegative("time", self.time)
 
 
 @dataclass(frozen=True)
@@ -210,20 +208,20 @@ def mvp_run(prior: Belief, reports: list[TimedReport], outcome: int,
     """Run the sequential market on a recorded report stream and settle it.
 
     Returns the trace (the actual belief path) and the reward of every
-    agent ``0 .. num_agents-1``; agents who never reported earn 0.
+    agent ``0 .. num_agents-1`` (by default up to the last reporter);
+    agents who never reported earn 0.
     """
     d = prior.num_outcomes
-    if not 0 <= outcome < d:
-        raise ValueError(f"outcome {outcome} outside the belief support")
+    _check_count("outcome", outcome, 0, d - 1)
+    n = max((r.agent for r in reports), default=-1) + 1 if num_agents is None else num_agents
+    _check_count("num_agents", n, 0)
     seen = set()
     for rep in reports:
+        _check_count("agent", rep.agent, 0, n - 1)
         if rep.agent in seen:
             raise ProtocolError(f"agent {rep.agent} reported twice; each agent "
                                 "may report only once")
         seen.add(rep.agent)
-    n = (max(seen) + 1 if seen else 0) if num_agents is None else num_agents
-    if seen and max(seen) >= n:
-        raise ValueError(f"agent index {max(seen)} outside 0..{n - 1}")
 
     ordered = sorted(reports, key=lambda r: (r.time, r.agent))
     breakpoints = np.array([r.time for r in ordered], dtype=float)

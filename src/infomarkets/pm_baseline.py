@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .info_model import ScoreSequence, _check_count, _check_inputs
+from .info_model import ScoreSequence, _check_count, _check_inputs, _check_nonnegative
 from .numerics import EquilibriumResult, solve_decreasing_foc
 
 
@@ -54,20 +54,16 @@ class AccessFunction:
         return 1.0 / self.lam if self.kind == "linear" else math.inf
 
     def value(self, c: float) -> float:
-        self._check_domain(c)
+        _check_nonnegative("c", c, self.domain_max)
         if self.kind == "linear":
             return self.lam * c
         return -math.expm1(-self.lam * c)
 
     def derivative(self, c: float) -> float:
-        self._check_domain(c)
+        _check_nonnegative("c", c, self.domain_max)
         if self.kind == "linear":
             return self.lam
         return self.lam * math.exp(-self.lam * c)
-
-    def _check_domain(self, c: float) -> None:
-        if c < 0 or c > self.domain_max:
-            raise ValueError(f"effort {c} outside [0, {self.domain_max}]")
 
 
 def _tie_sharing_factor(F: float, n: int) -> float:
@@ -85,6 +81,7 @@ def pm_batch_utility(F: AccessFunction, n: int, x: float, c: float) -> float:
     sharing factor against k signal-holding competitors.
     """
     _check_count("n", n, 1)
+    _check_nonnegative("x", x, F.domain_max)
     return F.value(x) * _tie_sharing_factor(F.value(c), n) - x
 
 

@@ -119,7 +119,9 @@ class TestFigure:
     @pytest.mark.parametrize("experiment, parameters, needle", [
         ("fig_eas", {"n": 1}, "n=1"),
         ("fig_noise", {"beta_grid": [0.6]}, "beta=0.6"),
-    ], ids=["fig_eas_n", "fig_noise_beta"])
+        ("fig_original", {"n_grid": [1]}, "n=1, lambda=3.0: n must be an integer"),
+        ("fig_noise", {"n": 1}, "beta=0.0: n must be an integer of at least 2, got 1"),
+    ], ids=["fig_eas_n", "fig_noise_beta", "fig_original_n", "fig_noise_n"])
     def test_bad_parameter_value_is_named(self, tmp_path, capsys, experiment,
                                           parameters, needle):
         cfg_path = tmp_path / "cfg.json"
@@ -342,6 +344,15 @@ def test_missing_config_key_is_named(tmp_path, capsys, command, cfg, message):
     assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
 
 
+def test_one_outcome_model_is_refused(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({**SIM_CFG, "model": {"kind": "table", "prior": [1.0],
+                                                     "likelihood": [[0.5, 0.5]]}}))
+    assert main(["simulate", "--config", str(path)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: prior must list at least 2 probabilities, got [1.]"]
+
+
 @pytest.mark.parametrize("command, cfg, needle", [
     ("simulate", {**SIM_CFG, "h": "fast"}, "time value h"),
     ("simulate", {**SIM_CFG, "h": [1, 2]}, "time value h"),
@@ -434,8 +445,8 @@ def test_batch_report_error_names_its_slot(tmp_path, capsys, reports, message):
     ("x, 0.5, 0.8", "invalid literal for int() with base 10: 'x'"),
     ("0, abc, 0.8", "could not convert string to float: 'abc'"),
     ("0, 0.5, zz", "could not convert string to float: 'zz'"),
-    ("-1, 0.5, 0.8", "agent index must be nonnegative, got -1"),
-    ("0, nan, 0.8", "report time must be finite and >= 0, got nan"),
+    ("-1, 0.5, 0.8", "agent must be an integer of at least 0, got -1"),
+    ("0, nan, 0.8", "time must be a finite nonnegative number, got nan"),
     ("0, 0.5, 1.5", "report entry 1.5 is not strictly inside (0, 1)"),
     ("0, 0.5, nan, 0.3", "likelihood column entries must be finite, got [nan, 0.3]"),
     ("0, 0.5, 1e308, 1e308",

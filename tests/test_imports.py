@@ -2,8 +2,9 @@
 
 Every name a module imports is used in it (the re-exports of
 ``__init__`` are exempt), every private module-level name is read
-somewhere in the library, and only the modules that validate inputs import
-the config checks: every other module takes built objects, not configs.
+somewhere in the library, only the modules that validate inputs import
+the config checks (every other module takes built objects, not configs),
+and only ``info_model`` defines argument checks.
 """
 import ast
 import pathlib
@@ -54,6 +55,15 @@ def private_definitions(tree: ast.Module) -> list[str]:
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             names += [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
     return [name for name in names if name.startswith("_") and not name.startswith("__")]
+
+
+def test_domain_checks_live_in_info_model():
+    """Every argument check (a ``_check_*`` function or method) is defined in
+    ``info_model``, so each domain rule has one home."""
+    homes = {path.stem for path in MODULES for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+             and node.name.startswith("_check_")}
+    assert homes == {"info_model"}
 
 
 def test_every_private_name_is_read():

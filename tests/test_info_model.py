@@ -241,6 +241,17 @@ class TestTypes:
         with pytest.raises(ValueError):
             InformationModel(np.array([0.6, 0.6]), np.eye(2))
 
+    def test_prior_sum_prints_as_a_plain_float(self):
+        with pytest.raises(ValueError, match=r"^prior sums to 0\.0, not 1$"):
+            InformationModel(np.array([0.0, 0.0]), np.eye(2))
+
+    @pytest.mark.parametrize("prior, likelihood", [
+        ([1.0], [[0.5, 0.5]]), ([[0.5, 0.5]], [[1.0]]),
+    ], ids=["one_outcome", "two_dimensional"])
+    def test_prior_needs_two_outcomes(self, prior, likelihood):
+        with pytest.raises(ValueError, match=r"^prior must list at least 2 probabilities, got "):
+            InformationModel(prior, likelihood)
+
     def test_likelihood_rows_must_be_distributions(self):
         with pytest.raises(ValueError):
             InformationModel(np.array([0.5, 0.5]),
