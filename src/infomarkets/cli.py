@@ -9,11 +9,14 @@ Subcommands expose every piece of the library for scripted use:
 * ``settle-mvp``     -- settle a recorded timed-report stream.
 
 Every file and config format the commands read is parsed here, and only here.
-Exit codes: 0 success, 1 numerical failure, 2 usage error.  A config key
-that nothing reads (in a figure or simulation config, or in a rule, access
-or time-value entry) is a usage error that names the key, and so is a
-required key that is missing, or a bad record of a batch file or a report
-stream, named ``report k`` or ``line k``.
+Exit codes: 0 success, 1 numerical failure, 2 usage error.  Each reader
+declares the keys of its entry once, with their types and defaults, and
+reads them through :func:`errors.read_config`; a nested entry (a model,
+profile, policy, rule, access, latency or time value) is read and named by
+its own reader.  An unknown key, a missing required key and a value of the
+wrong type are usage errors that name the entry and the key, and so is a
+bad record of a batch file or a report stream, named ``report k`` or
+``line k``.
 """
 import argparse
 import json
@@ -25,8 +28,7 @@ import numpy as np
 from .belief import ReportVector, report_column
 from .equilibrium import (LatencyFamily, batch_equilibrium, mvp_equilibrium,
                           mvp_welfare)
-from .errors import (CapacityError, NumericalError, check_type,
-                     reject_unknown_keys, require_keys)
+from .errors import CapacityError, NumericalError, check_type, read_config
 from .experiments import EXPERIMENTS, run_experiment, write_csv
 from .fpm import BatchOutcomeReport, fpm_run
 from .info_model import InformationModel, ScoreSequence
@@ -54,86 +56,83 @@ def _record(where: str):
         raise ValueError(f"{where}: {exc}") from None
 
 
+def _read_kind(what: str, noun: str, cfg, kinds: dict, default=None) -> tuple[str, dict]:
+    """The ``kind`` of the config object ``cfg`` (``default`` if it has none),
+    one of ``kinds``, and its entries read by ``kinds[kind]``, the fields
+    of that kind besides ``kind``.  ``what`` names ``cfg`` until its kind
+    is known, ``"<kind> <noun>"`` after."""
+    if "kind" not in check_type(what, None, cfg, "object") and default is None:
+        raise ValueError(f"{what}: missing key 'kind'")
+    kind = check_type(what, "kind", cfg.get("kind", default), "string")
+    if kind not in kinds:
+        raise ValueError(f"unknown {noun} kind {kind!r}")
+    return kind, read_config(f"{kind} {noun}", cfg, {"kind": ("string", kind), **kinds[kind]})
+
+
+#: model kind -> its fields; a legacy agent count is accepted and ignored
+_MODEL_FIELDS = {kind: {**fields, "num_agents": ("integer", None)} for kind, fields in {
+    "binary_noisy": {"alpha": "number", "beta": "number"},
+    "table": {"prior": "list of number", "likelihood": "list of list of number"}}.items()}
+
+#: time-value kind -> its fields
+_TIME_VALUE_FIELDS = {"exponential": {"eta": ("number", 1.0)},
+                      "table": {"times": "list of number", "values": "list of number"}}
+
+
 def _model_from_config(cfg) -> InformationModel:
     """``{kind: "binary_noisy", alpha, beta}`` or ``{kind: "table", prior,
     likelihood}``; of the keys a kind does not read, only ``num_agents`` passes."""
-    check_type("model config", None, cfg, "object")
-    require_keys("model config", cfg, ("kind",))
-    kind = check_type("model config", "kind", cfg["kind"], "string")
-    keys = {"binary_noisy": ("alpha", "beta"),
-            "table": ("prior", "likelihood")}.get(kind)
-    if keys is None:
-        raise ValueError(f"unknown model kind {kind!r}")
-    reject_unknown_keys(f"{kind} model", cfg, ("kind", "num_agents") + keys)
-    require_keys(f"{kind} model", cfg, keys)
+    kind, cfg = _read_kind("model config", "model", cfg, _MODEL_FIELDS)
     if kind == "binary_noisy":
-        alpha, beta = (check_type("binary_noisy model", key, cfg[key], "number")
-                       for key in keys)
-        return InformationModel.binary_noisy(float(alpha), float(beta))
-    return InformationModel(np.asarray(cfg["prior"], float),
-                            np.asarray(cfg["likelihood"], float))
+        return InformationModel.binary_noisy(float(cfg["alpha"]), float(cfg["beta"]))
+    return InformationModel(cfg["prior"], cfg["likelihood"])
 
 
 def _rule_from_config(cfg) -> ScoringRule:
     """``{"rule": "quadratic" | "log", "scale": <real>}``."""
-    reject_unknown_keys("scoring rule", cfg, ("rule", "scale"))
-    name = check_type("scoring rule", "rule", cfg.get("rule", "quadratic"), "string")
-    kind = {"log": "logarithmic"}.get(name, name)
+    cfg = read_config("scoring rule", cfg, {"rule": ("string", "quadratic"),
+                                            "scale": ("number", 1.0)})
+    kind = {"log": "logarithmic"}.get(cfg["rule"], cfg["rule"])
     if kind not in KINDS:
-        raise ValueError(f"unknown scoring rule {name!r}")
-    scale = check_type("scoring rule", "scale", cfg.get("scale", 1.0), "number")
-    return ScoringRule(kind, float(scale))
+        raise ValueError(f"unknown scoring rule {cfg['rule']!r}")
+    return ScoringRule(kind, float(cfg["scale"]))
 
 
 def _access_from_config(cfg) -> AccessFunction:
     """``{"kind": "linear" | "exponential", "lambda": <real>}``."""
-    reject_unknown_keys("access function", cfg, ("kind", "lambda"))
-    require_keys("access function", cfg, ("kind", "lambda"))
-    return AccessFunction(cfg["kind"], float(check_type("access function", "lambda",
-                                                        cfg["lambda"], "number")))
+    cfg = read_config("access function", cfg, {"kind": "string", "lambda": "number"})
+    return AccessFunction(cfg["kind"], float(cfg["lambda"]))
 
 
 def _latency_from_config(cfg) -> LatencyFamily:
     """``{"lambda": <real>}``: arrival after an Exp(lambda * effort) time."""
-    reject_unknown_keys("latency", cfg, ("lambda",))
-    require_keys("latency", cfg, ("lambda",))
-    return LatencyFamily.exponential(float(check_type("latency", "lambda",
-                                                      cfg["lambda"], "number")))
+    return LatencyFamily.exponential(float(read_config("latency", cfg,
+                                                       {"lambda": "number"})["lambda"]))
 
 
 def _time_value_from_config(cfg) -> TimeValue:
     """A decay rate eta (a real number), or an exponential or table object."""
-    check_type("time value h", None, cfg, "number or object")
-    if not isinstance(cfg, dict):
+    if not isinstance(check_type("time value h", None, cfg, "number or object"), dict):
         return TimeValue.exponential(float(cfg))
-    kind = check_type("time value h", "kind", cfg.get("kind", "exponential"), "string")
-    if kind not in ("exponential", "table"):
-        raise ValueError(f"unknown time value kind {kind!r}")
+    kind, cfg = _read_kind("time value h", "time value", cfg, _TIME_VALUE_FIELDS,
+                           "exponential")
     if kind == "exponential":
-        reject_unknown_keys("exponential time value", cfg, ("kind", "eta"))
-        eta = check_type("exponential time value", "eta", cfg.get("eta", 1.0), "number")
-        return TimeValue.exponential(float(eta))
-    reject_unknown_keys("table time value", cfg, ("kind", "times", "values"))
-    require_keys("table time value", cfg, ("times", "values"))
-    times, values = (check_type("table time value", key, cfg[key], "list of number")
-                     for key in ("times", "values"))
-    return TimeValue.table(times, values)
+        return TimeValue.exponential(float(cfg["eta"]))
+    return TimeValue.table(cfg["times"], cfg["values"])
 
 
 def _policy_from_config(cfg) -> ReportPolicy:
-    try:
-        return ReportPolicy(**cfg)
-    except TypeError as exc:  # an unknown key, or a value of the wrong type
-        raise ValueError(f"policy {cfg!r}: {exc}") from None
+    """``{"kind": ..., "epsilon": <real>, "delay": <real>}``, all optional."""
+    return ReportPolicy(**read_config("report policy", cfg, {
+        "kind": ("string", "truthful"), "epsilon": ("number", 0.0), "delay": ("number", 0.0)}))
 
 
 def _profile_from_config(cfg) -> StrategyProfile:
     """``{"efforts": [...], "policies": [{"kind": ..., ...}, ...]}``."""
-    reject_unknown_keys("profile", cfg, ("efforts", "policies"))
-    require_keys("profile", cfg, ("efforts",))
-    efforts, policies = (check_type("profile", key, cfg.get(key, []), kind) for key, kind
-                         in (("efforts", "list of number"), ("policies", "list of object")))
-    return StrategyProfile(tuple(efforts), tuple(_policy_from_config(p) for p in policies))
+    cfg = read_config("profile", cfg, {"efforts": "list of number",
+                                       "policies": ("list of object", [])})
+    return StrategyProfile(tuple(cfg["efforts"]),
+                           tuple(_policy_from_config(p) for p in cfg["policies"]))
 
 
 def _parse_report(entries, num_outcomes: int):
@@ -151,15 +150,13 @@ def _parse_report(entries, num_outcomes: int):
 
 def _batch_from_json(record, num_outcomes: int) -> BatchOutcomeReport:
     """``{"reports": [[...], ...], "outcome": y}``; an error in report k names it."""
-    reject_unknown_keys("batch file", record, ("reports", "outcome"))
-    require_keys("batch file", record, ("reports", "outcome"))
-    entries = check_type("batch file", "reports", record["reports"], "list of list of number")
+    record = read_config("batch file", record, {"reports": "list of list of number",
+                                                "outcome": "integer"})
     reports = []
-    for slot, entry in enumerate(entries):
+    for slot, entry in enumerate(record["reports"]):
         with _record(f"report {slot}"):
             reports.append(_parse_report(entry, num_outcomes))
-    return BatchOutcomeReport(tuple(reports),
-                              check_type("batch file", "outcome", record["outcome"], "integer"))
+    return BatchOutcomeReport(tuple(reports), record["outcome"])
 
 
 def _reports_from_stream(lines, num_outcomes: int) -> list[TimedReport]:
@@ -204,21 +201,16 @@ def _emit(payload: dict, path: str | None) -> None:
 
 
 def cmd_figure(args) -> int:
-    cfg = {"experiment": args.name}
-    if args.config:
-        cfg = _load_json(args.config)
-        reject_unknown_keys("figure config", cfg,
-                            ("experiment", "parameters", "output_path"))
-        require_keys("figure config", cfg, ("experiment",))
-        check_type("figure config", "experiment", cfg["experiment"], "string")
-        check_type("figure config", "output_path", cfg.get("output_path", "."), "string")
-        if args.name and args.name != cfg["experiment"]:
-            raise SystemExit(f"config is for {cfg['experiment']!r}, "
-                             f"not {args.name!r}")
-    elif not args.name:
+    if not (args.name or args.config):
         raise SystemExit("a figure name or --config is required")
-    paths = run_experiment(cfg["experiment"], cfg.get("parameters"),
-                           args.out or cfg.get("output_path", "."))
+    cfg = read_config("figure config",
+                      _load_json(args.config) if args.config else {"experiment": args.name},
+                      {"experiment": "string", "parameters": ("value", None),
+                       "output_path": ("string", ".")})
+    if args.name and args.name != cfg["experiment"]:
+        raise SystemExit(f"config is for {cfg['experiment']!r}, not {args.name!r}")
+    paths = run_experiment(cfg["experiment"], cfg["parameters"],
+                           args.out or cfg["output_path"])
     print("\n".join(paths))
     return 0
 
@@ -244,22 +236,18 @@ def cmd_solve(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    cfg = _load_json(args.config)
-    reject_unknown_keys("simulate config", cfg, ("model", "mechanism", "profile",
-                        "trials", "seed", "rule", "access", "latency", "h"))
-    require_keys("simulate config", cfg, ("model", "mechanism", "profile"))
-    profile = _profile_from_config(cfg["profile"])
-    latency = _latency_from_config(cfg["latency"]) if "latency" in cfg else None
-    model = _model_from_config(cfg["model"])
+    # each nested entry is checked and named by its own reader
+    cfg = read_config("simulate config", _load_json(args.config), {
+        "model": "value", "mechanism": "string", "profile": "value",
+        "trials": ("integer", 10000), "seed": ("integer", 0), "rule": ("value", None),
+        "access": ("value", None), "latency": ("value", None), "h": ("value", None)})
+    profile, model = _profile_from_config(cfg["profile"]), _model_from_config(cfg["model"])
+    kw = {key: None if cfg[key] is None else read(cfg[key]) for key, read in (
+        ("rule", _rule_from_config), ("access", _access_from_config),
+        ("latency", _latency_from_config), ("h", _time_value_from_config))}
     mechanism = cfg["mechanism"]
-    trials = (args.trials if args.trials is not None else
-              check_type("simulate config", "trials", cfg.get("trials", 10000), "integer"))
-    seed = (args.seed if args.seed is not None else
-            check_type("simulate config", "seed", cfg.get("seed", 0), "integer"))
-    rule = _rule_from_config(cfg["rule"]) if "rule" in cfg else None
-    access = _access_from_config(cfg["access"]) if "access" in cfg else None
-    h = _time_value_from_config(cfg["h"]) if "h" in cfg else None
-    kw = dict(rule=rule, access=access, latency=latency, h=h)
+    trials = cfg["trials"] if args.trials is None else args.trials
+    seed = cfg["seed"] if args.seed is None else args.seed
     if args.per_trial_csv:
         # the dump needs every trial's books; they reduce to the same stats
         rec = per_trial_records(model, mechanism, profile, trials, seed, **kw)

@@ -26,7 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .info_model import ScoreSequence, _check_inputs, _check_nonnegative
+from .info_model import (ScoreSequence, _check_inputs, _check_nonnegative,
+                         _check_nonnegative_array)
 from .mvp import TimeValue
 from .numerics import (QUAD_TOL, EquilibriumResult, _log_factorials,
                        integrate_segments, solve_decreasing_foc)
@@ -62,13 +63,13 @@ class LatencyFamily:
 
     def cdf(self, c: float, t):
         _check_nonnegative("c", c)
-        out = -np.expm1(-self.lam * c * np.asarray(t, dtype=float))
+        out = -np.expm1(-self.lam * c * _check_nonnegative_array("t", t))
         return float(out) if out.ndim == 0 else out
 
     def dcdf_dc(self, c: float, t):
         """Sensitivity of arrival probability to effort, d F_c(t) / d c."""
         _check_nonnegative("c", c)
-        t = np.asarray(t, dtype=float)
+        t = _check_nonnegative_array("t", t)
         out = self.lam * t * np.exp(-self.lam * c * t)
         return float(out) if out.ndim == 0 else out
 

@@ -1,5 +1,6 @@
-"""Exception types, and the config checks with which :mod:`infomarkets.cli`
-parses every file and config format and ``run_experiment`` its parameters."""
+"""Exception types, and the config checks: :func:`read_config`, through which
+:mod:`infomarkets.cli` reads every entry of every file and config format
+and ``run_experiment`` its parameters, and the :func:`check_type` it runs."""
 import numbers
 
 
@@ -20,30 +21,14 @@ class ProtocolError(ValueError):
     """A report stream violates the one-report-per-agent rule."""
 
 
-def reject_unknown_keys(what: str, cfg: dict, accepted) -> None:
-    """Raise ValueError naming every key of ``cfg`` outside ``accepted``."""
-    if not isinstance(cfg, dict):
-        raise ValueError(f"{what} must be an object, got {cfg!r}")
-    unknown = sorted(set(cfg) - set(accepted))
-    if unknown:
-        raise ValueError(f"{what}: unknown key(s) {unknown}; "
-                         f"accepted: {sorted(accepted)}")
-
-
-def require_keys(what: str, cfg: dict, required) -> None:
-    """Raise ValueError naming the first key of ``required`` missing from
-    ``cfg``, a dict that has passed :func:`reject_unknown_keys`."""
-    for key in required:
-        if key not in cfg:
-            raise ValueError(f"{what}: missing key {key!r}")
-
-
 #: the scalar config types :func:`check_type` knows, as JSON names them
 _SCALAR_TYPES = {
     "number": lambda x: isinstance(x, numbers.Real) and not isinstance(x, bool),
     "integer": lambda x: isinstance(x, numbers.Integral) and not isinstance(x, bool),
     "string": lambda x: isinstance(x, str),
     "object": lambda x: isinstance(x, dict),
+    # anything but null: an entry its own reader checks and names
+    "value": lambda x: x is not None,
 }
 
 
@@ -78,3 +63,27 @@ def check_type(what: str, key: str | None, value, kind: str):
         where = what if key is None else f"{what}: {key!r}"
         raise ValueError(f"{where} must be {_describe(kind)}, got {value!r}")
     return value
+
+
+def read_config(what: str, cfg, fields: dict) -> dict:
+    """The entries of the config object ``cfg``, named ``what``, by key, with
+    the default of every optional key that ``cfg`` lacks.
+
+    ``fields`` maps each accepted key to its config type (see
+    :func:`check_type`), or to ``(type, default)`` if the key is optional.
+    The first of these faults is a ValueError naming it: ``cfg`` is not an
+    object; keys outside ``fields`` (all named); a missing required key; a
+    value of the wrong type (the first in ``fields`` order for both).
+    """
+    check_type(what, None, cfg, "object")
+    unknown = sorted(set(cfg) - set(fields))
+    if unknown:
+        raise ValueError(f"{what}: unknown key(s) {unknown}; accepted: {sorted(fields)}")
+    missing = [key for key, field in fields.items() if isinstance(field, str) and key not in cfg]
+    if missing:
+        raise ValueError(f"{what}: missing key {missing[0]!r}")
+    out = {}
+    for key, field in fields.items():
+        kind, default = (field, None) if isinstance(field, str) else field
+        out[key] = check_type(what, key, cfg[key], kind) if key in cfg else default
+    return out

@@ -25,7 +25,7 @@ import numpy as np
 from . import __version__
 from .equilibrium import (LatencyFamily, mvp_equilibrium,
                           mvp_principal_utility, mvp_welfare)
-from .errors import NumericalError, check_type, reject_unknown_keys
+from .errors import NumericalError, read_config
 from .info_model import (InformationModel, ScoreSequence, expected_base_score,
                          v_sequence)
 from .mvp import TimeValue
@@ -225,20 +225,19 @@ def run_experiment(name: str, parameters: dict | None = None,
                    output_path: str = ".") -> list[str]:
     """Evaluate one experiment grid; returns the paths written.
 
-    ``parameters`` overrides the experiment's defaults key by key.  A key
-    that is not among them, or a value whose type differs from its
-    default's (an integer, a number, or a list of either), is a
-    ValueError, raised before any file is written.
+    ``parameters`` overrides the experiment's defaults key by key; it is
+    read through :func:`errors.read_config` with one field per default,
+    typed by :func:`_config_type`.  A key that is not among them, or a
+    value whose type differs from its default's (an integer, a number, or
+    a list of either), is a ValueError, raised before any file is written.
     The manifest records the resolved parameters.
     """
     if name not in _TABLE:
         raise ValueError(f"unknown experiment {name!r}, try one of {EXPERIMENTS}")
     runner, defaults = _TABLE[name]
-    parameters = parameters or {}
-    reject_unknown_keys(f"{name} parameters", parameters, defaults)
-    for key, value in parameters.items():
-        check_type(f"{name} parameters", key, value, _config_type(defaults[key]))
-    resolved = {**defaults, **parameters}
+    resolved = read_config(f"{name} parameters", {} if parameters is None else parameters,
+                           {key: (_config_type(value), value)
+                            for key, value in defaults.items()})
     started = time.perf_counter()
     header, rows = runner(resolved)
     os.makedirs(output_path, exist_ok=True)

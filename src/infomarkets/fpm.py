@@ -123,6 +123,8 @@ def fpm_expected_reward(model: InformationModel, rule: ScoringRule,
     unknown = sorted(set(override) - set(range(n)))
     if unknown:
         raise ValueError(f"report_override names agents {unknown} outside 0..{n - 1}")
+    for agent in override:  # each equals an agent index; refuse True and 1.0
+        _check_count("report_override key", agent, 0)
     classes = {}
     for i in range(n):
         classes.setdefault((i,) if i in override else float(q[i]), []).append(i)

@@ -88,14 +88,18 @@ class InformationModel:
 
     def __post_init__(self):
         prior = np.asarray(self.prior, dtype=float)
-        lik = np.asarray(self.likelihood, dtype=float)
+        try:
+            lik = np.asarray(self.likelihood, dtype=float)
+        except ValueError:  # ragged rows
+            lik = np.empty(0)
         prior.flags.writeable = False
         lik.flags.writeable = False
         object.__setattr__(self, "prior", prior)
-        object.__setattr__(self, "likelihood", lik)
         _validate_distribution(prior, "prior", _PROB_TOL, least=2)
         if lik.ndim != 2 or lik.shape[0] != prior.size:
-            raise ValueError("likelihood must be a d x m table matching the prior")
+            raise ValueError(f"likelihood must be a d x m table matching the prior, "
+                             f"got {self.likelihood!r}")
+        object.__setattr__(self, "likelihood", lik)
         for y in range(lik.shape[0]):
             _validate_distribution(lik[y], f"likelihood row {y}", _PROB_TOL)
 
@@ -168,6 +172,16 @@ def _check_nonnegative(name: str, value, most: float = math.inf) -> None:
     if not (0 <= value <= most and value < math.inf) or isinstance(value, bool):
         bound = "" if most == math.inf else f" at most {most}"
         raise ValueError(f"{name} must be a finite nonnegative number{bound}, got {value!r}")
+
+
+def _check_nonnegative_array(name: str, values) -> np.ndarray:
+    """``values`` as a float array; refuse it as ``name`` unless every entry
+    is nonnegative, +inf included.  NaN fails the comparison."""
+    values = np.asarray(values, dtype=float)
+    if not (values >= 0).all():
+        raise ValueError(f"{name} must be nonnegative in every entry (+inf allowed), "
+                         f"got {values}")
+    return values
 
 
 def _check_inputs(v: ScoreSequence, n: int, least: int = 1) -> None:

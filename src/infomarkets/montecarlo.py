@@ -75,7 +75,8 @@ class ReportPolicy:
 
     ``perturbed`` shifts the binary ratio entry by ``epsilon``; ``delayed`` adds
     ``delay`` (finite, >= 0) to the submission time (sequential settings
-    only); ``silent`` never reports.
+    only); ``silent`` never reports.  No other kind takes a nonzero
+    ``epsilon`` or ``delay``.
     """
 
     kind: str = "truthful"
@@ -88,6 +89,10 @@ class ReportPolicy:
         if not math.isfinite(self.epsilon):
             raise ValueError(f"epsilon must be finite, got {self.epsilon!r}")
         _check_nonnegative("delay", self.delay)
+        for name, kind in (("epsilon", "perturbed"), ("delay", "delayed")):
+            if getattr(self, name) != 0 and self.kind != kind:
+                raise ValueError(f"the {self.kind} policy takes no {name}, "
+                                 f"got {getattr(self, name)!r}")
 
 
 TRUTHFUL = ReportPolicy()

@@ -23,7 +23,8 @@ import numpy as np
 
 from .belief import fold_path, report_column
 from .errors import ProtocolError
-from .info_model import Belief, _check_count, _check_nonnegative
+from .info_model import (Belief, _check_count, _check_nonnegative,
+                         _check_nonnegative_array)
 from .scoring import ScoringRule, score
 
 
@@ -92,7 +93,7 @@ class TimeValue:
         return x, y, below
 
     def density(self, t):
-        t = np.asarray(t, dtype=float)
+        t = _check_nonnegative_array("t", t)
         if self.kind == "exponential":
             out = self.eta * np.exp(-self.eta * t)
         else:
@@ -106,7 +107,7 @@ class TimeValue:
         A linear interpolant integrates exactly: trapezoid sums up to the
         knot x_j below t, plus ``(t - x_j) * (h(x_j) + h(t)) / 2``.
         """
-        t = np.asarray(t, dtype=float)
+        t = _check_nonnegative_array("t", t)
         if self.kind == "exponential":
             return np.exp(-self.eta * t)
         x, y, below = self._knots
@@ -119,9 +120,10 @@ class TimeValue:
 def time_value_mass(h: TimeValue, a, b):
     """Interval masses of the time-value density, integral of h over [a, b].
 
-    ``a`` and ``b`` broadcast elementwise; either may be infinite.
+    ``a`` and ``b`` broadcast elementwise; each entry is >= 0, and may be infinite.
     """
-    a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
+    a, b = np.broadcast_arrays(_check_nonnegative_array("a", a),
+                               _check_nonnegative_array("b", b))
     if np.any(a > b):
         raise ValueError(f"empty interval [{a}, {b}]")
     out = h.tail(a) - h.tail(b)

@@ -378,10 +378,21 @@ def test_one_outcome_model_is_refused(tmp_path, capsys):
      "fig_eas parameters: 'n'"),
     ("figure", {"experiment": "fig_late", "parameters": {"k_max": 3.7}},
      "fig_late parameters: 'k_max'"),
+    ("simulate", {**SIM_CFG, "profile": {"efforts": [0.3], "policies": [
+        {"kind": "perturbed", "epsilon": True}]}}, "report policy: 'epsilon'"),
+    ("simulate", {**SIM_CFG, "model": {"kind": "table", "prior": [True, False],
+                                       "likelihood": [[0.9, 0.1], [0.1, 0.9]]}},
+     "table model: 'prior'"),
+    ("simulate", {**SIM_CFG, "model": {"kind": "table", "prior": [0.5, 0.5],
+                                       "likelihood": [[0.9, 0.1], [0.1]]}},
+     "likelihood must be a d x m table"),
+    ("simulate", {**SIM_CFG, "profile": {"efforts": [0.3], "policies": [
+        {"kind": "truthful", "delay": 0.5}]}}, "the truthful policy takes no delay"),
 ], ids=["h_string", "h_list", "h_bool", "efforts", "policies", "n_grid", "lambdas",
         "eta_list", "effort_entries", "latency_lambda", "table_times", "rule_name",
         "trials_list", "eta_bool", "trials_fraction", "lambdas_entries",
-        "experiment_list", "n_string", "k_max_fraction"])
+        "experiment_list", "n_string", "k_max_fraction", "epsilon_bool", "prior_bools",
+        "likelihood_ragged", "truthful_delay"])
 def test_config_value_of_the_wrong_type_is_named(tmp_path, capsys, command, cfg, needle):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
@@ -390,6 +401,69 @@ def test_config_value_of_the_wrong_type_is_named(tmp_path, capsys, command, cfg,
     assert len(err) == 1
     assert err[0].startswith("error:") and needle in err[0]
     assert not (tmp_path / "out").exists()
+
+
+MVP_CFG = {**SIM_CFG, "mechanism": "mvp", "latency": {"lambda": 1.0},
+           "h": {"kind": "exponential", "eta": 1.0}}
+
+#: (reader, command, a valid config, the path to the reader's entry in it,
+#: the config type of each key the reader declares, "value" entries aside)
+READERS = [
+    ("simulate config", "simulate", SIM_CFG, (),
+     {"mechanism": "string", "trials": "integer", "seed": "integer"}),
+    ("model config", "simulate", SIM_CFG, ("model",), {"kind": "string"}),
+    ("binary_noisy model", "simulate", SIM_CFG, ("model",),
+     {"alpha": "number", "beta": "number", "num_agents": "integer"}),
+    ("table model", "simulate",
+     {**SIM_CFG, "model": {"kind": "table", "prior": [0.5, 0.5],
+                           "likelihood": [[0.9, 0.1], [0.1, 0.9]]}}, ("model",),
+     {"prior": "list", "likelihood": "list", "num_agents": "integer"}),
+    ("scoring rule", "simulate", SIM_CFG, ("rule",), {"rule": "string", "scale": "number"}),
+    ("access function", "simulate", SIM_CFG, ("access",),
+     {"kind": "string", "lambda": "number"}),
+    ("latency", "simulate", MVP_CFG, ("latency",), {"lambda": "number"}),
+    ("time value h", "simulate", MVP_CFG, ("h",), {"kind": "string"}),
+    ("exponential time value", "simulate", MVP_CFG, ("h",), {"eta": "number"}),
+    ("table time value", "simulate",
+     {**MVP_CFG, "h": {"kind": "table", "times": [0.0, 1.0], "values": [1.0, 1.0]}},
+     ("h",), {"times": "list", "values": "list"}),
+    ("report policy", "simulate",
+     {**SIM_CFG, "profile": {"efforts": [0.3], "policies": [{"kind": "truthful"}]}},
+     ("profile", "policies", 0), {"kind": "string", "epsilon": "number", "delay": "number"}),
+    ("profile", "simulate", SIM_CFG, ("profile",), {"efforts": "list", "policies": "list"}),
+    ("figure config", "figure", {"experiment": "fig_late"}, (),
+     {"experiment": "string", "output_path": "string"}),
+    *[(f"{name} parameters", "figure", {"experiment": name, "parameters": {}},
+       ("parameters",), {key: "list" if isinstance(default, list) else "number"
+                         for key, default in defaults.items()})
+      for name, (_, defaults) in experiments._TABLE.items()],
+    ("batch file", "settle-fpm", {"reports": [[0.8], [0.5]], "outcome": 1}, (),
+     {"reports": "list", "outcome": "integer"}),
+]
+DECLARED = [(what, command, cfg, path, key, kind) for what, command, cfg, path, keys
+            in READERS for key, kind in keys.items()]
+
+
+@pytest.mark.parametrize("what, command, cfg, path, key, kind", DECLARED,
+                         ids=[f"{what}-{key}" for what, _, _, _, key, _ in DECLARED])
+def test_every_declared_key_is_typed(tmp_path, capsys, what, command, cfg, path, key, kind):
+    """A true for a number or an integer, a number for anything else: each
+    exits 2 naming the reader and the key, and writes nothing."""
+    cfg = json.loads(json.dumps(cfg))
+    entry = cfg
+    for step in path:
+        entry = entry[step]
+    entry[key] = True if kind in ("number", "integer") else 5
+    cfg_path, out = tmp_path / "cfg.json", tmp_path / "out"
+    cfg_path.write_text(json.dumps(cfg))
+    argv = {"simulate": ["simulate", "--config", str(cfg_path), "--out", str(out)],
+            "figure": ["figure", "--config", str(cfg_path), "--out", str(out)],
+            "settle-fpm": ["settle-fpm", "--alpha", "0.02", "--beta", "0.2",
+                           "--batch", str(cfg_path), "--out", str(out)]}[command]
+    assert main(argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {what}: {key!r} must be ")
+    assert not out.exists()
 
 
 def test_figure_output_path_of_the_wrong_type_is_named(tmp_path, capsys, monkeypatch):

@@ -2,7 +2,8 @@
 refuses a value outside its domain with a ``ValueError`` naming the argument.
 
 Efforts, report times and delays go through ``info_model._check_nonnegative``;
-outcome, agent and signal indices and agent counts through
+arrays of times through ``info_model._check_nonnegative_array``; outcome,
+agent and signal indices, agent counts and ``report_override`` keys through
 ``info_model._check_count``.
 """
 import math
@@ -13,10 +14,10 @@ import pytest
 from infomarkets import (AccessFunction, BatchOutcomeReport, InformationModel,
                          LatencyFamily, ReportPolicy, ReportVector, ScoreSequence,
                          ScoringRule, StrategyProfile, TimedReport, TimeValue,
-                         batch_welfare, deviation_test, fpm_run, mvp_agent_reward,
-                         mvp_br_derivative, mvp_principal_utility, mvp_run,
-                         mvp_welfare, pm_batch_utility, pm_batch_welfare, posterior,
-                         simulate, truthful_report)
+                         batch_welfare, deviation_test, fpm_expected_reward, fpm_run,
+                         mvp_agent_reward, mvp_br_derivative, mvp_principal_utility,
+                         mvp_run, mvp_welfare, pm_batch_utility, pm_batch_welfare,
+                         posterior, simulate, time_value_mass, truthful_report)
 
 MODEL = InformationModel.binary_noisy(0.3, 0.2)
 PRIOR = MODEL.prior_belief()
@@ -26,6 +27,7 @@ V = ScoreSequence([0.0, 1.0, 1.5])
 ACCESS = AccessFunction.exponential(3.0)
 LATENCY = LatencyFamily.exponential(1.0)
 H = TimeValue.exponential(1.0)
+TABLE_H = TimeValue.table([0.0, 1.0], [1.0, 1.0])
 PROFILE = StrategyProfile.symmetric(0.2, 2)
 
 #: what no effort, time or delay may be
@@ -61,6 +63,22 @@ NONNEGATIVE = {
     "TimedReport time": ("time", lambda x: TimedReport(0, x, REPORT)),
 }
 
+#: what no array of times may hold (each entry may be +inf)
+NOT_NONNEGATIVE_ARRAY = [math.nan, -math.inf, -1, [0.5, math.nan], [[0.5], [-1.0]]]
+
+#: site -> (argument name, one call with the argument set to x); each
+#: refuses every value of NOT_NONNEGATIVE_ARRAY
+NONNEGATIVE_ARRAY = {
+    "time_value_mass a": ("a", lambda x: time_value_mass(H, x, math.inf)),
+    "time_value_mass b": ("b", lambda x: time_value_mass(H, 0.0, x)),
+    "TimeValue.density": ("t", lambda x: H.density(x)),
+    "TimeValue.tail": ("t", lambda x: H.tail(x)),
+    "table TimeValue.density": ("t", lambda x: TABLE_H.density(x)),
+    "table TimeValue.tail": ("t", lambda x: TABLE_H.tail(x)),
+    "LatencyFamily.cdf t": ("t", lambda x: LATENCY.cdf(0.2, x)),
+    "LatencyFamily.dcdf_dc t": ("t", lambda x: LATENCY.dcdf_dc(0.2, x)),
+}
+
 #: site -> (argument name, one call with the argument set to x): an effort
 #: above the 1/3 a linear access at rate 3 caps it at
 LINEAR = {
@@ -93,12 +111,24 @@ INDEX = {
     "posterior": ("signal", lambda x: posterior(MODEL, [0, x]), 2),
 }
 
+#: site -> (argument name, one call with the argument set to x): a
+#: report_override key equal to an agent index but not an integer
+OVERRIDE_KEY = {
+    "fpm_expected_reward report_override": (
+        "report_override key", lambda x: fpm_expected_reward(
+            MODEL, RULE, [0.5, 0.5], report_override={x: lambda signal: REPORT})),
+}
+
 CASES = ([(site, x, "a finite nonnegative number") for site in NONNEGATIVE
           for x in NOT_NONNEGATIVE if not (site == "deviation_test effort" and x is True)]
          + [(site, 0.4, "a finite nonnegative number at most") for site in LINEAR]
          + [(site, x, "an integer of at least 0") for site, (_, _, end) in INDEX.items()
-            for x in NOT_AN_INDEX + ([] if end is None else [end])])
-SITES = {**NONNEGATIVE, **INDEX, **LINEAR}
+            for x in NOT_AN_INDEX + ([] if end is None else [end])]
+         + [(site, x, "nonnegative in every entry") for site in NONNEGATIVE_ARRAY
+            for x in NOT_NONNEGATIVE_ARRAY]
+         + [(site, x, "an integer of at least 0") for site in OVERRIDE_KEY
+            for x in (True, 1.0)])
+SITES = {**NONNEGATIVE, **INDEX, **LINEAR, **NONNEGATIVE_ARRAY, **OVERRIDE_KEY}
 
 
 @pytest.mark.parametrize("site, x, kind", CASES, ids=[f"{site}-{x!r}" for site, x, _ in CASES])
@@ -110,4 +140,18 @@ def test_out_of_domain_argument_is_refused_by_name(site, x, kind):
 
 @pytest.mark.parametrize("site", SITES)
 def test_in_domain_argument_is_accepted(site):
-    SITES[site][1](1 if site in INDEX else 0.25)
+    SITES[site][1](1 if site in INDEX or site in OVERRIDE_KEY else 0.25)
+
+
+# dcdf_dc passes the check at t = +inf but then evaluates inf * 0 there
+@pytest.mark.parametrize("site", [s for s in NONNEGATIVE_ARRAY if s != "LatencyFamily.dcdf_dc t"])
+def test_infinite_time_is_accepted(site):
+    SITES[site][1]([0.0, math.inf])
+
+
+@pytest.mark.parametrize("kind, field", [
+    (kind, field) for field, own in (("epsilon", "perturbed"), ("delay", "delayed"))
+    for kind in ("truthful", "perturbed", "delayed", "silent") if kind != own])
+def test_policy_field_its_kind_never_reads_is_refused(kind, field):
+    with pytest.raises(ValueError, match=rf"^the {kind} policy takes no {field}, got 0\.5$"):
+        ReportPolicy(kind, **{field: 0.5})

@@ -13,7 +13,7 @@ import pytest
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "infomarkets"
 MODULES = sorted(SRC.glob("*.py"))
-CONFIG_CHECKS = {"check_type", "reject_unknown_keys", "require_keys"}
+CONFIG_CHECKS = {"check_type", "read_config"}
 #: the command line (every file and config format), the experiment runner
 #: (its parameters) and the module that defines the checks
 INPUT_READERS = {"cli.py", "experiments.py", "errors.py"}
@@ -55,6 +55,14 @@ def private_definitions(tree: ast.Module) -> list[str]:
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             names += [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
     return [name for name in names if name.startswith("_") and not name.startswith("__")]
+
+
+def test_errors_defines_exactly_the_config_checks():
+    """Every config entry is read through ``read_config`` (or, for a bare
+    value, ``check_type``): ``errors`` defines no other public function."""
+    tree = ast.parse((SRC / "errors.py").read_text())
+    assert {node.name for node in tree.body if isinstance(node, ast.FunctionDef)
+            and not node.name.startswith("_")} == CONFIG_CHECKS
 
 
 def test_domain_checks_live_in_info_model():

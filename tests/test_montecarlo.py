@@ -59,8 +59,7 @@ def mixed_profile(n, seed, start=0):
         policies.append([
             ReportPolicy(),
             ReportPolicy("silent"),
-            # a delay on any other kind is ignored
-            ReportPolicy("perturbed", epsilon=float(rng.uniform(-0.2, 0.2)), delay=delay),
+            ReportPolicy("perturbed", epsilon=float(rng.uniform(-0.2, 0.2))),
             ReportPolicy("delayed", delay=delay),
         ][k % 4])
     return StrategyProfile(tuple(efforts), tuple(policies))
