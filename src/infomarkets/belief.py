@@ -159,7 +159,13 @@ def fold_path(start, columns) -> np.ndarray:
         for k, column in enumerate(columns):
             weights = np.multiply(path[k], column, out=path[k + 1])
             weights /= _outcome_sum(weights)[..., None]
-    if not np.all(np.isfinite(path[-1])):
+    _require_support(np.isfinite(path[-1]))
+    return path
+
+
+def _require_support(folded) -> None:
+    """Refuse folded reports that left no outcome with positive mass: ``folded``
+    is false wherever a fold came out NaN."""
+    if not np.all(folded):
         raise ValueError("the folded reports have disjoint support; the reported "
                          "evidence is inconsistent with the market state")
-    return path

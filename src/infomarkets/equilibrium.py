@@ -67,10 +67,15 @@ class LatencyFamily:
         return float(out) if out.ndim == 0 else out
 
     def dcdf_dc(self, c: float, t):
-        """Sensitivity of arrival probability to effort, d F_c(t) / d c."""
+        """Sensitivity of arrival probability to effort, d F_c(t) / d c.
+
+        Where the decay ``exp(-lam c t)`` is 0 (t = +inf at c > 0) it is 0,
+        the limit; at c = 0 it is ``lam * t``, +inf at t = +inf.
+        """
         _check_nonnegative("c", c)
         t = _check_nonnegative_array("t", t)
-        out = self.lam * t * np.exp(-self.lam * c * t)
+        decay = np.exp(-self.lam * c * t) if c > 0 else 1.0
+        out = self.lam * np.where(decay > 0, t, 0.0) * decay
         return float(out) if out.ndim == 0 else out
 
 

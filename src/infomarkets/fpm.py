@@ -30,8 +30,9 @@ from .scoring import ScoringRule, score
 #: Monte Carlo chunk's trials, or a block of :func:`fpm_expected_reward`'s
 #: (row, outcome) pairs.  A chunk holds 7-12 floats of scratch per entry,
 #: draws included: 4-6 MB at its peak for n = 2 to 300 and d = 2 or 3, and
-#: 4.3 MiB for a paired mvp deviation at n = 2 (``tracemalloc``); an n = 2
-#: chunk's belief paths (768 KB) fit in a 2 MB L2 cache
+#: 4.1 MiB for a paired mvp deviation at n = 2 (``tracemalloc``).  A chunk
+#: gathered from a Monte Carlo score table holds a few integer keys and
+#: gathered scores per trial and agent, no belief paths
 _CHUNK_ELEMENTS = 1 << 16
 
 
@@ -120,8 +121,12 @@ def fpm_expected_reward(model: InformationModel, rule: ScoringRule,
                          f"values in [0, 1], got {q}")
     override = report_override or {}
     d, m, n = model.num_outcomes, model.num_signal_values, q.size
-    unknown = sorted(set(override) - set(range(n)))
+    unknown = set(override) - set(range(n))
     if unknown:
+        try:
+            unknown = sorted(unknown)
+        except TypeError:  # keys of types that do not compare
+            unknown = sorted(unknown, key=repr)
         raise ValueError(f"report_override names agents {unknown} outside 0..{n - 1}")
     for agent in override:  # each equals an agent index; refuse True and 1.0
         _check_count("report_override key", agent, 0)

@@ -14,40 +14,28 @@ trial range is chunked, and two runs with the same seed see identical
 draws, so a deviation test compares strategies on common random numbers
 and certifies harm with tiny variance.  A deviation test draws each chunk
 once and settles both arms, baseline and deviant, on that one draw, each
-through its own profile's kernel, except in the marginal-value market:
-there the other agents' time order, folds and scores do not depend on
-the deviant's strategy, so each arm folds only the deviant's slot and
-its O(n) share, in the operations and order of :func:`settle_sequential`.
+through its own profile's kernel; in a marginal-value market each arm
+settles only the deviant's reward (see :func:`_paired_sequential`).
 
 A chunk's draws are agent-major ``(n, T)`` arrays, and its kernel (built
 once per profile by :func:`_kernel`) maps them to rewards and the
 principal's value with no Python loop over agents or signal values:
 signals compare each of the m - 1 thresholds against all agents at once,
 and report columns come from one gather into a table of each agent's
-signal-state columns (built as ``fpm_expected_reward`` builds its own); a
-sequential market gathers the states into time order first.  So the
-Python work per chunk does not grow with n x m, and the chunk length is
-derived, not set: each chunk
-settles about :data:`_CHUNK_ELEMENTS` trials x agents x outcomes
-report-column entries, so scratch memory is bounded at any width.
-:func:`simulate` reduces each chunk's books as soon as they are settled
-(see :class:`_Moments`), so its memory does not grow with the trial count
-either; only :func:`per_trial_records` keeps every trial.
+signal-state columns (built as ``fpm_expected_reward`` builds its own),
+in time order in a sequential market.  Each chunk settles about
+:data:`_CHUNK_ELEMENTS` trials x agents x outcomes entries, so scratch
+memory is bounded at any width; :func:`simulate` reduces each chunk's
+books as they are settled (see :class:`_Moments`), and only
+:func:`per_trial_records` keeps every trial.
 
-A small market has few distinct trials.  A trial's configuration is its
-report-column rows (in agent order in a batch market, in time order in a
-sequential one) and its outcome; with two agents and binary signals there
-are at most 18 in agent order and 72 in time order.  When the
-configurations number at most the trials one chunk settles,
-:func:`_tabulated` runs the kernel's settlement core once on each of them
-on the run's first chunk, and every chunk gathers its trials' values from
-that table by a mixed-radix key.  It is a cache, not a second settlement:
-every operation of :func:`fold_path` and :func:`score` acts on one trial
-at a time, so a gathered value is bit for bit the one the core computes
-on the chunk.  The fair batch kernel, the rank-order sequential path
-scores and the paired sequential deviation's path scores are tabulated.
-The marginal-value rewards fold continuous segment masses into each
-trial, so :func:`settle_sequential` stays direct.
+A profile with at most :data:`_TABLE_ENTRIES` count vectors x outcomes is
+settled by gathers from one :func:`_score_table`: a batch reward is
+S(N) - S(N - e_c), and a marginal-value slot reward is one suffix sum per
+column over S(K_j) - S(K_j - e_c) times the segment masses, O(n) gathers
+per trial and column where a fold costs O(n^2 d).  A larger profile is
+settled by :func:`settle_batch` and :func:`settle_sequential`; the route
+depends on the profile alone, never on the chunk.
 """
 import math
 import numbers
@@ -55,13 +43,14 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .belief import RATIO_CLAMP, _state_table, fold_path, truthful_report
+from .belief import (RATIO_CLAMP, _require_support, _state_table, fold_path,
+                     truthful_report)
 from .equilibrium import LatencyFamily
 from .fpm import _CHUNK_ELEMENTS, settle_batch
 from .info_model import InformationModel, _check_count, _check_nonnegative
 from .mvp import TimeValue, _segment_masses, settle_sequential
 from .pm_baseline import AccessFunction
-from .scoring import ScoringRule, score
+from .scoring import ScoringRule, _outcome_sum, score
 
 MECHANISMS = ("fpm", "mvp", "pm_batch", "pm_sequential")
 
@@ -334,75 +323,80 @@ def _table_rows(model: InformationModel, states: np.ndarray) -> np.ndarray:
     return first + states
 
 
-def _tabulated(core, blocks: np.ndarray, prior: np.ndarray):
-    """A function with ``core``'s signature that gathers from a table of its values.
+#: score-table entries (count vectors x outcomes) up to which a profile is
+#: settled by gathers from :func:`_score_table`: building a table at the
+#: bound traces 5.1 MiB, about one chunk's scratch.  Fixed, not the chunk
+#: length, so a profile's route never depends on the chunking
+_TABLE_ENTRIES = 1 << 17
 
-    ``core(rows, y)`` maps ``(width, T)`` integer rows and ``(T,)``
-    outcomes to ``(..., T)`` values, trial t's from ``rows[:, t]`` and
-    ``y[t]`` alone; row k, in ``range(radix)``, selects the column
-    ``blocks[k, rows[k]]`` of the ``(width, radix, d)`` array ``blocks``.
-    The first call, on the run's longest chunk, builds the :func:`_table`,
-    and each chunk gathers its trials' values by mixed-radix key.  A market
-    too large for a table, or a chunk that meets a configuration outside
-    it, is settled by ``core``, which raises or not just as it would have.
+
+def _score_table(model: InformationModel, rule: ScoringRule, table: np.ndarray):
+    """``(steps, scores)`` of a :func:`_column_table`, or None if they would
+    exceed :data:`_TABLE_ENTRIES` entries.
+
+    Odds updates commute, so a belief depends only on how often each
+    distinct column was folded.  Each column but one of all ones gets a
+    mixed-radix axis, one longer than the number of agents who hold it in
+    some state.  ``scores[key + y]`` scores at outcome y the belief that
+    folds the columns, in lexicographic order (not report order: the last
+    bits move), each as often as its digit in the key, by :func:`fold_path`'s
+    steps; NaN marks disjoint support.  ``steps[r]`` adds one fold of row
+    r's column (0 for ones), so ``steps[rows].sum() + y`` indexes any rows.
     """
-    width, radix, d = blocks.shape
-    table = []
-
-    def lookup(rows, y):
-        if not table:
-            table.append(_table(core, blocks, prior, y.size))
-        if table[0] is None:
-            return core(rows, y)
-        index, values = table[0]
-        key = np.zeros(y.size, dtype=np.intp)
-        for row in rows:
-            key *= radix
-            key += row
-        key *= d
-        key += y
-        at = np.take(index, key)
-        if at.min() < 0:
-            return core(rows, y)
-        return np.take(values, at, axis=-1)
-    return lookup
-
-
-def _table(core, blocks: np.ndarray, prior: np.ndarray, trials: int):
-    """``(index, values)`` of :func:`_tabulated`, or None if the
-    ``radix**width * d`` configurations outnumber ``trials``: ``core`` run
-    once on each configuration of positive probability (``prior[y]`` times
-    its columns at y), and each key's position in ``values``, else -1."""
-    width, radix, d = blocks.shape
-    if radix ** width * d > trials:
+    d, states = model.num_outcomes, model.num_signal_values + 1
+    columns, kind = np.unique(table, axis=0, return_inverse=True)
+    held = np.sort(kind.reshape(-1, states), axis=1)  # each agent's columns
+    first = np.insert(held[:, 1:] != held[:, :-1], 0, True, axis=1)
+    ones = np.all(columns == 1.0, axis=1)
+    radices = np.where(ones, 1, 1 + np.bincount(held[first], minlength=len(columns)))
+    if math.prod(radices.tolist()) * d > _TABLE_ENTRIES:
         return None
-    digits = np.indices((radix,) * width + (d,)).reshape(width + 1, -1)
-    possible = prior[digits[-1]] > 0
-    for k in range(width):
-        possible &= blocks[k, digits[k], digits[-1]] > 0
-    index = np.full(possible.size, -1)
-    index[possible] = np.arange(np.count_nonzero(possible))
-    return index, core(digits[:-1, possible], digits[-1, possible])
+    probs = np.empty((*radices, d))
+    probs[(0,) * len(columns)] = model.prior
+    with np.errstate(invalid="ignore"):  # a disjoint support folds to NaN
+        for axis, column in enumerate(columns):
+            # the beliefs with every count on the axes up to this one, 0 after it
+            block = np.moveaxis(probs[(slice(None),) * (axis + 1)
+                                      + (0,) * (len(columns) - axis - 1)], axis, 0)
+            for k in range(1, radices[axis]):
+                weights = np.multiply(block[k - 1], column, out=block[k])
+                weights /= _outcome_sum(weights)[..., None]
+    # each axis's flat index step in probs, where entry key + y is at outcome y
+    strides = np.array(probs.strides[:-1]) // probs.itemsize
+    probs = probs.reshape(-1, d)
+    scores = np.empty(probs.shape)
+    for y in range(d):
+        scores[:, y] = score(rule, probs, np.full(len(probs), y))
+    return np.where(ones[kind], 0, strides[kind]).reshape(-1), scores.ravel()
 
 
-def _path_scores(model: InformationModel, rule: ScoringRule, table: np.ndarray,
-                 slots: int):
-    """The :func:`_tabulated` ``scores(rows, y)``: the ``(slots + 1, T)``
-    scores of the path that folds ``table[rows]``, any rows in any slots."""
-    def scores(rows, y):
-        return score(rule, fold_path(model.prior, np.take(table, rows, axis=0)), y)
-    return _tabulated(scores, np.broadcast_to(table, (slots, *table.shape)), model.prior)
+def _path_keys(steps: np.ndarray, slot_rows: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The ``(n + 1, T)`` :func:`_score_table` keys after 0..n of the time-ordered rows."""
+    keys = np.empty((slot_rows.shape[0] + 1, y.size), dtype=np.intp)
+    keys[0] = y
+    np.take(steps, slot_rows, out=keys[1:])
+    for j in range(1, len(keys)):
+        keys[j] += keys[j - 1]
+    return keys
+
+
+def _suffix_rewards(scores, s_path, masses, without) -> np.ndarray:
+    """``(n, T)``: row s sums (S(K_j) - S(W_j)) * masses[j] over j > s from the
+    last j down, the reward of the report in slot s, where ``s_path`` is
+    S(K) and ``without[j - 1]`` indexes W_j, the belief without it."""
+    terms = np.take(scores, without)
+    np.subtract(s_path[1:], terms, out=terms)
+    terms *= masses[1:]
+    for s in range(len(terms) - 2, -1, -1):
+        terms[s] += terms[s + 1]
+    return terms
 
 
 def _kernel(model, mechanism, profile, rule, access, latency, h):
-    """The chunk kernel of one profile: ``settle(y, u_lat, u_sig, u_win)``.
-
-    ``settle`` maps one chunk's draws (agent-major ``(n, T)`` uniforms;
-    ``u_win`` is None except in ``pm_batch``) to agent-major rewards
-    ``(n, T)`` and the principal's value ``(T,)``.  Every per-agent
-    constant is built here, once per run, so a chunk runs no Python loop
-    over agents or signal values.
-    """
+    """The chunk kernel of one profile, built once per run: ``settle(y,
+    u_lat, u_sig, u_win)`` maps one chunk's draws (agent-major ``(n, T)``
+    uniforms; ``u_win`` is None except in ``pm_batch``) to agent-major
+    rewards ``(n, T)`` and the principal's value ``(T,)``."""
     if mechanism in ("fpm", "pm_batch"):
         return _batch_kernel(model, mechanism, profile, rule, access)
     return _sequential_kernel(model, mechanism, profile, rule, latency, h)
@@ -425,18 +419,23 @@ def _batch_kernel(model, mechanism, profile, rule, access):
         return settle
 
     table = _column_table(model, profile, sequential=False)
-
-    def settle_states(states, y):
-        """The rewards ``(n, T)`` stacked on the value ``(T,)``."""
-        cols = np.take(table, _table_rows(model, states), axis=0)
-        p_all, rewards = settle_batch(model.prior, cols, y, rule)
-        return np.vstack([rewards, score(rule, p_all, y) - score(rule, model.prior, y)])
-    blocks = table.reshape(profile.num_agents, -1, model.num_outcomes)
-    settle_states = _tabulated(settle_states, blocks, model.prior)
+    scored = _score_table(model, rule, table)
 
     def settle(y, u_lat, u_sig, u_win):
-        books = settle_states(_states(_draw_signals(model, y, u_sig), u_lat < q), y)
-        return books[:-1], books[-1]
+        rows = _table_rows(model, _states(_draw_signals(model, y, u_sig), u_lat < q))
+        if scored is None:
+            p_all, rewards = settle_batch(model.prior, np.take(table, rows, axis=0), y, rule)
+            return rewards, score(rule, p_all, y) - score(rule, model.prior, y)
+        steps, scores = scored
+        agent_steps = np.take(steps, rows)
+        key = agent_steps.sum(axis=0)
+        key += y
+        s_all = np.take(scores, key)
+        _require_support(not np.isnan(s_all.sum()))  # a NaN score carries into the sum
+        # each agent's reward leaves one of its own column out of the count
+        rewards = np.take(scores, np.subtract(key, agent_steps, out=agent_steps))
+        value = np.take(scores, y)
+        return np.subtract(s_all, rewards, out=rewards), np.subtract(s_all, value, out=value)
     return settle
 
 
@@ -496,22 +495,10 @@ def _slot_gathers(order: np.ndarray):
     return to_slots, from_slots
 
 
-def _with_agent(order: np.ndarray, agent: int, slot: np.ndarray) -> np.ndarray:
-    """The ``(n, T)`` time order that inserts ``agent`` at ``slot`` into the
-    ``(n - 1, T)`` time order of the other agents."""
-    full = np.empty((order.shape[0] + 1, order.shape[1]), dtype=np.intp)
-    full[:-1] = order
-    # the agents from the slot on move down one row
-    full[1:] = np.where(np.arange(order.shape[0])[:, None] >= slot, order, full[1:])
-    full[slot, np.arange(order.shape[1])] = agent
-    return full
-
-
 def _sequential_kernel(model, mechanism, profile, rule, latency, h):
     arrivals = _arrivals(profile, latency)
     table = _column_table(model, profile, sequential=True)
-    if mechanism == "pm_sequential":
-        path_scores = _path_scores(model, rule, table, profile.num_agents)
+    scored = _score_table(model, rule, table)
 
     def settle(y, u_lat, u_sig, u_win):
         times = _report_times(-np.log1p(-u_lat), *arrivals)
@@ -522,44 +509,52 @@ def _sequential_kernel(model, mechanism, profile, rule, latency, h):
                                                         np.isfinite(times))))
         masses = _segment_masses(h, sorted_times)  # (n + 1, T)
 
-        if mechanism == "mvp":
+        if scored is None and mechanism == "mvp":
             _, slot_rewards, s_path = settle_sequential(
                 model.prior, np.take(table, slot_rows, axis=0), masses, y, rule)
+        elif scored is None:
+            s_path = score(rule, fold_path(model.prior, np.take(table, slot_rows, axis=0)), y)
         else:
-            s_path = path_scores(slot_rows, y)  # (n + 1, T)
-            slot_rewards = np.where(np.isfinite(sorted_times),
-                                    s_path[1:] - s_path[:-1], 0.0)
+            steps, scores = scored
+            keys = _path_keys(steps, slot_rows, y)
+            s_path = np.take(scores, keys)  # (n + 1, T)
+            _require_support(not np.isnan(s_path[-1].sum()))
+            if mechanism == "mvp":
+                slot_steps = np.diff(keys, axis=0)
+                slot_rewards = np.zeros(slot_steps.shape)
+                for step in set(steps[steps > 0].tolist()):  # one suffix sum per column
+                    holds = slot_steps == step
+                    # K_j - step after a report of this column, else K_j: a 0 term
+                    without = np.where(np.logical_or.accumulate(holds, axis=0),
+                                       keys[1:] - step, keys[1:])
+                    np.copyto(slot_rewards, _suffix_rewards(scores, s_path, masses, without),
+                              where=holds)
+        if mechanism == "pm_sequential":
+            slot_rewards = np.where(np.isfinite(sorted_times), s_path[1:] - s_path[:-1], 0.0)
         return (from_slots(slot_rewards),
                 np.einsum("jt,tj->t", s_path - s_path[0], masses.T))
     return settle
 
 
 def _paired_sequential(model, arms, i, rule, latency, h):
-    """The paired chunk function of a sequential (mvp) deviation by agent i:
-    ``settle(y, u_lat, u_sig, u_win)`` -> agent i's ``(T,)`` rewards in
-    the baseline and the deviant arm.
+    """The paired chunk function of an mvp deviation by agent i: ``settle(y,
+    u_lat, u_sig, u_win)`` -> agent i's ``(T,)`` rewards in the baseline and
+    deviant arm.
 
-    Removing agent i's slot from a stable sort leaves the other agents in
-    the same order, so in :func:`settle_sequential` the path without
-    agent i's slot s is, at step j > s, row j - 1 of the fold of the
-    other agents' columns in time order.  Both arms share that fold and
-    its scores.  Per arm only agent i's slot, the segment masses and the
-    full path remain, O(n) per trial; they are shared too when agent i's
-    report time is the same in both arms.  The arm's time order is the
-    other agents' with agent i inserted at its slot, so nothing is sorted
-    twice.  Both path scores are tabulated over the time-ordered rows,
-    each arm's on its own column table (see :func:`_tabulated`).
+    Each arm sums agent i's terms alone, as :func:`_sequential_kernel`
+    would on that arm's route: from the arm's :func:`_score_table`, or,
+    over the bound, against the fold of the other agents' columns in time
+    order (at step j after agent i's slot, row j - 1 is the path without
+    agent i), in :func:`settle_sequential`'s order; both arms share it.
     """
-    n, first = arms[0].num_agents, model.num_signal_values + 1
     tables = [_column_table(model, p, sequential=True) for p in arms]
+    scored = [_score_table(model, rule, table) for table in tables]
+    n, first = arms[0].num_agents, model.num_signal_values + 1
     arrivals = [_arrivals(p, latency) for p in arms]
     # whether agent i's report time differs between the arms
     moves = not all(np.array_equal(a[i], b[i]) for a, b in zip(*arrivals))
     others = np.flatnonzero(np.arange(n) != i)
-    steps = np.arange(1, n + 1)[:, None]
-
-    without = _path_scores(model, rule, tables[0], n - 1)
-    paths = [_path_scores(model, rule, table, n) for table in tables]
+    rows_after = np.arange(n)[:, None]
 
     def settle(y, u_lat, u_sig, u_win):
         waits = -np.log1p(-u_lat)
@@ -569,31 +564,38 @@ def _paired_sequential(model, arms, i, rule, latency, h):
         # each arm recomputes agent i's rows alone, from these two
         wait, signal = waits[i].copy(), signals[i].copy()
         del waits, signals
-        order = others[_time_order(times[others])]
-        s_without = without(_slot_gathers(order)[0](rows), y)  # (n, T)
+        if any(arm is None for arm in scored):  # the other agents' columns fit both arms
+            others_rows = _slot_gathers(others[_time_order(times[others])])[0](rows)
+            s_without = score(rule, fold_path(model.prior, np.take(tables[0], others_rows,
+                                                                   axis=0)), y)  # (n, T)
         rewards = []
-        for arm, path in enumerate(paths):
+        for arm, (table, table_scores) in enumerate(zip(tables, scored)):
             if arm == 0 or moves:
                 times[i] = _report_times(wait, *(a[i] for a in arrivals[arm]))
                 rows[i] = first * i + _states(signal, np.isfinite(times[i]))
-                # agent i's slot counts the reports before agent i's, a tie
-                # going to agent order; the steps j after it pay agent i
-                slot = ((times[:i] <= times[i]).sum(axis=0)
+                slot = ((times[:i] <= times[i]).sum(axis=0)  # agent i's, ties in agent order
                         + (times[i + 1:] < times[i]).sum(axis=0))
-                to_slots = _slot_gathers(_with_agent(order, i, slot))[0]
+                to_slots = _slot_gathers(_time_order(times))[0]
                 masses = _segment_masses(h, to_slots(times))  # (n + 1, T)
                 slot_rows = to_slots(rows)
-                unpaid = steps <= slot
-            s_path = path(slot_rows, y)
-            terms = np.subtract(s_path[1:], s_without)
-            del s_path
-            terms *= masses[1:]
-            terms[unpaid] = 0.0
-            reward = np.zeros(len(y))
-            for term in terms:  # in increasing j, as settle_sequential sums
-                reward += term
-            rewards.append(reward)
-            del terms, term
+            if table_scores is None:
+                terms = score(rule, fold_path(model.prior, np.take(table, slot_rows, axis=0)),
+                              y)[1:] - s_without
+                terms *= masses[1:]
+                terms[rows_after < slot] = 0.0  # the steps up to agent i's slot pay nothing
+                reward = np.zeros(len(y))
+                for term in terms:  # in increasing j, as settle_sequential sums
+                    reward += term
+                rewards.append(reward)
+                continue
+            steps, scores = table_scores
+            keys = _path_keys(steps, slot_rows, y)
+            s_path = np.take(scores, keys)
+            _require_support(not np.isnan(s_path[-1].sum()))
+            # agent i's report left out after its slot; before it, 0 terms
+            np.subtract(keys[1:], np.take(steps, rows[i]), out=keys[1:], where=rows_after >= slot)
+            rewards.append(_suffix_rewards(scores, s_path, masses, keys[1:])[0])
+            del keys, s_path
         return rewards
     return settle
 
@@ -720,11 +722,8 @@ def deviation_test(model: InformationModel, mechanism: str,
     once and both arms, baseline and deviant, settle on that draw, so the
     difference has tiny variance; a mean below ``-3 * se`` certifies the
     deviation as harmful.  Each arm takes the deviant's rewards from its
-    own profile's kernel, except in ``mvp``: there what does not depend on
-    the deviant's strategy (the other agents' time order, their folds and
-    scores) is computed once per chunk, and each arm folds only the
-    deviant's slot and its O(n) share (see :func:`_paired_sequential`).
-    Either way the result equals, bit for bit, the paired difference of
+    own profile's kernel, or in ``mvp`` from :func:`_paired_sequential`;
+    either way the result equals, bit for bit, the paired difference of
     two :func:`per_trial_records` runs with the same seed.  Returns
     ``(delta_mean, delta_se)``.
     """

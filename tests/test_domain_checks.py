@@ -143,10 +143,25 @@ def test_in_domain_argument_is_accepted(site):
     SITES[site][1](1 if site in INDEX or site in OVERRIDE_KEY else 0.25)
 
 
-# dcdf_dc passes the check at t = +inf but then evaluates inf * 0 there
-@pytest.mark.parametrize("site", [s for s in NONNEGATIVE_ARRAY if s != "LatencyFamily.dcdf_dc t"])
+@pytest.mark.parametrize("site", NONNEGATIVE_ARRAY)
 def test_infinite_time_is_accepted(site):
     SITES[site][1]([0.0, math.inf])
+
+
+@pytest.mark.parametrize("c, expected", [(0.2, 0.0), (0.0, math.inf)])
+def test_dcdf_dc_at_infinite_time_is_its_limit(c, expected):
+    """d F_c(t) / d c = lam t exp(-lam c t) tends to 0 as t grows when c > 0."""
+    assert LATENCY.dcdf_dc(c, math.inf) == expected
+    assert LATENCY.dcdf_dc(c, [0.0, math.inf]).tolist() == [0.0, expected]
+
+
+@pytest.mark.parametrize("keys, named", [(("a", 5), "['a', 5]"), ((10, 5), "[5, 10]")])
+def test_report_override_keys_outside_the_agents_are_named(keys, named):
+    """Sorted, by value where the keys compare and by ``repr`` where not."""
+    with pytest.raises(ValueError, match=rf"^report_override names agents {re.escape(named)} "
+                                         r"outside 0\.\.1$"):
+        fpm_expected_reward(MODEL, RULE, [0.5, 0.5],
+                            report_override={key: lambda signal: REPORT for key in keys})
 
 
 @pytest.mark.parametrize("kind, field", [

@@ -1,9 +1,12 @@
 import dataclasses
+import itertools
 import json
 import math
 import numbers
 import re
 import tracemalloc
+import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -26,6 +29,7 @@ from infomarkets.scoring import score
 
 MODEL = InformationModel.binary_noisy(0.1, 0.05)
 QUAD20 = ScoringRule("quadratic", 20.0)
+LOG3 = ScoringRule("logarithmic", 3.0)
 LAT1 = LatencyFamily.exponential(1.0)
 H1 = TimeValue.exponential(1.0)
 ACC = AccessFunction.exponential(3.0)
@@ -85,17 +89,46 @@ def agent_columns(model, profile, y, u_sig, active):
     return cols
 
 
+def on_table(model, mechanism, profile, rule):
+    """Whether the chunk kernel settles ``profile`` from its score table."""
+    if mechanism == "pm_batch":
+        return False
+    table = montecarlo._column_table(model, profile, mechanism in ("mvp", "pm_sequential"))
+    return montecarlo._score_table(model, rule, table) is not None
+
+
+def canonical_scorer(model, rule):
+    """Oracle ``S(columns, y)``: the score of the belief that folds the
+    multiset ``columns`` (a ``(K, d)`` array), its columns of ones left out
+    and the rest in lexicographic order, computed one trial at a time (and
+    cached by multiset and outcome)."""
+    cache = {}
+
+    def scores(columns, y):
+        multiset = tuple(sorted(tuple(c) for c in columns.tolist() if any(x != 1.0 for x in c)))
+        if (multiset, y) not in cache:
+            folded = np.array(multiset).reshape(-1, model.num_outcomes)
+            cache[multiset, y] = score(rule, fold_path(model.prior, folded)[-1], y)
+        return cache[multiset, y]
+    return scores
+
+
 def loop_settlement(model, mechanism, profile, trials, seed, rule, access,
-                    latency, h):
+                    latency, h, canonical=False):
     """Oracle for the chunk kernel: per-agent loops over trial-major draws.
 
     Builds every agent's columns in agent order and permutes them into
     time order afterwards.  Returns agent-major rewards (n, T), as the
-    kernel does, and the value (T,).
+    kernel does, and the value (T,).  Folds run in time (batch: agent)
+    order, as ``settle_batch`` and ``settle_sequential`` fold them; with
+    ``canonical``, each trial's multisets fold in the order of the score
+    table (see :func:`canonical_scorer`), and a marginal-value slot sums
+    its terms in decreasing step, as the table kernel does.
     """
     y, u_lat, u_sig, u_win = column_stack_draws(model, profile.num_agents,
                                                 trials, seed)
     T = y.size
+    S = canonical_scorer(model, rule)
     if mechanism in ("fpm", "pm_batch"):
         has = u_lat < np.array([access.value(c) for c in profile.efforts])
         if mechanism == "pm_batch":
@@ -107,8 +140,16 @@ def loop_settlement(model, mechanism, profile, trials, seed, rule, access,
             rewards[active & (np.cumsum(active, axis=1) == (pick + 1)[:, None])] = 1.0
             return rewards.T, (count > 0).astype(float)
         cols = agent_columns(model, profile, y, u_sig, has)
-        p_all, rewards = settle_batch(model.prior, cols, y, rule)
-        return rewards, score(rule, p_all, y) - score(rule, model.prior, y)
+        if not canonical:
+            p_all, rewards = settle_batch(model.prior, cols, y, rule)
+            return rewards, score(rule, p_all, y) - score(rule, model.prior, y)
+        rewards, value = np.empty((profile.num_agents, T)), np.empty(T)
+        for t in range(T):
+            s_all = S(cols[:, t], y[t])
+            value[t] = s_all - score(rule, model.prior, y[t])
+            for i in range(profile.num_agents):
+                rewards[i, t] = s_all - S(np.delete(cols[:, t], i, axis=0), y[t])
+        return rewards, value
 
     times = np.full((profile.num_agents, T), np.inf)
     for i, (c, policy) in enumerate(zip(profile.efforts, profile.policies)):
@@ -124,15 +165,31 @@ def loop_settlement(model, mechanism, profile, trials, seed, rule, access,
     slot_cols = np.where(reported[..., None], cols[order, np.arange(T)], 1.0)
     masses = time_value_mass(h, np.vstack([np.zeros(T), sorted_times]),
                              np.vstack([sorted_times, np.full(T, np.inf)]))
-    if mechanism == "mvp":
+    if not canonical and mechanism == "mvp":
         _, slot_rewards, s_path = settle_sequential(model.prior, slot_cols, masses,
                                                     y, rule)
-    else:
+    elif not canonical:
         s_path = score(rule, fold_path(model.prior, slot_cols), y)
+    else:
+        n = profile.num_agents
+        s_path = np.array([[S(slot_cols[:j, t], y[t]) for t in range(T)]
+                           for j in range(n + 1)])
+        slot_rewards = np.zeros((n, T))
+        for t, s in np.ndindex(T, n):
+            if np.any(slot_cols[s, t] != 1.0):
+                for j in range(n, s, -1):
+                    without = np.delete(slot_cols[:j, t], s, axis=0)
+                    slot_rewards[s, t] += (s_path[j, t] - S(without, y[t])) * masses[j, t]
+    if mechanism == "pm_sequential":
         slot_rewards = np.where(reported, s_path[1:] - s_path[:-1], 0.0)
     rewards = np.empty_like(slot_rewards)
     np.put_along_axis(rewards, order, slot_rewards, axis=0)
     return rewards, np.einsum("jt,tj->t", s_path - s_path[0], masses.T)
+
+
+def assert_close(actual, expected):
+    """Equal within 1e-13 of the largest magnitude in ``expected``."""
+    assert np.max(np.abs(actual - expected)) <= 1e-13 * np.max(np.abs(expected))
 
 
 def stats_equal(a, b):
@@ -367,10 +424,17 @@ class TestKernelMatchesLoopOracle:
                                  ("pm_sequential", H1), ("pm_sequential", DEADLINE)]:
                 kw = dict(rule=QUAD20, access=ACC, latency=LAT1, h=h)
                 rec = per_trial_records(model, mechanism, profile, trials, seed, **kw)
+                canonical = on_table(model, mechanism, profile, QUAD20)
                 rewards, value = loop_settlement(model, mechanism, profile, trials,
-                                                 seed, **kw)
+                                                 seed, **kw, canonical=canonical)
                 assert np.array_equal(rec["rewards"].T, rewards), (mechanism, h)
                 assert np.array_equal(rec["value"], value), (mechanism, h)
+                if canonical:
+                    # the table's fold order moves only the last bits
+                    rewards, value = loop_settlement(model, mechanism, profile, trials,
+                                                     seed, **kw)
+                    assert_close(rec["rewards"].T, rewards)
+                    assert_close(rec["value"], value)
 
 
 class TestDeviations:
@@ -465,6 +529,31 @@ class TestDeviations:
                 assert_paired_equals_separate(model, mechanism, base, i, deviation,
                                               700, 23, H1)
 
+    def test_shared_draws_equal_two_separate_runs_mixed_on_the_table(self):
+        """mvp, 8 agents of every policy kind: both arms gather from their
+        score tables, whether the deviant's own baseline policy is truthful,
+        silent, perturbed or delayed, at zero effort or not."""
+        model, base = binary_model(3, 4), mixed_profile(8, 4)
+        for i in range(8):
+            for deviation in (dict(effort=0.6), dict(policy=ReportPolicy("perturbed",
+                                                                         epsilon=0.1))):
+                for profile in (base, base.replace_agent(i, **deviation)):
+                    assert on_table(model, "mvp", profile, QUAD20)
+                deviation = deviation.get("policy", deviation.get("effort"))
+                for h in (H1, DEADLINE):
+                    assert_paired_equals_separate(model, "mvp", base, i, deviation,
+                                                  700, 23, h)
+
+    def test_shared_draws_equal_two_separate_runs_across_the_bound(self):
+        """mvp, 9 agents: perturbing a silent agent takes the deviant arm
+        over the table bound, while the baseline arm stays on its table."""
+        model, base = binary_model(3, 4), mixed_profile(9, 4)
+        perturb = ReportPolicy("perturbed", epsilon=0.1)
+        for i in (1, 5):
+            assert on_table(model, "mvp", base, QUAD20)
+            assert not on_table(model, "mvp", base.replace_agent(i, policy=perturb), QUAD20)
+            assert_paired_equals_separate(model, "mvp", base, i, perturb, 700, 23, H1)
+
     @pytest.mark.parametrize("mechanism, deviation", [
         ("fpm", ReportPolicy("perturbed", epsilon=0.1)),
         ("mvp", ReportPolicy("delayed", delay=0.5)),
@@ -502,137 +591,176 @@ class TestDeviations:
                            rule=QUAD20, access=ACC)
 
 
-class TestConfigurationTables:
-    """Settling each distinct configuration once and gathering from the
-    table changes no bit of any result."""
+class TestScoreTable:
+    """The count-vector score table against exact beliefs, and the two
+    settlement routes against each other."""
 
     #: 3 outcomes, 3 signal values
     THREE = InformationModel(np.array([0.5, 0.3, 0.2]),
                              np.array([[0.6, 0.3, 0.1], [0.2, 0.5, 0.3], [0.1, 0.2, 0.7]]))
-    #: noiseless binary signals, and 3-valued signals with zero likelihoods
+    #: noiseless binary signals: two agents who saw different signals are impossible
     NOISELESS = InformationModel.binary_noisy(0.3, 0.0)
+    #: 3-valued signals with zero likelihoods
     PARTIAL = InformationModel(np.array([0.6, 0.4]),
                                np.array([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5]]))
 
     @staticmethod
-    def deviations(mechanism, model):
-        binary = model.num_outcomes == 2
-        perturbed = ReportPolicy("perturbed", epsilon=0.1)
-        delayed, silent = ReportPolicy("delayed", delay=0.5), ReportPolicy("silent")
-        return {
-            "fpm": [0.6, silent, (0.45, silent)] + ([perturbed, (0.45, perturbed)]
-                                                     if binary else []),
-            "mvp": [0.6, delayed, silent, (0.45, delayed)] + ([perturbed] if binary else []),
-            "pm_batch": [0.6],
-            "pm_sequential": [delayed],
-        }[mechanism]
+    def exact_score(model, counts, y, scale):
+        """The quadratic score at y of the posterior after ``counts[x]``
+        signals x, in exact rational arithmetic, or None if impossible."""
+        weights = [Fraction(model.prior[k]) * math.prod(
+            Fraction(model.likelihood[k, x]) ** c for x, c in enumerate(counts))
+            for k in range(model.num_outcomes)]
+        total = sum(weights)
+        if total == 0:
+            return None
+        p = [w / total for w in weights]
+        return float(scale * (2 * p[y] - sum(q * q for q in p)))
 
-    def run_all(self, model, rule, n, trials):
-        """Every run path, every deviation, on the first and the last agent."""
-        base = StrategyProfile.symmetric(0.3, n)
-        out = []
-        for mechanism in montecarlo.MECHANISMS:
-            kw = dict(rule=rule, access=ACC, latency=LAT1, h=H1)
-            out.append(simulate(model, mechanism, base, trials, 29, **kw))
-            out.append(per_trial_records(model, mechanism, base, trials, 29, **kw))
-            for deviation in self.deviations(mechanism, model):
-                for i in (0, n - 1):
-                    out.append(deviation_test(model, mechanism, base, i, deviation,
-                                              trials, 29, **kw))
-        return out
+    @pytest.mark.parametrize("name", ["MODEL", "NOISELESS", "THREE"])
+    def test_scores_match_exact_beliefs(self, name):
+        """Every count vector of up to six truthful agents, every outcome."""
+        model = MODEL if name == "MODEL" else getattr(self, name)
+        m, d = model.num_signal_values, model.num_outcomes
+        for n in range(1, 7):
+            table = montecarlo._column_table(model, StrategyProfile.symmetric(0.3, n),
+                                             sequential=False)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                steps, scores = montecarlo._score_table(model, QUAD20, table)
+            # the table has a key for each count vector of the n agents' states
+            assert scores.size == (n + 1) ** m * d
+            for counts in itertools.product(range(n + 1), repeat=m):
+                if sum(counts) > n:
+                    continue
+                # agent k in state 0 (no signal) or 1 + its signal
+                states = np.repeat(np.arange(m + 1), [n - sum(counts), *counts])
+                key = steps[(m + 1) * np.arange(n) + states].sum()
+                for y in range(d):
+                    exact = self.exact_score(model, counts, y, QUAD20.scale)
+                    if exact is None:
+                        assert np.isnan(scores[key + y]), (n, counts, y)
+                    else:
+                        assert scores[key + y] == pytest.approx(exact, rel=1e-13, abs=1e-13), (
+                            n, counts, y)
+
+    @pytest.mark.parametrize("mechanism", ["fpm", "mvp", "pm_sequential"])
+    def test_impossible_configuration_is_refused(self, mechanism, monkeypatch):
+        """Agent 0 saw signal 0 and agent 1 signal 1 of a noiseless model: the
+        table holds NaN there, and gathering it raises as the fold does."""
+        def signals(model, y, u):
+            return np.broadcast_to(np.arange(u.shape[0])[:, None] % 2, u.shape)
+        monkeypatch.setattr(montecarlo, "_draw_signals", signals)
+        profile = StrategyProfile.symmetric(3.0, 2)
+        kw = dict(rule=QUAD20, access=ACC, latency=LAT1, h=H1)
+        assert on_table(self.NOISELESS, mechanism, profile, QUAD20)
+        with pytest.raises(ValueError, match="disjoint support"):
+            simulate(self.NOISELESS, mechanism, profile, 200, 3, **kw)
+        monkeypatch.setattr(montecarlo, "_TABLE_ENTRIES", 0)
+        with pytest.raises(ValueError, match="disjoint support"):
+            simulate(self.NOISELESS, mechanism, profile, 200, 3, **kw)
+
+    @pytest.mark.parametrize("mechanism", ["fpm", "mvp", "pm_sequential"])
+    @pytest.mark.parametrize("name, n, rule", [
+        ("MODEL", 2, QUAD20), ("MODEL", 8, QUAD20), ("MODEL", 32, QUAD20),
+        ("THREE", 3, QUAD20), ("mixed", 5, QUAD20), ("MODEL", 3, LOG3),
+        ("NOISELESS", 3, LOG3), ("PARTIAL", 3, LOG3)],
+        ids=["MODEL-2", "MODEL-8", "MODEL-32", "THREE-3", "mixed-5", "MODEL-3-log",
+             "NOISELESS-3-log", "PARTIAL-3-log"])
+    def test_table_route_agrees_with_the_direct_fold(self, name, n, rule, mechanism,
+                                                     monkeypatch):
+        """``simulate``, ``per_trial_records`` and ``deviation_test`` on the
+        table and, with the bound at 0, by the direct fold."""
+        if name == "mixed":
+            model, base = binary_model(3, 5), mixed_profile(n, 5)
+        else:
+            model = MODEL if name == "MODEL" else getattr(self, name)
+            base = StrategyProfile.symmetric(0.3, n)
+        assert on_table(model, mechanism, base, rule)
+        deviation = (ReportPolicy("delayed", delay=0.5) if mechanism != "fpm"
+                     else 0.6 if name == "THREE" else ReportPolicy("perturbed", epsilon=0.1))
+        kw = dict(rule=rule, access=ACC, latency=LAT1, h=DEADLINE)
+
+        def run():
+            return (simulate(model, mechanism, base, 2000, 11, **kw),
+                    per_trial_records(model, mechanism, base, 2000, 11, **kw),
+                    [deviation_test(model, mechanism, base, i, deviation, 2000, 11, **kw)
+                     for i in (0, n - 1)])
+        tabled = run()
+        monkeypatch.setattr(montecarlo, "_TABLE_ENTRIES", 0)
+        direct = run()
+        for field in ("reward_mean", "reward_se", "utility_mean", "utility_se",
+                      "principal_utility_mean", "welfare_mean"):
+            assert_close(getattr(tabled[0], field), getattr(direct[0], field))
+        for key, books in direct[1].items():
+            assert_close(tabled[1][key], books)
+        assert_close(np.array(tabled[2]), np.array(direct[2]))
+
+
+class TestRoutes:
+    """Which profiles a score table settles, and what the table costs."""
 
     @staticmethod
-    def assert_same(a, b):
-        assert len(a) == len(b)
-        for x, y in zip(a, b):
-            if isinstance(x, SimStats):
-                assert stats_equal(x, y)
-            elif isinstance(x, dict):
-                for key in x:
-                    assert np.array_equal(x[key], y[key]), key
-            else:
-                assert x == y
+    def truthful_table(n):
+        """The batch column table of n truthful agents with binary signals:
+        two columns of n + 1 counts each, at 2 outcomes."""
+        return montecarlo._column_table(MODEL, StrategyProfile.symmetric(0.3, n),
+                                        sequential=False)
 
-    TABULATED, TABLE = staticmethod(montecarlo._tabulated), staticmethod(montecarlo._table)
+    def test_bound_on_the_entries(self):
+        # 256^2 x 2 entries fill 2^17, 257^2 x 2 exceed it
+        assert montecarlo._TABLE_ENTRIES == 1 << 17
+        assert montecarlo._score_table(MODEL, QUAD20, self.truthful_table(255)) is not None
+        assert montecarlo._score_table(MODEL, QUAD20, self.truthful_table(256)) is None
 
-    def spy(self, monkeypatch, enabled=True):
-        """Map each lookup's core to whether a table was built for it (or,
-        if not ``enabled``, settle directly)."""
-        built = {}
+    def test_building_a_table_at_the_bound_is_bounded(self):
+        """The beliefs and scores of 2^17 entries, 1 MiB each, and the
+        scratch of scoring one outcome at a time: 5.1 MiB traced."""
+        table = self.truthful_table(255)
+        tracemalloc.start()
+        try:
+            montecarlo._score_table(MODEL, QUAD20, table)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5.5 * 2 ** 20, peak
 
-        def tabulated(core, blocks, prior):
-            if not enabled:
-                return core
-            built[core] = False
-            return self.TABULATED(core, blocks, prior)
+    @pytest.mark.parametrize("mechanism", ["fpm", "mvp", "pm_sequential"])
+    def test_over_bound_profiles_equal_the_loop_oracle(self, mechanism):
+        """Many distinct perturbed reports, or 40-valued signals at n = 300:
+        settled by the direct fold, bit for bit."""
+        for model, profile, trials in ((binary_model(3, 7), mixed_profile(33, 7), 300),
+                                       (weak_wide_model(), StrategyProfile.symmetric(1.0, 300),
+                                        20)):
+            assert not on_table(model, mechanism, profile, QUAD20)
+            kw = dict(rule=QUAD20, access=ACC, latency=LAT1, h=H1)
+            rec = per_trial_records(model, mechanism, profile, trials, 61, **kw)
+            rewards, value = loop_settlement(model, mechanism, profile, trials, 61, **kw)
+            assert np.array_equal(rec["rewards"].T, rewards)
+            assert np.array_equal(rec["value"], value)
 
-        def table(core, blocks, prior, trials):
-            made = self.TABLE(core, blocks, prior, trials)
-            built[core] = made is not None
-            return made
-        monkeypatch.setattr(montecarlo, "_tabulated", tabulated)
-        monkeypatch.setattr(montecarlo, "_table", table)
-        return built
+    def test_chunk_length_never_switches_the_route(self, monkeypatch):
+        built = montecarlo._score_table
+        routes = []
 
-    @pytest.mark.parametrize("n", [2, 3])
-    @pytest.mark.parametrize("rule", [QUAD20, ScoringRule("logarithmic", 3.0)],
-                             ids=["quadratic", "log"])
-    @pytest.mark.parametrize("name", ["MODEL", "THREE", "NOISELESS", "PARTIAL"])
-    def test_tables_equal_the_direct_settlement(self, name, rule, n, monkeypatch):
-        model = MODEL if name == "MODEL" else getattr(self, name)
-        built = self.spy(monkeypatch)
-        tabled = self.run_all(model, rule, n, 1500)
-        # every fpm and paired kernel at n = 2; some time-ordered ones at n = 3
-        # and 3 outcomes exceed a 1500-trial chunk
-        assert sum(built.values()) >= (len(built) if n == 2 else 10)
-        self.spy(monkeypatch, enabled=False)
-        self.assert_same(tabled, self.run_all(model, rule, n, 1500))
-
-    def test_configuration_count_at_the_limit(self, monkeypatch):
-        """18 configurations in agent order: 17 trials settle directly, 18
-        through the table, and both equal a direct run."""
-        kw = dict(rule=QUAD20, access=ACC)
-        for trials, tabled in ((17, False), (18, True)):
-            built = self.spy(monkeypatch)
-            records = per_trial_records(MODEL, "fpm", PROFILE, trials, 3, **kw)
-            assert list(built.values()) == [tabled]
-            self.spy(monkeypatch, enabled=False)
-            direct = per_trial_records(MODEL, "fpm", PROFILE, trials, 3, **kw)
-            self.assert_same([records], [direct])
-
-    def test_impossible_configurations_are_never_evaluated(self):
-        """Noiseless signals: two agents who saw different signals, or a
-        signal the outcome rules out, have probability 0; the table leaves
-        them out, and a chunk that meets one is settled directly."""
-        table = montecarlo._column_table(self.NOISELESS, PROFILE, sequential=False)
+        def spy(model, rule, table):
+            scored = built(model, rule, table)
+            routes.append(scored is not None)
+            return scored
+        monkeypatch.setattr(montecarlo, "_score_table", spy)
+        cases = [(MODEL, PROFILE), (MODEL, StrategyProfile.symmetric(0.3, 32)),
+                 (binary_model(3, 4), mixed_profile(33, 4))]
         seen = []
-
-        def core(rows, y):
-            return score(QUAD20, fold_path(self.NOISELESS.prior, table[rows]), y)
-
-        def recording(rows, y):
-            seen.append((rows.copy(), y.copy()))
-            return core(rows, y)
-        lookup = montecarlo._tabulated(recording, np.broadcast_to(table, (2, *table.shape)),
-                                       self.NOISELESS.prior)
-        # a first chunk of 72 trials, as many as the keys: both saw signal 0
-        # and the outcome is 0
-        first = np.ones((2, 72), dtype=int), np.zeros(72, dtype=int)
-        np.testing.assert_array_equal(lookup(*first), core(*first))
-        (rows, y), = seen
-        cols = table[rows]  # (2, configurations, 2)
-        at_y = cols[:, np.arange(y.size), y]
-        assert np.all(self.NOISELESS.prior[y] * at_y[0] * at_y[1] > 0)
-        # of the 6 x 6 x 2 configurations, these have positive probability
-        assert y.size == np.count_nonzero(
-            self.NOISELESS.prior[:, None, None] * (table.T[:, :, None] * table.T[:, None, :]))
-        # rows 1 and 4: signal 0 (outcome 0 for sure), rows 2 and 5 signal 1,
-        # rows 0 and 3 no signal; agent 0 saw signal 0 and agent 1 signal 1
-        with pytest.raises(ValueError, match="disjoint support"):
-            lookup(np.array([[1], [5]]), np.array([0]))
-        # both saw signal 0 and the outcome is 1: settled as the core settles it
-        rows, y = np.array([[1, 1], [4, 3]]), np.array([1, 0])
-        np.testing.assert_array_equal(lookup(rows, y), core(rows, y))
+        for chunk in (1 << 8, 1 << 16, 1 << 22):
+            monkeypatch.setattr(montecarlo, "_CHUNK_ELEMENTS", chunk)
+            routes.clear()
+            for model, profile in cases:
+                for mechanism in ("fpm", "mvp", "pm_sequential"):
+                    per_trial_records(model, mechanism, profile, 100, 3, rule=QUAD20,
+                                      access=ACC, latency=LAT1, h=H1)
+            seen.append(list(routes))
+        assert seen[0] == seen[1] == seen[2]
+        assert seen[0] == [True] * 6 + [False] * 3
 
 
 class TestSignalDraws:

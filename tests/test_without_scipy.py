@@ -33,6 +33,14 @@ profile = im.StrategyProfile.symmetric(0.3, 2)
 im.simulate(binary, "fpm", profile, 1000, 1, rule=rule, access=access)
 im.deviation_test(binary, "mvp", profile, 0, im.ReportPolicy("delayed", delay=0.5),
                   1000, 1, rule=rule, latency=latency, h=h)
+# the score-table route: 32 agents, and a paired deviation among 8
+wide = im.StrategyProfile.symmetric(0.3, 32)
+im.simulate(binary, "fpm", wide, 2000, 1, rule=rule, access=access)
+for mechanism in ("mvp", "pm_sequential"):
+    im.simulate(binary, mechanism, wide, 2000, 1, rule=rule, latency=latency, h=h)
+im.deviation_test(binary, "mvp", im.StrategyProfile.symmetric(0.3, 8), 0,
+                  im.ReportPolicy("delayed", delay=0.5), 1000, 1, rule=rule,
+                  latency=latency, h=h)
 sys.exit(infomarkets.cli.main(["figure", "fig_late", "--out", sys.argv[1]]))
 """
 
