@@ -205,7 +205,10 @@ def _quadrature_mixture(latency: LatencyFamily, h: TimeValue, c: float,
             rising.append(rising[-1] ** 2)
         steps = -np.log(np.concatenate([1.0 - halvings, halvings, rising[1:]]))
         steps /= latency.lam * c
-        edges = np.union1d(edges, steps[(steps > edges[0]) & (steps < edges[-1])])
+        # sorted and deduplicated as np.union1d would, without its first-call
+        # import of numpy.ma
+        edges = np.sort(np.concatenate((edges, steps[(steps > edges[0]) & (steps < edges[-1])])))
+        edges = edges[np.insert(edges[1:] != edges[:-1], 0, True)]
     return integrate_segments(integrand, edges)
 
 

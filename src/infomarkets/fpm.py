@@ -28,9 +28,11 @@ from .scoring import ScoringRule, score
 
 #: report-column entries (batches x agents x outcomes) settled at once: a
 #: Monte Carlo chunk's trials, or a block of :func:`fpm_expected_reward`'s
-#: (row, outcome) pairs.  A chunk holds 7-12 floats of scratch per entry,
-#: draws included: 4-6 MB at its peak for n = 2 to 300 and d = 2 or 3, and
-#: 4.1 MiB for a paired mvp deviation at n = 2 (``tracemalloc``).  A chunk
+#: (row, outcome) pairs.  Traced peaks (``tracemalloc``, draws included):
+#: 1.9 / 4.4 MiB for an fpm / mvp ``simulate`` at n = 2, whose agent-major
+#: books (0.75 MiB) the statistics reduce in place; 4.0 MiB for a paired mvp
+#: deviation at n = 2; 2.0 / 4.3 MiB for fpm / mvp at n = 32; and 9.4 MiB
+#: for 300 agents with 40-valued signals, settled by folds.  A chunk
 #: gathered from a Monte Carlo score table holds a few integer keys and
 #: gathered scores per trial and agent, no belief paths
 _CHUNK_ELEMENTS = 1 << 16

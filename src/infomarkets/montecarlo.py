@@ -19,15 +19,23 @@ settles only the deviant's reward (see :func:`_paired_sequential`).
 
 A chunk's draws are agent-major ``(n, T)`` arrays, and its kernel (built
 once per profile by :func:`_kernel`) maps them to rewards and the
-principal's value with no Python loop over agents or signal values:
+principal's value with no Python loop per trial or per signal value:
 signals compare each of the m - 1 thresholds against all agents at once,
 and report columns come from one gather into a table of each agent's
 signal-state columns (built as ``fpm_expected_reward`` builds its own),
 in time order in a sequential market.  Each chunk settles about
 :data:`_CHUNK_ELEMENTS` trials x agents x outcomes entries, so scratch
-memory is bounded at any width; :func:`simulate` reduces each chunk's
-books as they are settled (see :class:`_Moments`), and only
-:func:`per_trial_records` keeps every trial.
+memory is bounded at any width.
+
+The books stay agent-major: :func:`_books` writes a chunk's rewards,
+utilities, principal utility and welfare as the rows of one ``(2n + 2,
+T)`` array, :func:`simulate` reduces each chunk's whole blocks of trials
+at once and in place (see :class:`_Moments`), and only
+:func:`per_trial_records` transposes, into its trial-major records.
+Sums over agents, running counts and running ORs are row operations,
+each over the chunk's trials: numpy runs a reduction along a short
+contiguous axis, or an accumulation along axis 0, as one inner loop per
+trial, several times as long.
 
 A profile with at most :data:`_TABLE_ENTRIES` count vectors x outcomes is
 settled by gathers from one :func:`_score_table`: a batch reward is
@@ -129,16 +137,23 @@ _BLOCK = 1024
 
 
 class _Moments:
-    """Streaming means and standard errors of the rows of the books.
+    """Streaming means and standard errors of the rows of agent-major books.
 
-    The trials, fed in order, are cut into blocks of :data:`_BLOCK`; a block
-    that spans two :meth:`add` calls is buffered.  Each block is a
-    ``(rows, block)`` array with contiguous rows, reduced by numpy to a sum
-    and a sum of squared deviations per row, and the blocks merge in trial
-    order by the pairwise update of Chan, Golub and LeVeque (1979).  Memory
-    stays at one block however many trials pass, and a run of fewer
-    ``trials`` than a block holds only those: it is one partial block
-    either way.
+    :meth:`add` takes the ``(rows, T)`` books of consecutive trials.  The
+    trials, fed in order, are cut into blocks of :data:`_BLOCK`.  The whole
+    blocks of one call are reduced at once, in place, as a ``(rows, k,
+    block)`` view: numpy sums each block's contiguous run, then its
+    squared deviations from the block mean.  The blocks merge in trial
+    order by the pairwise update of Chan, Golub and LeVeque (1979), with
+    the running sums taken by ``np.cumsum``, which adds left to right as
+    one merge per block would, so the bits are those of merging block by
+    block.  Only a block that spans two calls is copied, into a buffer
+    that is merged in place.  Memory is one buffered block however many
+    trials pass; when a call's whole blocks do not start its rows (the
+    buffer took the first trials) or do not fill them, numpy copies them
+    once for the in-place update, so scratch stays within the chunk.  A
+    run of fewer ``trials`` than a block buffers only those: it is one
+    partial block either way.
     """
 
     def __init__(self, rows: int, trials: int):
@@ -150,43 +165,49 @@ class _Moments:
         self._sum = np.zeros(rows)
         self._m2 = np.zeros(rows)
 
-    def add(self, *parts: np.ndarray) -> None:
-        """Append the trials of ``parts``: trial-major ``(T, k)`` or ``(T,)``
-        arrays, stacked as rows in order."""
-        parts = [p.reshape(p.shape[0], -1) for p in parts]
-        trials, done = parts[0].shape[0], 0
-        while done < trials:
-            take = min(self._size - self._fill, trials - done)
-            cols = slice(self._fill, self._fill + take)
-            row = 0
-            for p in parts:
-                self._block[row:row + p.shape[1], cols] = p[done:done + take].T
-                row += p.shape[1]
-            self._fill += take
-            done += take
-            if self._fill == self._size:
-                self._merge(self._block)
+    def add(self, books: np.ndarray) -> None:
+        """Append the trials of the C-contiguous ``(rows, T)`` ``books``,
+        which it overwrites; each block is then one contiguous run of a row,
+        summed in numpy's order for such a run."""
+        size, trials, done = self._size, books.shape[1], 0
+        if self._fill:  # first complete the buffered block
+            done = min(size - self._fill, trials)
+            self._block[:, self._fill:self._fill + done] = books[:, :done]
+            self._fill += done
+            if self._fill < size:
+                return
+            self._merge(self._block[:, None])
+        whole = (trials - done) // size * size
+        if whole:
+            blocks = books[:, done:done + whole].reshape(len(books), -1, size)
+            self._merge(blocks)
+        self._fill = trials - done - whole
+        self._block[:, :self._fill] = books[:, done + whole:]
 
-    def _merge(self, block: np.ndarray) -> None:
-        """Fold ``block`` into the running sums; it is overwritten."""
-        nb = block.shape[1]
-        total = block.sum(axis=1)
-        block -= (total / nb)[:, None]
-        np.square(block, out=block)
-        m2 = block.sum(axis=1)
-        na = self._count
-        if na:
-            delta = total / nb - self._sum / na
-            m2 += delta * delta * (na * nb / (na + nb))
-        self._count = na + nb
-        self._sum += total
-        self._m2 += m2
+    def _merge(self, blocks: np.ndarray) -> None:
+        """Fold the ``(rows, k, nb)`` ``blocks``, in order, into the running
+        sums; they are overwritten."""
+        nb = blocks.shape[2]
+        totals = blocks.sum(axis=2)
+        means = totals / nb
+        blocks -= means[..., None]
+        np.square(blocks, out=blocks)
+        m2 = blocks.sum(axis=2)
+        # the running sums before each block and after the last
+        sums = np.cumsum(np.concatenate((self._sum[:, None], totals), axis=1), axis=1)
+        first = int(self._count == 0)  # a run's first block has nothing to merge with
+        na = self._count + nb * np.arange(first, blocks.shape[1])
+        delta = means[:, first:] - sums[:, first:-1] / na
+        m2[:, first:] += delta * delta * (na * nb / (na + nb))
+        self._count += nb * blocks.shape[1]
+        self._sum = sums[:, -1]
+        self._m2 = np.cumsum(np.concatenate((self._m2[:, None], m2), axis=1), axis=1)[:, -1]
         self._fill = 0
 
     def finish(self) -> tuple[int, np.ndarray, np.ndarray]:
         """``(trials, means, standard errors)`` of every row."""
         if self._fill:
-            self._merge(self._block[:, :self._fill])
+            self._merge(self._block[:, None, :self._fill])
         count = self._count
         if count < 2:
             return count, self._sum / count, np.zeros_like(self._sum)
@@ -212,23 +233,41 @@ class SimStats:
     @classmethod
     def from_records(cls, mechanism: str, profile: "StrategyProfile",
                      records: dict[str, np.ndarray]) -> "SimStats":
-        """Reduce the books of :func:`per_trial_records` to means and standard errors."""
-        return cls._reduce(mechanism, profile, [records], len(records["welfare"]))
+        """Reduce the books of :func:`per_trial_records` to means and standard errors.
+
+        The records are copied into :func:`_books`' agent-major layout a
+        slice of about :data:`_CHUNK_ELEMENTS` entries at a time, never whole.
+        """
+        n, trials = profile.num_agents, len(records["welfare"])
+        step = max(1, _CHUNK_ELEMENTS // (2 * n + 2))
+        if step > _BLOCK:  # whole blocks: each slice reduces in place, buffering none
+            step -= step % _BLOCK
+
+        def chunks():
+            for start in range(0, trials, step):
+                sl = slice(start, min(start + step, trials))
+                books = np.empty((2 * n + 2, sl.stop - start))
+                books[:n] = records["rewards"][sl].T
+                books[n:2 * n] = records["utilities"][sl].T
+                books[-2] = records["principal_utility"][sl]
+                books[-1] = records["welfare"][sl]
+                yield books
+                del books
+        return cls._reduce(mechanism, profile, chunks(), trials)
 
     @classmethod
-    def _reduce(cls, mechanism, profile, books, trials: int) -> "SimStats":
-        """Reduce ``books``, an iterable of :func:`per_trial_records`-style
-        dicts over consecutive ranges of ``trials`` trials in all, through
+    def _reduce(cls, mechanism, profile, chunks, trials: int) -> "SimStats":
+        """Reduce ``chunks``, an iterable of :func:`_books`' agent-major
+        books over consecutive ranges of ``trials`` trials in all, through
         one :class:`_Moments`.
 
-        How the trials are split among the dicts never changes the result.
+        How the trials are split among the chunks never changes the result.
         """
         n = profile.num_agents
         moments = _Moments(2 * n + 2, trials)
-        for chunk in books:
-            moments.add(chunk["rewards"], chunk["utilities"],
-                        chunk["principal_utility"], chunk["welfare"])
-            del chunk  # free this chunk before the next one is settled
+        for books in chunks:
+            moments.add(books)
+            del books  # free this chunk before the next one is settled
         trials, mean, se = moments.finish()
         costs = np.asarray(profile.efforts)
         return cls(
@@ -413,9 +452,13 @@ def _batch_kernel(model, mechanism, profile, rule, access):
         def settle(y, u_lat, u_sig, u_win):
             active = (u_lat < q) & speaks
             count = active.sum(axis=0)
-            pick = np.floor(u_win * count).astype(int)  # uniform among signal holders
-            wins = active & (np.cumsum(active, axis=0) == pick + 1)
-            return wins.astype(float), (count > 0).astype(float)
+            # uniform among signal holders: the rank-th of them in agent order wins
+            rank = np.floor(u_win * count).astype(int) + 1
+            wins, seen = np.zeros(active.shape), np.zeros(count.shape, dtype=int)
+            for row, won in zip(active, wins):
+                seen += row
+                np.logical_and(row, seen == rank, out=won)
+            return wins, (count > 0).astype(float)
         return settle
 
     table = _column_table(model, profile, sequential=False)
@@ -457,7 +500,11 @@ def _report_times(waits: np.ndarray, speaks, rate, delay) -> np.ndarray:
     """Submission times from unit-rate exponential ``waits``
     (``-log1p(-u_lat)``): ``waits / rate + delay``, or inf for an agent who
     never reports."""
-    return np.where(speaks, waits / rate + delay, np.inf)
+    times = waits / rate
+    times += delay
+    # a mask per agent, not per trial: a broadcast np.where takes 3x as long
+    np.copyto(times, np.inf, where=~speaks)
+    return times
 
 
 def _time_order(times: np.ndarray) -> np.ndarray:
@@ -525,8 +572,10 @@ def _sequential_kernel(model, mechanism, profile, rule, latency, h):
                 for step in set(steps[steps > 0].tolist()):  # one suffix sum per column
                     holds = slot_steps == step
                     # K_j - step after a report of this column, else K_j: a 0 term
-                    without = np.where(np.logical_or.accumulate(holds, axis=0),
-                                       keys[1:] - step, keys[1:])
+                    reported = holds.copy()
+                    for j in range(1, len(reported)):
+                        reported[j] |= reported[j - 1]
+                    without = keys[1:] - step * reported
                     np.copyto(slot_rewards, _suffix_rewards(scores, s_path, masses, without),
                               where=holds)
         if mechanism == "pm_sequential":
@@ -593,7 +642,7 @@ def _paired_sequential(model, arms, i, rule, latency, h):
             s_path = np.take(scores, keys)
             _require_support(not np.isnan(s_path[-1].sum()))
             # agent i's report left out after its slot; before it, 0 terms
-            np.subtract(keys[1:], np.take(steps, rows[i]), out=keys[1:], where=rows_after >= slot)
+            keys[1:] -= np.take(steps, rows[i]) * (rows_after >= slot)
             rewards.append(_suffix_rewards(scores, s_path, masses, keys[1:])[0])
             del keys, s_path
         return rewards
@@ -645,41 +694,81 @@ def _draws(model: InformationModel, n: int, trials: int, seed: int, winner: bool
         del y, u_win, u_lat, u_sig  # free this chunk before drawing the next
 
 
-def _books(model, mechanism, profile, trials, seed, rule, access, latency, h):
-    """The books chunk by chunk: ``(slice, books)`` in trial order.
+def _agent_sum(rows: np.ndarray) -> np.ndarray:
+    """The sum over the agents of agent-major ``(n, T)`` ``rows``, bit for
+    bit numpy's ``sum(axis=1)`` of their trial-major ``(T, n)`` copy, the
+    sign of zero included.
 
-    ``books`` holds the chunk's trial-major ``(T, n)`` rewards and
-    utilities and its ``(T,)`` value, principal utility and welfare, the
-    keys of :func:`per_trial_records`.  Welfare is principal utility plus
-    the agents' utilities, so the identity holds bit for bit.  The
-    arguments are those :func:`_validate_setup` has passed.
+    numpy adds fewer than 8 terms left to right; from 8 terms up it keeps 8
+    accumulators over runs of at most 128 and splits a longer run in two at
+    a multiple of 8; it adds the total to +0.0.  Row additions in that
+    order skip numpy's inner loop per trial over the short agent axis.
+    """
+    n = len(rows)
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        total = _agent_sum(rows[:half])
+        total += _agent_sum(rows[half:])
+        return total
+    if n < 8:
+        total, rest = rows[0].copy(), rows[1:]
+    else:
+        acc = rows[:8].copy()
+        for i in range(8, n - n % 8, 8):
+            acc += rows[i:i + 8]
+        total = (acc[0] + acc[1]) + (acc[2] + acc[3])
+        total += (acc[4] + acc[5]) + (acc[6] + acc[7])
+        rest = rows[n - n % 8:]
+    for row in rest:
+        total += row
+    total += 0.0  # -0.0 to +0.0, as the final addition to numpy's identity
+    return total
+
+
+def _books(model, mechanism, profile, trials, seed, rule, access, latency, h):
+    """The books chunk by chunk: ``(slice, value, books)`` in trial order.
+
+    ``value`` is the chunk's ``(T,)`` principal's value and ``books`` one
+    agent-major ``(2n + 2, T)`` array: n rows of rewards, n of utilities,
+    then principal utility and welfare.  Welfare is principal utility plus
+    the :func:`_agent_sum` of the utilities, so ``welfare ==
+    principal_utility + utilities.sum(axis=1)`` holds bit for bit on the
+    trial-major records at any n.  The arguments are those
+    :func:`_validate_setup` has passed.
     """
     n = profile.num_agents
     settle = _kernel(model, mechanism, profile, rule, access, latency, h)
-    efforts = np.asarray(profile.efforts)
+    efforts = np.asarray(profile.efforts)[:, None]
     for sl, *draws in _draws(model, n, trials, seed, mechanism == "pm_batch"):
         rewards, value = settle(*draws)
-        rewards = np.ascontiguousarray(rewards.T)
-        utilities = rewards - efforts
-        principal = value - rewards.sum(axis=1)
-        welfare = principal + utilities.sum(axis=1)
-        yield sl, {"rewards": rewards, "value": value, "utilities": utilities,
-                   "principal_utility": principal, "welfare": welfare}
-        del draws, rewards, value, utilities, principal, welfare  # as in _draws
+        books = np.empty((2 * n + 2, len(value)))
+        books[:n] = rewards
+        np.subtract(rewards, efforts, out=books[n:2 * n])
+        np.subtract(value, _agent_sum(rewards), out=books[-2])
+        np.add(books[-2], _agent_sum(books[n:2 * n]), out=books[-1])
+        yield sl, value, books
+        del draws, rewards, value, books  # as in _draws
 
 
 def per_trial_records(model, mechanism, profile, trials, seed, *,
                       rule=None, access=None, latency=None,
                       h=None) -> dict[str, np.ndarray]:
-    """Per-trial books: rewards, value, utilities, principal utility, welfare."""
+    """Per-trial books: rewards, value, utilities, principal utility, welfare.
+
+    Trial-major: ``(trials, n)`` rewards and utilities, ``(trials,)`` the rest.
+    """
     h = _validate_setup(model, mechanism, profile, trials, seed, rule, access, latency, h)
-    records = {}
-    for sl, books in _books(model, mechanism, profile, trials, seed,
-                            rule, access, latency, h):
-        for key, a in books.items():
-            if key not in records:
-                records[key] = np.empty((trials,) + a.shape[1:])
-            records[key][sl] = a
+    n = profile.num_agents
+    records = {"rewards": np.empty((trials, n)), "value": np.empty(trials),
+               "utilities": np.empty((trials, n)), "principal_utility": np.empty(trials),
+               "welfare": np.empty(trials)}
+    for sl, value, books in _books(model, mechanism, profile, trials, seed,
+                                   rule, access, latency, h):
+        records["rewards"][sl] = books[:n].T
+        records["value"][sl] = value
+        records["utilities"][sl] = books[n:2 * n].T
+        records["principal_utility"][sl] = books[-2]
+        records["welfare"][sl] = books[-1]
     return records
 
 
@@ -698,10 +787,11 @@ def simulate(model: InformationModel, mechanism: str, profile: StrategyProfile,
     h = _validate_setup(model, mechanism, profile, trials, seed, rule, access, latency, h)
 
     def chunks():
-        for _, chunk in _books(model, mechanism, profile, trials, seed,
-                               rule, access, latency, h):
-            yield chunk
-            del chunk
+        for _, value, books in _books(model, mechanism, profile, trials, seed,
+                                      rule, access, latency, h):
+            del value  # hold no part of this chunk while the next one is settled
+            yield books
+            del books
     return SimStats._reduce(mechanism, profile, chunks(), trials)
 
 

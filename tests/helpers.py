@@ -1,17 +1,23 @@
 """Shared test utilities (not a test module)."""
+import math
+
+import numpy as np
 
 
-def welfare_foc_root(welfare, hi: float = 1.0, step: float = 1e-6) -> float:
+def welfare_foc_root(welfare, hi: float = 1.0, rel_step: float = 1e-5,
+                     lo: float = 1e-12) -> float:
     """Independent welfare maximizer: bisect the finite-difference derivative.
 
     Deliberately avoids the package's solver so the comparison between
     best-response roots and welfare optima has two separate code paths.
+    The central difference steps ``rel_step * c`` either side of c, so
+    its relative error is the same at every effort: a fixed step of 1e-6
+    read efforts near 2e-5 up to 1.3e-3 off.
     """
     def deriv(c):
-        lo_c = max(c - step, 0.0)
-        return (welfare(c + step) - welfare(lo_c)) / (c + step - lo_c)
+        step = rel_step * c
+        return (welfare(c + step) - welfare(c - step)) / (2 * step)
 
-    lo = 2 * step
     if deriv(lo) <= 0:
         return 0.0
     while deriv(hi) > 0:
@@ -24,3 +30,59 @@ def welfare_foc_root(welfare, hi: float = 1.0, step: float = 1e-6) -> float:
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+class BlockMoments:
+    """The per-block oracle of ``montecarlo._Moments``: trial-major parts
+    are copied into a ``(rows, block)`` buffer, and each full buffer merges
+    into the running sums by the pairwise update of Chan, Golub and LeVeque
+    (1979), one Python merge per block."""
+
+    def __init__(self, rows: int, trials: int, block: int = 1024):
+        self._size = min(block, max(trials, 1))
+        self._block = np.empty((rows, self._size))
+        self._fill = 0
+        self._count = 0
+        self._sum = np.zeros(rows)
+        self._m2 = np.zeros(rows)
+
+    def add(self, *parts: np.ndarray) -> None:
+        """Append the trials of ``parts``: trial-major ``(T, k)`` or ``(T,)``
+        arrays, stacked as rows in order."""
+        parts = [p.reshape(p.shape[0], -1) for p in parts]
+        trials, done = parts[0].shape[0], 0
+        while done < trials:
+            take = min(self._size - self._fill, trials - done)
+            cols = slice(self._fill, self._fill + take)
+            row = 0
+            for p in parts:
+                self._block[row:row + p.shape[1], cols] = p[done:done + take].T
+                row += p.shape[1]
+            self._fill += take
+            done += take
+            if self._fill == self._size:
+                self._merge(self._block)
+
+    def _merge(self, block: np.ndarray) -> None:
+        nb = block.shape[1]
+        total = block.sum(axis=1)
+        block -= (total / nb)[:, None]
+        np.square(block, out=block)
+        m2 = block.sum(axis=1)
+        na = self._count
+        if na:
+            delta = total / nb - self._sum / na
+            m2 += delta * delta * (na * nb / (na + nb))
+        self._count = na + nb
+        self._sum += total
+        self._m2 += m2
+        self._fill = 0
+
+    def finish(self) -> tuple[int, np.ndarray, np.ndarray]:
+        if self._fill:
+            self._merge(self._block[:, :self._fill])
+        count = self._count
+        if count < 2:
+            return count, self._sum / count, np.zeros_like(self._sum)
+        return (count, self._sum / count,
+                np.sqrt(self._m2 / (count - 1)) / math.sqrt(count))

@@ -1,16 +1,21 @@
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
 import infomarkets.equilibrium as equilibrium_module
-from infomarkets import (AccessFunction, LatencyFamily, ScoreSequence,
-                         TimeValue, batch_equilibrium, batch_welfare,
-                         mvp_agent_reward, mvp_br_derivative, mvp_equilibrium,
+from infomarkets import (AccessFunction, InformationModel, LatencyFamily,
+                         ScoreSequence, ScoringRule, TimeValue,
+                         batch_equilibrium, batch_welfare, mvp_agent_reward,
+                         mvp_br_derivative, mvp_equilibrium,
                          mvp_principal_utility, mvp_welfare,
                          pm_batch_equilibrium, pm_batch_utility,
-                         pm_batch_welfare, pm_race_equilibrium)
+                         pm_batch_welfare, pm_race_equilibrium, v_sequence)
 from infomarkets.equilibrium import TAIL_MASS
 from infomarkets.numerics import FOC_TOL, QUAD_TOL
 from helpers import welfare_foc_root
@@ -292,6 +297,16 @@ class TestFocCoincidence:
             sw = welfare_foc_root(lambda c: mvp_welfare(latency, h, v, n, c))
             assert br == pytest.approx(sw, abs=1e-8)
 
+    def test_sequential_small_effort(self):
+        """Fast signals against a slowly fading value: the root sits near
+        3.8e-5, where the oracle's relative step still resolves it."""
+        v = v_sequence(InformationModel.binary_noisy(0.1, 0.05), ScoringRule("quadratic", 20.0), 64)
+        latency, h = LatencyFamily.exponential(1e3), TimeValue.exponential(1e-3)
+        br = mvp_equilibrium(latency, h, v, 64).effort
+        sw = welfare_foc_root(lambda c: mvp_welfare(latency, h, v, 64, c))
+        assert 3e-5 < br < 5e-5
+        assert br == pytest.approx(sw, rel=1e-7)
+
 
 class TestTableTimeValue:
     def test_deadline_tends_to_the_batch_equilibrium(self):
@@ -441,6 +456,44 @@ class TestQuadratureRoute:
         quadr = mvp_br_derivative(latency, h, v, 4, 5.0, 1e-12, method="quadrature")
         assert len(rounds) > 1 and rounds[0][0] == 16
         assert quadr == pytest.approx(closed, rel=1e-12, abs=1e-12)
+
+    def test_edges_are_sorted_and_distinct(self, monkeypatch):
+        """The latency edges merge into h's as np.union1d would merge them."""
+        original, seen = equilibrium_module.integrate_segments, []
+
+        def capture(integrand, edges):
+            seen.append(edges)
+            return original(integrand, edges)
+
+        monkeypatch.setattr(equilibrium_module, "integrate_segments", capture)
+        latency = LatencyFamily.exponential(2.0)
+        for h in (H1, decay_table(10, 9.0), TimeValue.table([0.0, 150.0, 300.0],
+                                                              [1 / 150, 1 / 300, 0.0])):
+            mvp_br_derivative(latency, h, halving(8), 8, 0.3, 0.3, method="quadrature")
+        assert len(seen) == 3
+        for edges in seen:
+            assert np.array_equal(edges, np.union1d(edges, edges[:0]))
+            assert len(edges) > 10
+
+    def test_leaves_numpy_ma_unimported(self):
+        """np.union1d imported numpy.ma on its first call: 12 ms and 1.3 MB
+        of peak RSS in every fresh process that reached the quadrature."""
+        script = """
+import sys
+import infomarkets as im
+v = im.ScoreSequence((0.0, 1.0, 1.5, 1.75))
+latency = im.LatencyFamily.exponential(1.0)
+table = im.TimeValue.table([0.0, 1.0, 3.0], [1.0, 0.5, 0.0])
+for h in (im.TimeValue.exponential(1.0), table):
+    im.mvp_br_derivative(latency, h, v, 3, 0.2, 0.3, method="quadrature")
+    im.mvp_welfare(latency, h, v, 3, 0.3, method="quadrature")
+print("numpy.ma" in sys.modules)
+"""
+        src = pathlib.Path(equilibrium_module.__file__).resolve().parent.parent
+        done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": str(src)}, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["False"]
 
 
 def test_negative_effort_rejected():

@@ -26,6 +26,7 @@ from infomarkets.montecarlo import (_LATENCY, _OUTCOME, _SIGNAL, _WINNER,
                                     _report_columns, _stream)
 from infomarkets.mvp import settle_sequential, time_value_mass
 from infomarkets.scoring import score
+from helpers import BlockMoments
 
 MODEL = InformationModel.binary_noisy(0.1, 0.05)
 QUAD20 = ScoringRule("quadratic", 20.0)
@@ -270,12 +271,70 @@ class TestDeterminism:
 
 
 class TestAccounting:
+    @pytest.mark.parametrize("market", ["n2", "n9", "wide-mixed"])
     @pytest.mark.parametrize("mechanism", ["fpm", "mvp", "pm_batch", "pm_sequential"])
-    def test_welfare_identity_bit_exact(self, mechanism):
-        rec = per_trial_records(MODEL, mechanism, PROFILE, 2000, 5,
+    def test_welfare_identity_bit_exact(self, mechanism, market):
+        # from 8 agents up numpy sums the utilities pairwise, not left to right
+        model, profile, trials = {
+            "n2": (MODEL, PROFILE, 2000),
+            "n9": (MODEL, StrategyProfile.symmetric(0.3, 9), 2000),
+            "wide-mixed": (binary_model(3, 4), mixed_profile(40, 4), 700)}[market]
+        rec = per_trial_records(model, mechanism, profile, trials, 5,
                                 rule=QUAD20, access=ACC, latency=LAT1, h=H1)
         recomputed = rec["principal_utility"] + rec["utilities"].sum(axis=1)
         assert np.array_equal(rec["welfare"], recomputed)
+        assert np.array_equal(np.signbit(rec["welfare"]), np.signbit(recomputed))
+        principal = rec["value"] - rec["rewards"].sum(axis=1)
+        assert np.array_equal(rec["principal_utility"], principal)
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 8, 9, 16, 17, 128, 129, 300])
+    def test_agent_sum_is_numpys_sum(self, n):
+        """Row additions in numpy's order: left to right under 8 terms,
+        8 accumulators from 8 up, split in two above 128, added to +0.0."""
+        rng = np.random.default_rng(n)
+        rows = rng.standard_normal((n, 600)) * 10.0 ** rng.integers(-30, 30, (n, 600))
+        rows[:, :40] = -0.0  # whole trials of -0.0 sum to +0.0
+        rows[:, 40:80] = 0.0
+        rows[:, 80:100] *= np.where(rng.random((n, 20)) < 0.5, -0.0, 0.0)
+        rows[rng.random(rows.shape) < 0.1] = -0.0
+        rows[:, 100] = 1e300  # and a few with one term that dwarfs the rest
+        rows[0, 101] = -1e300
+        expected = np.ascontiguousarray(rows.T).sum(axis=1)
+        got = montecarlo._agent_sum(rows)
+        assert np.array_equal(got, expected)
+        assert np.array_equal(np.signbit(got), np.signbit(expected))
+
+    @pytest.mark.parametrize("trials", [1, 1023, 1024, 1025, 5000, 40_000])
+    @pytest.mark.parametrize("chunk", [613, 1024, 16_384])
+    def test_block_reducer_equals_the_per_block_oracle(self, trials, chunk):
+        """The whole blocks of a chunk at once, cumulative sums for the
+        merges, one buffered block: the per-block reducer's bits.  40 000
+        trials in chunks of 16 384 merge 16 blocks at once onto earlier ones."""
+        rng = np.random.default_rng(trials + chunk)
+        books = rng.standard_normal((6, trials)) * 10.0 ** rng.integers(-8, 8, (6, 1))
+        books[2] += 1e6  # a large mean, where a naive sum of squares cancels
+        oracle = BlockMoments(6, trials)
+        oracle.add(books[:2].T, books[2:4].T, books[4], books[5])
+        moments = montecarlo._Moments(6, trials)
+        for start in range(0, trials, chunk):
+            moments.add(books[:, start:start + chunk].copy())  # add overwrites it
+        got, expected = moments.finish(), oracle.finish()
+        assert got[0] == expected[0] == trials
+        for a, b in zip(got[1:], expected[1:]):
+            assert np.array_equal(a, b)
+
+    def test_from_records_copies_one_chunk_at_a_time(self):
+        """2e5 trials of n = 2: an agent-major copy of the whole records
+        would take 9.2 MiB; slices of about 2^16 entries take 0.5 MiB and the
+        buffered block 48 KiB."""
+        records = per_trial_records(MODEL, "fpm", PROFILE, 200_000, 5, rule=QUAD20, access=ACC)
+        tracemalloc.start()
+        try:
+            SimStats.from_records("fpm", PROFILE, records)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20, peak
 
     @pytest.mark.parametrize("mechanism", ["fpm", "mvp"])
     def test_block_merged_stats_match_numpy(self, mechanism):
