@@ -31,7 +31,7 @@ from .scoring import ScoringRule, score
 #: (row, outcome) pairs.  Traced peaks (``tracemalloc``, draws included):
 #: 1.9 / 4.4 MiB for an fpm / mvp ``simulate`` at n = 2, whose agent-major
 #: books (0.75 MiB) the statistics reduce in place; 4.0 MiB for a paired mvp
-#: deviation at n = 2; 2.0 / 4.3 MiB for fpm / mvp at n = 32; and 9.4 MiB
+#: deviation at n = 2; 1.9 / 4.3 MiB for fpm / mvp at n = 32; and 9.4 MiB
 #: for 300 agents with 40-valued signals, settled by folds.  A chunk
 #: gathered from a Monte Carlo score table holds a few integer keys and
 #: gathered scores per trial and agent, no belief paths

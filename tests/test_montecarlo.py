@@ -289,8 +289,8 @@ class TestAccounting:
 
     @pytest.mark.parametrize("n", [1, 2, 7, 8, 9, 16, 17, 128, 129, 300])
     def test_agent_sum_is_numpys_sum(self, n):
-        """Row additions in numpy's order: left to right under 8 terms,
-        8 accumulators from 8 up, split in two above 128, added to +0.0."""
+        """Row additions left to right under 8 terms, added to +0.0; numpy's
+        own sum from 8 up."""
         rng = np.random.default_rng(n)
         rows = rng.standard_normal((n, 600)) * 10.0 ** rng.integers(-30, 30, (n, 600))
         rows[:, :40] = -0.0  # whole trials of -0.0 sum to +0.0
