@@ -4,7 +4,7 @@ The expected proper score of the market belief rises with every truthful
 report, but the *marginal* rise is not monotone: for a rare event observed
 through noisy signals, early reports barely move the needle (one noisy
 "yes" about a 2% event is probably noise) while the third corroborating
-report is the most valuable.  A market that pays each reporter his own
+report is the most valuable.  A market that pays each reporter their own
 score improvement therefore rewards waiting.
 """
 import numpy as np
@@ -26,7 +26,7 @@ for k in range(1, 11):
 
 peak = int(np.argmax(v.deltas)) + 1
 print(f"\nThe largest reward goes to report #{peak}, not #1:")
-print("an agent confident he would be first prefers to wait, and the")
+print("an agent confident they would be first prefers to wait, and the")
 print("market aggregates stale information exactly when speed matters.")
 print("\nThe sequential marginal-value market (see demo 04) removes this:")
 print("it pays marginal contribution over the whole timeline, weighted by")

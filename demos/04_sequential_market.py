@@ -2,7 +2,7 @@
 
 Three agents report at different times; the market tracks the actual
 belief path, and each agent's counterfactual path is the path of the same
-stream without his report.  Each reward is the time-value-weighted area
+stream without their report.  Each reward is the time-value-weighted area
 between the two paths, so a report is worth more the earlier it lands and
 the more it adds to what others already contributed.
 """
@@ -43,9 +43,9 @@ for rep in reports:
 print(f"\nSettled rewards (outcome = {outcome}):")
 for i, r in enumerate(rewards):
     print(f"  agent {i}: {r:+.6f}")
-print("Agent 0 reported earliest, while most time value remained, and his")
+print("Agent 0 reported earliest, while most time value remained, and their")
 print("signal moved the belief most against the others' counterfactual;")
-print("agent 2's contrarian (and wrong) late report costs him.")
+print("agent 2's contrarian (and wrong) late report costs them.")
 
 print("\nReporting the same content later only shrinks the reward:")
 for t0 in (0.4, 1.0, 2.0, 4.0):

@@ -1,6 +1,6 @@
 """The fair batch market: aggregate all reports, pay leave-one-out gains.
 
-Every agent is rewarded as if he had reported last:
+Every agent is rewarded as if they had reported last:
 
     r_k = S(p_all, y*) - S(p_without_k, y*)
 
@@ -107,13 +107,13 @@ def fpm_expected_reward(model: InformationModel, rule: ScoringRule,
 
     Truthful agents sharing q are interchangeable: each such class is
     enumerated by the count vectors of its m + 1 states (no signal, then
-    each value), and each agent earns his class's mean slot reward.  The
+    each value), and each agent earns their class's mean slot reward.  The
     classes combine as a Cartesian product whose rows, times n agents,
     must fit :data:`ENUMERATION_BUDGET`.  :func:`settle_batch` settles
     the (row, outcome) pairs of positive weight in blocks of
     :data:`_CHUNK_ELEMENTS` report-column entries, so its scratch does
     not grow with the rows or the outcomes.
-    ``report_override`` maps an agent (a class of his own) to a report
+    ``report_override`` maps an agent (a class of their own) to a report
     function ``f(signal or None) -> report``; that is how deviation losses
     are measured exactly.
     """

@@ -1,7 +1,7 @@
 """Conditionally i.i.d. information structures and exact score expectations.
 
 An :class:`InformationModel` couples an outcome prior with a per-signal
-likelihood table; every agent draws his signal from the same table,
+likelihood table; every agent draws their signal from the same table,
 independently conditioned on the outcome.  The canonical special case is
 the binary noisy model: outcome 1 has prior probability ``alpha`` and each
 signal equals the outcome with probability ``1 - beta``.

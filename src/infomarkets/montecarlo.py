@@ -17,15 +17,24 @@ once and settles both arms, baseline and deviant, on that one draw, each
 through its own profile's kernel; in a marginal-value market each arm
 settles only the deviant's reward (see :func:`_paired_sequential`).
 
-A chunk's draws are agent-major ``(n, T)`` arrays, and its kernel (built
-once per profile by :func:`_kernel`) maps them to rewards and the
-principal's value with no Python loop per trial or per signal value:
-signals compare each of the m - 1 thresholds against all agents at once,
-and report columns come from one gather into a table of each agent's
-signal-state columns (built as ``fpm_expected_reward`` builds its own),
-in time order in a sequential market.  Each chunk settles about
-:data:`_CHUNK_ELEMENTS` trials x agents x outcomes entries, so scratch
-memory is bounded at any width.
+A chunk's draws are the ``(T,)`` outcomes, agent-major ``(n, T)``
+latency uniforms and signal indices, and the winner uniforms of a
+``pm_batch`` market (see :func:`_draws`).  Its kernel (built once per
+profile by :func:`_kernel`) maps them to rewards and the principal's
+value with no Python loop per trial or per signal value: report columns
+come from one gather into a table of each agent's signal-state columns
+(built as ``fpm_expected_reward`` builds its own), in time order in a
+sequential market.  Each chunk settles about :data:`_CHUNK_ELEMENTS`
+trials x agents x outcomes entries, so scratch memory is bounded at any
+width.
+
+Drawing is a stage of its own.  A run of several chunks, on a process
+that may use two CPUs, draws chunk k + 1 on one helper thread while the
+calling thread settles chunk k; settlement and every sum stay on the
+calling thread.  Each stream is read by one thread in trial order, so the
+bits are those of drawing inline.  Such a run holds one chunk's draws
+beyond the chunk it settles: traced peaks of 2.7 / 5.0 MiB for an fpm /
+mvp ``simulate`` at n = 2 against 1.8 / 4.4 MiB in one chunk.
 
 The books stay agent-major: :func:`_books` writes a chunk's rewards,
 utilities, principal utility and welfare as the rows of one ``(2n + 2,
@@ -47,6 +56,8 @@ depends on the profile alone, never on the chunk.
 """
 import math
 import numbers
+import os
+import threading
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -68,7 +79,7 @@ _OUTCOME, _LATENCY, _SIGNAL, _WINNER = 0, 1, 2, 3
 
 @dataclass(frozen=True)
 class ReportPolicy:
-    """What an agent does with the report he would otherwise submit truthfully.
+    """What an agent does with the report they would otherwise submit truthfully.
 
     ``perturbed`` shifts the binary ratio entry by ``epsilon``; ``delayed`` adds
     ``delay`` (finite, >= 0) to the submission time (sequential settings
@@ -149,11 +160,10 @@ class _Moments:
     one merge per block would, so the bits are those of merging block by
     block.  Only a block that spans two calls is copied, into a buffer
     that is merged in place.  Memory is one buffered block however many
-    trials pass; when a call's whole blocks do not start its rows (the
-    buffer took the first trials) or do not fill them, numpy copies them
-    once for the in-place update, so scratch stays within the chunk.  A
-    run of fewer ``trials`` than a block buffers only those: it is one
-    partial block either way.
+    trials pass.  When a call's whole blocks do not start its rows (the
+    buffer took the first trials) or do not fill them, they are updated
+    one block at a time, in place as well.  A run of fewer ``trials``
+    than a block buffers only those: it is one partial block either way.
     """
 
     def __init__(self, rows: int, trials: int):
@@ -190,8 +200,13 @@ class _Moments:
         nb = blocks.shape[2]
         totals = blocks.sum(axis=2)
         means = totals / nb
-        blocks -= means[..., None]
-        np.square(blocks, out=blocks)
+        if blocks.flags.c_contiguous:
+            blocks -= means[..., None]
+            np.square(blocks, out=blocks)
+        else:  # numpy would copy the strided view for each in-place ufunc
+            for row, mean in zip(blocks, means):  # each row's blocks are contiguous
+                row -= mean[:, None]
+                np.square(row, out=row)
         m2 = blocks.sum(axis=2)
         # the running sums before each block and after the last
         sums = np.cumsum(np.concatenate((self._sum[:, None], totals), axis=1), axis=1)
@@ -335,19 +350,23 @@ def _draw_signals(model: InformationModel, y: np.ndarray, u: np.ndarray) -> np.n
     return signals
 
 
-def _column_table(model: InformationModel, profile: StrategyProfile,
-                  sequential: bool) -> np.ndarray:
-    """Every agent's report column in every extended signal state, flattened.
+def _policy_tables(model: InformationModel, profile: StrategyProfile,
+                   sequential: bool) -> tuple[np.ndarray, np.ndarray]:
+    """``(tables, holder)``: the ``(P, m + 1, d)`` state tables of the
+    profile's P distinct policies (see :func:`_report_columns`), in order of
+    their first holder, and each agent's ``(n,)`` index into them.
 
-    Row ``i * (m + 1) + s`` is agent i's column in state s (see
-    :func:`_report_columns`).  In a sequential market state 0 means the
-    agent never reports, so that row is the neutral column of ones.
+    ``tables[holder]`` flattened to ``(n (m + 1), d)`` is the column table:
+    row ``i * (m + 1) + s`` is agent i's column in state s.  In a
+    sequential market state 0 means the agent never reports, so that row is
+    the neutral column of ones.
     """
-    by_policy = {p: _report_columns(model, p) for p in set(profile.policies)}
-    table = np.stack([by_policy[p] for p in profile.policies])
+    policies = list(dict.fromkeys(profile.policies))
+    index = {p: k for k, p in enumerate(policies)}
+    tables = np.stack([_report_columns(model, p) for p in policies])
     if sequential:
-        table[:, 0] = 1.0
-    return table.reshape(-1, model.num_outcomes)
+        tables[:, 0] = 1.0
+    return tables, np.array([index[p] for p in profile.policies])
 
 
 def _states(signals: np.ndarray, active: np.ndarray) -> np.ndarray:
@@ -357,7 +376,8 @@ def _states(signals: np.ndarray, active: np.ndarray) -> np.ndarray:
 
 
 def _table_rows(model: InformationModel, states: np.ndarray) -> np.ndarray:
-    """(n, T) rows of :func:`_column_table` of the agent-major ``states``."""
+    """(n, T) column-table rows (see :func:`_policy_tables`) of the
+    agent-major ``states``."""
     first = (model.num_signal_values + 1) * np.arange(states.shape[0])[:, None]
     return first + states
 
@@ -369,9 +389,10 @@ def _table_rows(model: InformationModel, states: np.ndarray) -> np.ndarray:
 _TABLE_ENTRIES = 1 << 17
 
 
-def _score_table(model: InformationModel, rule: ScoringRule, table: np.ndarray):
-    """``(steps, scores)`` of a :func:`_column_table`, or None if they would
-    exceed :data:`_TABLE_ENTRIES` entries.
+def _score_table(model: InformationModel, rule: ScoringRule, tables: np.ndarray,
+                 holder: np.ndarray):
+    """``(steps, scores)`` of the :func:`_policy_tables` ``tables`` and
+    ``holder``, or None if they would exceed :data:`_TABLE_ENTRIES` entries.
 
     Odds updates commute, so a belief depends only on how often each
     distinct column was folded.  Each column but one of all ones gets a
@@ -379,15 +400,18 @@ def _score_table(model: InformationModel, rule: ScoringRule, table: np.ndarray):
     some state.  ``scores[key + y]`` scores at outcome y the belief that
     folds the columns, in lexicographic order (not report order: the last
     bits move), each as often as its digit in the key, by :func:`fold_path`'s
-    steps; NaN marks disjoint support.  ``steps[r]`` adds one fold of row
-    r's column (0 for ones), so ``steps[rows].sum() + y`` indexes any rows.
+    steps; NaN marks disjoint support.  ``steps[r]`` adds one fold of
+    column-table row r's column (0 for ones), so ``steps[rows].sum() + y``
+    indexes any rows.  The columns come from the distinct policies' tables,
+    m + 1 rows each, never from one row per agent and state.
     """
-    d, states = model.num_outcomes, model.num_signal_values + 1
-    columns, kind = np.unique(table, axis=0, return_inverse=True)
-    held = np.sort(kind.reshape(-1, states), axis=1)  # each agent's columns
-    first = np.insert(held[:, 1:] != held[:, :-1], 0, True, axis=1)
+    d, policies = model.num_outcomes, len(tables)
+    columns, kind = np.unique(tables.reshape(-1, d), axis=0, return_inverse=True)
+    kind = kind.reshape(policies, -1)  # each policy's column in each state
+    reports = np.zeros((policies, len(columns)), dtype=np.intp)
+    reports[np.arange(policies)[:, None], kind] = 1  # whether a policy holds a column
     ones = np.all(columns == 1.0, axis=1)
-    radices = np.where(ones, 1, 1 + np.bincount(held[first], minlength=len(columns)))
+    radices = np.where(ones, 1, 1 + np.bincount(holder, minlength=policies) @ reports)
     if math.prod(radices.tolist()) * d > _TABLE_ENTRIES:
         return None
     probs = np.empty((*radices, d))
@@ -406,7 +430,15 @@ def _score_table(model: InformationModel, rule: ScoringRule, table: np.ndarray):
     scores = np.empty(probs.shape)
     for y in range(d):
         scores[:, y] = score(rule, probs, np.full(len(probs), y))
-    return np.where(ones[kind], 0, strides[kind]).reshape(-1), scores.ravel()
+    return np.where(ones[kind], 0, strides[kind])[holder].reshape(-1), scores.ravel()
+
+
+def _settlement_tables(model, rule, profile, sequential):
+    """``(table, scored)``: the profile's flat column table (see
+    :func:`_policy_tables`) and its :func:`_score_table`, None over the bound."""
+    tables, holder = _policy_tables(model, profile, sequential)
+    return (tables[holder].reshape(-1, model.num_outcomes),
+            _score_table(model, rule, tables, holder))
 
 
 def _path_keys(steps: np.ndarray, slot_rows: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -433,9 +465,11 @@ def _suffix_rewards(scores, s_path, masses, without) -> np.ndarray:
 
 def _kernel(model, mechanism, profile, rule, access, latency, h):
     """The chunk kernel of one profile, built once per run: ``settle(y,
-    u_lat, u_sig, u_win)`` maps one chunk's draws (agent-major ``(n, T)``
-    uniforms; ``u_win`` is None except in ``pm_batch``) to agent-major
-    rewards ``(n, T)`` and the principal's value ``(T,)``."""
+    u_lat, signals, u_win)`` maps one chunk's draws (see :func:`_draws`:
+    agent-major ``(n, T)`` latency uniforms and signal indices; ``u_win``
+    is None except in ``pm_batch``) to agent-major rewards ``(n, T)`` and
+    the principal's value ``(T,)``.  A kernel writes into no draw, so two
+    kernels may settle the same ones."""
     if mechanism in ("fpm", "pm_batch"):
         return _batch_kernel(model, mechanism, profile, rule, access)
     return _sequential_kernel(model, mechanism, profile, rule, latency, h)
@@ -449,7 +483,7 @@ def _batch_kernel(model, mechanism, profile, rule, access):
     if mechanism == "pm_batch":
         speaks = np.array([p.kind != "silent" for p in profile.policies])[:, None]
 
-        def settle(y, u_lat, u_sig, u_win):
+        def settle(y, u_lat, signals, u_win):
             active = (u_lat < q) & speaks
             count = active.sum(axis=0)
             pick = np.floor(u_win * count).astype(int)  # uniform among signal holders
@@ -457,11 +491,10 @@ def _batch_kernel(model, mechanism, profile, rule, access):
             return wins.astype(float), (count > 0).astype(float)
         return settle
 
-    table = _column_table(model, profile, sequential=False)
-    scored = _score_table(model, rule, table)
+    table, scored = _settlement_tables(model, rule, profile, sequential=False)
 
-    def settle(y, u_lat, u_sig, u_win):
-        rows = _table_rows(model, _states(_draw_signals(model, y, u_sig), u_lat < q))
+    def settle(y, u_lat, signals, u_win):
+        rows = _table_rows(model, _states(signals, u_lat < q))
         if scored is None:
             p_all, rewards = settle_batch(model.prior, np.take(table, rows, axis=0), y, rule)
             return rewards, score(rule, p_all, y) - score(rule, model.prior, y)
@@ -540,16 +573,14 @@ def _slot_gathers(order: np.ndarray):
 
 def _sequential_kernel(model, mechanism, profile, rule, latency, h):
     arrivals = _arrivals(profile, latency)
-    table = _column_table(model, profile, sequential=True)
-    scored = _score_table(model, rule, table)
+    table, scored = _settlement_tables(model, rule, profile, sequential=True)
 
-    def settle(y, u_lat, u_sig, u_win):
+    def settle(y, u_lat, signals, u_win):
         times = _report_times(-np.log1p(-u_lat), *arrivals)
         to_slots, from_slots = _slot_gathers(_time_order(times))
         sorted_times = to_slots(times)
         # an agent who never reports sorts last, in state 0 (the neutral column)
-        slot_rows = to_slots(_table_rows(model, _states(_draw_signals(model, y, u_sig),
-                                                        np.isfinite(times))))
+        slot_rows = to_slots(_table_rows(model, _states(signals, np.isfinite(times))))
         masses = _segment_masses(h, sorted_times)  # (n + 1, T)
 
         if scored is None and mechanism == "mvp":
@@ -585,7 +616,7 @@ def _sequential_kernel(model, mechanism, profile, rule, latency, h):
 
 def _paired_sequential(model, arms, i, rule, latency, h):
     """The paired chunk function of an mvp deviation by agent i: ``settle(y,
-    u_lat, u_sig, u_win)`` -> agent i's ``(T,)`` rewards in the baseline and
+    u_lat, signals, u_win)`` -> agent i's ``(T,)`` rewards in the baseline and
     deviant arm.
 
     Each arm sums agent i's terms alone, as :func:`_sequential_kernel`
@@ -594,8 +625,8 @@ def _paired_sequential(model, arms, i, rule, latency, h):
     order (at step j after agent i's slot, row j - 1 is the path without
     agent i), in :func:`settle_sequential`'s order; both arms share it.
     """
-    tables = [_column_table(model, p, sequential=True) for p in arms]
-    scored = [_score_table(model, rule, table) for table in tables]
+    tables, scored = zip(*(_settlement_tables(model, rule, p, sequential=True)
+                           for p in arms))
     n, first = arms[0].num_agents, model.num_signal_values + 1
     arrivals = [_arrivals(p, latency) for p in arms]
     # whether agent i's report time differs between the arms
@@ -603,14 +634,13 @@ def _paired_sequential(model, arms, i, rule, latency, h):
     others = np.flatnonzero(np.arange(n) != i)
     rows_after = np.arange(n)[:, None]
 
-    def settle(y, u_lat, u_sig, u_win):
+    def settle(y, u_lat, signals, u_win):
         waits = -np.log1p(-u_lat)
-        signals = _draw_signals(model, y, u_sig)
         times = _report_times(waits, *arrivals[0])
         rows = _table_rows(model, _states(signals, np.isfinite(times)))
         # each arm recomputes agent i's rows alone, from these two
-        wait, signal = waits[i].copy(), signals[i].copy()
-        del waits, signals
+        wait, signal = waits[i].copy(), signals[i]
+        del waits
         if any(arm is None for arm in scored):  # the other agents' columns fit both arms
             others_rows = _slot_gathers(others[_time_order(times[others])])[0](rows)
             s_without = score(rule, fold_path(model.prior, np.take(tables[0], others_rows,
@@ -665,22 +695,42 @@ def _validate_setup(model, mechanism, profile, trials, seed, rule, access, laten
     return h
 
 
-def _draws(model: InformationModel, n: int, trials: int, seed: int, winner: bool):
-    """The trial range in chunks, with their draws: ``(slice, y, u_lat, u_sig, u_win)``.
+def _cpus() -> int:
+    """How many CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity masks on this platform
+        return os.cpu_count() or 1
 
-    ``u_lat`` and ``u_sig`` are agent-major ``(n, T)``: row i is filled in
-    place from agent i's own streams.  ``u_win`` is drawn only if
-    ``winner`` (else None); it has a stream of its own, so the other draws
-    are the same either way.  The draws depend on the seed, the number of
-    agents and the outcome count only, never on the strategies, so every
-    profile of n agents settles on the same ones.
+
+def _draws(model: InformationModel, n: int, trials: int, seed: int, winner: bool):
+    """The trial range in chunks, with their draws: ``(slice, y, u_lat, signals, u_win)``.
+
+    ``y`` holds the ``(T,)`` outcomes, ``u_lat`` the agent-major ``(n, T)``
+    latency uniforms and ``signals`` the ``(n, T)`` signal indices of
+    :func:`_draw_signals`; row i is filled from agent i's own streams.
+    ``u_win`` is drawn only if ``winner`` (else None); it has a stream of
+    its own, so the other draws are the same either way.  The draws depend
+    on the seed, the number of agents and the outcome count only, never on
+    the strategies, so every profile of n agents settles on the same ones.
+
+    A run of two chunks or more, on a process that may use two CPUs, draws
+    on one helper thread: it draws chunk k + 1 while the caller settles
+    chunk k, and waits until the caller takes it before drawing k + 2, so
+    a run holds the draws of one chunk beyond the chunk it settles.  Each
+    stream is read by one thread, in trial order, so the bits are those of
+    drawing inline.  The helper ends, and is joined, before the generator
+    finishes, raises or is closed; an exception it raises reaches the
+    caller as is.
     """
     chunk = max(1, _CHUNK_ELEMENTS // (n * model.num_outcomes))
     g_outcome = _stream(seed, _OUTCOME)
     g_winner = _stream(seed, _WINNER) if winner else None
     g_lat = [_stream(seed, _LATENCY, i) for i in range(n)]
     g_sig = [_stream(seed, _SIGNAL, i) for i in range(n)]
-    for done in range(0, trials, chunk):
+    starts = range(0, trials, chunk)
+
+    def draw(done):
         T = min(chunk, trials - done)
         y = _draw_outcomes(model, g_outcome.random(T))
         u_win = g_winner.random(T) if winner else None
@@ -688,8 +738,44 @@ def _draws(model: InformationModel, n: int, trials: int, seed: int, winner: bool
         for i in range(n):
             g_lat[i].random(out=u_lat[i])
             g_sig[i].random(out=u_sig[i])
-        yield slice(done, done + T), y, u_lat, u_sig, u_win
-        del y, u_win, u_lat, u_sig  # free this chunk before drawing the next
+        return slice(done, done + T), y, u_lat, _draw_signals(model, y, u_sig), u_win
+
+    if len(starts) == 1 or _cpus() < 2:  # a helper would only wait, or share one CPU
+        for done in starts:
+            yield draw(done)
+        return
+
+    ahead = []  # the next chunk's draws, or the helper's exception
+    drawn, taken = threading.Semaphore(0), threading.Semaphore(0)
+    stop = False
+
+    def helper():
+        try:
+            for done in starts:
+                ahead.append(draw(done))
+                drawn.release()
+                taken.acquire()
+                if stop:
+                    return
+        except BaseException as exc:  # the caller raises it
+            ahead.append(exc)
+            drawn.release()
+
+    thread = threading.Thread(target=helper, name="montecarlo-draws", daemon=True)
+    thread.start()
+    try:
+        for _ in starts:
+            drawn.acquire()
+            draws = ahead.pop()
+            taken.release()  # the next chunk is drawn while this one settles
+            if isinstance(draws, BaseException):
+                raise draws
+            yield draws
+            del draws  # free this chunk before taking the next
+    finally:
+        stop = True
+        taken.release()
+        thread.join()
 
 
 def _agent_sum(rows: np.ndarray) -> np.ndarray:
@@ -832,7 +918,7 @@ def deviation_test(model: InformationModel, mechanism: str,
         # both arms settle on the same draws: common random numbers
         base, dev = settle(*draws)
         delta[sl] = (dev - costs[1]) - (base - costs[0])
-        del draws, base, dev  # free this chunk before drawing the next
+        del draws, base, dev  # free this chunk before taking the next
     mean = delta.mean()
     if trials < 2:
         return float(mean), 0.0

@@ -3,7 +3,7 @@
 The market belief is a piecewise-constant path updated by timed reports.
 Agent i's counterfactual path is the path of the same stream without
 agent i's report.  After the outcome reveals, agent i earns the
-time-weighted integral of his marginal contribution:
+time-weighted integral of their marginal contribution:
 
     r_i = integral over t > 0 of (S(p(t), y*) - S(p~i(t), y*)) h(t) dt
 

@@ -3,6 +3,9 @@ import math
 
 import numpy as np
 
+from infomarkets.montecarlo import _TABLE_ENTRIES
+from infomarkets.scoring import _outcome_sum, score
+
 
 def welfare_foc_root(welfare, hi: float = 1.0, rel_step: float = 1e-5,
                      lo: float = 1e-12) -> float:
@@ -86,3 +89,32 @@ class BlockMoments:
             return count, self._sum / count, np.zeros_like(self._sum)
         return (count, self._sum / count,
                 np.sqrt(self._m2 / (count - 1)) / math.sqrt(count))
+
+
+def unique_row_score_table(model, rule, table: np.ndarray):
+    """The oracle of ``montecarlo._score_table``: the same ``(steps, scores)``
+    or None, built from the whole flat ``(n (m + 1), d)`` column table, one
+    row per agent and state, with ``np.unique`` over all of its rows."""
+    d, states = model.num_outcomes, model.num_signal_values + 1
+    columns, kind = np.unique(table, axis=0, return_inverse=True)
+    held = np.sort(kind.reshape(-1, states), axis=1)  # each agent's columns
+    first = np.insert(held[:, 1:] != held[:, :-1], 0, True, axis=1)
+    ones = np.all(columns == 1.0, axis=1)
+    radices = np.where(ones, 1, 1 + np.bincount(held[first], minlength=len(columns)))
+    if math.prod(radices.tolist()) * d > _TABLE_ENTRIES:
+        return None
+    probs = np.empty((*radices, d))
+    probs[(0,) * len(columns)] = model.prior
+    with np.errstate(invalid="ignore"):  # a disjoint support folds to NaN
+        for axis, column in enumerate(columns):
+            block = np.moveaxis(probs[(slice(None),) * (axis + 1)
+                                      + (0,) * (len(columns) - axis - 1)], axis, 0)
+            for k in range(1, radices[axis]):
+                weights = np.multiply(block[k - 1], column, out=block[k])
+                weights /= _outcome_sum(weights)[..., None]
+    strides = np.array(probs.strides[:-1]) // probs.itemsize
+    probs = probs.reshape(-1, d)
+    scores = np.empty(probs.shape)
+    for y in range(d):
+        scores[:, y] = score(rule, probs, np.full(len(probs), y))
+    return np.where(ones[kind], 0, strides[kind]).reshape(-1), scores.ravel()

@@ -203,7 +203,7 @@ class TestExpectedReward:
                                    0.0, atol=0)
 
     def test_truthful_reporting_is_strictly_optimal(self):
-        """Shifting one agent's report entry strictly lowers his expected reward."""
+        """Shifting one agent's report entry strictly lowers their expected reward."""
         rng = np.random.default_rng(22)
         for _ in range(50):
             alpha = float(rng.uniform(0.1, 0.9))

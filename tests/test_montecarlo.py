@@ -4,6 +4,8 @@ import json
 import math
 import numbers
 import re
+import sys
+import threading
 import tracemalloc
 import warnings
 from fractions import Fraction
@@ -26,7 +28,7 @@ from infomarkets.montecarlo import (_LATENCY, _OUTCOME, _SIGNAL, _WINNER,
                                     _report_columns, _stream)
 from infomarkets.mvp import settle_sequential, time_value_mass
 from infomarkets.scoring import score
-from helpers import BlockMoments
+from helpers import BlockMoments, unique_row_score_table
 
 MODEL = InformationModel.binary_noisy(0.1, 0.05)
 QUAD20 = ScoringRule("quadratic", 20.0)
@@ -90,12 +92,17 @@ def agent_columns(model, profile, y, u_sig, active):
     return cols
 
 
+def score_table(model, rule, profile, sequential):
+    """``montecarlo._score_table`` of ``profile``'s policy tables."""
+    return montecarlo._score_table(model, rule,
+                                   *montecarlo._policy_tables(model, profile, sequential))
+
+
 def on_table(model, mechanism, profile, rule):
     """Whether the chunk kernel settles ``profile`` from its score table."""
     if mechanism == "pm_batch":
         return False
-    table = montecarlo._column_table(model, profile, mechanism in ("mvp", "pm_sequential"))
-    return montecarlo._score_table(model, rule, table) is not None
+    return score_table(model, rule, profile, mechanism in ("mvp", "pm_sequential")) is not None
 
 
 def canonical_scorer(model, rule):
@@ -186,6 +193,13 @@ def loop_settlement(model, mechanism, profile, trials, seed, rule, access,
     rewards = np.empty_like(slot_rewards)
     np.put_along_axis(rewards, order, slot_rewards, axis=0)
     return rewards, np.einsum("jt,tj->t", s_path - s_path[0], masses.T)
+
+
+def draw_working_set(model, n):
+    """Bytes of one full chunk's draws while they are drawn: the outcome
+    uniforms, the outcomes, ``u_lat``, the signal uniforms and the signals."""
+    trials = montecarlo._CHUNK_ELEMENTS // (n * model.num_outcomes)
+    return 8 * trials * (2 + 3 * n)
 
 
 def assert_close(actual, expected):
@@ -305,23 +319,45 @@ class TestAccounting:
         assert np.array_equal(np.signbit(got), np.signbit(expected))
 
     @pytest.mark.parametrize("trials", [1, 1023, 1024, 1025, 5000, 40_000])
-    @pytest.mark.parametrize("chunk", [613, 1024, 16_384])
-    def test_block_reducer_equals_the_per_block_oracle(self, trials, chunk):
+    @pytest.mark.parametrize("chunks", [(613,), (1024,), (10_922,), (16_384,), (500, 10_922)],
+                             ids=["613", "1024", "10922", "16384", "500-10922"])
+    def test_block_reducer_equals_the_per_block_oracle(self, trials, chunks):
         """The whole blocks of a chunk at once, cumulative sums for the
         merges, one buffered block: the per-block reducer's bits.  40 000
-        trials in chunks of 16 384 merge 16 blocks at once onto earlier ones."""
-        rng = np.random.default_rng(trials + chunk)
+        trials in chunks of 16 384 merge 16 blocks at once onto earlier ones;
+        chunks of 10 922 (n = 3, d = 2) leave a partial block, and after
+        one of 500 a chunk first completes the buffered block, so its whole
+        blocks neither start nor fill its rows."""
+        rng = np.random.default_rng(trials + sum(chunks))
         books = rng.standard_normal((6, trials)) * 10.0 ** rng.integers(-8, 8, (6, 1))
         books[2] += 1e6  # a large mean, where a naive sum of squares cancels
         oracle = BlockMoments(6, trials)
         oracle.add(books[:2].T, books[2:4].T, books[4], books[5])
         moments = montecarlo._Moments(6, trials)
-        for start in range(0, trials, chunk):
-            moments.add(books[:, start:start + chunk].copy())  # add overwrites it
+        start, lengths = 0, itertools.cycle(chunks)
+        while start < trials:
+            stop = start + next(lengths)
+            moments.add(books[:, start:stop].copy())  # add overwrites it
+            start = stop
         got, expected = moments.finish(), oracle.finish()
         assert got[0] == expected[0] == trials
         for a, b in zip(got[1:], expected[1:]):
             assert np.array_equal(a, b)
+
+    def test_block_reducer_copies_no_strided_blocks(self):
+        """A 6 x 10 922 chunk reduces 10 whole blocks in place, as a 16 384
+        one reduces 16: a copy of its whole blocks alone would be 480 KiB.
+        So does the next chunk, which first completes the buffered block."""
+        rng = np.random.default_rng(5)
+        moments = montecarlo._Moments(6, 1_000_000)
+        for books in (rng.standard_normal((6, 10_922)), rng.standard_normal((6, 10_922))):
+            tracemalloc.start()
+            try:
+                moments.add(books)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 128 * 2 ** 10, peak
 
     def test_from_records_copies_one_chunk_at_a_time(self):
         """2e5 trials of n = 2: an agent-major copy of the whole records
@@ -623,13 +659,16 @@ class TestDeviations:
         assert_paired_equals_separate(MODEL, mechanism, PROFILE, 0, deviation,
                                       200_000, 41, H1)
 
-    def test_memory_is_one_float_per_trial_and_one_chunk(self):
+    def test_memory_is_one_float_per_trial_and_one_chunk(self, monkeypatch):
         # 1e6 trials: the (trials,) differences take 7.6 MiB and a chunk's
         # scratch about 4.2 MiB; a copy of the differences for the standard
-        # error would add 7.6 MiB
+        # error would add 7.6 MiB.  Past one chunk the helper thread draws
+        # the next chunk while one settles: 1 MiB more at n = 2
+        monkeypatch.setattr(montecarlo, "_cpus", lambda: 2)
         kw = dict(rule=QUAD20, latency=LAT1, h=H1)
         delay = ReportPolicy("delayed", delay=0.5)
-        for trials, bound in ((16_384, 4.5 * 2 ** 20), (1_000_000, 12 * 2 ** 20)):
+        for trials, bound in ((16_384, 4.5 * 2 ** 20),
+                              (1_000_000, 12 * 2 ** 20 + draw_working_set(MODEL, 2))):
             tracemalloc.start()
             try:
                 deviation_test(MODEL, "mvp", PROFILE, 0, delay, trials, 1, **kw)
@@ -648,6 +687,121 @@ class TestDeviations:
         with pytest.raises(ValueError, match=r"^deviant_agent must be an integer of at least 0"):
             deviation_test(MODEL, "fpm", PROFILE, agent, 0.1, 100, 0,
                            rule=QUAD20, access=ACC)
+
+
+class TestDrawAhead:
+    """A run of several chunks draws chunk k + 1 on a helper thread while
+    chunk k settles: the bits of drawing inline, the helper's exceptions
+    raised in the caller, and no thread left behind."""
+
+    @staticmethod
+    def draw_on(monkeypatch, cpus):
+        """Let runs see ``cpus`` CPUs; returns, for each chunk drawn, whether
+        the main thread drew its signals."""
+        monkeypatch.setattr(montecarlo, "_cpus", lambda: cpus)
+        on_main = []
+
+        def spy(*args):
+            on_main.append(threading.current_thread() is threading.main_thread())
+            return _draw_signals(*args)
+        monkeypatch.setattr(montecarlo, "_draw_signals", spy)
+        return on_main
+
+    @pytest.mark.parametrize("wide", [False, True], ids=["n2", "wide-mixed"])
+    @pytest.mark.parametrize("mechanism", ["fpm", "mvp", "pm_batch", "pm_sequential"])
+    def test_helper_draws_give_the_inline_bits(self, mechanism, wide, monkeypatch):
+        # 613-trial chunks at n = 2, 30 for 40 agents
+        model, profile, trials = ((binary_model(3, 4), mixed_profile(40, 4), 700)
+                                  if wide else (MODEL, PROFILE, 5000))
+        monkeypatch.setattr(montecarlo, "_CHUNK_ELEMENTS", 4 * 613)
+        kw = dict(rule=QUAD20, access=ACC, latency=LAT1, h=DEADLINE)
+        deviations = (0.5, ReportPolicy("perturbed", epsilon=0.1))
+
+        def run(cpus):
+            on_main = self.draw_on(monkeypatch, cpus)
+            results = (simulate(model, mechanism, profile, trials, 23, **kw),
+                       per_trial_records(model, mechanism, profile, trials, 23, **kw),
+                       [deviation_test(model, mechanism, profile, i, deviation, trials, 23,
+                                       **kw)
+                        for i in (0, profile.num_agents - 1) for deviation in deviations])
+            return results, on_main
+        inline, on_main = run(1)
+        assert on_main and all(on_main)
+        ahead, on_main = run(2)
+        assert on_main and not any(on_main)
+        assert stats_equal(inline[0], ahead[0])
+        for key, array in inline[1].items():
+            assert np.array_equal(array, ahead[1][key]), key
+        assert inline[2] == ahead[2]
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_a_draw_error_reaches_the_caller(self, cpus, monkeypatch):
+        """A draw that raises in chunk 3 ends the run with its own exception,
+        and the helper is gone while its traceback is still alive."""
+        class DrawError(Exception):
+            pass
+        calls = []
+
+        def failing(*args):
+            calls.append(threading.current_thread() is threading.main_thread())
+            if len(calls) == 3:
+                raise DrawError("chunk 3")
+            return _draw_signals(*args)
+        monkeypatch.setattr(montecarlo, "_cpus", lambda: cpus)
+        monkeypatch.setattr(montecarlo, "_draw_signals", failing)
+        monkeypatch.setattr(montecarlo, "_CHUNK_ELEMENTS", 4 * 613)
+        kw = dict(rule=QUAD20, access=ACC, latency=LAT1, h=H1)
+        threads = threading.active_count()
+        for run in (lambda: simulate(MODEL, "mvp", PROFILE, 5000, 3, **kw),
+                    lambda: per_trial_records(MODEL, "fpm", PROFILE, 5000, 3, **kw),
+                    lambda: deviation_test(MODEL, "mvp", PROFILE, 0, 0.5, 5000, 3, **kw)):
+            calls.clear()
+            with pytest.raises(DrawError, match="chunk 3") as info:
+                run()
+            assert threading.active_count() == threads, info.traceback
+            assert calls == [cpus == 1] * 3
+
+    def test_concurrent_runs_keep_their_bits(self, monkeypatch):
+        """Four runs at once, each with its helper (eight threads on fewer
+        cores), under a short switch interval: each hand-over of a chunk
+        still gives every run the inline bits."""
+        monkeypatch.setattr(montecarlo, "_CHUNK_ELEMENTS", 4 * 101)
+        kw = dict(rule=QUAD20, latency=LAT1, h=H1)
+        seeds = (1, 2, 3, 4)
+        monkeypatch.setattr(montecarlo, "_cpus", lambda: 1)
+        inline = [per_trial_records(MODEL, "mvp", PROFILE, 3000, seed, **kw) for seed in seeds]
+        monkeypatch.setattr(montecarlo, "_cpus", lambda: 2)
+        results = {}
+
+        def run(seed):
+            results[seed] = per_trial_records(MODEL, "mvp", PROFILE, 3000, seed, **kw)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            runs = [threading.Thread(target=run, args=(seed,)) for seed in seeds]
+            for thread in runs:
+                thread.start()
+            for thread in runs:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        for seed, expected in zip(seeds, inline):
+            for key, array in expected.items():
+                assert np.array_equal(results[seed][key], array), (seed, key)
+
+    def test_no_thread_outlives_a_run(self, monkeypatch):
+        monkeypatch.setattr(montecarlo, "_cpus", lambda: 2)
+        monkeypatch.setattr(montecarlo, "_CHUNK_ELEMENTS", 4 * 613)
+        kw = dict(rule=QUAD20, access=ACC, latency=LAT1, h=H1)
+        threads = threading.active_count()
+        simulate(MODEL, "mvp", PROFILE, 5000, 3, **kw)
+        assert threading.active_count() == threads
+        books = montecarlo._books(MODEL, "mvp", PROFILE, 5000, 3, QUAD20, None, LAT1, H1)
+        next(books)
+        assert threading.active_count() == threads + 1  # drawing the next chunk
+        del books  # abandoned after one chunk
+        assert threading.active_count() == threads
 
 
 class TestScoreTable:
@@ -682,11 +836,10 @@ class TestScoreTable:
         model = MODEL if name == "MODEL" else getattr(self, name)
         m, d = model.num_signal_values, model.num_outcomes
         for n in range(1, 7):
-            table = montecarlo._column_table(model, StrategyProfile.symmetric(0.3, n),
-                                             sequential=False)
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                steps, scores = montecarlo._score_table(model, QUAD20, table)
+                steps, scores = score_table(model, QUAD20, StrategyProfile.symmetric(0.3, n),
+                                            sequential=False)
             # the table has a key for each count vector of the n agents' states
             assert scores.size == (n + 1) ** m * d
             for counts in itertools.product(range(n + 1), repeat=m):
@@ -713,11 +866,16 @@ class TestScoreTable:
         profile = StrategyProfile.symmetric(3.0, 2)
         kw = dict(rule=QUAD20, access=ACC, latency=LAT1, h=H1)
         assert on_table(self.NOISELESS, mechanism, profile, QUAD20)
-        with pytest.raises(ValueError, match="disjoint support"):
-            simulate(self.NOISELESS, mechanism, profile, 200, 3, **kw)
-        monkeypatch.setattr(montecarlo, "_TABLE_ENTRIES", 0)
-        with pytest.raises(ValueError, match="disjoint support"):
-            simulate(self.NOISELESS, mechanism, profile, 200, 3, **kw)
+        threads, bound = threading.active_count(), montecarlo._TABLE_ENTRIES
+        # one chunk drawn inline, then 50-trial chunks drawn by the helper
+        for cpus, chunk_elements in ((1, montecarlo._CHUNK_ELEMENTS), (2, 4 * 50)):
+            monkeypatch.setattr(montecarlo, "_cpus", lambda: cpus)
+            monkeypatch.setattr(montecarlo, "_CHUNK_ELEMENTS", chunk_elements)
+            for entries in (bound, 0):  # the table route, then the direct fold
+                monkeypatch.setattr(montecarlo, "_TABLE_ENTRIES", entries)
+                with pytest.raises(ValueError, match="disjoint support"):
+                    simulate(self.NOISELESS, mechanism, profile, 200, 3, **kw)
+                assert threading.active_count() == threads
 
     @pytest.mark.parametrize("mechanism", ["fpm", "mvp", "pm_sequential"])
     @pytest.mark.parametrize("name, n, rule", [
@@ -760,25 +918,25 @@ class TestRoutes:
     """Which profiles a score table settles, and what the table costs."""
 
     @staticmethod
-    def truthful_table(n):
-        """The batch column table of n truthful agents with binary signals:
+    def truthful_tables(n):
+        """The batch policy tables of n truthful agents with binary signals:
         two columns of n + 1 counts each, at 2 outcomes."""
-        return montecarlo._column_table(MODEL, StrategyProfile.symmetric(0.3, n),
-                                        sequential=False)
+        return montecarlo._policy_tables(MODEL, StrategyProfile.symmetric(0.3, n),
+                                         sequential=False)
 
     def test_bound_on_the_entries(self):
         # 256^2 x 2 entries fill 2^17, 257^2 x 2 exceed it
         assert montecarlo._TABLE_ENTRIES == 1 << 17
-        assert montecarlo._score_table(MODEL, QUAD20, self.truthful_table(255)) is not None
-        assert montecarlo._score_table(MODEL, QUAD20, self.truthful_table(256)) is None
+        assert montecarlo._score_table(MODEL, QUAD20, *self.truthful_tables(255)) is not None
+        assert montecarlo._score_table(MODEL, QUAD20, *self.truthful_tables(256)) is None
 
     def test_building_a_table_at_the_bound_is_bounded(self):
         """The beliefs and scores of 2^17 entries, 1 MiB each, and the
         scratch of scoring one outcome at a time: 5.1 MiB traced."""
-        table = self.truthful_table(255)
+        tables = self.truthful_tables(255)
         tracemalloc.start()
         try:
-            montecarlo._score_table(MODEL, QUAD20, table)
+            montecarlo._score_table(MODEL, QUAD20, *tables)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -798,12 +956,37 @@ class TestRoutes:
             assert np.array_equal(rec["rewards"].T, rewards)
             assert np.array_equal(rec["value"], value)
 
+    @pytest.mark.parametrize("sequential", [False, True])
+    def test_policy_tables_give_the_unique_row_table(self, sequential):
+        """Distinct columns from the distinct policies' tables: the steps and
+        scores of ``np.unique`` over one row per agent and state, or None
+        for both, on and over the bound."""
+        perturb = ReportPolicy("perturbed", epsilon=0.1)
+        cases = [(MODEL, StrategyProfile.symmetric(0.3, n)) for n in (2, 32, 255, 256)]
+        cases += [(binary_model(3, 4), mixed_profile(n, 4)) for n in (8, 9, 33)]
+        cases += [(binary_model(3, 4), mixed_profile(9, 4).replace_agent(i, policy=perturb))
+                  for i in (1, 5)]
+        cases += [(binary_model(3, 7), mixed_profile(33, 7)),
+                  (weak_wide_model(), StrategyProfile.symmetric(1.0, 300))]
+        routes = []
+        for model, profile in cases:
+            tables, holder = montecarlo._policy_tables(model, profile, sequential)
+            expected = unique_row_score_table(
+                model, QUAD20, tables[holder].reshape(-1, model.num_outcomes))
+            got = montecarlo._score_table(model, QUAD20, tables, holder)
+            routes.append(got is not None)
+            assert (got is None) == (expected is None)
+            if got is not None:
+                assert np.array_equal(got[0], expected[0])
+                assert np.array_equal(got[1], expected[1], equal_nan=True)
+        assert any(routes) and not all(routes)
+
     def test_chunk_length_never_switches_the_route(self, monkeypatch):
         built = montecarlo._score_table
         routes = []
 
-        def spy(model, rule, table):
-            scored = built(model, rule, table)
+        def spy(*args):
+            scored = built(*args)
             routes.append(scored is not None)
             return scored
         monkeypatch.setattr(montecarlo, "_score_table", spy)
@@ -1011,18 +1194,26 @@ class TestValidation:
                 tracemalloc.stop()
         assert peaks[1] < 1.1 * peaks[0] + 64e3
 
-    def test_simulate_frees_each_chunk_before_drawing_the_next(self):
-        # n = 2 x 2 outcomes: one 16 384-trial chunk against four; a chunk's
-        # draws and books are about 0.9 MB
-        peaks = []
-        for trials in (16_384, 65_536):
+    def test_simulate_holds_one_chunk_and_the_next_chunks_draws(self, monkeypatch):
+        # n = 2 x 2 outcomes: one 16 384-trial chunk, drawn inline, against
+        # 2, 4 and 8, drawn by the helper thread; a chunk's draws and books
+        # are about 0.9 MB.  Chunk k + 1 is drawn while chunk k settles, and
+        # where the peak falls depends on the helper's timing, so each run
+        # is repeated
+        monkeypatch.setattr(montecarlo, "_cpus", lambda: 2)
+        chunk = montecarlo._CHUNK_ELEMENTS // 4
+
+        def peak(trials):
             tracemalloc.start()
             try:
                 simulate(MODEL, "fpm", PROFILE, trials, 5, rule=QUAD20, access=ACC)
-                peaks.append(tracemalloc.get_traced_memory()[1])
+                return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-        assert peaks[1] < peaks[0] + 64e3
+        bound = peak(chunk) + 64e3 + draw_working_set(MODEL, 2)
+        for chunks in (2, 4, 8):
+            for _ in range(20):
+                assert peak(chunks * chunk) < bound, chunks
 
     def test_short_wide_run_holds_no_full_block(self):
         # 300 agents: one full reducer block is 602 rows x 1024 trials, 4.9 MB

@@ -235,7 +235,7 @@ class TestMvpRun:
             horizon = 60.0 / eta
             points = sorted(float(t) for t in trace.breakpoints)
             for i in range(n):
-                # the path without agent i: the same stream without his report
+                # the path without agent i: the same stream without their report
                 without, _ = mvp_run(m.prior_belief(),
                                      [r for r in reports if r.agent != i], y, QUAD, h)
 
