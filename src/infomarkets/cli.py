@@ -19,6 +19,7 @@ bad record of a batch file or a report stream, named ``report k`` or
 ``line k``.
 """
 import argparse
+import functools
 import json
 import sys
 from contextlib import contextmanager
@@ -231,7 +232,7 @@ def cmd_solve(args) -> int:
         eq = pm_batch_equilibrium(F, n)
         extra["welfare"] = pm_batch_welfare(F, n, eq.effort)
     _emit({"effort": eq.effort, "residual": eq.residual, "corner": eq.corner,
-           "bracket": list(eq.bracket), **extra}, args.out)
+           "bracket": list(eq.bracket), "evaluations": eq.evaluations, **extra}, args.out)
     return 0
 
 
@@ -356,10 +357,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """:func:`build_parser`'s parser, built once per process: parsing never
+    changes it."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

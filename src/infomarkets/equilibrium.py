@@ -18,6 +18,14 @@ table's knots or over a fixed grid for the exponential kind.  The ``method``
 of mvp_br_derivative, mvp_welfare and mvp_agent_reward picks the route, so
 the tests can cross-validate the two to tight tolerance.
 
+A solver builds its FOC once per solve: it checks its caller's inputs and
+prepares the terms that do not depend on effort (the rows of
+:func:`_beta_rows`, the ranges of :func:`_binomial_terms`), so each of the
+root finder's steps only does the public evaluator's arithmetic on the
+effort, in the same order, and gives its bits.  The root finder never
+leaves [0, domain_max], so the steps need no effort check; a table time
+value still solves through :func:`mvp_br_derivative`.
+
 Binomial coefficients come from :func:`numerics._log_factorials` in log
 space, so the library needs no special-function package.
 """
@@ -89,29 +97,30 @@ def _resolve_method(method: str, h: TimeValue) -> str:
     return method
 
 
-def _log_binomials(n: int) -> np.ndarray:
-    """``log C(n, k)`` for k = 0..n."""
+def _binomial_terms(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(log C(n, k), k, n - k)`` for k = 0..n: the terms of a Binomial(n, p)
+    pmf that do not depend on p, built once per solve or integral."""
     log_fact = _log_factorials(n)
-    return log_fact[n] - log_fact - log_fact[::-1]
+    ks = np.arange(n + 1)
+    return log_fact[n] - log_fact - log_fact[::-1], ks, n - ks
 
 
-def _binomial_pmf(log_binom: np.ndarray, p) -> np.ndarray:
+def _binomial_pmf(terms: tuple, p) -> np.ndarray:
     """Binomial(N, p) probabilities of k = 0..N along a new last axis, given
-    ``log C(N, k)``; ``p`` is a float in [0, 1] or an array of them."""
-    top = log_binom.size - 1
-    ks = np.arange(top + 1)
-    if np.ndim(p) > 0:
+    :func:`_binomial_terms` of N; ``p`` is a number in [0, 1] or an array of them."""
+    log_binom, hits_k, misses_k = terms
+    if isinstance(p, np.ndarray):
         # a zero count takes 0 log 0 as 0, so p = 0 and p = 1 need no branch
         p = p[..., None]
         with np.errstate(divide="ignore", invalid="ignore"):
-            hits = np.where(ks == 0, 0.0, ks * np.log(p))
-            misses = np.where(ks == top, 0.0, (top - ks) * np.log1p(-p))
+            hits = np.where(hits_k == 0, 0.0, hits_k * np.log(p))
+            misses = np.where(misses_k == 0, 0.0, misses_k * np.log1p(-p))
         return np.exp(log_binom + hits + misses)
     if p <= 0.0 or p >= 1.0:
-        pmf = np.zeros(top + 1)
-        pmf[0 if p <= 0.0 else top] = 1.0
+        pmf = np.zeros(log_binom.size)
+        pmf[0 if p <= 0.0 else -1] = 1.0
         return pmf
-    return np.exp(log_binom + ks * math.log(p) + (top - ks) * math.log1p(-p))
+    return np.exp(log_binom + hits_k * math.log(p) + misses_k * math.log1p(-p))
 
 
 # ----------------------------------------------------------- batch setting
@@ -125,10 +134,11 @@ def batch_equilibrium(F: AccessFunction, v: ScoreSequence, n: int) -> Equilibriu
     """
     _check_inputs(v, n)
     deltas = v.deltas[:n]
-    log_binom = _log_binomials(n - 1)
+    terms = _binomial_terms(n - 1)
+    value, derivative = F._value, F._derivative
 
     def foc(c: float) -> float:
-        return F.derivative(c) * float(_binomial_pmf(log_binom, F.value(c)) @ deltas) - 1.0
+        return derivative(c) * float(_binomial_pmf(terms, value(c)) @ deltas) - 1.0
 
     return solve_decreasing_foc(foc, domain_max=F.domain_max)
 
@@ -140,13 +150,20 @@ def batch_welfare(F: AccessFunction, v: ScoreSequence, n: int, c: float) -> floa
     minus the total effort spent.
     """
     _check_inputs(v, n)
-    return float(_binomial_pmf(_log_binomials(n), F.value(c)) @ v.values[:n + 1]) - n * c
+    return float(_binomial_pmf(_binomial_terms(n), F.value(c)) @ v.values[:n + 1]) - n * c
 
 
 # ------------------------------------------------------ sequential setting
 
-def _beta_mixture(weights: list, base: float, a: float) -> tuple[float, float]:
-    """``sum_k w_k Q_k`` and ``sum_k w_k Q_k G_k``, k = 0..N = len(weights) - 1.
+def _beta_rows(weights: list) -> list:
+    """The rows ``(N - k, N - k + 1, w_k)`` of float weights, k = 0..N =
+    len(weights) - 1: what :func:`_beta_mixture` needs of them, built once."""
+    top = len(weights) - 1
+    return [(float(top - k), float(top - k + 1), w) for k, w in enumerate(weights)]
+
+
+def _beta_mixture(rows: list, base: float, a: float) -> tuple[float, float]:
+    """``sum_k w_k Q_k`` and ``sum_k w_k Q_k G_k`` over the :func:`_beta_rows`.
 
     With R(m) = base + a m and s = base / a, ``Q_k = C(N,k) B(s+N-k, k+1) / a
     = prod_{j=1..k} [(N-j+1) a / R(N-j)] / R(N)`` and the log moment
@@ -154,16 +171,16 @@ def _beta_mixture(weights: list, base: float, a: float) -> tuple[float, float]:
     Every factor is positive; a = 0 is the exact limit.  A plain loop beats
     numpy's per-call overhead at the n of interest.
     """
-    top = len(weights) - 1
+    top, _, w = rows[0]
     q = g = 1.0 / (base + a * top)
-    plain = weights[0] * q
+    plain = w * q
     moment = plain * g
-    for k in range(1, top + 1):
-        r = 1.0 / (base + a * (top - k))
-        q *= (top - k + 1) * a * r
+    for m, f, w in rows[1:]:
+        r = 1.0 / (base + a * m)
+        q *= f * a * r
         g += r
-        plain += weights[k] * q
-        moment += weights[k] * q * g
+        plain += w * q
+        moment += w * q * g
     return plain, moment
 
 
@@ -183,10 +200,10 @@ def _quadrature_mixture(latency: LatencyFamily, h: TimeValue, c: float,
     them, the two rules can agree on a wrong value of the mixture's rise.
     """
     top = weights.size - 1
-    log_binom = _log_binomials(top)
+    terms = _binomial_terms(top)
 
     def integrand(t: np.ndarray) -> np.ndarray:
-        mixture = _binomial_pmf(log_binom, latency.cdf(c, t)) @ weights
+        mixture = _binomial_pmf(terms, latency.cdf(c, t)) @ weights
         return factor(t) * mixture * h.density(t)
 
     if h.kind == "table":
@@ -225,7 +242,7 @@ def mvp_br_derivative(latency: LatencyFamily, h: TimeValue, v: ScoreSequence,
     deltas = v.deltas[:n]
     if _resolve_method(method, h) == "closed":
         lam = latency.lam
-        _, moment = _beta_mixture(deltas.tolist(), h.eta + lam * c_i, lam * c)
+        _, moment = _beta_mixture(_beta_rows(deltas.tolist()), h.eta + lam * c_i, lam * c)
         return lam * h.eta * moment - 1.0
     lam, a = latency.lam, h.eta + latency.lam * c_i
 
@@ -246,9 +263,17 @@ def mvp_equilibrium(latency: LatencyFamily, h: TimeValue, v: ScoreSequence,
     small) for any effort to pay.
     """
     _check_inputs(v, n)
+    if _resolve_method("auto", h) == "quadrature":
+        def foc(c: float) -> float:
+            return mvp_br_derivative(latency, h, v, n, c, c)
+    else:
+        # mvp_br_derivative's closed form on the diagonal c_i = c
+        rows, lam, eta = _beta_rows(v.deltas[:n].tolist()), latency.lam, h.eta
+        scale = lam * eta
 
-    def foc(c: float) -> float:
-        return mvp_br_derivative(latency, h, v, n, c, c)
+        def foc(c: float) -> float:
+            a = lam * c
+            return scale * _beta_mixture(rows, eta + a, a)[1] - 1.0
 
     return solve_decreasing_foc(foc)
 
@@ -264,7 +289,7 @@ def mvp_welfare(latency: LatencyFamily, h: TimeValue, v: ScoreSequence,
     _check_nonnegative("c", c)
     values = v.values[:n + 1]
     if _resolve_method(method, h) == "closed":
-        plain, _ = _beta_mixture(values.tolist(), h.eta, latency.lam * c)
+        plain, _ = _beta_mixture(_beta_rows(values.tolist()), h.eta, latency.lam * c)
         return h.eta * plain - n * c
     return _quadrature_mixture(latency, h, c, values, lambda t: 1.0, h.tail) - n * c
 
@@ -278,7 +303,8 @@ def mvp_agent_reward(latency: LatencyFamily, h: TimeValue, v: ScoreSequence,
     if _resolve_method(method, h) == "closed":
         a = latency.lam * c
         # B(x, k+2) = B(x, k+1) (k+1) / (x+k+1) moves the factor k+1 into the weights
-        plain, _ = _beta_mixture((deltas * np.arange(1, n + 1)).tolist(), h.eta, a)
+        plain, _ = _beta_mixture(_beta_rows((deltas * np.arange(1, n + 1)).tolist()),
+                                 h.eta, a)
         return h.eta * a / (h.eta + a * n) * plain
     return _quadrature_mixture(latency, h, c, deltas, lambda t: latency.cdf(c, t), h.tail)
 

@@ -168,7 +168,7 @@ def _check_count(name: str, value, least: int, most: int | None = None) -> None:
 
 def _check_nonnegative(name: str, value, most: float = math.inf) -> None:
     """Refuse a bool, or anything but a finite number in [0, ``most``], as ``name``.
-    Comparisons only, as every FOC evaluation runs it; NaN fails them all."""
+    Comparisons only, as every public evaluator call runs it; NaN fails them all."""
     if not (0 <= value <= most and value < math.inf) or isinstance(value, bool):
         bound = "" if most == math.inf else f" at most {most}"
         raise ValueError(f"{name} must be a finite nonnegative number{bound}, got {value!r}")

@@ -18,13 +18,13 @@ through its own profile's kernel; in a marginal-value market each arm
 settles only the deviant's reward (see :func:`_paired_sequential`).
 
 A chunk's draws are the ``(T,)`` outcomes, agent-major ``(n, T)``
-latency uniforms and signal indices, and the winner uniforms of a
-``pm_batch`` market (see :func:`_draws`).  Its kernel (built once per
-profile by :func:`_kernel`) maps them to rewards and the principal's
-value with no Python loop per trial or per signal value: report columns
-come from one gather into a table of each agent's signal-state columns
-(built as ``fpm_expected_reward`` builds its own), in time order in a
-sequential market.  Each chunk settles about :data:`_CHUNK_ELEMENTS`
+latency uniforms, and the signal indices, or in a ``pm_batch`` market,
+which reads no signals, the winner uniforms (see :func:`_draws`).  Its
+kernel (built once per profile by :func:`_kernel`) maps them to rewards
+and the principal's value with no Python loop per trial or per signal
+value: report columns come from one gather into a table of each agent's
+signal-state columns (built as ``fpm_expected_reward`` builds its own),
+in time order in a sequential market.  Each chunk settles about :data:`_CHUNK_ELEMENTS`
 trials x agents x outcomes entries, so scratch memory is bounded at any
 width.
 
@@ -466,10 +466,11 @@ def _suffix_rewards(scores, s_path, masses, without) -> np.ndarray:
 def _kernel(model, mechanism, profile, rule, access, latency, h):
     """The chunk kernel of one profile, built once per run: ``settle(y,
     u_lat, signals, u_win)`` maps one chunk's draws (see :func:`_draws`:
-    agent-major ``(n, T)`` latency uniforms and signal indices; ``u_win``
-    is None except in ``pm_batch``) to agent-major rewards ``(n, T)`` and
-    the principal's value ``(T,)``.  A kernel writes into no draw, so two
-    kernels may settle the same ones."""
+    agent-major ``(n, T)`` latency uniforms and signal indices; in
+    ``pm_batch`` the winner uniforms ``u_win`` and no signals, else no
+    ``u_win``) to agent-major rewards ``(n, T)`` and the principal's value
+    ``(T,)``.  A kernel writes into no draw, so two kernels may settle the
+    same ones."""
     if mechanism in ("fpm", "pm_batch"):
         return _batch_kernel(model, mechanism, profile, rule, access)
     return _sequential_kernel(model, mechanism, profile, rule, latency, h)
@@ -709,10 +710,12 @@ def _draws(model: InformationModel, n: int, trials: int, seed: int, winner: bool
     ``y`` holds the ``(T,)`` outcomes, ``u_lat`` the agent-major ``(n, T)``
     latency uniforms and ``signals`` the ``(n, T)`` signal indices of
     :func:`_draw_signals`; row i is filled from agent i's own streams.
-    ``u_win`` is drawn only if ``winner`` (else None); it has a stream of
-    its own, so the other draws are the same either way.  The draws depend
-    on the seed, the number of agents and the outcome count only, never on
-    the strategies, so every profile of n agents settles on the same ones.
+    ``winner`` marks a ``pm_batch`` market, which reads no signals: it gets
+    the winner uniforms ``u_win`` and ``signals`` None, any other market the
+    reverse.  Each has streams of its own, so the other draws are the same
+    either way.  The draws depend on the seed, the number of agents and the
+    outcome count only, never on the strategies, so every profile of n
+    agents settles on the same ones.
 
     A run of two chunks or more, on a process that may use two CPUs, draws
     on one helper thread: it draws chunk k + 1 while the caller settles
@@ -727,18 +730,21 @@ def _draws(model: InformationModel, n: int, trials: int, seed: int, winner: bool
     g_outcome = _stream(seed, _OUTCOME)
     g_winner = _stream(seed, _WINNER) if winner else None
     g_lat = [_stream(seed, _LATENCY, i) for i in range(n)]
-    g_sig = [_stream(seed, _SIGNAL, i) for i in range(n)]
+    g_sig = None if winner else [_stream(seed, _SIGNAL, i) for i in range(n)]
     starts = range(0, trials, chunk)
 
     def draw(done):
         T = min(chunk, trials - done)
         y = _draw_outcomes(model, g_outcome.random(T))
-        u_win = g_winner.random(T) if winner else None
-        u_lat, u_sig = np.empty((n, T)), np.empty((n, T))
+        u_lat = np.empty((n, T))
         for i in range(n):
             g_lat[i].random(out=u_lat[i])
+        if winner:
+            return slice(done, done + T), y, u_lat, None, g_winner.random(T)
+        u_sig = np.empty((n, T))
+        for i in range(n):
             g_sig[i].random(out=u_sig[i])
-        return slice(done, done + T), y, u_lat, _draw_signals(model, y, u_sig), u_win
+        return slice(done, done + T), y, u_lat, _draw_signals(model, y, u_sig), None
 
     if len(starts) == 1 or _cpus() < 2:  # a helper would only wait, or share one CPU
         for done in starts:

@@ -65,13 +65,15 @@ class EquilibriumResult:
     ``residual`` is the FOC value at ``effort``; ``corner`` marks solutions
     pinned at 0 or at the domain boundary, where the one-sided derivative
     sign condition holds instead of a zero residual. ``bracket`` is the
-    interval the root was isolated in.
+    interval the root was isolated in, and ``evaluations`` the number of
+    distinct efforts the FOC was evaluated at (0 for a closed form).
     """
 
     effort: float
     residual: float
     corner: bool
     bracket: tuple[float, float]
+    evaluations: int = 0
 
 
 def solve_decreasing_foc(f, domain_max: float = np.inf) -> EquilibriumResult:
@@ -81,25 +83,28 @@ def solve_decreasing_foc(f, domain_max: float = np.inf) -> EquilibriumResult:
     (no effort is ever worth it) and a corner at ``domain_max`` when the FOC
     is still positive there.  Otherwise the upper bracket starts at
     ``min(1, domain_max)`` and doubles until the sign changes, and Brent's
-    method isolates the root.  ``f`` is called once per distinct effort.
-    Every FOC here is a nonnegative marginal value minus 1: a value that is
-    not finite or below -1 raises :class:`NumericalError`.
+    method isolates the root.  ``f`` is called once per distinct effort,
+    always inside [0, ``domain_max``], so a FOC built once per solve from
+    checked inputs needs no check of its own per call.  Every FOC here is a
+    nonnegative marginal value minus 1: a value that is not finite or below
+    -1 raises :class:`NumericalError`.
     """
     seen = {}  # _brent re-evaluates the bracket ends, the certificate the root
 
     def foc(c: float) -> float:
-        if c not in seen:
+        value = seen.get(c)
+        if value is None:
             value = float(f(c))
             if not math.isfinite(value) or value < _FOC_FLOOR:
                 raise NumericalError(f"FOC value {value!r} at effort {c!r} is not a "
                                      f"nonnegative marginal value minus 1")
             seen[c] = value
-        return seen[c]
+        return value
 
     lo = _LOWER_BRACKET
     f_lo = foc(lo)
     if f_lo <= 0.0:
-        return EquilibriumResult(0.0, f_lo, True, (0.0, lo))
+        return EquilibriumResult(0.0, f_lo, True, (0.0, lo), len(seen))
 
     hi = min(1.0, domain_max)
     doublings = 0
@@ -107,7 +112,7 @@ def solve_decreasing_foc(f, domain_max: float = np.inf) -> EquilibriumResult:
         if hi >= domain_max:
             # marginal value exceeds marginal cost on the whole domain
             return EquilibriumResult(float(domain_max), foc(domain_max),
-                                     True, (lo, float(domain_max)))
+                                     True, (lo, float(domain_max)), len(seen))
         doublings += 1
         if doublings > _MAX_DOUBLINGS:
             raise NumericalError(f"no sign change for the FOC up to effort {hi}")
@@ -123,7 +128,7 @@ def solve_decreasing_foc(f, domain_max: float = np.inf) -> EquilibriumResult:
     residual = foc(root)
     if abs(residual) > FOC_TOL:
         raise NumericalError(f"root finder stalled: residual {residual:.3e} at {root}")
-    return EquilibriumResult(float(root), residual, False, (lo, hi))
+    return EquilibriumResult(float(root), residual, False, (lo, hi), len(seen))
 
 
 def _brent(f, a: float, b: float, xtol: float, rtol: float, maxiter: int = 100) -> float:

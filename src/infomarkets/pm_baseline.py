@@ -55,12 +55,20 @@ class AccessFunction:
 
     def value(self, c: float) -> float:
         _check_nonnegative("c", c, self.domain_max)
+        return self._value(c)
+
+    def derivative(self, c: float) -> float:
+        _check_nonnegative("c", c, self.domain_max)
+        return self._derivative(c)
+
+    def _value(self, c: float) -> float:
+        """F(c) for an effort already checked to lie in [0, domain_max]."""
         if self.kind == "linear":
             return self.lam * c
         return -math.expm1(-self.lam * c)
 
-    def derivative(self, c: float) -> float:
-        _check_nonnegative("c", c, self.domain_max)
+    def _derivative(self, c: float) -> float:
+        """F'(c) for an effort already checked to lie in [0, domain_max]."""
         if self.kind == "linear":
             return self.lam
         return self.lam * math.exp(-self.lam * c)
@@ -103,9 +111,10 @@ def pm_batch_equilibrium(F: AccessFunction, n: int) -> EquilibriumResult:
     _check_count("n", n, 2)
     if not F.lam > 1:
         raise ValueError("the race is degenerate unless lam > 1")
+    value, derivative = F._value, F._derivative
 
     def foc(c: float) -> float:
-        return F.derivative(c) * _tie_sharing_factor(F.value(c), n) - 1.0
+        return derivative(c) * _tie_sharing_factor(value(c), n) - 1.0
 
     return solve_decreasing_foc(foc, domain_max=F.domain_max)
 

@@ -9,7 +9,7 @@ from infomarkets import (Belief, InformationModel, LatencyFamily, ReportVector,
                          ScoreSequence, ScoringRule, StrategyProfile, TimeValue, TimedReport,
                          fpm_run, mvp_equilibrium, mvp_run, mvp_welfare, simulate,
                          truthful_report)
-from infomarkets import experiments
+from infomarkets import cli, experiments
 from infomarkets.cli import main
 from infomarkets.errors import NumericalError
 from infomarkets.fpm import BatchOutcomeReport
@@ -177,6 +177,9 @@ class TestSolve:
         assert payload["effort"] == pytest.approx(0.364519, abs=1e-5)
         assert abs(payload["residual"]) <= 1e-8
         assert payload["corner"] is False
+        eq = mvp_equilibrium(LatencyFamily.exponential(2.0), TimeValue.exponential(1.0),
+                             ScoreSequence(np.array([0.0, 2.0, 3.0])), 2)
+        assert payload["evaluations"] == eq.evaluations > 2
 
     def test_race_solution(self, capsys):
         assert main(["solve", "--setting", "pm_race", "--v", "0,2,3"]) == 0
@@ -611,6 +614,22 @@ class TestUsage:
     def test_unknown_command(self, capsys):
         assert main(["frobnicate"]) == 2
         capsys.readouterr()
+
+    def test_a_failed_parse_leaves_the_parser_usable(self, capsys, monkeypatch):
+        """The parser is built once per process: a parse that exits 2 is
+        followed by a good command, and neither builds another parser."""
+        main(["solve", "--setting", "pm_race"])
+        capsys.readouterr()
+
+        def rebuilt():
+            raise AssertionError("main built a second parser")
+        monkeypatch.setattr(cli, "build_parser", rebuilt)
+        assert main(["solve", "--setting", "nope"]) == 2
+        assert "invalid choice: 'nope'" in capsys.readouterr().err
+        assert main(["solve", "--setting", "pm_race", "--v", "0,2,3"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["effort"] == pytest.approx(0.25, abs=1e-10)
+        assert payload["evaluations"] == 0  # a closed form
 
     @staticmethod
     def _run_module(tmp_path, argv):

@@ -1,3 +1,4 @@
+import collections
 import math
 import os
 import pathlib
@@ -9,6 +10,7 @@ import pytest
 from scipy.integrate import quad
 
 import infomarkets.equilibrium as equilibrium_module
+import infomarkets.pm_baseline as pm_baseline_module
 from infomarkets import (AccessFunction, InformationModel, LatencyFamily,
                          ScoreSequence, ScoringRule, TimeValue,
                          batch_equilibrium, batch_welfare, mvp_agent_reward,
@@ -17,7 +19,8 @@ from infomarkets import (AccessFunction, InformationModel, LatencyFamily,
                          pm_batch_equilibrium, pm_batch_utility,
                          pm_batch_welfare, pm_race_equilibrium, v_sequence)
 from infomarkets.equilibrium import TAIL_MASS
-from infomarkets.numerics import FOC_TOL, QUAD_TOL
+from infomarkets.errors import NumericalError
+from infomarkets.numerics import FOC_TOL, QUAD_TOL, solve_decreasing_foc
 from helpers import welfare_foc_root
 
 H1 = TimeValue.exponential(1.0)
@@ -308,6 +311,71 @@ class TestFocCoincidence:
         assert br == pytest.approx(sw, rel=1e-7)
 
 
+def batch_foc(F, v, n):
+    """The batch FOC with every term rebuilt and every effort checked per call."""
+    def foc(c):
+        terms = equilibrium_module._binomial_terms(n - 1)
+        pmf = equilibrium_module._binomial_pmf(terms, F.value(c))
+        return F.derivative(c) * float(pmf @ v.deltas[:n]) - 1.0
+    return foc
+
+
+def pm_batch_foc(F, n):
+    """The winner-race FOC, each effort checked per call."""
+    return lambda c: F.derivative(c) * pm_baseline_module._tie_sharing_factor(F.value(c), n) - 1.0
+
+
+def solved(solve):
+    """Every bit of a solve's result, or its error."""
+    try:
+        eq = solve()
+    except NumericalError as exc:
+        return f"NumericalError: {exc}"
+    return eq.effort.hex(), eq.residual.hex(), eq.corner, eq.bracket, eq.evaluations
+
+
+class TestPerSolveKernels:
+    """Each solver's FOC, built once per solve, gives the bits of solving the
+    public per-step FOC, which checks its inputs and rebuilds its fixed
+    terms at every effort."""
+
+    def test_solvers_match_the_per_step_focs(self):
+        rng = np.random.default_rng(29)
+        seen = collections.Counter()
+        for n in rng.permutation(np.round(np.geomspace(2, 64, 30)).astype(int)):
+            n = int(n)
+            lam, eta = rng.uniform(0.5, 8.0), rng.uniform(0.4, 2.5)
+            access = rng.uniform(1.5, 8.0)
+            alpha, beta = rng.uniform(0.05, 0.5), rng.uniform(0.01, 0.4)
+            # small scales put the mvp and batch equilibria at the corner 0
+            rule = ScoringRule("quadratic", 10 ** rng.uniform(-1.0, 1.5))
+            v = v_sequence(InformationModel.binary_noisy(alpha, beta), rule, n)
+            latency, h = LatencyFamily.exponential(lam), TimeValue.exponential(eta)
+            cases = [("mvp", lambda: mvp_equilibrium(latency, h, v, n),
+                      lambda: solve_decreasing_foc(
+                          lambda c: mvp_br_derivative(latency, h, v, n, c, c)))]
+            for F in (AccessFunction.exponential(access), AccessFunction.linear(access)):
+                cases += [
+                    (f"batch {F.kind}", lambda F=F: batch_equilibrium(F, v, n),
+                     lambda F=F: solve_decreasing_foc(batch_foc(F, v, n), F.domain_max)),
+                    (f"pm_batch {F.kind}", lambda F=F: pm_batch_equilibrium(F, n),
+                     lambda F=F: solve_decreasing_foc(pm_batch_foc(F, n), F.domain_max))]
+            for name, kernel, reference in cases:
+                ours = solved(kernel)
+                assert ours == solved(reference), (name, n)
+                if isinstance(ours, str):
+                    seen[name, "error"] += 1
+                else:
+                    effort, _, corner, _, _ = ours
+                    seen[name, "interior" if not corner else
+                         "corner at 0" if effort == (0.0).hex() else "corner at cap"] += 1
+        for name in ("mvp", "batch exponential", "batch linear"):
+            assert seen[name, "interior"] and seen[name, "corner at 0"], seen
+        for kind in ("exponential", "linear"):
+            assert seen[f"pm_batch {kind}", "interior"], seen
+        assert seen["pm_batch linear", "corner at cap"], seen
+
+
 class TestTableTimeValue:
     def test_deadline_tends_to_the_batch_equilibrium(self):
         """A triangle of mass 1 on [1 - w, 1 + w] is a deadline at 1: as w -> 0
@@ -338,10 +406,10 @@ def adaptive_mixture(latency, h, c, weights, factor, cuts=()) -> float:
     """Oracle for the quadrature route: scipy's adaptive ``quad`` on each
     segment a table h is linear on (split further at ``cuts``), one Python
     integrand call per point."""
-    log_binom = equilibrium_module._log_binomials(weights.size - 1)
+    terms = equilibrium_module._binomial_terms(weights.size - 1)
 
     def integrand(t):
-        pmf = equilibrium_module._binomial_pmf(log_binom, latency.cdf(c, t))
+        pmf = equilibrium_module._binomial_pmf(terms, latency.cdf(c, t))
         return factor(t) * float(pmf @ weights) * h.density(t)
 
     edges = np.union1d(h.times, [t for t in cuts if h.times[0] < t < h.times[-1]])

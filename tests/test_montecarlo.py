@@ -697,14 +697,14 @@ class TestDrawAhead:
     @staticmethod
     def draw_on(monkeypatch, cpus):
         """Let runs see ``cpus`` CPUs; returns, for each chunk drawn, whether
-        the main thread drew its signals."""
+        the main thread drew its outcomes (every mechanism draws those)."""
         monkeypatch.setattr(montecarlo, "_cpus", lambda: cpus)
         on_main = []
 
         def spy(*args):
             on_main.append(threading.current_thread() is threading.main_thread())
-            return _draw_signals(*args)
-        monkeypatch.setattr(montecarlo, "_draw_signals", spy)
+            return _draw_outcomes(*args)
+        monkeypatch.setattr(montecarlo, "_draw_outcomes", spy)
         return on_main
 
     @pytest.mark.parametrize("wide", [False, True], ids=["n2", "wide-mixed"])
@@ -733,6 +733,18 @@ class TestDrawAhead:
         for key, array in inline[1].items():
             assert np.array_equal(array, ahead[1][key]), key
         assert inline[2] == ahead[2]
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_pm_batch_draws_no_signals(self, cpus, monkeypatch):
+        """A winner race reads no signals, so none are drawn for it."""
+        def refused(*args):
+            raise AssertionError("a pm_batch run drew signals")
+        monkeypatch.setattr(montecarlo, "_cpus", lambda: cpus)
+        monkeypatch.setattr(montecarlo, "_draw_signals", refused)
+        monkeypatch.setattr(montecarlo, "_CHUNK_ELEMENTS", 4 * 613)
+        simulate(MODEL, "pm_batch", PROFILE, 3000, 7, access=ACC)
+        per_trial_records(MODEL, "pm_batch", PROFILE, 3000, 7, access=ACC)
+        deviation_test(MODEL, "pm_batch", PROFILE, 0, 0.5, 3000, 7, access=ACC)
 
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_a_draw_error_reaches_the_caller(self, cpus, monkeypatch):

@@ -1,3 +1,4 @@
+import collections
 import math
 import re
 import sys
@@ -12,9 +13,11 @@ from scipy.special import gammaln
 
 import infomarkets.equilibrium as equilibrium_module
 import infomarkets.numerics as numerics_module
+import infomarkets.pm_baseline as pm_baseline_module
 from infomarkets import (AccessFunction, InformationModel, LatencyFamily,
                          NumericalError, ScoreSequence, ScoringRule, TimeValue,
-                         batch_equilibrium, mvp_equilibrium, v_sequence)
+                         batch_equilibrium, mvp_equilibrium, pm_batch_equilibrium,
+                         v_sequence)
 from infomarkets.numerics import (FOC_TOL, _brent, _log_factorials, _log_gamma_of_integer,
                                   integrate_segments, solve_decreasing_foc)
 
@@ -184,28 +187,37 @@ def recording(f):
 
 
 def sweep_focs(count, seed):
-    """(FOC, bracket) of ``count`` random batch and sequential equilibria,
-    drawn as the benchmark's solver sweep draws its comparison points."""
+    """(solver, FOC, bracket) of the interior roots of ``count`` random
+    points, drawn as the benchmark's solver sweep draws its comparison
+    points; each point also solves the batch markets with linear access at
+    its access rate."""
     rng = np.random.default_rng(seed)
     captured = []
+    solver = None
 
     def capture(f, *args, **kwargs):
         eq = solve_decreasing_foc(f, *args, **kwargs)
         if not eq.corner:
-            captured.append((f, eq.bracket))
+            captured.append((solver, f, eq.bracket))
         return eq
 
     rule = ScoringRule("quadratic", 20.0)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(equilibrium_module, "solve_decreasing_foc", capture)
+        mp.setattr(pm_baseline_module, "solve_decreasing_foc", capture)
         for n in rng.permutation(np.round(np.geomspace(2, 64, count)).astype(int)):
+            n = int(n)
             lam, eta = rng.uniform(0.5, 8.0), rng.uniform(0.4, 2.5)
             access = rng.uniform(1.5, 8.0)
             alpha, beta = rng.uniform(0.05, 0.5), rng.uniform(0.01, 0.4)
-            v = v_sequence(InformationModel.binary_noisy(alpha, beta), rule, int(n))
-            mvp_equilibrium(LatencyFamily.exponential(lam), TimeValue.exponential(eta),
-                            v, int(n))
-            batch_equilibrium(AccessFunction.exponential(access), v, int(n))
+            v = v_sequence(InformationModel.binary_noisy(alpha, beta), rule, n)
+            solver = "mvp"
+            mvp_equilibrium(LatencyFamily.exponential(lam), TimeValue.exponential(eta), v, n)
+            for F in (AccessFunction.exponential(access), AccessFunction.linear(access)):
+                solver = f"batch {F.kind}"
+                batch_equilibrium(F, v, n)
+                solver = f"pm_batch {F.kind}"
+                pm_batch_equilibrium(F, n)
     return captured
 
 
@@ -227,8 +239,11 @@ class TestBrent:
 
     def test_sweep_focs_match_brentq(self):
         focs = sweep_focs(25, seed=5)
-        assert len(focs) >= 40
-        for f, (lo, hi) in focs:
+        solved = collections.Counter(solver for solver, _, _ in focs)
+        assert solved["mvp"] + solved["batch exponential"] >= 40
+        assert min(solved[f"{market} {kind}"] for market in ("batch", "pm_batch")
+                   for kind in ("linear", "exponential")) >= 5, solved
+        for _, f, (lo, hi) in focs:
             self.assert_same_as_brentq(f, lo, hi)
 
     @pytest.mark.parametrize("lo, hi", [(0.5, 2.0), (1e-12, 0.5)])
