@@ -23,7 +23,7 @@ import numpy as np
 from .belief import _state_table, fold_path, report_column
 from .errors import CapacityError
 from .info_model import (ENUMERATION_BUDGET, Belief, InformationModel,
-                         _check_count, _count_vectors, _count_weights)
+                         _check_count, _count_table, _count_weights)
 from .scoring import ScoringRule, score
 
 #: report-column entries (batches x agents x outcomes) settled at once: a
@@ -107,9 +107,10 @@ def fpm_expected_reward(model: InformationModel, rule: ScoringRule,
 
     Truthful agents sharing q are interchangeable: each such class is
     enumerated by the count vectors of its m + 1 states (no signal, then
-    each value), and each agent earns their class's mean slot reward.  The
-    classes combine as a Cartesian product whose rows, times n agents,
-    must fit :data:`ENUMERATION_BUDGET`.  :func:`settle_batch` settles
+    each value), read from ``info_model._count_table``, and each agent
+    earns their class's mean slot reward.  The classes combine as a
+    Cartesian product whose rows, times n agents, must fit
+    :data:`ENUMERATION_BUDGET`.  :func:`settle_batch` settles
     the (row, outcome) pairs of positive weight in blocks of
     :data:`_CHUNK_ELEMENTS` report-column entries, so its scratch does
     not grow with the rows or the outcomes.
@@ -147,9 +148,10 @@ def fpm_expected_reward(model: InformationModel, rule: ScoringRule,
     for (key, agents), idx in zip(classes.items(),
                                   np.indices(sizes).reshape(-1, rows)):
         size, qc = len(agents), q[agents[0]]
-        signals = _count_vectors(m, size)
-        counts = np.column_stack([size - signals.sum(axis=1), signals])
-        joint *= _count_weights(counts, np.column_stack(
+        # the count vectors of total exactly ``size``: the last shell of the table
+        counts, _, log_multinomial = (part[math.comb(size + m, m + 1):]
+                                      for part in _count_table(m + 1, size))
+        joint *= _count_weights(counts, log_multinomial, np.column_stack(
             [np.full(d, 1.0 - qc), qc * model.likelihood]))[idx]
         cols = truthful if isinstance(key, float) else _state_table(model, override[key[0]])
         # the class's slots hold each state as often as its count vector says

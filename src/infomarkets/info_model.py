@@ -11,11 +11,13 @@ count vectors of signal values, the expected-score sequence ``v_0 .. v_n``:
 how much the self-expected proper score of the market belief rises after k
 truthful reports.  That sequence is the single input through which the
 information structure enters every equilibrium computation downstream.
-Each count vector's multinomial weight is taken in log space from
-:func:`numerics._log_factorials`.
+The count vectors, their totals and log-multinomial coefficients come
+from one table per signal count (:func:`_count_table`), listed by total
+so that every smaller n reads a prefix.
 """
 import math
 import numbers
+import threading
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -34,6 +36,16 @@ _PROB_TOL = 1e-12
 
 
 def _validate_distribution(vec: np.ndarray, what: str, tol: float, least: int = 1) -> None:
+    """Refuse ``vec`` as ``what`` unless it lists at least ``least`` finite
+    probabilities within ``tol`` of [0, 1] that sum to 1 within ``tol``.
+
+    One min, one max and one sum accept exactly what the checks below
+    accept (NaN fails every comparison, +-inf the range); those checks run
+    only to name a refusal.
+    """
+    if (vec.ndim == 1 and vec.size >= least and vec.min() >= -tol
+            and vec.max() <= 1 + tol and abs(vec.sum() - 1.0) <= tol):
+        return
     if vec.ndim != 1 or vec.size < least:
         raise ValueError(f"{what} must list at least {least} probabilities, got {vec}")
     if not np.all(np.isfinite(vec)):
@@ -221,26 +233,72 @@ def expected_base_score(model: InformationModel, rule: ScoringRule) -> float:
 
 
 def _count_vectors(m: int, n: int) -> np.ndarray:
-    """Every vector of m nonnegative signal counts with total at most n, one per row."""
-    counts = np.zeros((1, 0), dtype=np.int64)
-    for _ in range(m):
-        room = n + 1 - counts.sum(axis=1)
-        rows = np.repeat(np.arange(len(counts)), room)
-        nxt = np.arange(rows.size) - np.repeat(np.cumsum(room) - room, room)
-        counts = np.column_stack([counts[rows], nxt])
+    """Every vector of m nonnegative signal counts with total at most n, one
+    per row, by total and then lexicographically: the rows for a smaller n
+    are a prefix.
+
+    Built one leading coordinate at a time: the vectors of total t are, for
+    c = 0..t, c followed by the shorter vectors of total t - c, which are
+    one contiguous block (a shell) of the shorter table.
+    """
+    if m == 0:
+        return np.zeros((1, 0), dtype=np.int64)
+    if m == 1:
+        return np.arange(n + 1, dtype=np.int64)[:, None]
+    total, lead = np.tril_indices(n + 1)  # the pairs (t, c), c = 0..t, by t and then c
+    rest = total - lead
+    counts = np.stack([lead, rest], axis=1)
+    shell = np.arange(1, n + 2)  # rows of each total in ``counts``
+    for _ in range(2, m):
+        size = shell[rest]
+        first = np.cumsum(shell) - shell  # each shell's first row in ``counts``
+        out_first = np.cumsum(size) - size
+        src = np.arange(out_first[-1] + size[-1]) + np.repeat(first[rest] - out_first, size)
+        grown = np.empty((src.size, counts.shape[1] + 1), dtype=np.int64)
+        grown[:, 0] = np.repeat(lead, size)
+        grown[:, 1:] = counts[src]
+        counts, shell = grown, np.cumsum(shell)
     return counts
 
 
-def _count_weights(counts: np.ndarray, lik: np.ndarray) -> np.ndarray:
+#: per signal count m, the table ``(counts, totals, log_multinomials)`` of
+#: every count vector up to the largest total asked for yet, in
+#: :func:`_count_vectors`' order; read-only, replaced, never written, under the lock
+_count_tables = {}
+_count_lock = threading.Lock()
+
+
+def _count_table(m: int, n: int) -> tuple:
+    """Read-only views of the count vectors of m values with total at most
+    n, their totals and the log-multinomials ``log(total! / prod(counts!))``,
+    prefixes of one table per m that grows on demand."""
+    rows = math.comb(n + m, m)
+    table = _count_tables.get(m)
+    if table is None or len(table[0]) < rows:
+        with _count_lock:
+            table = _count_tables.get(m)
+            if table is None or len(table[0]) < rows:
+                counts = _count_vectors(m, n)
+                totals = counts.sum(axis=1)
+                log_fact = _log_factorials(n)
+                table = (counts, totals, log_fact[totals] - log_fact[counts].sum(axis=1))
+                for part in table:
+                    part.flags.writeable = False
+                _count_tables[m] = table
+    return tuple(part[:rows] for part in table)
+
+
+def _count_weights(counts: np.ndarray, log_multinomial: np.ndarray,
+                   lik: np.ndarray) -> np.ndarray:
     """P(count vector | y) for i.i.d. draws from row y of the d x m table
-    ``lik``: one log-space multinomial per row of ``counts`` and column y."""
-    k = counts.sum(axis=1)
-    log_fact = _log_factorials(int(k.max()))
-    log_multinomial = log_fact[k] - log_fact[counts].sum(axis=1)
-    # 0 * log 0 is 0: an unseen value costs nothing, a seen impossible one zeroes the row
+    ``lik``: one log-space multinomial per row of ``counts`` and column y,
+    given each row's log-multinomial coefficient."""
     log_lik = counts @ np.log(np.where(lik > 0, lik, 1.0)).T
     weights = np.exp(log_multinomial[:, None] + log_lik)
-    weights[counts @ (lik == 0).T > 0] = 0.0
+    # 0 * log 0 is 0: an unseen value costs nothing, a seen impossible one zeroes the row
+    impossible = lik == 0
+    if impossible.any():
+        weights[counts @ impossible.T > 0] = 0.0
     return weights
 
 
@@ -251,9 +309,8 @@ def _mean_self_scores(model: InformationModel, rule: ScoringRule, n: int) -> np.
     often each value was seen.  Each k's sum is divided by its total weight
     (1 up to rounding), which keeps saturated sequences nondecreasing.
     """
-    counts = _count_vectors(model.num_signal_values, n)
-    k = counts.sum(axis=1)
-    joint = _count_weights(counts, model.likelihood) * model.prior
+    counts, k, log_multinomial = _count_table(model.num_signal_values, n)
+    joint = _count_weights(counts, log_multinomial, model.likelihood) * model.prior
     mass = _outcome_sum(joint)
     scores = expected_score(rule, joint / np.where(mass > 0, mass, 1.0)[:, None])
     return (np.bincount(k, weights=mass * scores, minlength=n + 1)

@@ -4,7 +4,8 @@ import math
 import numpy as np
 
 from infomarkets.montecarlo import _TABLE_ENTRIES
-from infomarkets.scoring import _outcome_sum, score
+from infomarkets.numerics import _log_factorials
+from infomarkets.scoring import _outcome_sum, expected_score, score
 
 
 def welfare_foc_root(welfare, hi: float = 1.0, rel_step: float = 1e-5,
@@ -118,3 +119,37 @@ def unique_row_score_table(model, rule, table: np.ndarray):
     for y in range(d):
         scores[:, y] = score(rule, probs, np.full(len(probs), y))
     return np.where(ones[kind], 0, strides[kind]).reshape(-1), scores.ravel()
+
+
+def lexicographic_count_vectors(m: int, n: int) -> np.ndarray:
+    """Every vector of m nonnegative counts with total at most n, one per
+    row, in lexicographic order: the rows of ``info_model._count_vectors``,
+    which lists them by total first."""
+    counts = np.zeros((1, 0), dtype=np.int64)
+    for _ in range(m):
+        room = n + 1 - counts.sum(axis=1)
+        rows = np.repeat(np.arange(len(counts)), room)
+        nxt = np.arange(rows.size) - np.repeat(np.cumsum(room) - room, room)
+        counts = np.column_stack([counts[rows], nxt])
+    return counts
+
+
+def lexicographic_v_values(model, rule, n: int) -> np.ndarray:
+    """The oracle of ``v_sequence``: v_0..v_n over the lexicographic count
+    vectors, each row's log-multinomial weight computed on the spot.  Each
+    k's rows are summed in the same order as from the shared table, so the
+    two agree bit for bit."""
+    counts = lexicographic_count_vectors(model.num_signal_values, n)
+    lik = model.likelihood
+    k = counts.sum(axis=1)
+    log_fact = _log_factorials(int(k.max()))
+    log_multinomial = log_fact[k] - log_fact[counts].sum(axis=1)
+    log_lik = counts @ np.log(np.where(lik > 0, lik, 1.0)).T
+    weights = np.exp(log_multinomial[:, None] + log_lik)
+    weights[counts @ (lik == 0).T > 0] = 0.0
+    joint = weights * model.prior
+    mass = _outcome_sum(joint)
+    scores = expected_score(rule, joint / np.where(mass > 0, mass, 1.0)[:, None])
+    means = (np.bincount(k, weights=mass * scores, minlength=n + 1)
+             / np.bincount(k, weights=mass, minlength=n + 1))
+    return means - means[0]

@@ -255,6 +255,21 @@ class TestExpectedReward:
                 fpm_expected_reward(model, rule, q, report_override=override),
                 tuple_expected_reward(model, rule, q, override), rtol=0, atol=1e-12)
 
+    def test_one_perturbed_agent_matches_tuples_closely(self):
+        """Classes are read from the count-vector table in total order; the
+        rewards stay within 1e-13 of settling every signal-state tuple."""
+        model = InformationModel.binary_noisy(0.3, 0.15)
+        rule = ScoringRule("quadratic", 20.0)
+
+        def perturbed(signal):
+            b = 0.5 if signal is None else truthful_report(model, signal).entries[0]
+            return ReportVector((min(b + 0.1, 1 - RATIO_CLAMP),))
+        for n in (2, 4, 6):
+            override = {0: perturbed}
+            np.testing.assert_allclose(
+                fpm_expected_reward(model, rule, [0.7] * n, report_override=override),
+                tuple_expected_reward(model, rule, [0.7] * n, override), rtol=0, atol=1e-13)
+
     def test_three_outcomes(self):
         model = InformationModel(np.array([0.5, 0.3, 0.2]),
                                  np.array([[0.7, 0.2, 0.1],

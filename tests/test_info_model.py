@@ -1,5 +1,9 @@
 import itertools
+import math
+import sys
+import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,10 +11,14 @@ import pytest
 from infomarkets import (Belief, CapacityError, InformationModel,
                          ScoreSequence, ScoringRule, apply_report,
                          expected_base_score, posterior, v_sequence)
+from infomarkets import info_model
 from infomarkets.belief import fold_path
 from infomarkets.cli import _model_from_config
-from infomarkets.info_model import _mean_self_scores
+from infomarkets.info_model import _count_table, _count_vectors, _mean_self_scores
+from infomarkets.numerics import _log_factorials
 from infomarkets.scoring import expected_score
+
+from helpers import lexicographic_v_values
 
 QUAD = ScoringRule("quadratic")
 
@@ -224,6 +232,211 @@ class TestVSequence:
         expected = self.PINNED[market, kind]
         v = v_sequence(model, ScoringRule(kind), len(expected))
         assert v.values.tolist() == [0.0] + expected
+
+
+def _sparse_model(rng, d, m):
+    """A random model; with m >= 2, outcome 0 never emits some signal values."""
+    prior = rng.dirichlet(np.ones(d))
+    likelihood = rng.dirichlet(np.ones(m), size=d)
+    if m >= 2 and rng.random() < 0.5:
+        likelihood[0] = 0.0
+        likelihood[0, rng.integers(m)] = 1.0
+    if m >= 3 and rng.random() < 0.5:
+        likelihood[1, rng.integers(m)] = 0.0
+        likelihood[1] /= likelihood[1].sum()
+    return InformationModel(prior, likelihood)
+
+
+class TestCountTable:
+    @pytest.fixture(autouse=True)
+    def empty_tables(self, monkeypatch):
+        """Each test grows its own tables from empty."""
+        monkeypatch.setattr(info_model, "_count_tables", {})
+
+    @pytest.mark.parametrize("m", range(6))
+    def test_every_vector_once_by_total_then_lexicographically(self, m):
+        for n in range(9):
+            expected = sorted((sum(v), v) for v in itertools.product(range(n + 1), repeat=m)
+                              if sum(v) <= n)
+            counts = _count_vectors(m, n)
+            assert counts.shape == (len(expected), m) == (math.comb(n + m, m), m)
+            assert [tuple(row) for row in counts.tolist()] == [v for _, v in expected]
+
+    @pytest.mark.parametrize("m", range(1, 6))
+    def test_prefix_equals_a_fresh_enumeration(self, m):
+        for n in range(8):
+            fresh = _count_vectors(m, n)
+            counts, totals, log_multinomial = _count_table(m, 8)
+            rows = len(fresh)
+            assert np.array_equal(counts[:rows], fresh)
+            assert np.array_equal(_count_table(m, n)[0], fresh)
+            assert np.array_equal(totals[:rows], fresh.sum(axis=1))
+            log_fact = _log_factorials(n)
+            assert np.array_equal(log_multinomial[:rows], log_fact[fresh.sum(axis=1)]
+                                  - log_fact[fresh].sum(axis=1))
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_growth_order_changes_no_view(self, monkeypatch, m):
+        ns = list(range(13))
+        np.random.default_rng(m).shuffle(ns)
+        views = {}
+        for n in ns:
+            views[n] = _count_table(m, n)
+        assert len(info_model._count_tables[m][0]) == math.comb(12 + m, m)
+        monkeypatch.setattr(info_model, "_count_tables", {})
+        for n in sorted(ns, reverse=True):
+            for grown, again in zip(views[n], _count_table(m, n)):
+                assert np.array_equal(grown, again)
+        assert len(info_model._count_tables[m][0]) == math.comb(12 + m, m)
+
+    def test_views_are_read_only(self):
+        for m in (1, 2, 3):
+            for part in _count_table(m, 5) + info_model._count_tables[m]:
+                assert not part.flags.writeable
+                with pytest.raises(ValueError, match="read-only"):
+                    part[0] = 1
+
+    def test_single_value_enumeration_stays_linear(self):
+        """m = 1 at n = 10^5: no (n + 1)^2 / 2 pair array, and its
+        zero-information sequence, under 16 MiB traced."""
+        model = InformationModel(np.array([0.5, 0.5]), np.ones((2, 1)))
+        tracemalloc.start()
+        try:
+            counts = _count_vectors(1, 10 ** 5)
+            v = v_sequence(model, QUAD, 10 ** 5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(counts[:, 0], np.arange(10 ** 5 + 1))
+        assert not v.values.any()
+        assert peak <= 16 * 2 ** 20
+
+    def test_v_sequence_keeps_the_lexicographic_bits(self):
+        """Random models (zero-likelihood rows too), both rules, n in random
+        order so the tables grow and are read as prefixes: every v equals the
+        lexicographic enumeration bit for bit."""
+        rng = np.random.default_rng(40)
+        most = {1: 40, 2: 120, 3: 30, 4: 12}
+        for case in range(200):
+            d, m = int(rng.integers(2, 4)), int(rng.integers(1, 5))
+            model = _sparse_model(rng, d, m)
+            rule = ScoringRule(("quadratic", "logarithmic")[case % 2])
+            n = int(rng.integers(0, most[m] + 1))
+            assert np.array_equal(v_sequence(model, rule, n).values,
+                                  lexicographic_v_values(model, rule, n)), (case, d, m, n)
+
+    def test_concurrent_growth_keeps_the_bits(self, monkeypatch):
+        """Four threads grow one table from empty, under a short switch
+        interval: each gets its serial bits, and the table ends at the
+        largest n."""
+        models = [_sparse_model(np.random.default_rng(seed), 2 + seed % 2, 2)
+                  for seed in range(4)]
+        ns = [(800, 60, 7), (780, 300, 2), (760, 90, 30), (740, 640, 5)]
+        serial = [[v_sequence(model, QUAD, n).values for n in mine]
+                  for model, mine in zip(models, ns)]
+        monkeypatch.setattr(info_model, "_count_tables", {})
+        results = {}
+
+        def run(i):
+            results[i] = [v_sequence(models[i], QUAD, n).values for n in ns[i]]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            runs = [threading.Thread(target=run, args=(i,)) for i in range(4)]
+            for thread in runs:
+                thread.start()
+            for thread in runs:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        for i, expected in enumerate(serial):
+            for got, values in zip(results[i], expected):
+                assert np.array_equal(got, values), (i, len(values))
+        assert len(info_model._count_tables[2][0]) == math.comb(800 + 2, 2)
+
+
+def _refusal_case(kind: str, size: int, tol: float):
+    """A vector of ``size`` entries that ``kind`` spoils, and the check
+    (from ``_validate_distribution``'s four) that names it."""
+    vec = np.full(size, 1.0 / size)
+    if kind == "too_few":  # for a prior or a belief; a likelihood row needs none
+        return vec[:1], "size"
+    if kind == "two_dimensional":
+        return vec[None], "size"
+    if kind in ("nan", "inf", "minus_inf"):
+        vec[-1] = {"nan": np.nan, "inf": np.inf, "minus_inf": -np.inf}[kind]
+        return vec, "finite"
+    if kind == "below":
+        vec[0] = -100 * tol
+        return vec, "range"
+    if kind == "above":
+        vec[-1] = 1 + 100 * tol
+        return vec, "range"
+    vec[0] += 0.25  # kind == "sum"
+    return vec, "sum"
+
+
+def _refusal_message(what: str, vec: np.ndarray, check: str, least: int) -> str:
+    return {"size": f"{what} must list at least {least} probabilities, got {vec}",
+            "finite": f"{what} has non-finite entries: {vec}",
+            "range": f"{what} has entries outside [0, 1]: {vec}",
+            "sum": f"{what} sums to {float(vec.sum())!r}, not 1"}[check]
+
+
+REFUSALS = ["nan", "inf", "minus_inf", "below", "above", "sum", "two_dimensional",
+            "too_few"]
+
+
+class TestRefusalMessages:
+    """Every refusal of ``_validate_distribution`` names its check, whichever
+    vector it checks and however long: the fast accept path never hides one."""
+
+    @pytest.mark.parametrize("size", [2, 40])
+    @pytest.mark.parametrize("kind", REFUSALS)
+    def test_prior(self, kind, size):
+        vec, check = _refusal_case(kind, size, 1e-12)
+        likelihood = np.full((max(len(vec), 1), 2), 0.5)
+        with pytest.raises(ValueError) as info:
+            InformationModel(vec, likelihood)
+        assert str(info.value) == _refusal_message("prior", vec, check, 2)
+
+    @pytest.mark.parametrize("size", [2, 40])
+    @pytest.mark.parametrize("kind", REFUSALS)
+    def test_likelihood_row(self, kind, size):
+        vec, check = _refusal_case(kind, size, 1e-12)
+        if kind == "too_few":
+            vec = vec[:0]
+        rows = [np.full(len(vec), 1.0 / max(len(vec), 1)), vec]
+        if kind == "two_dimensional":  # the rows of a three-dimensional table
+            with pytest.raises(ValueError, match=r"^likelihood must be a d x m table "
+                                                 r"matching the prior, got "):
+                InformationModel(np.array([0.5, 0.5]), np.stack([vec, vec]))
+            return
+        with pytest.raises(ValueError) as info:
+            InformationModel(np.array([0.5, 0.5]), np.stack(rows))
+        row = 0 if kind == "too_few" else 1  # a table of empty rows fails at its first
+        assert str(info.value) == _refusal_message(f"likelihood row {row}", vec, check, 1)
+
+    @pytest.mark.parametrize("size", [2, 40])
+    @pytest.mark.parametrize("kind", REFUSALS)
+    def test_belief(self, kind, size):
+        vec, check = _refusal_case(kind, size, 1e-10)
+        with pytest.raises(ValueError) as info:
+            Belief(vec)
+        assert str(info.value) == _refusal_message("belief", vec, check, 2)
+
+    @pytest.mark.parametrize("size", [2, 40])
+    def test_entries_within_the_tolerance_pass(self, size):
+        vec = np.full(size, 1.0 / size)
+        vec[0] -= 1e-13
+        vec[-1] += 1e-13
+        near = np.zeros(size)
+        near[0], near[1] = -1e-13, 1.0 + 1e-13
+        for probs in (vec, near):
+            InformationModel(probs, np.full((size, 2), 0.5))
+            InformationModel(np.array([0.5, 0.5]), np.stack([probs, probs]))
+            Belief(probs)
 
 
 class TestExpectedBaseScore:
