@@ -24,6 +24,7 @@ from .belief import _state_table, fold_path, report_column
 from .errors import CapacityError
 from .info_model import (ENUMERATION_BUDGET, Belief, InformationModel,
                          _check_count, _count_table, _count_weights)
+from .numerics import _log_factorials
 from .scoring import ScoringRule, score
 
 #: report-column entries (batches x agents x outcomes) settled at once: a
@@ -107,13 +108,13 @@ def fpm_expected_reward(model: InformationModel, rule: ScoringRule,
 
     Truthful agents sharing q are interchangeable: each such class is
     enumerated by the count vectors of its m + 1 states (no signal, then
-    each value), read from ``info_model._count_table``, and each agent
-    earns their class's mean slot reward.  The classes combine as a
-    Cartesian product whose rows, times n agents, must fit
-    :data:`ENUMERATION_BUDGET`.  :func:`settle_batch` settles
-    the (row, outcome) pairs of positive weight in blocks of
-    :data:`_CHUNK_ELEMENTS` report-column entries, so its scratch does
-    not grow with the rows or the outcomes.
+    each value), whose signal counts are read from
+    ``info_model._count_table``, and each agent earns their class's mean
+    slot reward.  The classes combine as a Cartesian product whose rows,
+    times n agents, must fit :data:`ENUMERATION_BUDGET`.
+    :func:`settle_batch` settles the (row, outcome) pairs of positive
+    weight in blocks of :data:`_CHUNK_ELEMENTS` report-column entries, so
+    its scratch does not grow with the rows or the outcomes.
     ``report_override`` maps an agent (a class of their own) to a report
     function ``f(signal or None) -> report``; that is how deviation losses
     are measured exactly.
@@ -148,11 +149,13 @@ def fpm_expected_reward(model: InformationModel, rule: ScoringRule,
     for (key, agents), idx in zip(classes.items(),
                                   np.indices(sizes).reshape(-1, rows)):
         size, qc = len(agents), q[agents[0]]
-        # the count vectors of total exactly ``size``: the last shell of the table
-        counts, _, log_multinomial = (part[math.comb(size + m, m + 1):]
-                                      for part in _count_table(m + 1, size))
-        joint *= _count_weights(counts, log_multinomial, np.column_stack(
-            [np.full(d, 1.0 - qc), qc * model.likelihood]))[idx]
+        # the signal counts of at most ``size`` agents; the rest saw no signal
+        signals, seen, _ = _count_table(m, size)
+        counts = np.column_stack([size - seen, signals])
+        log_fact = _log_factorials(size)
+        joint *= _count_weights(counts, log_fact[size] - log_fact[counts].sum(axis=1),
+                                np.column_stack([np.full(d, 1.0 - qc),
+                                                 qc * model.likelihood]))[idx]
         cols = truthful if isinstance(key, float) else _state_table(model, override[key[0]])
         # the class's slots hold each state as often as its count vector says
         states = np.repeat(np.tile(np.arange(m + 1), len(counts)), counts.ravel())

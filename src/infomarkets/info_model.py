@@ -39,21 +39,18 @@ def _validate_distribution(vec: np.ndarray, what: str, tol: float, least: int = 
     """Refuse ``vec`` as ``what`` unless it lists at least ``least`` finite
     probabilities within ``tol`` of [0, 1] that sum to 1 within ``tol``.
 
-    One min, one max and one sum accept exactly what the checks below
-    accept (NaN fails every comparison, +-inf the range); those checks run
-    only to name a refusal.
+    Every check reads one of three reductions: a NaN entry makes the min
+    NaN, and an infinite one makes the min or the max infinite.
     """
-    if (vec.ndim == 1 and vec.size >= least and vec.min() >= -tol
-            and vec.max() <= 1 + tol and abs(vec.sum() - 1.0) <= tol):
-        return
     if vec.ndim != 1 or vec.size < least:
         raise ValueError(f"{what} must list at least {least} probabilities, got {vec}")
-    if not np.all(np.isfinite(vec)):
+    lo, hi, total = float(vec.min()), float(vec.max()), float(vec.sum())
+    if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValueError(f"{what} has non-finite entries: {vec}")
-    if np.any(vec < -tol) or np.any(vec > 1 + tol):
+    if lo < -tol or hi > 1 + tol:
         raise ValueError(f"{what} has entries outside [0, 1]: {vec}")
-    if abs(vec.sum() - 1.0) > tol:
-        raise ValueError(f"{what} sums to {float(vec.sum())!r}, not 1")
+    if abs(total - 1.0) > tol:
+        raise ValueError(f"{what} sums to {total!r}, not 1")
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ from infomarkets import (AccessFunction, BatchOutcomeReport, Belief,
                          ReportPolicy, ReportVector, ScoringRule,
                          StrategyProfile, apply_report, fpm_expected_reward,
                          fpm_run, posterior, score, simulate, truthful_report)
-from infomarkets import fpm
+from infomarkets import fpm, info_model
 from infomarkets.belief import RATIO_CLAMP, report_column
 from infomarkets.cli import _batch_from_json, main
 from infomarkets.fpm import settle_batch
@@ -269,6 +269,15 @@ class TestExpectedReward:
             np.testing.assert_allclose(
                 fpm_expected_reward(model, rule, [0.7] * n, report_override=override),
                 tuple_expected_reward(model, rule, [0.7] * n, override), rtol=0, atol=1e-13)
+
+    def test_classes_read_only_the_signal_table_they_need(self, monkeypatch):
+        """A class of k agents reads the m-value table up to total k, the
+        rows it settles, and grows no table of m + 1 values."""
+        monkeypatch.setattr(info_model, "_count_tables", {})
+        model = InformationModel.binary_noisy(0.3, 0.15)
+        fpm_expected_reward(model, QUAD, [0.7] * 6 + [0.4] * 3)
+        assert list(info_model._count_tables) == [2]
+        assert len(info_model._count_tables[2][0]) == math.comb(6 + 2, 2)
 
     def test_three_outcomes(self):
         model = InformationModel(np.array([0.5, 0.3, 0.2]),
