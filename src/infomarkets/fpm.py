@@ -87,7 +87,8 @@ def settle_batch(prior, columns, y, rule: ScoringRule):
     forward = fold_path(prior, columns)
     backward = fold_path(np.ones(columns.shape[-1]), columns[:0:-1])
     without = fold_path(forward[:-1], backward[::-1][None])[1]
-    rewards = score(rule, forward[-1], y) - score(rule, without, y)
+    with np.errstate(invalid="ignore"):  # a logarithmic -inf - -inf: callers refuse the NaN
+        rewards = score(rule, forward[-1], y) - score(rule, without, y)
     return forward[-1], rewards
 
 
@@ -117,7 +118,9 @@ def fpm_expected_reward(model: InformationModel, rule: ScoringRule,
     its scratch does not grow with the rows or the outcomes.
     ``report_override`` maps an agent (a class of their own) to a report
     function ``f(signal or None) -> report``; that is how deviation losses
-    are measured exactly.
+    are measured exactly.  Reports no belief can fold together, and under
+    the logarithmic rule a report that rules out an outcome that occurs,
+    raise ``ValueError``.
     """
     q = np.asarray(effort_profile, dtype=float)
     if q.ndim != 1 or q.size == 0 or not np.all((q >= 0) & (q <= 1)):
@@ -170,6 +173,13 @@ def fpm_expected_reward(model: InformationModel, rule: ScoringRule,
         pairs = slice(start, start + block)
         rewards[:, pairs] = settle_batch(model.prior, columns[:, row[pairs]],
                                          y[pairs], rule)[1]
+    if not np.all(np.isfinite(rewards)):
+        # the prior and the truthful columns are positive at every pair of
+        # positive weight: only an override's report can rule its outcome out
+        agents = [i for members in classes.values() for i in members]
+        who = [agents[k] for k in range(n) if np.any(columns[k, row, y] == 0)]
+        raise ValueError(f"the reports of agents {who} give probability 0 to an outcome "
+                         f"that occurs, which the {rule.kind} rule scores -inf")
     slot_rewards = joint[row, y] @ rewards.T
     out, start = np.empty(n), 0
     for agents in classes.values():

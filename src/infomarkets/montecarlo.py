@@ -29,8 +29,8 @@ trials x agents x outcomes entries, so scratch memory is bounded at any
 width.
 
 Drawing is a stage of its own.  A run of several chunks, on a process
-that may use two CPUs, draws chunk k + 1 on one helper thread while the
-calling thread settles chunk k; settlement and every sum stay on the
+that may use two CPUs, draws chunk k + 1 on a one-worker thread pool while
+the calling thread settles chunk k; settlement and every sum stay on the
 calling thread.  Each stream is read by one thread in trial order, so the
 bits are those of drawing inline.  Such a run holds one chunk's draws
 beyond the chunk it settles: traced peaks of 2.7 / 5.0 MiB for an fpm /
@@ -57,7 +57,6 @@ depends on the profile alone, never on the chunk.
 import math
 import numbers
 import os
-import threading
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -718,13 +717,13 @@ def _draws(model: InformationModel, n: int, trials: int, seed: int, winner: bool
     agents settles on the same ones.
 
     A run of two chunks or more, on a process that may use two CPUs, draws
-    on one helper thread: it draws chunk k + 1 while the caller settles
-    chunk k, and waits until the caller takes it before drawing k + 2, so
-    a run holds the draws of one chunk beyond the chunk it settles.  Each
-    stream is read by one thread, in trial order, so the bits are those of
-    drawing inline.  The helper ends, and is joined, before the generator
-    finishes, raises or is closed; an exception it raises reaches the
-    caller as is.
+    on the one worker of a ``ThreadPoolExecutor``: chunk k + 1 is submitted
+    when the caller takes chunk k, so it is drawn while chunk k settles,
+    and a run holds the draws of one chunk beyond the chunk it settles.
+    Each stream is read by that one thread, in trial order, so the bits
+    are those of drawing inline.  Leaving the executor joins the worker
+    before the generator finishes, raises or is closed, and ``result()``
+    raises the worker's exception in the caller as is.
     """
     chunk = max(1, _CHUNK_ELEMENTS // (n * model.num_outcomes))
     g_outcome = _stream(seed, _OUTCOME)
@@ -751,37 +750,17 @@ def _draws(model: InformationModel, n: int, trials: int, seed: int, winner: bool
             yield draw(done)
         return
 
-    ahead = []  # the next chunk's draws, or the helper's exception
-    drawn, taken = threading.Semaphore(0), threading.Semaphore(0)
-    stop = False
+    # imported here: its logging, traceback and queue imports serve threaded runs alone
+    from concurrent.futures import ThreadPoolExecutor
 
-    def helper():
-        try:
-            for done in starts:
-                ahead.append(draw(done))
-                drawn.release()
-                taken.acquire()
-                if stop:
-                    return
-        except BaseException as exc:  # the caller raises it
-            ahead.append(exc)
-            drawn.release()
-
-    thread = threading.Thread(target=helper, name="montecarlo-draws", daemon=True)
-    thread.start()
-    try:
-        for _ in starts:
-            drawn.acquire()
-            draws = ahead.pop()
-            taken.release()  # the next chunk is drawn while this one settles
-            if isinstance(draws, BaseException):
-                raise draws
+    with ThreadPoolExecutor(1, thread_name_prefix="montecarlo-draws") as helper:
+        ahead = helper.submit(draw, starts[0])
+        for done in starts[1:]:
+            draws = ahead.result()
+            ahead = helper.submit(draw, done)  # drawn while this chunk settles
             yield draws
             del draws  # free this chunk before taking the next
-    finally:
-        stop = True
-        taken.release()
-        thread.join()
+        yield ahead.result()
 
 
 def _agent_sum(rows: np.ndarray) -> np.ndarray:

@@ -197,10 +197,11 @@ def settle_sequential(prior, columns, masses, y, rule: ScoringRule):
     s_path = score(rule, path, y)
     without = np.empty_like(path[:-1])
     rewards = np.zeros(without.shape[:-1])
-    for j in range(1, path.shape[0]):
-        without[:j - 1] = fold_path(without[:j - 1], columns[j - 1:j])[1]
-        without[j - 1] = path[j - 1]
-        rewards[:j] += (s_path[j] - score(rule, without[:j], y)) * masses[j]
+    with np.errstate(invalid="ignore"):  # a logarithmic -inf - -inf: callers refuse the NaN
+        for j in range(1, path.shape[0]):
+            without[:j - 1] = fold_path(without[:j - 1], columns[j - 1:j])[1]
+            without[j - 1] = path[j - 1]
+            rewards[:j] += (s_path[j] - score(rule, without[:j], y)) * masses[j]
     return path, rewards, s_path
 
 

@@ -4,6 +4,7 @@ import math
 import re
 import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -12,7 +13,8 @@ from infomarkets import (AccessFunction, BatchOutcomeReport, Belief,
                          CapacityError, FpmResult, InformationModel,
                          ReportPolicy, ReportVector, ScoringRule,
                          StrategyProfile, apply_report, fpm_expected_reward,
-                         fpm_run, posterior, score, simulate, truthful_report)
+                         fpm_run, posterior, score, simulate, truthful_report,
+                         v_sequence)
 from infomarkets import fpm, info_model
 from infomarkets.belief import RATIO_CLAMP, report_column
 from infomarkets.cli import _batch_from_json, main
@@ -279,6 +281,56 @@ class TestExpectedReward:
         assert list(info_model._count_tables) == [2]
         assert len(info_model._count_tables[2][0]) == math.comb(6 + 2, 2)
 
+    @pytest.mark.parametrize("q", [[1.0, 1.0], [0.5, 0.5]])
+    @pytest.mark.parametrize("rule", [QUAD, ScoringRule("logarithmic")])
+    def test_jointly_impossible_reports_are_refused(self, rule, q):
+        """Agent 0 always reports outcome 0, which agent 1's noiseless signal
+        1 rules out: no belief folds both."""
+        model = InformationModel.binary_noisy(0.3, 0.0)
+        with pytest.raises(ValueError, match="disjoint support"):
+            fpm_expected_reward(model, rule, q, report_override={0: lambda s: [1.0, 0.0]})
+
+    @pytest.mark.parametrize("q, agent", [([0.5, 0.5], 0), ([1.0, 0.5], 0),
+                                          ([0.5, 0.3, 0.5], 1)])
+    def test_log_score_of_a_ruled_out_outcome_is_refused(self, q, agent):
+        """Agent ``agent`` always reports outcome 0, while outcome 1 occurs:
+        the logarithmic rule would pay -inf and NaN, so the call names the
+        agent before numpy warns."""
+        model = InformationModel.binary_noisy(0.3, 0.1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=re.escape(f"agents [{agent}]")):
+                fpm_expected_reward(model, ScoringRule("logarithmic"), q,
+                                    report_override={agent: lambda s: [1.0, 0.0]})
+
+    @pytest.mark.parametrize("rule", [ScoringRule("quadratic", 20.0),
+                                      ScoringRule("logarithmic", 3.0)],
+                             ids=["quadratic", "logarithmic"])
+    @pytest.mark.parametrize("name", ["noisy", "noiseless", "three"])
+    def test_truthful_rewards_are_marginal_score_gains(self, name, rule):
+        """Truthful agent i earns q_i E[v(K + 1) - v(K)], K the number of the
+        other agents with a signal, Poisson-binomial over their q."""
+        model = {"noisy": InformationModel.binary_noisy(0.1, 0.05),
+                 "noiseless": InformationModel.binary_noisy(0.3, 0.0),
+                 "three": InformationModel(np.array([0.5, 0.3, 0.2]),
+                                           np.array([[0.6, 0.3, 0.1], [0.2, 0.5, 0.3],
+                                                     [0.1, 0.2, 0.7]]))}[name]
+        one_class = 20 if model.num_signal_values == 3 else 30
+        profiles = [np.linspace(0.05, 0.95, 8),  # all distinct
+                    [0.6] * one_class,
+                    [0.2] * 4 + [0.7] * 3 + [0.45],
+                    [0.0, 1.0, 1.0, 0.0, 0.5, 1.0]]
+        for q in profiles:
+            v = v_sequence(model, rule, len(q)).values
+            expected = []
+            for i in range(len(q)):
+                others = np.ones(1)  # P(K = k) for the agents other than i
+                for qj in np.delete(q, i):
+                    others = np.convolve(others, [1.0 - qj, qj])
+                expected.append(q[i] * others @ np.diff(v))
+            np.testing.assert_allclose(fpm_expected_reward(model, rule, q), expected,
+                                       rtol=0, atol=1e-14 * rule.scale)
+
     def test_three_outcomes(self):
         model = InformationModel(np.array([0.5, 0.3, 0.2]),
                                  np.array([[0.7, 0.2, 0.1],
@@ -369,3 +421,12 @@ class TestSerialization:
     def test_result_requires_finite_rewards(self):
         with pytest.raises(ValueError):
             FpmResult(Belief(np.array([0.5, 0.5])), np.array([np.inf, 0.0]))
+
+    def test_run_refuses_the_log_score_of_a_ruled_out_outcome(self):
+        """The first report rules out outcome 1, which occurs: the others'
+        rewards are -inf - -inf, refused as non-finite before numpy warns."""
+        batch = BatchOutcomeReport(([1.0, 0.0], [0.7, 0.3], [0.4, 0.6]), 1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="non-finite rewards"):
+                fpm_run(Belief(np.array([0.5, 0.5])), batch, ScoringRule("logarithmic"))

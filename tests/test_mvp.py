@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -211,6 +212,17 @@ class TestMvpRun:
         with pytest.raises(ValueError, match="non-finite reward"):
             mvp_run(Belief(np.array([0.5, 0.5])), [report], 1,
                     ScoringRule("logarithmic"), H1)
+
+    def test_later_rewards_of_a_ruled_out_outcome_are_refused(self):
+        """After a report that rules out outcome 1, a later report's reward is
+        -inf - -inf, refused as non-finite before numpy warns."""
+        reports = [TimedReport(0, 0.1, np.array([1.0, 0.0])),
+                   TimedReport(1, 0.2, np.array([0.7, 0.3]))]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="non-finite reward"):
+                mvp_run(Belief(np.array([0.5, 0.5])), reports, 1,
+                        ScoringRule("logarithmic"), H1)
 
     def test_bad_times_rejected(self):
         rep = ReportVector((0.8,))
