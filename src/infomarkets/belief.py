@@ -13,13 +13,17 @@ Report entry convention: ``entries[i]`` carries the ratio for outcome
 ``i + 1``; outcome 0 is the residual coordinate that keeps the belief
 summing to one.  An agent with nothing to say submits entries of 1/2
 (likelihood ratio one), which leaves any belief unchanged.
+
+:func:`_score_table` scores folds by count vector, for the simulator and
+``fpm_expected_reward``.
 """
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .info_model import Belief, InformationModel, _check_count
-from .scoring import _outcome_sum
+from .scoring import ScoringRule, _outcome_sum, score
 
 #: degenerate likelihood ratios (0 or infinite) are encoded this far inside (0, 1)
 RATIO_CLAMP = 1e-12
@@ -140,6 +144,60 @@ def _state_table(model: InformationModel, report=None) -> np.ndarray:
         return np.vstack([np.ones(model.num_outcomes), model.likelihood.T])
     return np.array([report_column(report(s - 1 if s else None), model.num_outcomes)
                      for s in range(model.num_signal_values + 1)])
+
+
+#: score-table entries (count vectors x outcomes) up to which a profile gets
+#: a :func:`_score_table`: the simulator settles such a profile by gathers
+#: from it, and ``fpm.fpm_expected_reward`` refuses a larger one.  Building
+#: a table at the bound traces 5.1 MiB, about one Monte Carlo chunk's
+#: scratch.  Fixed, not the chunk length, so a profile's route never
+#: depends on the chunking
+_TABLE_ENTRIES = 1 << 17
+
+
+def _score_table(model: InformationModel, rule: ScoringRule, tables: np.ndarray,
+                 holder: np.ndarray):
+    """``(steps, scores)`` of P policies' ``(P, m + 1, d)`` state ``tables``
+    (see :func:`_state_table`) and each agent's index ``holder`` into them,
+    or None if they would exceed :data:`_TABLE_ENTRIES` entries.
+
+    Odds updates commute, so a belief depends only on how often each
+    distinct column was folded.  Each column but one of all ones gets a
+    mixed-radix axis, one longer than the number of agents who hold it in
+    some state.  ``scores[key + y]`` scores at outcome y the belief that
+    folds the columns, in lexicographic order (not report order: the last
+    bits move), each as often as its digit in the key, by :func:`fold_path`'s
+    steps; NaN marks disjoint support.  ``steps[r]`` adds one fold of row r
+    of ``tables[holder]`` flat as ``(n (m + 1), d)`` (0 for ones), so
+    ``steps[rows].sum() + y`` indexes any rows.  The columns come from the
+    policies' tables, m + 1 rows each, never from one row per agent and state.
+    """
+    d, policies = model.num_outcomes, len(tables)
+    columns, kind = np.unique(tables.reshape(-1, d), axis=0, return_inverse=True)
+    kind = kind.reshape(policies, -1)  # each policy's column in each state
+    reports = np.zeros((policies, len(columns)), dtype=np.intp)
+    reports[np.arange(policies)[:, None], kind] = 1  # whether a policy holds a column
+    ones = np.all(columns == 1.0, axis=1)
+    radices = np.where(ones, 1, 1 + np.bincount(holder, minlength=policies) @ reports)
+    if math.prod(radices.tolist()) * d > _TABLE_ENTRIES:
+        return None
+    probs = np.empty((*radices, d))
+    probs[(0,) * len(columns)] = model.prior
+    with np.errstate(invalid="ignore"):  # a disjoint support folds to NaN
+        for axis, column in enumerate(columns):
+            # the beliefs with every count on the axes up to this one, 0 after it
+            block = np.moveaxis(probs[(slice(None),) * (axis + 1)
+                                      + (0,) * (len(columns) - axis - 1)], axis, 0)
+            for k in range(1, radices[axis]):
+                weights = np.multiply(block[k - 1], column, out=block[k])
+                weights /= _outcome_sum(weights)[..., None]
+    # each axis's flat index step in probs, where entry key + y is at outcome y
+    strides = np.array(probs.strides[:-1]) // probs.itemsize
+    probs = probs.reshape(-1, d)
+    scores = np.empty(probs.shape)
+    for y in range(d):
+        scores[:, y] = score(rule, probs, np.full(len(probs), y))
+    return np.where(ones[kind], 0, strides[kind])[holder].reshape(-1), scores.ravel()
 
 
 def fold_path(start, columns) -> np.ndarray:

@@ -5,11 +5,13 @@ import numbers
 
 
 class CapacityError(RuntimeError):
-    """Exact enumeration would exceed the tuple budget.
+    """An exact computation would exceed its fixed size bound.
 
-    Raised instead of silently grinding through huge signal spaces; the
-    caller should fall back to the Monte Carlo estimator in
-    :mod:`infomarkets.montecarlo`.
+    ``v_sequence`` enumerates at most ``info_model.ENUMERATION_BUDGET``
+    signal count vectors, and ``fpm_expected_reward`` reads a score table of
+    at most ``belief._TABLE_ENTRIES`` entries.  Raised instead of silently
+    grinding through huge signal spaces; the caller should fall back to the
+    Monte Carlo estimator in :mod:`infomarkets.montecarlo`.
     """
 
 

@@ -27,9 +27,7 @@ from .errors import CapacityError
 from .numerics import _log_factorials
 from .scoring import ScoringRule, _outcome_sum, expected_score
 
-#: most terms an exact enumeration may visit: signal count vectors in
-#: :func:`v_sequence`, enumerated rows times agents (the report columns
-#: it stacks) in ``fpm_expected_reward``
+#: most signal count vectors :func:`v_sequence` may enumerate
 ENUMERATION_BUDGET = 10 ** 6
 
 _PROB_TOL = 1e-12
@@ -101,16 +99,17 @@ class InformationModel:
             lik = np.asarray(self.likelihood, dtype=float)
         except ValueError:  # ragged rows
             lik = np.empty(0)
-        prior.flags.writeable = False
-        lik.flags.writeable = False
-        object.__setattr__(self, "prior", prior)
         _validate_distribution(prior, "prior", _PROB_TOL, least=2)
         if lik.ndim != 2 or lik.shape[0] != prior.size:
             raise ValueError(f"likelihood must be a d x m table matching the prior, "
                              f"got {self.likelihood!r}")
-        object.__setattr__(self, "likelihood", lik)
         for y in range(lik.shape[0]):
             _validate_distribution(lik[y], f"likelihood row {y}", _PROB_TOL)
+        # an entry within the tolerance below 0 is an impossible event, stored as 0
+        for name, probs in (("prior", prior), ("likelihood", lik)):
+            probs = np.maximum(probs, 0.0)
+            probs.flags.writeable = False
+            object.__setattr__(self, name, probs)
 
     @classmethod
     def binary_noisy(cls, alpha: float, beta: float) -> "InformationModel":

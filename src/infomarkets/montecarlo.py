@@ -23,10 +23,9 @@ which reads no signals, the winner uniforms (see :func:`_draws`).  Its
 kernel (built once per profile by :func:`_kernel`) maps them to rewards
 and the principal's value with no Python loop per trial or per signal
 value: report columns come from one gather into a table of each agent's
-signal-state columns (built as ``fpm_expected_reward`` builds its own),
-in time order in a sequential market.  Each chunk settles about :data:`_CHUNK_ELEMENTS`
-trials x agents x outcomes entries, so scratch memory is bounded at any
-width.
+signal-state columns, in time order in a sequential market.  Each chunk
+settles about :data:`_CHUNK_ELEMENTS` trials x agents x outcomes entries,
+so scratch memory is bounded at any width.
 
 Drawing is a stage of its own.  A run of several chunks, on a process
 that may use two CPUs, draws chunk k + 1 on a one-worker thread pool while
@@ -46,8 +45,9 @@ operations, each over the chunk's trials: numpy runs a reduction along a
 short contiguous axis, or an accumulation along axis 0, as one inner
 loop per trial, several times as long at a few agents.
 
-A profile with at most :data:`_TABLE_ENTRIES` count vectors x outcomes is
-settled by gathers from one :func:`_score_table`: a batch reward is
+A profile with at most ``belief._TABLE_ENTRIES`` count vectors x outcomes
+is settled by gathers from one ``belief._score_table``, the table
+``fpm_expected_reward`` takes its expectations over: a batch reward is
 S(N) - S(N - e_c), and a marginal-value slot reward is one suffix sum per
 column over S(K_j) - S(K_j - e_c) times the segment masses, O(n) gathers
 per trial and column where a fold costs O(n^2 d).  A larger profile is
@@ -61,16 +61,26 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .belief import (RATIO_CLAMP, _require_support, _state_table, fold_path,
-                     truthful_report)
+from .belief import (RATIO_CLAMP, _require_support, _score_table, _state_table,
+                     fold_path, truthful_report)
 from .equilibrium import LatencyFamily
-from .fpm import _CHUNK_ELEMENTS, settle_batch
+from .fpm import settle_batch
 from .info_model import InformationModel, _check_count, _check_nonnegative
 from .mvp import TimeValue, _segment_masses, settle_sequential
 from .pm_baseline import AccessFunction
-from .scoring import ScoringRule, _outcome_sum, score
+from .scoring import ScoringRule, score
 
 MECHANISMS = ("fpm", "mvp", "pm_batch", "pm_sequential")
+
+#: report-column entries (trials x agents x outcomes) settled at once, a
+#: chunk.  Traced peaks (``tracemalloc``, draws included): 1.9 / 4.4 MiB
+#: for an fpm / mvp ``simulate`` at n = 2, whose agent-major books (0.75
+#: MiB) the statistics reduce in place; 4.0 MiB for a paired mvp deviation
+#: at n = 2; 1.9 / 4.3 MiB for fpm / mvp at n = 32; and 9.4 MiB for 300
+#: agents with 40-valued signals, settled by folds.  A chunk gathered from
+#: a score table holds a few integer keys and gathered scores per trial
+#: and agent, no belief paths
+_CHUNK_ELEMENTS = 1 << 16
 
 # purpose tags for the random streams
 _OUTCOME, _LATENCY, _SIGNAL, _WINNER = 0, 1, 2, 3
@@ -379,57 +389,6 @@ def _table_rows(model: InformationModel, states: np.ndarray) -> np.ndarray:
     agent-major ``states``."""
     first = (model.num_signal_values + 1) * np.arange(states.shape[0])[:, None]
     return first + states
-
-
-#: score-table entries (count vectors x outcomes) up to which a profile is
-#: settled by gathers from :func:`_score_table`: building a table at the
-#: bound traces 5.1 MiB, about one chunk's scratch.  Fixed, not the chunk
-#: length, so a profile's route never depends on the chunking
-_TABLE_ENTRIES = 1 << 17
-
-
-def _score_table(model: InformationModel, rule: ScoringRule, tables: np.ndarray,
-                 holder: np.ndarray):
-    """``(steps, scores)`` of the :func:`_policy_tables` ``tables`` and
-    ``holder``, or None if they would exceed :data:`_TABLE_ENTRIES` entries.
-
-    Odds updates commute, so a belief depends only on how often each
-    distinct column was folded.  Each column but one of all ones gets a
-    mixed-radix axis, one longer than the number of agents who hold it in
-    some state.  ``scores[key + y]`` scores at outcome y the belief that
-    folds the columns, in lexicographic order (not report order: the last
-    bits move), each as often as its digit in the key, by :func:`fold_path`'s
-    steps; NaN marks disjoint support.  ``steps[r]`` adds one fold of
-    column-table row r's column (0 for ones), so ``steps[rows].sum() + y``
-    indexes any rows.  The columns come from the distinct policies' tables,
-    m + 1 rows each, never from one row per agent and state.
-    """
-    d, policies = model.num_outcomes, len(tables)
-    columns, kind = np.unique(tables.reshape(-1, d), axis=0, return_inverse=True)
-    kind = kind.reshape(policies, -1)  # each policy's column in each state
-    reports = np.zeros((policies, len(columns)), dtype=np.intp)
-    reports[np.arange(policies)[:, None], kind] = 1  # whether a policy holds a column
-    ones = np.all(columns == 1.0, axis=1)
-    radices = np.where(ones, 1, 1 + np.bincount(holder, minlength=policies) @ reports)
-    if math.prod(radices.tolist()) * d > _TABLE_ENTRIES:
-        return None
-    probs = np.empty((*radices, d))
-    probs[(0,) * len(columns)] = model.prior
-    with np.errstate(invalid="ignore"):  # a disjoint support folds to NaN
-        for axis, column in enumerate(columns):
-            # the beliefs with every count on the axes up to this one, 0 after it
-            block = np.moveaxis(probs[(slice(None),) * (axis + 1)
-                                      + (0,) * (len(columns) - axis - 1)], axis, 0)
-            for k in range(1, radices[axis]):
-                weights = np.multiply(block[k - 1], column, out=block[k])
-                weights /= _outcome_sum(weights)[..., None]
-    # each axis's flat index step in probs, where entry key + y is at outcome y
-    strides = np.array(probs.strides[:-1]) // probs.itemsize
-    probs = probs.reshape(-1, d)
-    scores = np.empty(probs.shape)
-    for y in range(d):
-        scores[:, y] = score(rule, probs, np.full(len(probs), y))
-    return np.where(ones[kind], 0, strides[kind])[holder].reshape(-1), scores.ravel()
 
 
 def _settlement_tables(model, rule, profile, sequential):

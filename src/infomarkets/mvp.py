@@ -34,9 +34,11 @@ class TimeValue:
 
     The exponential kind ``h(t) = eta * exp(-eta * t)`` integrates to one.
     The table kind interpolates a sampled density linearly between knots
-    (zero outside them); a narrow table around D is a deadline at D.  Both
-    kinds have exact interval masses, see :meth:`tail`.  Neither kind takes
-    the other's fields.
+    (zero outside them); a narrow table around D approximates a deadline at
+    D: for a triangle of half-width w the mvp equilibrium's gap to the
+    batch one shrinks as w², and at w = 1e-9 its mass is 1 ± about 1e-7.
+    Both kinds have exact interval masses, see :meth:`tail`.  Neither kind
+    takes the other's fields.
     """
 
     kind: str = "exponential"

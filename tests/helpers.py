@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 
-from infomarkets.montecarlo import _TABLE_ENTRIES
+from infomarkets.belief import _TABLE_ENTRIES
 from infomarkets.numerics import _log_factorials
 from infomarkets.scoring import _outcome_sum, expected_score, score
 
@@ -93,7 +93,7 @@ class BlockMoments:
 
 
 def unique_row_score_table(model, rule, table: np.ndarray):
-    """The oracle of ``montecarlo._score_table``: the same ``(steps, scores)``
+    """The oracle of ``belief._score_table``: the same ``(steps, scores)``
     or None, built from the whole flat ``(n (m + 1), d)`` column table, one
     row per agent and state, with ``np.unique`` over all of its rows."""
     d, states = model.num_outcomes, model.num_signal_values + 1

@@ -15,7 +15,7 @@ from infomarkets import (AccessFunction, BatchOutcomeReport, Belief,
                          StrategyProfile, apply_report, fpm_expected_reward,
                          fpm_run, posterior, score, simulate, truthful_report,
                          v_sequence)
-from infomarkets import fpm, info_model
+from infomarkets import info_model
 from infomarkets.belief import RATIO_CLAMP, report_column
 from infomarkets.cli import _batch_from_json, main
 from infomarkets.fpm import settle_batch
@@ -244,10 +244,12 @@ class TestExpectedReward:
                 fpm_expected_reward(m, QUAD, [0.5] * 3, report_override=override)
 
     def test_capacity_guard(self):
-        # eleven distinct q: 3^11 rows x 11 agents; equal q would share one class
+        """The score-table bound: eleven distinct q share one table of 12^2 x 2
+        entries; 256 binary agents need 257^2 x 2, over 2^17."""
         m = InformationModel.binary_noisy(0.3, 0.1)
-        with pytest.raises(CapacityError):
-            fpm_expected_reward(m, QUAD, np.linspace(0.1, 0.9, 11))
+        assert np.all(np.isfinite(fpm_expected_reward(m, QUAD, np.linspace(0.1, 0.9, 11))))
+        with pytest.raises(CapacityError, match=f"exceeds {1 << 17} entries"):
+            fpm_expected_reward(m, QUAD, [0.5] * 256)
 
     def test_matches_tuple_enumeration(self):
         rng = np.random.default_rng(24)
@@ -258,8 +260,9 @@ class TestExpectedReward:
                 tuple_expected_reward(model, rule, q, override), rtol=0, atol=1e-12)
 
     def test_one_perturbed_agent_matches_tuples_closely(self):
-        """Classes are read from the count-vector table in total order; the
-        rewards stay within 1e-13 of settling every signal-state tuple."""
+        """Read from the score table, whose beliefs fold the columns in
+        lexicographic order, the rewards stay within 1e-13 of settling
+        every signal-state tuple."""
         model = InformationModel.binary_noisy(0.3, 0.15)
         rule = ScoringRule("quadratic", 20.0)
 
@@ -272,14 +275,13 @@ class TestExpectedReward:
                 fpm_expected_reward(model, rule, [0.7] * n, report_override=override),
                 tuple_expected_reward(model, rule, [0.7] * n, override), rtol=0, atol=1e-13)
 
-    def test_classes_read_only_the_signal_table_they_need(self, monkeypatch):
-        """A class of k agents reads the m-value table up to total k, the
-        rows it settles, and grows no table of m + 1 values."""
+    def test_grows_no_count_vector_table(self, monkeypatch):
+        """The expectation reads the score table alone: ``v_sequence``'s
+        count-vector tables stay as they were."""
         monkeypatch.setattr(info_model, "_count_tables", {})
         model = InformationModel.binary_noisy(0.3, 0.15)
         fpm_expected_reward(model, QUAD, [0.7] * 6 + [0.4] * 3)
-        assert list(info_model._count_tables) == [2]
-        assert len(info_model._count_tables[2][0]) == math.comb(6 + 2, 2)
+        assert info_model._count_tables == {}
 
     @pytest.mark.parametrize("q", [[1.0, 1.0], [0.5, 0.5]])
     @pytest.mark.parametrize("rule", [QUAD, ScoringRule("logarithmic")])
@@ -320,6 +322,8 @@ class TestExpectedReward:
                     [0.6] * one_class,
                     [0.2] * 4 + [0.7] * 3 + [0.45],
                     [0.0, 1.0, 1.0, 0.0, 0.5, 1.0]]
+        if model.num_signal_values == 2:  # the widest binary tables: 65^2 x 2 and 2^17 entries
+            profiles += [np.linspace(0.05, 0.95, 64), [0.6] * 255]
         for q in profiles:
             v = v_sequence(model, rule, len(q)).values
             expected = []
@@ -329,6 +333,25 @@ class TestExpectedReward:
                     others = np.convolve(others, [1.0 - qj, qj])
                 expected.append(q[i] * others @ np.diff(v))
             np.testing.assert_allclose(fpm_expected_reward(model, rule, q), expected,
+                                       rtol=0, atol=1e-14 * rule.scale)
+
+    @pytest.mark.parametrize("rule", [ScoringRule("quadratic", 20.0),
+                                      ScoringRule("logarithmic", 3.0)],
+                             ids=["quadratic", "logarithmic"])
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_silent_agent_earns_nothing(self, d, rule):
+        """An agent whose every report is the ones column moves no belief: they
+        earn exactly 0, and the others what they earn in the market without them."""
+        rng = np.random.default_rng(d)
+        model = InformationModel(rng.dirichlet(np.ones(d)),
+                                 rng.dirichlet(np.ones(3), size=d))
+        q = [0.3, 0.7, 0.7, 0.5]
+        for i in (0, 2):
+            rewards = fpm_expected_reward(model, rule, q,
+                                          report_override={i: lambda s: np.ones(d)})
+            assert rewards[i] == 0.0
+            np.testing.assert_allclose(np.delete(rewards, i),
+                                       fpm_expected_reward(model, rule, np.delete(q, i)),
                                        rtol=0, atol=1e-14 * rule.scale)
 
     def test_three_outcomes(self):
@@ -341,25 +364,9 @@ class TestExpectedReward:
             model, QUAD, [0.6, 0.6, 0.3]), rtol=0, atol=1e-12)
         assert rewards[0] == rewards[1] > rewards[2] > 0
 
-    def test_blocks_change_no_bit(self, monkeypatch):
-        """Settling the pairs in blocks of 5 (and a partial one) gives the
-        bits of settling them in one block."""
-        model = InformationModel(np.array([0.5, 0.3, 0.2]),
-                                 np.array([[0.7, 0.2, 0.1],
-                                           [0.2, 0.6, 0.2],
-                                           [0.1, 0.3, 0.6]]))
-        q, override = [0.6, 0.6, 0.6, 0.3, 0.3, 0.9], {5: lambda s: [0.2, 0.5, 0.3]}
-        cases = [(QUAD, None), (ScoringRule("logarithmic", 3.0), override)]
-        whole = [fpm_expected_reward(model, rule, q, report_override=o) for rule, o in cases]
-        monkeypatch.setattr(fpm, "_CHUNK_ELEMENTS", 5 * len(q) * 3)
-        for (rule, o), expected in zip(cases, whole):
-            assert np.array_equal(fpm_expected_reward(model, rule, q, report_override=o),
-                                  expected)
-
     @pytest.mark.parametrize("d", [2, 3, 5])
     def test_memory_does_not_grow_with_the_outcomes(self, d):
-        # 24 agents in two q classes: 8281 rows x 24 agents.  Settled in one
-        # call, the pairs would take 43, 88 and 223 MiB for d = 2, 3 and 5
+        # 24 agents in two q classes: a score table of 25^2 x d entries
         likelihood = np.random.default_rng(d).dirichlet(np.ones(2), size=d)
         model = InformationModel(np.full(d, 1.0 / d), likelihood)
         tracemalloc.start()
@@ -370,6 +377,18 @@ class TestExpectedReward:
             tracemalloc.stop()
         assert np.all(np.isfinite(rewards))
         assert peak <= 24 * 2 ** 20
+
+    def test_memory_at_the_table_bound(self):
+        """255 binary agents fill the 2^17-entry score table: building it
+        traces 5.1 MiB, and the laws over it add two tables of floats."""
+        model = InformationModel.binary_noisy(0.1, 0.05)
+        tracemalloc.start()
+        try:
+            fpm_expected_reward(model, QUAD, [0.6] * 255)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * 2 ** 20, peak
 
     def test_wide_market_with_one_perturbed_agent(self):
         """n = 32: fast, and pinned by the simulator within 4 standard errors."""

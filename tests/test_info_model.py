@@ -10,7 +10,8 @@ import pytest
 
 from infomarkets import (Belief, CapacityError, InformationModel,
                          ScoreSequence, ScoringRule, apply_report,
-                         expected_base_score, posterior, v_sequence)
+                         expected_base_score, fpm_expected_reward, posterior,
+                         v_sequence)
 from infomarkets import info_model
 from infomarkets.belief import fold_path
 from infomarkets.cli import _model_from_config
@@ -437,6 +438,26 @@ class TestRefusalMessages:
             InformationModel(probs, np.full((size, 2), 0.5))
             InformationModel(np.array([0.5, 0.5]), np.stack([probs, probs]))
             Belief(probs)
+
+
+    @pytest.mark.parametrize("low, zero", [
+        (([0.5, 0.5], [[1.0, -1e-13], [0.3, 0.7]]), ([0.5, 0.5], [[1.0, 0.0], [0.3, 0.7]])),
+        (([0.6, 0.4, -1e-13], [[0.9, 0.1], [0.2, 0.8], [0.5, 0.5]]),
+         ([0.6, 0.4, 0.0], [[0.9, 0.1], [0.2, 0.8], [0.5, 0.5]]))],
+        ids=["likelihood", "prior"])
+    def test_negative_entries_within_the_tolerance_count_as_zero(self, low, zero):
+        """An entry of -1e-13 is stored as 0.0, so the model gives the bits of
+        its twin with 0.0 there: taken as it came, a likelihood of -1e-13
+        weighted its count vectors as if it were 1."""
+        low, zero = InformationModel(*low), InformationModel(*zero)
+        assert low.prior.tobytes() == zero.prior.tobytes()
+        assert low.likelihood.tobytes() == zero.likelihood.tobytes()
+        for rule in (QUAD, ScoringRule("logarithmic")):
+            assert np.array_equal(v_sequence(low, rule, 4).values,
+                                  v_sequence(zero, rule, 4).values)
+            assert np.array_equal(fpm_expected_reward(low, rule, [0.5, 0.5]),
+                                  fpm_expected_reward(zero, rule, [0.5, 0.5]))
+        assert np.array_equal(posterior(low, [1]).probs, posterior(zero, [1]).probs)
 
 
 class TestExpectedBaseScore:

@@ -20,7 +20,7 @@ from infomarkets import (AccessFunction, BatchOutcomeReport, Belief,
                          deviation_test, fpm_expected_reward, fpm_run,
                          mvp_agent_reward, mvp_run, per_trial_records,
                          simulate, truthful_report, v_sequence)
-from infomarkets import montecarlo
+from infomarkets import belief, montecarlo
 from infomarkets.belief import fold_path
 from infomarkets.fpm import settle_batch
 from infomarkets.montecarlo import (_LATENCY, _OUTCOME, _SIGNAL, _WINNER,
@@ -93,9 +93,9 @@ def agent_columns(model, profile, y, u_sig, active):
 
 
 def score_table(model, rule, profile, sequential):
-    """``montecarlo._score_table`` of ``profile``'s policy tables."""
-    return montecarlo._score_table(model, rule,
-                                   *montecarlo._policy_tables(model, profile, sequential))
+    """``belief._score_table`` of ``profile``'s policy tables."""
+    return belief._score_table(model, rule,
+                               *montecarlo._policy_tables(model, profile, sequential))
 
 
 def on_table(model, mechanism, profile, rule):
@@ -878,13 +878,14 @@ class TestScoreTable:
         profile = StrategyProfile.symmetric(3.0, 2)
         kw = dict(rule=QUAD20, access=ACC, latency=LAT1, h=H1)
         assert on_table(self.NOISELESS, mechanism, profile, QUAD20)
-        threads, bound = threading.active_count(), montecarlo._TABLE_ENTRIES
+        threads, bound = threading.active_count(), belief._TABLE_ENTRIES
         # one chunk drawn inline, then 50-trial chunks drawn by the helper
         for cpus, chunk_elements in ((1, montecarlo._CHUNK_ELEMENTS), (2, 4 * 50)):
             monkeypatch.setattr(montecarlo, "_cpus", lambda: cpus)
             monkeypatch.setattr(montecarlo, "_CHUNK_ELEMENTS", chunk_elements)
             for entries in (bound, 0):  # the table route, then the direct fold
-                monkeypatch.setattr(montecarlo, "_TABLE_ENTRIES", entries)
+                monkeypatch.setattr(belief, "_TABLE_ENTRIES", entries)
+                assert on_table(self.NOISELESS, mechanism, profile, QUAD20) == (entries > 0)
                 with pytest.raises(ValueError, match="disjoint support"):
                     simulate(self.NOISELESS, mechanism, profile, 200, 3, **kw)
                 assert threading.active_count() == threads
@@ -916,7 +917,8 @@ class TestScoreTable:
                     [deviation_test(model, mechanism, base, i, deviation, 2000, 11, **kw)
                      for i in (0, n - 1)])
         tabled = run()
-        monkeypatch.setattr(montecarlo, "_TABLE_ENTRIES", 0)
+        monkeypatch.setattr(belief, "_TABLE_ENTRIES", 0)
+        assert not on_table(model, mechanism, base, rule)
         direct = run()
         for field in ("reward_mean", "reward_se", "utility_mean", "utility_se",
                       "principal_utility_mean", "welfare_mean"):
@@ -938,9 +940,9 @@ class TestRoutes:
 
     def test_bound_on_the_entries(self):
         # 256^2 x 2 entries fill 2^17, 257^2 x 2 exceed it
-        assert montecarlo._TABLE_ENTRIES == 1 << 17
-        assert montecarlo._score_table(MODEL, QUAD20, *self.truthful_tables(255)) is not None
-        assert montecarlo._score_table(MODEL, QUAD20, *self.truthful_tables(256)) is None
+        assert belief._TABLE_ENTRIES == 1 << 17
+        assert belief._score_table(MODEL, QUAD20, *self.truthful_tables(255)) is not None
+        assert belief._score_table(MODEL, QUAD20, *self.truthful_tables(256)) is None
 
     def test_building_a_table_at_the_bound_is_bounded(self):
         """The beliefs and scores of 2^17 entries, 1 MiB each, and the
@@ -948,7 +950,7 @@ class TestRoutes:
         tables = self.truthful_tables(255)
         tracemalloc.start()
         try:
-            montecarlo._score_table(MODEL, QUAD20, *tables)
+            belief._score_table(MODEL, QUAD20, *tables)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -985,7 +987,7 @@ class TestRoutes:
             tables, holder = montecarlo._policy_tables(model, profile, sequential)
             expected = unique_row_score_table(
                 model, QUAD20, tables[holder].reshape(-1, model.num_outcomes))
-            got = montecarlo._score_table(model, QUAD20, tables, holder)
+            got = belief._score_table(model, QUAD20, tables, holder)
             routes.append(got is not None)
             assert (got is None) == (expected is None)
             if got is not None:
@@ -994,7 +996,7 @@ class TestRoutes:
         assert any(routes) and not all(routes)
 
     def test_chunk_length_never_switches_the_route(self, monkeypatch):
-        built = montecarlo._score_table
+        built = belief._score_table
         routes = []
 
         def spy(*args):
