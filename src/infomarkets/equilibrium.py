@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .info_model import (ScoreSequence, _check_inputs, _check_nonnegative,
-                         _check_nonnegative_array)
+                         _check_nonnegative_array, _check_positive)
 from .mvp import TimeValue
 from .numerics import (QUAD_TOL, EquilibriumResult, _log_factorials,
                        integrate_segments, solve_decreasing_foc)
@@ -62,8 +62,7 @@ class LatencyFamily:
     lam: float = 1.0
 
     def __post_init__(self):
-        if not 0 < self.lam < math.inf:
-            raise ValueError(f"lam must be finite and positive, got {self.lam}")
+        _check_positive("lam", self.lam)
 
     @classmethod
     def exponential(cls, lam: float) -> "LatencyFamily":

@@ -53,7 +53,7 @@ class FpmResult:
     rewards: np.ndarray
 
     def __post_init__(self):
-        rewards = np.asarray(self.rewards, dtype=float)
+        rewards = np.array(self.rewards, dtype=float)  # a copy: the caller's stays writable
         rewards.flags.writeable = False
         object.__setattr__(self, "rewards", rewards)
         if not np.all(np.isfinite(rewards)):

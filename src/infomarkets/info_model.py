@@ -59,9 +59,10 @@ class Belief:
 
     def __post_init__(self):
         probs = np.asarray(self.probs, dtype=float)
+        _validate_distribution(probs, "belief", 1e-10, least=2)
+        probs = np.maximum(probs, 0.0)  # a copy; an entry just below 0 is stored as 0
         probs.flags.writeable = False
         object.__setattr__(self, "probs", probs)
-        _validate_distribution(probs, "belief", 1e-10, least=2)
 
     @classmethod
     def normalized(cls, raw) -> "Belief":
@@ -139,7 +140,7 @@ class ScoreSequence:
     values: np.ndarray = field(default_factory=lambda: np.zeros(1))
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
+        values = np.array(self.values, dtype=float)  # a copy: the caller's stays writable
         values.flags.writeable = False
         object.__setattr__(self, "values", values)
         if values.ndim != 1 or values.size < 1:
@@ -180,6 +181,12 @@ def _check_nonnegative(name: str, value, most: float = math.inf) -> None:
     if not (0 <= value <= most and value < math.inf) or isinstance(value, bool):
         bound = "" if most == math.inf else f" at most {most}"
         raise ValueError(f"{name} must be a finite nonnegative number{bound}, got {value!r}")
+
+
+def _check_positive(name: str, value) -> None:
+    """Refuse a bool, or anything but a finite number above 0, as ``name``."""
+    if not 0 < value < math.inf or isinstance(value, bool):
+        raise ValueError(f"{name} must be finite and positive, got {value!r}")
 
 
 def _check_nonnegative_array(name: str, values) -> np.ndarray:

@@ -18,11 +18,12 @@ through its own profile's kernel; in a marginal-value market each arm
 settles only the deviant's reward (see :func:`_paired_sequential`).
 
 A chunk's draws are the ``(T,)`` outcomes, agent-major ``(n, T)``
-latency uniforms, and the signal indices, or in a ``pm_batch`` market,
-which reads no signals, the winner uniforms (see :func:`_draws`).  Its
-kernel (built once per profile by :func:`_kernel`) maps them to rewards
-and the principal's value with no Python loop per trial or per signal
-value: report columns come from one gather into a table of each agent's
+latency uniforms, in a sequential market already unit-rate exponential
+waits, and the signal indices, or in a ``pm_batch`` market, which reads
+no signals, the winner uniforms (see :func:`_draws`).  Its kernel (built
+once per profile by :func:`_kernel`) maps them to rewards and the
+principal's value with no Python loop per trial or per signal value:
+report columns come from one gather into a table of each agent's
 signal-state columns, in time order in a sequential market.  Each chunk
 settles about :data:`_CHUNK_ELEMENTS` trials x agents x outcomes entries,
 so scratch memory is bounded at any width.
@@ -75,7 +76,7 @@ MECHANISMS = ("fpm", "mvp", "pm_batch", "pm_sequential")
 #: report-column entries (trials x agents x outcomes) settled at once, a
 #: chunk.  Traced peaks (``tracemalloc``, draws included): 1.9 / 4.4 MiB
 #: for an fpm / mvp ``simulate`` at n = 2, whose agent-major books (0.75
-#: MiB) the statistics reduce in place; 4.0 MiB for a paired mvp deviation
+#: MiB) the statistics reduce in place; 3.8 MiB for a paired mvp deviation
 #: at n = 2; 1.9 / 4.3 MiB for fpm / mvp at n = 32; and 9.4 MiB for 300
 #: agents with 40-valued signals, settled by folds.  A chunk gathered from
 #: a score table holds a few integer keys and gathered scores per trial
@@ -103,7 +104,7 @@ class ReportPolicy:
     def __post_init__(self):
         if self.kind not in ("truthful", "perturbed", "delayed", "silent"):
             raise ValueError(f"unknown report policy {self.kind!r}")
-        if not math.isfinite(self.epsilon):
+        if isinstance(self.epsilon, bool) or not math.isfinite(self.epsilon):
             raise ValueError(f"epsilon must be finite, got {self.epsilon!r}")
         _check_nonnegative("delay", self.delay)
         for name, kind in (("epsilon", "perturbed"), ("delay", "delayed")):
@@ -378,17 +379,13 @@ def _policy_tables(model: InformationModel, profile: StrategyProfile,
     return tables, np.array([index[p] for p in profile.policies])
 
 
-def _states(signals: np.ndarray, active: np.ndarray) -> np.ndarray:
-    """Signal states: 0 where ``active`` is false, else 1 + the drawn signal
-    (``signals``, from :func:`_draw_signals`)."""
-    return (1 + signals) * active
-
-
-def _table_rows(model: InformationModel, states: np.ndarray) -> np.ndarray:
+def _table_rows(model: InformationModel, signals: np.ndarray,
+                active: np.ndarray) -> np.ndarray:
     """(n, T) column-table rows (see :func:`_policy_tables`) of the
-    agent-major ``states``."""
-    first = (model.num_signal_values + 1) * np.arange(states.shape[0])[:, None]
-    return first + states
+    agent-major signal states: state 0 where ``active`` is false, else 1 +
+    the drawn signal (``signals``, from :func:`_draw_signals`)."""
+    first = (model.num_signal_values + 1) * np.arange(signals.shape[0])[:, None]
+    return first + (1 + signals) * active
 
 
 def _settlement_tables(model, rule, profile, sequential):
@@ -424,9 +421,9 @@ def _suffix_rewards(scores, s_path, masses, without) -> np.ndarray:
 def _kernel(model, mechanism, profile, rule, access, latency, h):
     """The chunk kernel of one profile, built once per run: ``settle(y,
     u_lat, signals, u_win)`` maps one chunk's draws (see :func:`_draws`:
-    agent-major ``(n, T)`` latency uniforms and signal indices; in
-    ``pm_batch`` the winner uniforms ``u_win`` and no signals, else no
-    ``u_win``) to agent-major rewards ``(n, T)`` and the principal's value
+    agent-major ``(n, T)`` latency uniforms, waits in a sequential market,
+    and signal indices; in ``pm_batch`` the winner uniforms ``u_win`` and
+    no signals, else no ``u_win``) to agent-major rewards ``(n, T)`` and the principal's value
     ``(T,)``.  A kernel writes into no draw, so two kernels may settle the
     same ones."""
     if mechanism in ("fpm", "pm_batch"):
@@ -453,7 +450,7 @@ def _batch_kernel(model, mechanism, profile, rule, access):
     table, scored = _settlement_tables(model, rule, profile, sequential=False)
 
     def settle(y, u_lat, signals, u_win):
-        rows = _table_rows(model, _states(signals, u_lat < q))
+        rows = _table_rows(model, signals, u_lat < q)
         if scored is None:
             p_all, rewards = settle_batch(model.prior, np.take(table, rows, axis=0), y, rule)
             return rewards, score(rule, p_all, y) - score(rule, model.prior, y)
@@ -485,8 +482,8 @@ def _arrivals(profile: StrategyProfile, latency: LatencyFamily):
 
 
 def _report_times(waits: np.ndarray, speaks, rate, delay) -> np.ndarray:
-    """Submission times from unit-rate exponential ``waits``
-    (``-log1p(-u_lat)``): ``waits / rate + delay``, or inf for an agent who
+    """Submission times from unit-rate exponential ``waits`` (see
+    :func:`_draws`): ``waits / rate + delay``, or inf for an agent who
     never reports."""
     times = waits / rate
     times += delay
@@ -531,15 +528,16 @@ def _slot_gathers(order: np.ndarray):
 
 
 def _sequential_kernel(model, mechanism, profile, rule, latency, h):
+    """An mvp or pm_sequential :func:`_kernel`, reading waits, not uniforms."""
     arrivals = _arrivals(profile, latency)
     table, scored = _settlement_tables(model, rule, profile, sequential=True)
 
-    def settle(y, u_lat, signals, u_win):
-        times = _report_times(-np.log1p(-u_lat), *arrivals)
+    def settle(y, waits, signals, u_win):
+        times = _report_times(waits, *arrivals)
         to_slots, from_slots = _slot_gathers(_time_order(times))
         sorted_times = to_slots(times)
         # an agent who never reports sorts last, in state 0 (the neutral column)
-        slot_rows = to_slots(_table_rows(model, _states(signals, np.isfinite(times))))
+        slot_rows = to_slots(_table_rows(model, signals, np.isfinite(times)))
         masses = _segment_masses(h, sorted_times)  # (n + 1, T)
 
         if scored is None and mechanism == "mvp":
@@ -575,46 +573,40 @@ def _sequential_kernel(model, mechanism, profile, rule, latency, h):
 
 def _paired_sequential(model, arms, i, rule, latency, h):
     """The paired chunk function of an mvp deviation by agent i: ``settle(y,
-    u_lat, signals, u_win)`` -> agent i's ``(T,)`` rewards in the baseline and
+    waits, signals, u_win)`` -> agent i's ``(T,)`` rewards in the baseline and
     deviant arm.
 
-    Each arm sums agent i's terms alone, as :func:`_sequential_kernel`
-    would on that arm's route: from the arm's :func:`_score_table`, or,
-    over the bound, against the fold of the other agents' columns in time
-    order (at step j after agent i's slot, row j - 1 is the path without
-    agent i), in :func:`settle_sequential`'s order; both arms share it.
+    Each arm builds its report times and table rows whole from the waits,
+    as :func:`_sequential_kernel` does, and sums agent i's terms alone on
+    its route: from its :func:`_score_table`, or, over the bound, against
+    the fold of the other agents' columns in time order (at step j after
+    agent i's slot, row j - 1 is the path without agent i), in
+    :func:`settle_sequential`'s order; the first such arm folds it for both.
     """
     tables, scored = zip(*(_settlement_tables(model, rule, p, sequential=True)
                            for p in arms))
-    n, first = arms[0].num_agents, model.num_signal_values + 1
     arrivals = [_arrivals(p, latency) for p in arms]
     # whether agent i's report time differs between the arms
     moves = not all(np.array_equal(a[i], b[i]) for a, b in zip(*arrivals))
-    others = np.flatnonzero(np.arange(n) != i)
-    rows_after = np.arange(n)[:, None]
+    rows_after = np.arange(arms[0].num_agents)[:, None]
+    others = np.flatnonzero(rows_after[:, 0] != i)
 
-    def settle(y, u_lat, signals, u_win):
-        waits = -np.log1p(-u_lat)
-        times = _report_times(waits, *arrivals[0])
-        rows = _table_rows(model, _states(signals, np.isfinite(times)))
-        # each arm recomputes agent i's rows alone, from these two
-        wait, signal = waits[i].copy(), signals[i]
-        del waits
-        if any(arm is None for arm in scored):  # the other agents' columns fit both arms
-            others_rows = _slot_gathers(others[_time_order(times[others])])[0](rows)
-            s_without = score(rule, fold_path(model.prior, np.take(tables[0], others_rows,
-                                                                   axis=0)), y)  # (n, T)
-        rewards = []
+    def settle(y, waits, signals, u_win):
+        rewards, s_without = [], None
         for arm, (table, table_scores) in enumerate(zip(tables, scored)):
             if arm == 0 or moves:
-                times[i] = _report_times(wait, *(a[i] for a in arrivals[arm]))
-                rows[i] = first * i + _states(signal, np.isfinite(times[i]))
+                times = _report_times(waits, *arrivals[arm])
+                rows = _table_rows(model, signals, np.isfinite(times))
                 slot = ((times[:i] <= times[i]).sum(axis=0)  # agent i's, ties in agent order
                         + (times[i + 1:] < times[i]).sum(axis=0))
                 to_slots = _slot_gathers(_time_order(times))[0]
                 masses = _segment_masses(h, to_slots(times))  # (n + 1, T)
                 slot_rows = to_slots(rows)
             if table_scores is None:
+                if s_without is None:  # the other agents' columns fit both arms
+                    others_rows = _slot_gathers(others[_time_order(times[others])])[0](rows)
+                    s_without = score(rule, fold_path(
+                        model.prior, np.take(table, others_rows, axis=0)), y)  # (n, T)
                 terms = score(rule, fold_path(model.prior, np.take(table, slot_rows, axis=0)),
                               y)[1:] - s_without
                 terms *= masses[1:]
@@ -662,18 +654,19 @@ def _cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _draws(model: InformationModel, n: int, trials: int, seed: int, winner: bool):
+def _draws(model: InformationModel, n: int, trials: int, seed: int, mechanism: str):
     """The trial range in chunks, with their draws: ``(slice, y, u_lat, signals, u_win)``.
 
     ``y`` holds the ``(T,)`` outcomes, ``u_lat`` the agent-major ``(n, T)``
-    latency uniforms and ``signals`` the ``(n, T)`` signal indices of
-    :func:`_draw_signals`; row i is filled from agent i's own streams.
-    ``winner`` marks a ``pm_batch`` market, which reads no signals: it gets
-    the winner uniforms ``u_win`` and ``signals`` None, any other market the
-    reverse.  Each has streams of its own, so the other draws are the same
-    either way.  The draws depend on the seed, the number of agents and the
-    outcome count only, never on the strategies, so every profile of n
-    agents settles on the same ones.
+    latency uniforms u, turned in place into unit-rate exponential waits
+    ``-log1p(-u)`` for ``mvp`` and ``pm_sequential``, and ``signals`` the
+    ``(n, T)`` signal indices of :func:`_draw_signals`; row i is filled
+    from agent i's own streams.  A ``pm_batch`` market, which reads no
+    signals, gets the winner uniforms ``u_win`` and ``signals`` None, any
+    other market the reverse.  Each has streams of its own, so the other
+    draws are the same either way.  The draws depend on the seed, the
+    number of agents, the outcome count and the mechanism only, never on
+    the strategies, so every profile of n agents settles on the same ones.
 
     A run of two chunks or more, on a process that may use two CPUs, draws
     on the one worker of a ``ThreadPoolExecutor``: chunk k + 1 is submitted
@@ -685,6 +678,7 @@ def _draws(model: InformationModel, n: int, trials: int, seed: int, winner: bool
     raises the worker's exception in the caller as is.
     """
     chunk = max(1, _CHUNK_ELEMENTS // (n * model.num_outcomes))
+    winner = mechanism == "pm_batch"
     g_outcome = _stream(seed, _OUTCOME)
     g_winner = _stream(seed, _WINNER) if winner else None
     g_lat = [_stream(seed, _LATENCY, i) for i in range(n)]
@@ -697,6 +691,8 @@ def _draws(model: InformationModel, n: int, trials: int, seed: int, winner: bool
         u_lat = np.empty((n, T))
         for i in range(n):
             g_lat[i].random(out=u_lat[i])
+        if mechanism in ("mvp", "pm_sequential"):  # -log1p(-u), in place
+            np.negative(np.log1p(np.negative(u_lat, out=u_lat), out=u_lat), out=u_lat)
         if winner:
             return slice(done, done + T), y, u_lat, None, g_winner.random(T)
         u_sig = np.empty((n, T))
@@ -755,7 +751,7 @@ def _books(model, mechanism, profile, trials, seed, rule, access, latency, h):
     n = profile.num_agents
     settle = _kernel(model, mechanism, profile, rule, access, latency, h)
     efforts = np.asarray(profile.efforts)[:, None]
-    for sl, *draws in _draws(model, n, trials, seed, mechanism == "pm_batch"):
+    for sl, *draws in _draws(model, n, trials, seed, mechanism):
         rewards, value = settle(*draws)
         books = np.empty((2 * n + 2, len(value)))
         books[:n] = rewards
@@ -858,7 +854,7 @@ def deviation_test(model: InformationModel, mechanism: str,
             return [kernel(*draws)[0][i] for kernel in kernels]
     costs = [p.efforts[i] for p in arms]
     delta = np.empty(trials)  # only the deviant's utility change is kept
-    for sl, *draws in _draws(model, n, trials, seed, mechanism == "pm_batch"):
+    for sl, *draws in _draws(model, n, trials, seed, mechanism):
         # both arms settle on the same draws: common random numbers
         base, dev = settle(*draws)
         delta[sl] = (dev - costs[1]) - (base - costs[0])

@@ -24,7 +24,7 @@ import numpy as np
 from .belief import fold_path, report_column
 from .errors import ProtocolError
 from .info_model import (Belief, _check_count, _check_nonnegative,
-                         _check_nonnegative_array)
+                         _check_nonnegative_array, _check_positive)
 from .scoring import ScoringRule, score
 
 
@@ -51,9 +51,7 @@ class TimeValue:
             for name in ("times", "values"):
                 if getattr(self, name) is not None:
                     raise ValueError(f"the exponential kind takes no {name}")
-            if not 0 < self.eta < math.inf:
-                raise ValueError(f"decay rate eta must be finite and positive, "
-                                 f"got {self.eta}")
+            _check_positive("eta", self.eta)
         elif self.kind == "table":
             if self.eta != 1.0:
                 raise ValueError(f"the table kind takes no eta, got {self.eta}")

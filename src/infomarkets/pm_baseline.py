@@ -19,7 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .info_model import ScoreSequence, _check_count, _check_inputs, _check_nonnegative
+from .info_model import (ScoreSequence, _check_count, _check_inputs, _check_nonnegative,
+                         _check_positive)
 from .numerics import EquilibriumResult, solve_decreasing_foc
 
 
@@ -37,8 +38,7 @@ class AccessFunction:
     def __post_init__(self):
         if self.kind not in ("linear", "exponential"):
             raise ValueError(f"unknown access kind {self.kind!r}")
-        if not 0 < self.lam < math.inf:
-            raise ValueError(f"lam must be finite and positive, got {self.lam}")
+        _check_positive("lam", self.lam)
 
     @classmethod
     def linear(cls, lam: float) -> "AccessFunction":

@@ -1,9 +1,11 @@
-"""Every public entry point that takes an effort, a time, a delay or an index
-refuses a value outside its domain with a ``ValueError`` naming the argument.
+"""Every public entry point that takes an effort, a time, a delay, a rate or
+an index refuses a value outside its domain with a ``ValueError`` naming the
+argument.
 
 Efforts, report times and delays go through ``info_model._check_nonnegative``;
-arrays of times through ``info_model._check_nonnegative_array``; outcome,
-agent and signal indices, agent counts and ``report_override`` keys through
+arrays of times through ``info_model._check_nonnegative_array``; rates and
+scales through ``info_model._check_positive``; outcome, agent and signal
+indices, agent counts and ``report_override`` keys through
 ``info_model._check_count``.
 """
 import math
@@ -61,6 +63,24 @@ NONNEGATIVE = {
                                                        rule=RULE, access=ACCESS)),
     "ReportPolicy": ("delay", lambda x: ReportPolicy("delayed", delay=x)),
     "TimedReport time": ("time", lambda x: TimedReport(0, x, REPORT)),
+}
+
+#: what no rate or scale may be
+NOT_POSITIVE = [0, -1, math.nan, math.inf, -math.inf, True]
+
+#: site -> (argument name, one call with the argument set to x); each
+#: refuses every value of NOT_POSITIVE
+POSITIVE = {
+    "LatencyFamily": ("lam", lambda x: LatencyFamily(x)),
+    "AccessFunction": ("lam", lambda x: AccessFunction("linear", x)),
+    "TimeValue.exponential": ("eta", lambda x: TimeValue.exponential(x)),
+    "ScoringRule": ("scale", lambda x: ScoringRule("quadratic", x)),
+}
+
+#: site -> (argument name, one call with the argument set to x): a
+#: perturbation may be any finite real, but not a bool
+FINITE = {
+    "ReportPolicy epsilon": ("epsilon", lambda x: ReportPolicy("perturbed", epsilon=x)),
 }
 
 #: what no array of times may hold (each entry may be +inf)
@@ -121,6 +141,9 @@ OVERRIDE_KEY = {
 
 CASES = ([(site, x, "a finite nonnegative number") for site in NONNEGATIVE
           for x in NOT_NONNEGATIVE if not (site == "deviation_test effort" and x is True)]
+         + [(site, x, "finite and positive") for site in POSITIVE for x in NOT_POSITIVE]
+         + [(site, x, "finite") for site in FINITE
+            for x in (math.nan, math.inf, -math.inf, True)]
          + [(site, 0.4, "a finite nonnegative number at most") for site in LINEAR]
          + [(site, x, "an integer of at least 0") for site, (_, _, end) in INDEX.items()
             for x in NOT_AN_INDEX + ([] if end is None else [end])]
@@ -128,7 +151,8 @@ CASES = ([(site, x, "a finite nonnegative number") for site in NONNEGATIVE
             for x in NOT_NONNEGATIVE_ARRAY]
          + [(site, x, "an integer of at least 0") for site in OVERRIDE_KEY
             for x in (True, 1.0)])
-SITES = {**NONNEGATIVE, **INDEX, **LINEAR, **NONNEGATIVE_ARRAY, **OVERRIDE_KEY}
+SITES = {**NONNEGATIVE, **POSITIVE, **FINITE, **INDEX, **LINEAR, **NONNEGATIVE_ARRAY,
+         **OVERRIDE_KEY}
 
 
 @pytest.mark.parametrize("site, x, kind", CASES, ids=[f"{site}-{x!r}" for site, x, _ in CASES])

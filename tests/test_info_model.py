@@ -8,9 +8,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from infomarkets import (Belief, CapacityError, InformationModel,
-                         ScoreSequence, ScoringRule, apply_report,
-                         expected_base_score, fpm_expected_reward, posterior,
+from infomarkets import (BatchOutcomeReport, Belief, CapacityError, FpmResult,
+                         InformationModel, ScoreSequence, ScoringRule, apply_report,
+                         expected_base_score, fpm_expected_reward, fpm_run, posterior,
                          v_sequence)
 from infomarkets import info_model
 from infomarkets.belief import fold_path
@@ -459,6 +459,19 @@ class TestRefusalMessages:
                                   fpm_expected_reward(zero, rule, [0.5, 0.5]))
         assert np.array_equal(posterior(low, [1]).probs, posterior(zero, [1]).probs)
 
+    def test_negative_belief_entries_within_the_tolerance_count_as_zero(self):
+        """A belief entry of -1e-11 is stored as 0.0: taken as it came, it
+        paid each agent of a log-scored batch about 1e-11 for reports that
+        move nothing."""
+        low = Belief([-1e-11, 1 + 1e-11])
+        assert low.probs.tolist() == [0.0, 1 + 1e-11]
+        batch = BatchOutcomeReport(([0.7, 0.3], [0.4, 0.6]), 1)
+        result = fpm_run(low, batch, ScoringRule("logarithmic"))
+        assert result.rewards.tolist() == [0.0, 0.0]
+        assert np.array_equal(result.aggregated.probs,
+                              fpm_run(Belief([0.0, 1 + 1e-11]), batch,
+                                      ScoringRule("logarithmic")).aggregated.probs)
+
 
 class TestExpectedBaseScore:
     def test_values(self):
@@ -509,6 +522,20 @@ class TestTypes:
         b = Belief(np.array([0.4, 0.6]))
         with pytest.raises(ValueError):
             b.probs[0] = 0.9
+
+    @pytest.mark.parametrize("build, field", [
+        (Belief, "probs"),
+        (ScoreSequence, "values"),
+        (lambda a: FpmResult(Belief([0.5, 0.5]), a), "rewards"),
+    ], ids=["Belief", "ScoreSequence", "FpmResult"])
+    def test_value_objects_keep_a_copy_of_the_callers_array(self, build, field):
+        """The object stores a read-only copy: the caller's array stays
+        writable, and writing to it leaves the object as it was."""
+        given = np.array([0.0, 1.0])
+        stored = getattr(build(given), field)
+        assert given.flags.writeable and not stored.flags.writeable
+        given[0] = 0.5
+        assert stored.tolist() == [0.0, 1.0]
 
     def test_score_sequence_requires_zero_start(self):
         with pytest.raises(ValueError):

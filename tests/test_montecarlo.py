@@ -735,6 +735,25 @@ class TestDrawAhead:
         assert inline[2] == ahead[2]
 
     @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("mechanism", ["fpm", "mvp", "pm_batch", "pm_sequential"])
+    def test_sequential_markets_draw_waits(self, mechanism, cpus, monkeypatch):
+        """A sequential market's latency draws are the unit-rate exponential
+        waits -log1p(-u) of the oracle's uniforms u, bit for bit, drawn
+        inline or ahead; a batch market's are the uniforms themselves."""
+        on_main = self.draw_on(monkeypatch, cpus)
+        monkeypatch.setattr(montecarlo, "_CHUNK_ELEMENTS", 4 * 613)
+        trials = 3000
+        y, u_lat, _, _ = column_stack_draws(MODEL, 2, trials, 11)
+        if mechanism in ("mvp", "pm_sequential"):
+            u_lat = -np.log1p(-u_lat)
+        got_y, got_lat = np.empty(trials, dtype=np.intp), np.empty((2, trials))
+        for sl, y_chunk, lat, _, _ in montecarlo._draws(MODEL, 2, trials, 11, mechanism):
+            got_y[sl], got_lat[:, sl] = y_chunk, lat
+        assert on_main == [cpus == 1] * 5  # five chunks, each drawn inline or ahead
+        assert np.array_equal(got_y, y)
+        assert got_lat.tobytes() == np.ascontiguousarray(u_lat.T).tobytes()
+
+    @pytest.mark.parametrize("cpus", [1, 2])
     def test_pm_batch_draws_no_signals(self, cpus, monkeypatch):
         """A winner race reads no signals, so none are drawn for it."""
         def refused(*args):
